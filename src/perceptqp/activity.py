@@ -8,17 +8,15 @@ luma-only mean and the mean of the summed three-channel activity.
 
 Sample sums and squared-sample sums are accumulated as exact integers
 (one float division at the end), so results are bit-reproducible
-regardless of worker count or block traversal order.
+regardless of block traversal order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .parallel import worker_count
 from .partition import CbRect, CuRect, cb_rect, cu_grid, sub_blocks
 from .yuv import Channel, ChromaFormat, Frame, Plane
 
@@ -103,17 +101,10 @@ def cu_activity(frame: Frame, cu: CuRect, chroma_format: ChromaFormat | None = N
 def frame_activity(frame: Frame, cu_size: int, max_workers: int | None = None) -> FrameActivity:
     """Activity records for every CU in raster order plus the frame means.
 
-    Records may be computed by a thread pool, but the means are always
-    reduced in raster order, so the result is identical for any worker
-    count.
+    The pass runs on one thread. max_workers is accepted and ignored; it
+    is kept only because the benchmark replay still passes it.
     """
-    grid = cu_grid(frame.format, cu_size)
-    workers = min(worker_count(max_workers), len(grid))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = tuple(pool.map(lambda cu: cu_activity(frame, cu), grid))
-    else:
-        records = tuple(cu_activity(frame, cu) for cu in grid)
+    records = tuple(cu_activity(frame, cu) for cu in cu_grid(frame.format, cu_size))
     count = len(records)
     t_luma = sum(r.luma for r in records) / count
     t_cross = sum(r.cross for r in records) / count

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
-from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Iterator
 
 from .activity import FrameActivity, frame_activity
 from .metrics import RdCurve, _channel_sort_key, bd_psnr, bd_rate, parse_rd_csv
@@ -35,28 +36,35 @@ EXIT_VALIDATION = 3
 EXIT_IO = 4
 
 
-@dataclass(frozen=True)
-class RunSpec:
-    """Everything one analysis run needs: input, geometry, QP rule, outputs."""
-
-    input: Path
-    fmt: VideoFormat
-    config: QpConfig
-    frames: int | None = None
-    skip: int = 0
-    output: Path | None = None
-    out_format: str = "csv"
-    dump_activity: Path | None = None
-
-
 def _format_from_args(args: argparse.Namespace) -> VideoFormat:
     return VideoFormat(
         width=args.width,
         height=args.height,
         bit_depth=args.bit_depth,
         chroma_format=ChromaFormat(args.chroma),
-        frame_count_hint=args.frames,
     )
+
+
+def _qp_config(args: argparse.Namespace, suffix: str = "") -> QpConfig:
+    """The QP rule from the flags _add_qp_args added with the same suffix."""
+    return QpConfig(
+        slice_qp=args.qp,
+        mode=Mode(getattr(args, f"mode{suffix}")),
+        qp_range=args.qp_range,
+        cu_size=args.cu_size,
+        t_mode=TMode(getattr(args, f"t_mode{suffix}")),
+        rounding=Rounding(getattr(args, f"rounding{suffix}")),
+    )
+
+
+def _refuse_to_overwrite(inputs: list[Path | None], outputs: list[Path | None]) -> None:
+    """Raise before anything is written if an existing output is one of the inputs."""
+    for out in outputs:
+        if out is None or not out.exists():
+            continue
+        for path in inputs:
+            if path is not None and path.exists() and os.path.samefile(out, path):
+                raise ValueError(f"output {out} is the input {path}; refusing to overwrite it")
 
 
 def _frame_range(total: int, skip: int, frames: int | None) -> range:
@@ -83,14 +91,18 @@ def load_frames(path: Path, fmt: VideoFormat, skip: int, frames: int | None) -> 
         return [(i, read_frame(stream, fmt, i)) for i in _frame_range(total, skip, frames)]
 
 
-def run_analysis(spec: RunSpec) -> tuple[list[QpMap], list[tuple[int, FrameActivity]]]:
-    maps = []
-    activities = []
-    for index, frame in load_frames(spec.input, spec.fmt, spec.skip, spec.frames):
-        act = frame_activity(frame, spec.config.cu_size)
-        maps.append(qp_map_from_activity(spec.fmt, act, spec.config, frame_index=index))
-        activities.append((index, act))
-    return maps, activities
+def frame_activities(
+    path: Path, fmt: VideoFormat, args: argparse.Namespace
+) -> Iterator[tuple[int, FrameActivity]]:
+    """Yield (index, activity) for every frame the flags select: the CLI's one frame loop."""
+    for index, frame in load_frames(path, fmt, args.skip, args.frames):
+        yield index, frame_activity(frame, args.cu_size)
+
+
+def _qp_maps(
+    activities: list[tuple[int, FrameActivity]], fmt: VideoFormat, config: QpConfig
+) -> list[QpMap]:
+    return [qp_map_from_activity(fmt, act, config, frame_index=index) for index, act in activities]
 
 
 def _echo_items(fmt: VideoFormat, config: QpConfig | None) -> list[tuple[str, object]]:
@@ -167,53 +179,30 @@ def _summarize_maps(maps: list[QpMap]) -> str:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    config = QpConfig(
-        slice_qp=args.qp,
-        mode=Mode(args.mode),
-        qp_range=args.qp_range,
-        cu_size=args.cu_size,
-        t_mode=TMode(args.t_mode),
-        rounding=Rounding(args.rounding),
-    )
-    spec = RunSpec(
-        input=args.input,
-        fmt=_format_from_args(args),
-        config=config,
-        frames=args.frames,
-        skip=args.skip,
-        output=args.output,
-        out_format=args.format,
-        dump_activity=args.dump_activity,
-    )
-    maps, activities = run_analysis(spec)
-    render = qp_maps_json if spec.out_format == "json" else qp_maps_csv
-    spec.output.write_text(render(maps, spec.fmt))
-    if spec.dump_activity is not None:
-        spec.dump_activity.write_text(activity_csv(activities, spec.fmt, config.cu_size))
+    config = _qp_config(args)
+    fmt = _format_from_args(args)
+    _refuse_to_overwrite([args.input], [args.output, args.dump_activity])
+    activities = list(frame_activities(args.input, fmt, args))
+    maps = _qp_maps(activities, fmt, config)
+    render = qp_maps_json if args.format == "json" else qp_maps_csv
+    args.output.write_text(render(maps, fmt))
+    if args.dump_activity is not None:
+        args.dump_activity.write_text(activity_csv(activities, fmt, config.cu_size))
     print(_summarize_maps(maps))
     return EXIT_OK
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     fmt = _format_from_args(args)
-    base = QpConfig(
-        slice_qp=args.qp,
-        mode=Mode(args.mode_a),
-        qp_range=args.qp_range,
-        cu_size=args.cu_size,
-        t_mode=TMode(args.t_mode_a),
-        rounding=Rounding(args.rounding_a),
-    )
-    config_b = replace(
-        base,
-        mode=Mode(args.mode_b),
-        t_mode=TMode(args.t_mode_b),
-        rounding=Rounding(args.rounding_b),
-    )
-    spec_a = RunSpec(input=args.input, fmt=fmt, config=base, frames=args.frames, skip=args.skip)
-    spec_b = replace(spec_a, input=args.input_b or args.input, config=config_b)
-    maps_a, _ = run_analysis(spec_a)
-    maps_b, _ = run_analysis(spec_b)
+    config_a = _qp_config(args, "_a")
+    config_b = _qp_config(args, "_b")
+    _refuse_to_overwrite([args.input, args.input_b], [args.output])
+    # The QP rules are pure functions of the activity, so one input needs one pass.
+    activities = list(frame_activities(args.input, fmt, args))
+    maps_a = _qp_maps(activities, fmt, config_a)
+    if args.input_b is not None:
+        activities = list(frame_activities(args.input_b, fmt, args))
+    maps_b = _qp_maps(activities, fmt, config_b)
     if len(maps_a) != len(maps_b):
         raise YuvError(
             f"inputs differ in frame count ({len(maps_a)} vs {len(maps_b)});"
@@ -228,7 +217,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 ("cu_size", args.cu_size),
                 ("qp", args.qp),
                 ("qp_range", args.qp_range),
-                ("mode_a", base.mode.value),
+                ("mode_a", config_a.mode.value),
                 ("mode_b", config_b.mode.value),
             ],
         ),
@@ -276,10 +265,8 @@ def cmd_bdrate(args: argparse.Namespace) -> int:
 
 def cmd_dump_activity(args: argparse.Namespace) -> int:
     fmt = _format_from_args(args)
-    activities = [
-        (index, frame_activity(frame, args.cu_size))
-        for index, frame in load_frames(args.input, fmt, args.skip, args.frames)
-    ]
+    _refuse_to_overwrite([args.input], [args.output])
+    activities = list(frame_activities(args.input, fmt, args))
     args.output.write_text(activity_csv(activities, fmt, args.cu_size))
     print(f"frames={len(activities)} cus_per_frame={len(activities[0][1].records)}")
     return EXIT_OK

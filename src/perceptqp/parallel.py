@@ -1,4 +1,8 @@
-"""Worker-thread resolution for per-CU parallel work."""
+"""Resolution of the PERCEPT_QP_THREADS setting.
+
+The analysis runs on one thread, so nothing in the library consults this
+module; it is kept because the benchmark harness reports worker_count().
+"""
 
 from __future__ import annotations
 
@@ -8,10 +12,10 @@ THREADS_ENV = "PERCEPT_QP_THREADS"
 
 
 def worker_count(requested: int | None = None) -> int:
-    """Number of worker threads to use.
+    """Read and validate PERCEPT_QP_THREADS; the result changes no computation.
 
-    An explicit argument wins; otherwise the PERCEPT_QP_THREADS environment
-    variable is consulted. 0 (or unset) means one thread per CPU.
+    An explicit argument wins; otherwise the environment variable is
+    consulted. 0 (or unset) resolves to one per CPU.
     """
     if requested is None:
         raw = os.environ.get(THREADS_ENV, "0")

@@ -73,8 +73,10 @@ class QpConfig:
     def __post_init__(self) -> None:
         if not QP_MIN <= self.slice_qp <= QP_MAX:
             raise ValueError(f"slice_qp {self.slice_qp} outside [{QP_MIN}, {QP_MAX}]")
-        if self.qp_range < 0:
-            raise ValueError(f"qp_range must be >= 0, got {self.qp_range}")
+        # No CU can move further than the whole QP span, and the bound keeps
+        # scaling_factor far from float overflow.
+        if not 0 <= self.qp_range <= QP_MAX - QP_MIN:
+            raise ValueError(f"qp_range {self.qp_range} outside [0, {QP_MAX - QP_MIN}]")
         if self.cu_size not in CU_SIZES:
             raise ValueError(f"cu_size {self.cu_size} unsupported; choose one of {CU_SIZES}")
 
@@ -159,16 +161,11 @@ def qp_map_from_activity(
     return QpMap(frame_index=frame_index, cols=cols, rows=rows, qps=qps, config=config)
 
 
-def qp_map(
-    frame: Frame,
-    config: QpConfig,
-    frame_index: int = 0,
-    max_workers: int | None = None,
-) -> QpMap:
+def qp_map(frame: Frame, config: QpConfig, frame_index: int = 0) -> QpMap:
     """Compute one QP per CU of a frame.
 
     Pass 1 gathers frame-level activity statistics, pass 2 converts each
-    CU's activity into a QP. Output is deterministic for any worker count.
+    CU's activity into a QP.
     """
-    activity = frame_activity(frame, config.cu_size, max_workers=max_workers)
+    activity = frame_activity(frame, config.cu_size)
     return qp_map_from_activity(frame.format, activity, config, frame_index=frame_index)

@@ -80,7 +80,6 @@ class VideoFormat:
     height: int
     bit_depth: int = 8
     chroma_format: ChromaFormat = ChromaFormat.YUV420
-    frame_count_hint: int | None = None
 
     def __post_init__(self) -> None:
         if self.width < 1 or self.height < 1:
@@ -171,11 +170,6 @@ class Frame:
                     f"{channel.value} sample out of range 0..{self.format.max_sample}"
                     f" (saw {lo}..{hi})"
                 )
-
-    def plane(self, channel: Channel) -> Plane:
-        if channel is Channel.Y:
-            return self.y
-        return self.cb if channel is Channel.CB else self.cr
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Frame):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from perceptqp import ChromaFormat, Frame, Plane, RdPoint, VideoFormat, emit_rd_csv, write_frame
+from perceptqp import cli
 from perceptqp.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from perceptqp.metrics import rd_csv_bytes
 from strategies import random_frame
@@ -155,6 +156,11 @@ class TestAnalyze:
         assert main(args) == EXIT_VALIDATION
         capsys.readouterr()
 
+    def test_huge_qp_range_is_validation_error(self, tmp_path, capsys):
+        clip = constant_clip(tmp_path / "in.yuv")
+        assert main(analyze_args(clip, tmp_path / "map.csv", qp_range=10000)) == EXIT_VALIDATION
+        assert "error:" in capsys.readouterr().err
+
 
 def compare_args(clip, out, fmt=FMT, mode_a="cbaq", mode_b="cbaq", **extra):
     args = [
@@ -214,12 +220,62 @@ class TestCompare:
         assert main(args) == EXIT_OK
         assert capsys.readouterr().out.strip() == "delta=+0 count=2"
 
+    def test_single_input_is_analysed_once(self, tmp_path, monkeypatch, capsys):
+        frames = 3
+        clip = write_clip(tmp_path / "in.yuv", [random_frame(FMT, s) for s in range(frames)])
+        calls = []
+        real = cli.frame_activity
+
+        def counting(frame, cu_size):
+            calls.append(cu_size)
+            return real(frame, cu_size)
+
+        monkeypatch.setattr(cli, "frame_activity", counting)
+        one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+        assert main(compare_args(clip, one, mode_a="adaptiveqp", mode_b="cbaq")) == EXIT_OK
+        assert len(calls) == frames
+        args = compare_args(clip, two, mode_a="adaptiveqp", mode_b="cbaq", input_b=clip)
+        assert main(args) == EXIT_OK
+        assert len(calls) == 3 * frames
+        assert one.read_bytes() == two.read_bytes()
+        capsys.readouterr()
+
     def test_frame_count_mismatch_is_validation_error(self, tmp_path, capsys):
         clip_a = write_clip(tmp_path / "a.yuv", [random_frame(FMT, 1)] * 2)
         clip_b = write_clip(tmp_path / "b.yuv", [random_frame(FMT, 1)])
         args = compare_args(clip_a, tmp_path / "d.csv", input_b=clip_b)
         assert main(args) == EXIT_VALIDATION
         assert "frame count" in capsys.readouterr().err
+
+
+def dump_args(clip, out, fmt=FMT):
+    return [
+        "dump-activity",
+        "--input", str(clip),
+        "--width", str(fmt.width),
+        "--height", str(fmt.height),
+        "--output", str(out),
+    ]
+
+
+@pytest.mark.parametrize(
+    "make_args",
+    [
+        lambda clip, other, scratch: analyze_args(clip, clip),
+        lambda clip, other, scratch: analyze_args(clip, scratch, dump_activity=clip),
+        lambda clip, other, scratch: compare_args(clip, clip),
+        lambda clip, other, scratch: compare_args(other, clip, input_b=clip),
+        lambda clip, other, scratch: dump_args(clip, clip),
+    ],
+    ids=["analyze-output", "analyze-dump-activity", "compare-input", "compare-input-b", "dump-activity"],
+)
+def test_output_naming_an_input_is_refused(tmp_path, capsys, make_args):
+    clip = write_clip(tmp_path / "in.yuv", [random_frame(FMT, 3)])
+    other = write_clip(tmp_path / "other.yuv", [random_frame(FMT, 4)])
+    before = clip.read_bytes()
+    assert main(make_args(clip, other, tmp_path / "out.csv")) == EXIT_VALIDATION
+    assert "error:" in capsys.readouterr().err
+    assert clip.read_bytes() == before
 
 
 ANCHOR_POINTS = {

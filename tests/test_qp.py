@@ -13,6 +13,8 @@ from perceptqp import (
     FrameActivity,
     Mode,
     Plane,
+    QP_MAX,
+    QP_MIN,
     QpConfig,
     Rounding,
     TMode,
@@ -188,8 +190,13 @@ class TestQpConfigValidation:
             QpConfig(slice_qp=-1, mode=Mode.CBAQ)
 
     def test_negative_range(self):
-        with pytest.raises(ValueError):
-            QpConfig(slice_qp=32, mode=Mode.CBAQ, qp_range=-1)
+        # 52 and up would move a CU past the whole QP span
+        for qp_range in (-1, 52, 10000):
+            with pytest.raises(ValueError):
+                QpConfig(slice_qp=32, mode=Mode.CBAQ, qp_range=qp_range)
+
+    def test_full_qp_span_is_accepted(self):
+        assert QpConfig(slice_qp=32, mode=Mode.CBAQ, qp_range=QP_MAX - QP_MIN).qp_range == 51
 
     def test_bad_cu_size(self):
         with pytest.raises(ValueError):
@@ -262,13 +269,6 @@ class TestQpMap:
         assert adaptive.qps == ((32, 32), (32, 32))
         assert cross.qps != adaptive.qps
         assert cross.qps[0][0] > 32  # the busy-chroma CU pays more QP
-
-    def test_worker_count_irrelevant_to_map(self):
-        fmt = VideoFormat(176, 144, 8, ChromaFormat.YUV420)
-        frame = random_frame(fmt, seed=42)
-        cfg = QpConfig(slice_qp=27, mode=Mode.CBAQ, cu_size=16)
-        maps = [qp_map(frame, cfg, max_workers=w) for w in (1, 2, 8)]
-        assert maps[0] == maps[1] == maps[2]
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([0, 3, 6, 12]))
