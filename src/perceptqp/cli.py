@@ -67,6 +67,20 @@ def _refuse_to_overwrite(inputs: list[Path | None], outputs: list[Path | None]) 
                 raise ValueError(f"output {out} is the input {path}; refusing to overwrite it")
 
 
+def _refuse_shared_output(first: Path, second: Path | None) -> None:
+    """Raise before anything is read or written if two outputs name one file."""
+    if second is None:
+        return
+    if first.exists() and second.exists():
+        shared = os.path.samefile(first, second)
+    else:
+        shared = first.resolve() == second.resolve()
+    if shared:
+        raise ValueError(
+            f"outputs {first} and {second} are the same file; one would overwrite the other"
+        )
+
+
 def _frame_range(total: int, skip: int, frames: int | None) -> range:
     if skip < 0:
         raise YuvError(f"--skip must be >= 0, got {skip}")
@@ -182,6 +196,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     config = _qp_config(args)
     fmt = _format_from_args(args)
     _refuse_to_overwrite([args.input], [args.output, args.dump_activity])
+    _refuse_shared_output(args.output, args.dump_activity)
     activities = list(frame_activities(args.input, fmt, args))
     maps = _qp_maps(activities, fmt, config)
     render = qp_maps_json if args.format == "json" else qp_maps_csv

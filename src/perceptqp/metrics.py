@@ -58,8 +58,8 @@ class RdPoint:
     psnr_db: float
 
     def __post_init__(self) -> None:
-        if not self.bitrate_kbps > 0:
-            raise DegenerateCurveError(f"bitrate must be > 0, got {self.bitrate_kbps}")
+        if not (self.bitrate_kbps > 0 and math.isfinite(self.bitrate_kbps)):
+            raise DegenerateCurveError(f"bitrate must be finite and > 0, got {self.bitrate_kbps}")
         if not math.isfinite(self.psnr_db):
             raise DegenerateCurveError(f"psnr must be finite, got {self.psnr_db}")
 
@@ -140,22 +140,40 @@ def _mean_fit_difference(
     return float(np.polyval(anti, b) - np.polyval(anti, a)) / (hi - lo)
 
 
+def _require_finite(value: float, name: str) -> float:
+    if not math.isfinite(value):
+        raise DegenerateCurveError(
+            f"{name} is {value}: the curves lie too far apart or too high to compare"
+        )
+    return value
+
+
 def bd_rate(anchor: RdCurve, test: RdCurve) -> float:
     """Average bitrate difference of test vs anchor at equal quality, in percent.
 
     Negative means the test curve needs less bitrate for the same PSNR.
+    Raises DegenerateCurveError when the rate ratio overflows a float or
+    the fit does not give a finite value.
     """
     diff = _mean_fit_difference(
         anchor.psnrs, np.log10(anchor.rates), test.psnrs, np.log10(test.rates)
     )
-    return (10.0**diff - 1.0) * 100.0
+    try:
+        ratio = 10.0**diff
+    except OverflowError:
+        ratio = math.inf
+    return _require_finite((ratio - 1.0) * 100.0, "BD-Rate")
 
 
 def bd_psnr(anchor: RdCurve, test: RdCurve) -> float:
-    """Average PSNR difference of test vs anchor at equal bitrate, in dB."""
-    return _mean_fit_difference(
+    """Average PSNR difference of test vs anchor at equal bitrate, in dB.
+
+    Raises DegenerateCurveError when the fit does not give a finite value.
+    """
+    diff = _mean_fit_difference(
         np.log10(anchor.rates), anchor.psnrs, np.log10(test.rates), test.psnrs
     )
+    return _require_finite(diff, "BD-PSNR")
 
 
 CurvesByChannel = Mapping[str, Sequence[tuple[int, RdPoint]]]

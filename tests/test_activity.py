@@ -5,6 +5,7 @@ float arithmetic and its own quadrant geometry, so agreement is meaningful.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from perceptqp import (
     Channel,
     ChromaFormat,
     Frame,
+    FrameActivity,
     Plane,
     VideoFormat,
     block_mean,
@@ -23,6 +25,7 @@ from perceptqp import (
     cu_activity,
     cu_grid,
     frame_activity,
+    plane_dims,
 )
 from strategies import frames, random_frame
 
@@ -210,7 +213,7 @@ class TestFrameActivity:
         assert coords == [(x, y) for y in (0, 32, 64) for x in (0, 32, 64)]
 
     @settings(max_examples=20, deadline=None)
-    @given(frames(max_dim=72), st.sampled_from([16, 32]))
+    @given(frames(max_dim=72), st.sampled_from([16, 32, 64]))
     def test_matches_oracle_end_to_end(self, frame, cu_size):
         fa = frame_activity(frame, cu_size)
         oracle = [oracle_cu_activity(frame, cu) for cu in cu_grid(frame.format, cu_size)]
@@ -229,3 +232,68 @@ class TestFrameActivity:
         single = frame_activity(frame, 16, max_workers=1)
         pooled = frame_activity(frame, 16, max_workers=4)
         assert single == pooled
+
+
+def reference_frame_activity(frame, cu_size):
+    """frame_activity rebuilt from the per-CU scalar reference, same summation order."""
+    records = tuple(cu_activity(frame, cu) for cu in cu_grid(frame.format, cu_size))
+    t_luma = sum(r.luma for r in records) / len(records)
+    t_cross = sum(r.cross for r in records) / len(records)
+    return FrameActivity(records, t_luma, t_cross)
+
+
+def checkerboard_frame(fmt, lo, hi):
+    planes = []
+    for channel in Channel:
+        w, h = plane_dims(fmt, channel)
+        odd = (np.add.outer(np.arange(h), np.arange(w)) % 2).astype(bool)
+        planes.append(Plane(np.where(odd, hi, lo).astype(fmt.dtype)))
+    return Frame(*planes, format=fmt)
+
+
+class TestFrameActivityIsBitExact:
+    """The row-at-a-time pass must equal cu_activity exactly, not approximately."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(frames(max_dim=80), st.sampled_from([16, 32, 64]))
+    def test_equals_scalar_reference(self, frame, cu_size):
+        assert frame_activity(frame, cu_size) == reference_frame_activity(frame, cu_size)
+
+    @pytest.mark.parametrize("cu_size", [16, 32, 64])
+    @pytest.mark.parametrize(
+        "fmt",
+        [
+            # chroma CB 1 column wide: its right quadrants are empty
+            VideoFormat(2, 40, 8, ChromaFormat.YUV420),
+            # last CU row clipped to a chroma extent of 3, then of 1
+            VideoFormat(40, 70, 10, ChromaFormat.YUV420),
+            VideoFormat(40, 66, 8, ChromaFormat.YUV420),
+            # luma CBs clipped to one column and one row
+            VideoFormat(65, 65, 8, ChromaFormat.YUV444),
+            VideoFormat(34, 17, 10, ChromaFormat.YUV422),
+        ],
+        ids=["420-2-wide", "420-chroma-h3", "420-chroma-h1", "444-65", "422-34x17"],
+    )
+    def test_clipped_edges_equal_scalar_reference(self, fmt, cu_size):
+        frame = random_frame(fmt, seed=fmt.width * fmt.height + cu_size)
+        assert frame_activity(frame, cu_size) == reference_frame_activity(frame, cu_size)
+
+    def test_largest_squared_sum_is_exact(self):
+        # 0/1023 alternation fills each 32x32 quadrant with the largest sum(s^2) there is
+        fmt = VideoFormat(128, 64, 10, ChromaFormat.YUV444)
+        frame = checkerboard_frame(fmt, 0, 1023)
+        fa = frame_activity(frame, 64)
+        assert fa == reference_frame_activity(frame, 64)
+        assert {(r.luma, r.cb, r.cr) for r in fa.records} == {(1.0 + 511.5**2,) * 3}
+
+    def test_memory_stays_per_strip(self):
+        # A whole-plane int64 copy of this luma plane alone is 16.6 MB.
+        fmt = VideoFormat(1920, 1080, 10, ChromaFormat.YUV420)
+        frame = random_frame(fmt, seed=4)
+        tracemalloc.start()
+        try:
+            frame_activity(frame, 64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000

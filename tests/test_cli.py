@@ -278,6 +278,23 @@ def test_output_naming_an_input_is_refused(tmp_path, capsys, make_args):
     assert clip.read_bytes() == before
 
 
+@pytest.mark.parametrize("exists", [True, False], ids=["existing", "new"])
+def test_shared_output_and_dump_activity_is_refused(tmp_path, capsys, exists):
+    clip = write_clip(tmp_path / "in.yuv", [random_frame(FMT, 3)])
+    (tmp_path / "sub").mkdir()
+    out = tmp_path / "x.csv"
+    if exists:
+        out.write_text("keep me\n")
+    alias = tmp_path / "sub" / ".." / "x.csv"
+    for dump in (out, alias):
+        assert main(analyze_args(clip, out, dump_activity=dump)) == EXIT_VALIDATION
+        assert "error:" in capsys.readouterr().err
+        if exists:
+            assert out.read_text() == "keep me\n"
+        else:
+            assert not out.exists()
+
+
 ANCHOR_POINTS = {
     "Y": [(22, RdPoint(8000.0, 36.5)), (27, RdPoint(4000.0, 35.0)),
           (32, RdPoint(2000.0, 33.0)), (37, RdPoint(1000.0, 30.0))],
@@ -319,6 +336,19 @@ class TestBdrateCommand:
         assert channel == "Y"
         assert float(rate) == pytest.approx(10.0, abs=1e-4)
         assert float(quality) < 0.0  # more bits for the same quality
+
+    def test_overflowing_bd_rate_is_validation_error(self, tmp_path, capsys):
+        # rates 600 decades apart: the BD-Rate ratio 10**600 overflows a float
+        def rd_file(name, scale):
+            points = [(42 - 5 * k, RdPoint(k * scale, 29.0 + k)) for k in range(1, 5)]
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(emit_rd_csv(name, {"Y": points}))
+            return path
+
+        anchor, test = rd_file("anchor", 1e-300), rd_file("test", 1e300)
+        args = ["bdrate", "--anchor", str(anchor), "--test", str(test)]
+        assert main(args) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: BD-Rate")
 
     def test_multi_label_file_is_validation_error(self, tmp_path, capsys):
         both = rd_csv_bytes(

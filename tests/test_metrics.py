@@ -93,6 +93,11 @@ class TestCurveValidation:
         with pytest.raises(DegenerateCurveError):
             RdPoint(100.0, math.inf)
 
+    @pytest.mark.parametrize("rate", [math.inf, math.nan])
+    def test_nonfinite_bitrate_rejected(self, rate):
+        with pytest.raises(DegenerateCurveError):
+            RdPoint(rate, 30.0)
+
     def test_too_few_points_rejected(self):
         with pytest.raises(DegenerateCurveError):
             curve([1000.0, 2000.0, 4000.0], [30.0, 33.0, 35.0])
@@ -141,6 +146,13 @@ class TestBdRate:
         with pytest.raises(CurveOverlapError):
             bd_rate(low, high)
 
+    def test_overflowing_rate_ratio_rejected(self):
+        # log10 rates 600 decades apart: the ratio 10**600 overflows a float
+        tiny = curve([1e-300, 2e-300, 3e-300, 4e-300], [30.0, 31.0, 32.0, 33.0])
+        huge = curve([1e300, 2e300, 3e300, 4e300], [30.0, 31.0, 32.0, 33.0])
+        with pytest.raises(DegenerateCurveError):
+            bd_rate(tiny, huge)
+
     def test_matches_trapezoid_oracle_on_quadratic_curves(self):
         # log-rate exactly quadratic in PSNR, so the cubic fit is exact and
         # the metric must agree with direct numeric integration
@@ -164,6 +176,14 @@ class TestBdRate:
 class TestBdPsnr:
     def test_self_comparison_is_zero(self):
         assert abs(bd_psnr(ANCHOR, ANCHOR)) < 1e-12
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_fit_rejected(self):
+        # PSNRs near the float maximum overflow the fit into NaN
+        a = curve([1.0, 2.0, 3.0, 4.0], [0.0, 2.5e307, 5e307, 7.5e307])
+        b = curve([1.0, 2.0, 3.0, 4.0], [1.25e307, 3.3e307, 6e307, 1e308])
+        with pytest.raises(DegenerateCurveError):
+            bd_psnr(a, b)
 
     def test_constant_quality_offset(self):
         lifted = curve(
