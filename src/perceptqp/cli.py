@@ -14,13 +14,14 @@ import json
 import os
 import sys
 from collections import Counter
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, TextIO
 
 from .activity import FrameActivity, frame_activity
 from .metrics import RdCurve, _channel_sort_key, bd_psnr, bd_rate, parse_rd_csv
 from .partition import CU_SIZES
-from .qp import Mode, QpConfig, QpMap, Rounding, TMode, qp_map_from_activity
+from .qp import QP_MAX, QP_MIN, Mode, QpConfig, QpMap, Rounding, TMode, qp_map_from_activity
 from .yuv import (
     ChromaFormat,
     Frame,
@@ -98,25 +99,58 @@ def _frame_range(total: int, skip: int, frames: int | None) -> range:
     return range(skip, skip + count)
 
 
-def load_frames(path: Path, fmt: VideoFormat, skip: int, frames: int | None) -> list[tuple[int, Frame]]:
-    """Read the selected frame range; the file size must match the geometry."""
+def read_frames(
+    path: Path, fmt: VideoFormat, skip: int, frames: int | None
+) -> Iterator[tuple[int, Frame]]:
+    """Yield (index, frame) over the selected range, decoding one frame at a time.
+
+    The file size must match the geometry; the range is checked before the
+    first frame is read.
+    """
     with open(path, "rb") as stream:
         total = probe_frame_count(stream, fmt)
-        return [(i, read_frame(stream, fmt, i)) for i in _frame_range(total, skip, frames)]
+        for index in _frame_range(total, skip, frames):
+            yield index, read_frame(stream, fmt, index)
+
+
+def load_frames(path: Path, fmt: VideoFormat, skip: int, frames: int | None) -> list[tuple[int, Frame]]:
+    """Every selected frame at once; the CLI itself streams through read_frames."""
+    return list(read_frames(path, fmt, skip, frames))
+
+
+def _selected_count(path: Path, fmt: VideoFormat, args: argparse.Namespace) -> int:
+    with open(path, "rb") as stream:
+        return len(_frame_range(probe_frame_count(stream, fmt), args.skip, args.frames))
 
 
 def frame_activities(
     path: Path, fmt: VideoFormat, args: argparse.Namespace
 ) -> Iterator[tuple[int, FrameActivity]]:
     """Yield (index, activity) for every frame the flags select: the CLI's one frame loop."""
-    for index, frame in load_frames(path, fmt, args.skip, args.frames):
-        yield index, frame_activity(frame, args.cu_size)
+    for index, frame in read_frames(path, fmt, args.skip, args.frames):
+        activity = frame_activity(frame, args.cu_size)
+        # Free the samples before the caller renders this frame's rows.
+        del frame
+        yield index, activity
 
 
-def _qp_maps(
-    activities: list[tuple[int, FrameActivity]], fmt: VideoFormat, config: QpConfig
-) -> list[QpMap]:
-    return [qp_map_from_activity(fmt, act, config, frame_index=index) for index, act in activities]
+@contextmanager
+def _atomic_output(path: Path) -> Iterator[TextIO]:
+    """A text file beside path that replaces path only if the block completes.
+
+    On any exception the partial file is deleted, so an existing path keeps
+    its bytes. open(..., "x") gives the new file the umask's mode, as
+    Path.write_text would.
+    """
+    partial = path.with_name(f".{path.name}.{os.getpid()}.partial")
+    sink = open(partial, "x")
+    try:
+        with sink:
+            yield sink
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def _echo_items(fmt: VideoFormat, config: QpConfig | None) -> list[tuple[str, object]]:
@@ -142,54 +176,87 @@ def _echo_comment(tag: str, items: list[tuple[str, object]]) -> str:
     return "# perceptqp " + tag + " " + " ".join(f"{k}={v}" for k, v in items)
 
 
+# Each output is a head, one chunk per frame joined by a separator, and a
+# tail; the commands write the chunks as frames arrive, and the whole-clip
+# renderers below join the same chunks.
+
+
+def _qp_csv_head(fmt: VideoFormat, config: QpConfig) -> str:
+    return _echo_comment("qp-map", _echo_items(fmt, config)) + "\nframe,cu_x,cu_y,qp\n"
+
+
+def _qp_csv_frame(m: QpMap) -> str:
+    index = m.frame_index
+    return "".join(f"{index},{cu_x},{cu_y},{qp}\n" for cu_x, cu_y, qp in m.cells())
+
+
+# Pieces of json.dumps({"config": ..., "frames": [...]}, indent=2) + "\n":
+# each nested value is dumped alone and re-indented to its depth.
+_JSON_FRAME_SEP = ",\n    "
+_JSON_TAIL = "\n  ]\n}\n"
+
+
+def _qp_json_head(fmt: VideoFormat, config: QpConfig) -> str:
+    echo = json.dumps(dict(_echo_items(fmt, config)), indent=2).replace("\n", "\n  ")
+    return '{\n  "config": ' + echo + ',\n  "frames": [\n    '
+
+
+def _qp_json_frame(m: QpMap) -> str:
+    frame = {
+        "frame": m.frame_index,
+        "cols": m.cols,
+        "rows": m.rows,
+        "qp": [list(row) for row in m.qps],
+    }
+    return json.dumps(frame, indent=2).replace("\n", "\n    ")
+
+
+def _activity_csv_head(fmt: VideoFormat, cu_size: int) -> str:
+    echo = _echo_comment("activity", _echo_items(fmt, None) + [("cu_size", cu_size)])
+    return echo + "\nframe,cu_x,cu_y,l,b,d,t_luma,t_cross\n"
+
+
+def _activity_csv_frame(index: int, act: FrameActivity) -> str:
+    tail = f",{act.t_luma!r},{act.t_cross!r}\n"
+    return "".join(
+        f"{index},{rec.cu.x},{rec.cu.y},{rec.luma!r},{rec.cb!r},{rec.cr!r}{tail}"
+        for rec in act.records
+    )
+
+
+def _compare_head(fmt: VideoFormat, config_a: QpConfig, config_b: QpConfig) -> str:
+    items = _echo_items(fmt, None) + [
+        ("cu_size", config_a.cu_size),
+        ("qp", config_a.slice_qp),
+        ("qp_range", config_a.qp_range),
+        ("mode_a", config_a.mode.value),
+        ("mode_b", config_b.mode.value),
+    ]
+    return _echo_comment("compare", items) + "\nframe,cu_x,cu_y,qp_a,qp_b,delta\n"
+
+
+def _compare_frame(map_a: QpMap, map_b: QpMap) -> str:
+    index = map_a.frame_index
+    return "".join(
+        f"{index},{cu_x},{cu_y},{qp_a},{qp_b},{qp_b - qp_a}\n"
+        for (cu_x, cu_y, qp_a), (_, _, qp_b) in zip(map_a.cells(), map_b.cells())
+    )
+
+
 def qp_maps_csv(maps: list[QpMap], fmt: VideoFormat) -> str:
-    lines = [_echo_comment("qp-map", _echo_items(fmt, maps[0].config)), "frame,cu_x,cu_y,qp"]
-    for m in maps:
-        for cu_x, cu_y, qp in m.cells():
-            lines.append(f"{m.frame_index},{cu_x},{cu_y},{qp}")
-    return "\n".join(lines) + "\n"
+    return _qp_csv_head(fmt, maps[0].config) + "".join(map(_qp_csv_frame, maps))
 
 
 def qp_maps_json(maps: list[QpMap], fmt: VideoFormat) -> str:
-    payload = {
-        "config": dict(_echo_items(fmt, maps[0].config)),
-        "frames": [
-            {
-                "frame": m.frame_index,
-                "cols": m.cols,
-                "rows": m.rows,
-                "qp": [list(row) for row in m.qps],
-            }
-            for m in maps
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    frames = _JSON_FRAME_SEP.join(map(_qp_json_frame, maps))
+    return _qp_json_head(fmt, maps[0].config) + frames + _JSON_TAIL
 
 
 def activity_csv(
     activities: list[tuple[int, FrameActivity]], fmt: VideoFormat, cu_size: int
 ) -> str:
-    header = _echo_comment(
-        "activity", _echo_items(fmt, None) + [("cu_size", cu_size)]
-    )
-    lines = [header, "frame,cu_x,cu_y,l,b,d,t_luma,t_cross"]
-    for index, act in activities:
-        for rec in act.records:
-            lines.append(
-                f"{index},{rec.cu.x},{rec.cu.y},{rec.luma!r},{rec.cb!r},{rec.cr!r},"
-                f"{act.t_luma!r},{act.t_cross!r}"
-            )
-    return "\n".join(lines) + "\n"
-
-
-def _summarize_maps(maps: list[QpMap]) -> str:
-    qps = [qp for m in maps for qp in m.flat()]
-    slice_qp = maps[0].config.slice_qp
-    mean_delta = sum(qp - slice_qp for qp in qps) / len(qps)
-    return (
-        f"frames={len(maps)} cus={len(qps)} mean_delta_qp={mean_delta:.4f}"
-        f" min_qp={min(qps)} max_qp={max(qps)}"
-    )
+    rows = "".join(_activity_csv_frame(index, act) for index, act in activities)
+    return _activity_csv_head(fmt, cu_size) + rows
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -197,13 +264,39 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     fmt = _format_from_args(args)
     _refuse_to_overwrite([args.input], [args.output, args.dump_activity])
     _refuse_shared_output(args.output, args.dump_activity)
-    activities = list(frame_activities(args.input, fmt, args))
-    maps = _qp_maps(activities, fmt, config)
-    render = qp_maps_json if args.format == "json" else qp_maps_csv
-    args.output.write_text(render(maps, fmt))
-    if args.dump_activity is not None:
-        args.dump_activity.write_text(activity_csv(activities, fmt, config.cu_size))
-    print(_summarize_maps(maps))
+    if args.format == "json":
+        head, sep, tail = _qp_json_head(fmt, config), _JSON_FRAME_SEP, _JSON_TAIL
+        render = _qp_json_frame
+    else:
+        head, sep, tail = _qp_csv_head(fmt, config), "", ""
+        render = _qp_csv_frame
+    frames = cus = qp_sum = 0
+    min_qp, max_qp = QP_MAX, QP_MIN
+    with ExitStack() as stack:
+        out = stack.enter_context(_atomic_output(args.output))
+        out.write(head)
+        dump = None
+        if args.dump_activity is not None:
+            dump = stack.enter_context(_atomic_output(args.dump_activity))
+            dump.write(_activity_csv_head(fmt, config.cu_size))
+        for index, act in frame_activities(args.input, fmt, args):
+            frame_map = qp_map_from_activity(fmt, act, config, frame_index=index)
+            if frames:
+                out.write(sep)
+            out.write(render(frame_map))
+            if dump is not None:
+                dump.write(_activity_csv_frame(index, act))
+            qps = frame_map.flat()
+            frames += 1
+            cus += len(qps)
+            qp_sum += sum(qps)
+            min_qp, max_qp = min(min_qp, min(qps)), max(max_qp, max(qps))
+        out.write(tail)
+    mean_delta = (qp_sum - config.slice_qp * cus) / cus
+    print(
+        f"frames={frames} cus={cus} mean_delta_qp={mean_delta:.4f}"
+        f" min_qp={min_qp} max_qp={max_qp}"
+    )
     return EXIT_OK
 
 
@@ -213,38 +306,26 @@ def cmd_compare(args: argparse.Namespace) -> int:
     config_b = _qp_config(args, "_b")
     _refuse_to_overwrite([args.input, args.input_b], [args.output])
     # The QP rules are pure functions of the activity, so one input needs one pass.
-    activities = list(frame_activities(args.input, fmt, args))
-    maps_a = _qp_maps(activities, fmt, config_a)
-    if args.input_b is not None:
-        activities = list(frame_activities(args.input_b, fmt, args))
-    maps_b = _qp_maps(activities, fmt, config_b)
-    if len(maps_a) != len(maps_b):
-        raise YuvError(
-            f"inputs differ in frame count ({len(maps_a)} vs {len(maps_b)});"
-            " pass --frames to pin a common range"
-        )
-
-    lines = [
-        _echo_comment(
-            "compare",
-            _echo_items(fmt, None)
-            + [
-                ("cu_size", args.cu_size),
-                ("qp", args.qp),
-                ("qp_range", args.qp_range),
-                ("mode_a", config_a.mode.value),
-                ("mode_b", config_b.mode.value),
-            ],
-        ),
-        "frame,cu_x,cu_y,qp_a,qp_b,delta",
-    ]
+    activities = frame_activities(args.input, fmt, args)
+    if args.input_b is None:
+        pairs = ((item, item) for item in activities)
+    else:
+        count_a = _selected_count(args.input, fmt, args)
+        count_b = _selected_count(args.input_b, fmt, args)
+        if count_a != count_b:
+            raise YuvError(
+                f"inputs differ in frame count ({count_a} vs {count_b});"
+                " pass --frames to pin a common range"
+            )
+        pairs = zip(activities, frame_activities(args.input_b, fmt, args))
     histogram: Counter[int] = Counter()
-    for map_a, map_b in zip(maps_a, maps_b):
-        for (cu_x, cu_y, qp_a), (_, _, qp_b) in zip(map_a.cells(), map_b.cells()):
-            delta = qp_b - qp_a
-            histogram[delta] += 1
-            lines.append(f"{map_a.frame_index},{cu_x},{cu_y},{qp_a},{qp_b},{delta}")
-    args.output.write_text("\n".join(lines) + "\n")
+    with _atomic_output(args.output) as out:
+        out.write(_compare_head(fmt, config_a, config_b))
+        for (index, act_a), (_, act_b) in pairs:
+            map_a = qp_map_from_activity(fmt, act_a, config_a, frame_index=index)
+            map_b = qp_map_from_activity(fmt, act_b, config_b, frame_index=index)
+            out.write(_compare_frame(map_a, map_b))
+            histogram.update(qp_b - qp_a for qp_a, qp_b in zip(map_a.flat(), map_b.flat()))
     for delta in sorted(histogram):
         print(f"delta={delta:+d} count={histogram[delta]}")
     return EXIT_OK
@@ -281,9 +362,14 @@ def cmd_bdrate(args: argparse.Namespace) -> int:
 def cmd_dump_activity(args: argparse.Namespace) -> int:
     fmt = _format_from_args(args)
     _refuse_to_overwrite([args.input], [args.output])
-    activities = list(frame_activities(args.input, fmt, args))
-    args.output.write_text(activity_csv(activities, fmt, args.cu_size))
-    print(f"frames={len(activities)} cus_per_frame={len(activities[0][1].records)}")
+    frames = cus_per_frame = 0
+    with _atomic_output(args.output) as out:
+        out.write(_activity_csv_head(fmt, args.cu_size))
+        for index, act in frame_activities(args.input, fmt, args):
+            out.write(_activity_csv_frame(index, act))
+            frames += 1
+            cus_per_frame = len(act.records)
+    print(f"frames={frames} cus_per_frame={cus_per_frame}")
     return EXIT_OK
 
 

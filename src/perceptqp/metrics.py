@@ -133,8 +133,16 @@ def _mean_fit_difference(
     lo, hi = _overlap(x_anchor, x_test)
     # Center the abscissa so the quartic Vandermonde system stays well conditioned.
     mid = 0.5 * (lo + hi)
-    fit_anchor = np.polyfit(x_anchor - mid, y_anchor, 3)
-    fit_test = np.polyfit(x_test - mid, y_test, 3)
+    # Huge abscissae overflow the Vandermonde matrix; stop there, before
+    # LAPACK sees the inf and prints to stderr.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            fit_anchor = np.polyfit(x_anchor - mid, y_anchor, 3)
+            fit_test = np.polyfit(x_test - mid, y_test, 3)
+    except FloatingPointError as exc:
+        raise DegenerateCurveError(
+            "the cubic fit overflows: the curves lie too high to compare"
+        ) from exc
     anti = np.polyint(fit_test - fit_anchor)
     a, b = lo - mid, hi - mid
     return float(np.polyval(anti, b) - np.polyval(anti, a)) / (hi - lo)

@@ -192,20 +192,25 @@ def read_frame(source: BinaryIO, fmt: VideoFormat, index: int = 0) -> Frame:
 
     Raises TruncatedInputError if the stream holds fewer than index+1
     whole frames, and SampleRangeError if a 10-bit sample is >= 1024.
+    The three planes are writable views of one buffer of the native dtype,
+    so a frame occupies its decoded size once.
     """
     nbytes = frame_bytes(fmt)
     source.seek(index * nbytes)
-    raw = source.read(nbytes)
-    if len(raw) < nbytes:
+    # readinto fills the array in place; the dtype change copies only on a
+    # big-endian host, where the stored little-endian words must be swapped.
+    stored = np.empty(nbytes // fmt.bytes_per_sample, dtype=_storage_dtype(fmt))
+    got = source.readinto(stored.view(np.uint8))
+    if got < nbytes:
         raise TruncatedInputError(
-            f"frame {index}: needed {nbytes} bytes, stream had {len(raw)} past the seek point"
+            f"frame {index}: needed {nbytes} bytes, stream had {got} past the seek point"
         )
-    flat = np.frombuffer(raw, dtype=_storage_dtype(fmt))
+    flat = stored.astype(fmt.dtype, copy=False)
     planes = []
     offset = 0
     for channel in Channel:
         w, h = plane_dims(fmt, channel)
-        planes.append(Plane(flat[offset : offset + w * h].reshape(h, w).astype(fmt.dtype)))
+        planes.append(Plane(flat[offset : offset + w * h].reshape(h, w)))
         offset += w * h
     return Frame(*planes, format=fmt)
 

@@ -1,11 +1,27 @@
 """End-to-end CLI behaviour: every subcommand through cli.main."""
 
 import json
+import os
+import stat
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from perceptqp import ChromaFormat, Frame, Plane, RdPoint, VideoFormat, emit_rd_csv, write_frame
+from perceptqp import (
+    ChromaFormat,
+    Frame,
+    Mode,
+    Plane,
+    QpConfig,
+    RdPoint,
+    VideoFormat,
+    emit_rd_csv,
+    frame_activity,
+    frame_bytes,
+    qp_map_from_activity,
+    write_frame,
+)
 from perceptqp import cli
 from perceptqp.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from perceptqp.metrics import rd_csv_bytes
@@ -101,6 +117,7 @@ class TestAnalyze:
         assert frame["frame"] == 0
         assert (frame["cols"], frame["rows"]) == (2, 1)
         assert frame["qp"] == [[32, 32]]
+        assert out.read_text() == json.dumps(payload, indent=2) + "\n"
 
     def test_skip_and_frames_select_range(self, tmp_path):
         clip = write_clip(tmp_path / "in.yuv", [random_frame(FMT, s) for s in range(4)])
@@ -179,6 +196,19 @@ def compare_args(clip, out, fmt=FMT, mode_a="cbaq", mode_b="cbaq", **extra):
     return args
 
 
+def count_activity_calls(monkeypatch):
+    """Wrap cli.frame_activity so that each call appends its CU size to the returned list."""
+    calls = []
+    real = cli.frame_activity
+
+    def counting(frame, cu_size):
+        calls.append(cu_size)
+        return real(frame, cu_size)
+
+    monkeypatch.setattr(cli, "frame_activity", counting)
+    return calls
+
+
 class TestCompare:
     def test_self_comparison_is_all_zero(self, tmp_path, capsys):
         clip = write_clip(tmp_path / "in.yuv", [random_frame(FMT, s) for s in (1, 2)])
@@ -223,14 +253,7 @@ class TestCompare:
     def test_single_input_is_analysed_once(self, tmp_path, monkeypatch, capsys):
         frames = 3
         clip = write_clip(tmp_path / "in.yuv", [random_frame(FMT, s) for s in range(frames)])
-        calls = []
-        real = cli.frame_activity
-
-        def counting(frame, cu_size):
-            calls.append(cu_size)
-            return real(frame, cu_size)
-
-        monkeypatch.setattr(cli, "frame_activity", counting)
+        calls = count_activity_calls(monkeypatch)
         one, two = tmp_path / "one.csv", tmp_path / "two.csv"
         assert main(compare_args(clip, one, mode_a="adaptiveqp", mode_b="cbaq")) == EXIT_OK
         assert len(calls) == frames
@@ -240,22 +263,28 @@ class TestCompare:
         assert one.read_bytes() == two.read_bytes()
         capsys.readouterr()
 
-    def test_frame_count_mismatch_is_validation_error(self, tmp_path, capsys):
+    def test_frame_count_mismatch_is_validation_error(self, tmp_path, monkeypatch, capsys):
         clip_a = write_clip(tmp_path / "a.yuv", [random_frame(FMT, 1)] * 2)
         clip_b = write_clip(tmp_path / "b.yuv", [random_frame(FMT, 1)])
+        calls = count_activity_calls(monkeypatch)
         args = compare_args(clip_a, tmp_path / "d.csv", input_b=clip_b)
         assert main(args) == EXIT_VALIDATION
         assert "frame count" in capsys.readouterr().err
+        assert calls == []  # refused before any frame was analysed
 
 
-def dump_args(clip, out, fmt=FMT):
-    return [
+def dump_args(clip, out, fmt=FMT, **extra):
+    args = [
         "dump-activity",
         "--input", str(clip),
         "--width", str(fmt.width),
         "--height", str(fmt.height),
+        "--chroma", fmt.chroma_format.value,
         "--output", str(out),
     ]
+    for key, value in extra.items():
+        args += [f"--{key.replace('_', '-')}", str(value)]
+    return args
 
 
 @pytest.mark.parametrize(
@@ -350,6 +379,20 @@ class TestBdrateCommand:
         assert main(args) == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("error: BD-Rate")
 
+    def test_huge_psnrs_are_validation_error_without_lapack_noise(self, tmp_path, capfd):
+        def rd_file(name, base):
+            points = [(42 - 5 * k, RdPoint(100.0 * k, base + 1e300 * (k - 1))) for k in range(1, 5)]
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(emit_rd_csv(name, {"Y": points}))
+            return path
+
+        anchor, test = rd_file("anchor", 1e300), rd_file("test", 1.5e300)
+        args = ["bdrate", "--anchor", str(anchor), "--test", str(test)]
+        assert main(args) == EXIT_VALIDATION
+        out, err = capfd.readouterr()
+        assert out == "channel,bd_rate_pct,bd_psnr_db\n"
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_multi_label_file_is_validation_error(self, tmp_path, capsys):
         both = rd_csv_bytes(
             [("a", {"Y": ANCHOR_POINTS["Y"]}), ("b", {"Y": ANCHOR_POINTS["Y"]})]
@@ -392,3 +435,117 @@ class TestDumpActivity:
         assert main(args) == EXIT_OK
         assert main(analyze_args(clip, tmp_path / "m.csv", cu_size=32, dump_activity=sidecar)) == EXIT_OK
         assert direct.read_text() == sidecar.read_text()
+
+
+class TestStreaming:
+    """One decoded frame at a time, rows written as they come, outputs moved in at the end."""
+
+    def test_streamed_outputs_equal_whole_clip_renderers(self, tmp_path, capsys):
+        clip = write_clip(tmp_path / "in.yuv", [random_frame(FMT, s) for s in range(4)])
+        csv_out, json_out, side = tmp_path / "m.csv", tmp_path / "m.json", tmp_path / "a.csv"
+        assert main(analyze_args(clip, csv_out, skip=1, cu_size=32, dump_activity=side)) == EXIT_OK
+        assert main(analyze_args(clip, json_out, skip=1, cu_size=32, format="json")) == EXIT_OK
+        capsys.readouterr()
+        config = QpConfig(slice_qp=32, mode=Mode.CBAQ, cu_size=32)
+        activities = [(i, frame_activity(f, 32)) for i, f in cli.load_frames(clip, FMT, 1, None)]
+        maps = [qp_map_from_activity(FMT, act, config, frame_index=i) for i, act in activities]
+        assert [m.frame_index for m in maps] == [1, 2, 3]
+        assert csv_out.read_text() == cli.qp_maps_csv(maps, FMT)
+        assert json_out.read_text() == cli.qp_maps_json(maps, FMT)
+        assert side.read_text() == cli.activity_csv(activities, FMT, 32)
+        payload = {
+            "config": dict(cli._echo_items(FMT, config)),
+            "frames": [
+                {"frame": m.frame_index, "cols": m.cols, "rows": m.rows, "qp": list(map(list, m.qps))}
+                for m in maps
+            ],
+        }
+        assert json_out.read_text() == json.dumps(payload, indent=2) + "\n"
+
+    def test_new_output_mode_follows_umask(self, tmp_path, capsys):
+        clip = constant_clip(tmp_path / "in.yuv")
+        out = tmp_path / "map.csv"
+        previous = os.umask(0o027)
+        try:
+            assert main(analyze_args(clip, out)) == EXIT_OK
+        finally:
+            os.umask(previous)
+        capsys.readouterr()
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~0o027
+
+    @pytest.mark.parametrize("command", ["analyze", "compare", "dump-activity"])
+    def test_failed_run_leaves_existing_outputs_untouched(self, tmp_path, capsys, command):
+        fmt = VideoFormat(128, 64, 10, ChromaFormat.YUV420)
+        clip = tmp_path / "in.yuv"
+        with open(clip, "wb") as sink:
+            for seed in (1, 2):
+                write_frame(sink, random_frame(fmt, seed))
+            last = np.full(frame_bytes(fmt) // 2, 512, dtype="<u2")
+            last[-1] = 1024  # not a 10-bit sample
+            sink.write(last.tobytes())
+        out, side = tmp_path / "out.csv", tmp_path / "side.csv"
+        out.write_text("old output\n")
+        side.write_text("old sidecar\n")
+        args = {
+            "analyze": analyze_args(clip, out, fmt=fmt, bit_depth=10, dump_activity=side),
+            "compare": compare_args(clip, out, fmt=fmt, bit_depth=10),
+            "dump-activity": dump_args(clip, out, fmt=fmt, bit_depth=10),
+        }[command]
+        assert main(args) == EXIT_VALIDATION
+        assert "out of range" in capsys.readouterr().err
+        assert out.read_text() == "old output\n"
+        assert side.read_text() == "old sidecar\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.yuv", "out.csv", "side.csv"]
+
+    def test_unwritable_sidecar_leaves_output_untouched(self, tmp_path, capsys):
+        clip = constant_clip(tmp_path / "in.yuv")
+        out = tmp_path / "map.csv"
+        out.write_text("old output\n")
+        args = analyze_args(clip, out, dump_activity=tmp_path / "absent" / "act.csv")
+        assert main(args) == EXIT_IO
+        assert "i/o error" in capsys.readouterr().err
+        assert out.read_text() == "old output\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.yuv", "map.csv"]
+
+
+LONG_FMT = VideoFormat(512, 512, 10, ChromaFormat.YUV420)
+
+
+@pytest.fixture(scope="module")
+def long_clip(tmp_path_factory):
+    path = tmp_path_factory.mktemp("long") / "in.yuv"
+    return write_clip(path, (random_frame(LONG_FMT, s) for s in range(16)))
+
+
+def traced_peak(args):
+    """Peak bytes tracemalloc (which sees numpy buffers) records during one main() call."""
+    tracemalloc.start()
+    try:
+        assert main(args) == EXIT_OK
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "make_args",
+    [
+        lambda clip, out: analyze_args(
+            clip, out / "m.csv", fmt=LONG_FMT, bit_depth=10, cu_size=16, dump_activity=out / "a.csv"
+        ),
+        lambda clip, out: compare_args(
+            clip, out / "d.csv", fmt=LONG_FMT, mode_a="adaptiveqp", bit_depth=10, cu_size=16
+        ),
+        lambda clip, out: compare_args(
+            clip, out / "d.csv", fmt=LONG_FMT, bit_depth=10, cu_size=16, input_b=clip
+        ),
+        lambda clip, out: dump_args(clip, out / "a.csv", fmt=LONG_FMT, bit_depth=10, cu_size=16),
+    ],
+    ids=["analyze", "compare", "compare-input-b", "dump-activity"],
+)
+def test_peak_memory_does_not_grow_with_clip_length(tmp_path, capsys, long_clip, make_args):
+    args = make_args(long_clip, tmp_path)
+    assert main(args + ["--frames", "1"]) == EXIT_OK  # untraced warm-up: one-time allocations
+    short, long = (traced_peak(args + ["--frames", str(n)]) for n in (2, 16))
+    capsys.readouterr()
+    assert long < short + frame_bytes(LONG_FMT), (short, long)

@@ -153,6 +153,15 @@ class TestBdRate:
         with pytest.raises(DegenerateCurveError):
             bd_rate(tiny, huge)
 
+    def test_huge_psnrs_rejected_before_lapack(self, capfd):
+        # cubing PSNRs near 1e300 overflows the fit's Vandermonde matrix;
+        # LAPACK used to print DLASCL errors to the terminal, then fail
+        low = curve([100.0, 200.0, 300.0, 400.0], [1e300, 2e300, 3e300, 4e300])
+        high = curve([100.0, 200.0, 300.0, 400.0], [1.5e300, 2.5e300, 3.5e300, 4.5e300])
+        with pytest.raises(DegenerateCurveError):
+            bd_rate(low, high)
+        assert capfd.readouterr() == ("", "")
+
     def test_matches_trapezoid_oracle_on_quadratic_curves(self):
         # log-rate exactly quadratic in PSNR, so the cubic fit is exact and
         # the metric must agree with direct numeric integration

@@ -93,6 +93,23 @@ class TestReadFrame:
         with pytest.raises(TruncatedInputError):
             read_frame(stream, fmt)
 
+    @pytest.mark.parametrize("depth", [8, 10])
+    def test_planes_are_writable_views_of_one_native_buffer(self, depth):
+        fmt = VideoFormat(8, 4, depth, ChromaFormat.YUV420)
+        original = random_frame(fmt, 5)
+        stream = io.BytesIO()
+        write_frame(stream, original)
+        frame = read_frame(stream, fmt)
+        assert frame == original
+        planes = [frame.y.data, frame.cb.data, frame.cr.data]
+        assert all(p.dtype == fmt.dtype and p.dtype.isnative for p in planes)
+        assert all(p.flags.writeable for p in planes)
+        assert len({id(p.base) for p in planes}) == 1
+        assert frame.y.data.base.nbytes == frame_bytes(fmt)
+        short = io.BytesIO(stream.getvalue()[:-1])
+        with pytest.raises(TruncatedInputError, match=f"stream had {frame_bytes(fmt) - 1} "):
+            read_frame(short, fmt)
+
     def test_10bit_sample_out_of_range(self):
         fmt = VideoFormat(2, 2, 10, ChromaFormat.YUV444)
         words = [100] * 11 + [1024]
