@@ -12,9 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 from collections import Counter
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import Iterator, TextIO
 
@@ -134,22 +135,48 @@ def frame_activities(
         yield index, activity
 
 
-@contextmanager
-def _atomic_output(path: Path) -> Iterator[TextIO]:
-    """A text file beside path that replaces path only if the block completes.
-
-    On any exception the partial file is deleted, so an existing path keeps
-    its bytes. open(..., "x") gives the new file the umask's mode, as
-    Path.write_text would.
-    """
-    partial = path.with_name(f".{path.name}.{os.getpid()}.partial")
-    sink = open(partial, "x")
+def _replaceable(path: Path) -> bool:
+    """Whether path is missing or (through any symlinks) a regular file."""
     try:
-        with sink:
-            yield sink
-        os.replace(partial, path)
+        return stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        return True
+
+
+@contextmanager
+def _atomic_outputs(*paths: Path) -> Iterator[list[TextIO]]:
+    """One text sink per path; files replace their paths only if the block completes.
+
+    A missing or regular-file path is written to a hidden partial file beside
+    it. After the block, every sink is closed and then each partial file is
+    moved into place, in argument order. On any exception the partial files
+    are deleted, so existing files keep their bytes. Any other existing path,
+    such as /dev/null, a FIFO or /dev/stdout, is opened and written directly,
+    since a device or a pipe must not be replaced by a file. open(..., "x")
+    gives a new file the umask's mode, as Path.write_text would.
+    """
+    sinks: list[TextIO] = []
+    staged: list[tuple[Path, Path]] = []
+    try:
+        for path in paths:
+            if _replaceable(path):
+                partial = path.with_name(f".{path.name}.{os.getpid()}.partial")
+                sinks.append(open(partial, "x"))
+                staged.append((partial, path))
+            else:
+                sinks.append(open(path, "w"))
+        yield sinks
+        for sink in sinks:
+            sink.close()
+        for partial, path in staged:
+            os.replace(partial, path)
     except BaseException:
-        partial.unlink(missing_ok=True)
+        for partial, _ in staged:
+            partial.unlink(missing_ok=True)
+        for sink in sinks:
+            # A failed flush must not mask the error that ended the run.
+            with suppress(OSError):
+                sink.close()
         raise
 
 
@@ -235,12 +262,15 @@ def _compare_head(fmt: VideoFormat, config_a: QpConfig, config_b: QpConfig) -> s
     return _echo_comment("compare", items) + "\nframe,cu_x,cu_y,qp_a,qp_b,delta\n"
 
 
-def _compare_frame(map_a: QpMap, map_b: QpMap) -> str:
+def _compare_frame(map_a: QpMap, map_b: QpMap, histogram: Counter[int]) -> str:
+    """The frame's compare rows; each row's delta is also counted into histogram."""
     index = map_a.frame_index
-    return "".join(
-        f"{index},{cu_x},{cu_y},{qp_a},{qp_b},{qp_b - qp_a}\n"
-        for (cu_x, cu_y, qp_a), (_, _, qp_b) in zip(map_a.cells(), map_b.cells())
-    )
+    rows = []
+    for (cu_x, cu_y, qp_a), (_, _, qp_b) in zip(map_a.cells(), map_b.cells()):
+        delta = qp_b - qp_a
+        histogram[delta] += 1
+        rows.append(f"{index},{cu_x},{cu_y},{qp_a},{qp_b},{delta}\n")
+    return "".join(rows)
 
 
 def qp_maps_csv(maps: list[QpMap], fmt: VideoFormat) -> str:
@@ -272,12 +302,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         render = _qp_csv_frame
     frames = cus = qp_sum = 0
     min_qp, max_qp = QP_MAX, QP_MIN
-    with ExitStack() as stack:
-        out = stack.enter_context(_atomic_output(args.output))
+    # The map is listed first, so it is moved into place before the sidecar.
+    paths = [args.output] + ([args.dump_activity] if args.dump_activity is not None else [])
+    with _atomic_outputs(*paths) as sinks:
+        out, dump = sinks[0], sinks[1] if len(sinks) > 1 else None
         out.write(head)
-        dump = None
-        if args.dump_activity is not None:
-            dump = stack.enter_context(_atomic_output(args.dump_activity))
+        if dump is not None:
             dump.write(_activity_csv_head(fmt, config.cu_size))
         for index, act in frame_activities(args.input, fmt, args):
             frame_map = qp_map_from_activity(fmt, act, config, frame_index=index)
@@ -319,13 +349,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
             )
         pairs = zip(activities, frame_activities(args.input_b, fmt, args))
     histogram: Counter[int] = Counter()
-    with _atomic_output(args.output) as out:
+    with _atomic_outputs(args.output) as (out,):
         out.write(_compare_head(fmt, config_a, config_b))
         for (index, act_a), (_, act_b) in pairs:
             map_a = qp_map_from_activity(fmt, act_a, config_a, frame_index=index)
             map_b = qp_map_from_activity(fmt, act_b, config_b, frame_index=index)
-            out.write(_compare_frame(map_a, map_b))
-            histogram.update(qp_b - qp_a for qp_a, qp_b in zip(map_a.flat(), map_b.flat()))
+            out.write(_compare_frame(map_a, map_b, histogram))
     for delta in sorted(histogram):
         print(f"delta={delta:+d} count={histogram[delta]}")
     return EXIT_OK
@@ -363,7 +392,7 @@ def cmd_dump_activity(args: argparse.Namespace) -> int:
     fmt = _format_from_args(args)
     _refuse_to_overwrite([args.input], [args.output])
     frames = cus_per_frame = 0
-    with _atomic_output(args.output) as out:
+    with _atomic_outputs(args.output) as (out,):
         out.write(_activity_csv_head(fmt, args.cu_size))
         for index, act in frame_activities(args.input, fmt, args):
             out.write(_activity_csv_frame(index, act))

@@ -93,9 +93,10 @@ def normalized_activity(s: float, t: float, f: float) -> float:
     """Normalize activity s against the frame mean t.
 
     Returns (f*s + t) / (s + f*t), which is 1 when s == t and approaches
-    f (resp. 1/f) as s grows far above (resp. below) t.
+    f (resp. 1/f) as s grows far above (resp. below) t. The result is
+    clamped to [1/f, f], which float rounding can leave by an ulp.
     """
-    return (f * s + t) / (s + f * t)
+    return min(max((f * s + t) / (s + f * t), 1.0 / f), f)
 
 
 def round_half_away_from_zero(x: float) -> int:

@@ -3,6 +3,7 @@
 import json
 import os
 import stat
+import threading
 import tracemalloc
 
 import numpy as np
@@ -506,6 +507,31 @@ class TestStreaming:
         assert "i/o error" in capsys.readouterr().err
         assert out.read_text() == "old output\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.yuv", "map.csv"]
+
+    def test_output_directory_leaves_sidecar_untouched(self, tmp_path, capsys):
+        clip = constant_clip(tmp_path / "in.yuv")
+        (tmp_path / "map.csv").mkdir()
+        side = tmp_path / "act.csv"
+        side.write_text("old sidecar\n")
+        assert main(analyze_args(clip, tmp_path / "map.csv", dump_activity=side)) == EXIT_IO
+        assert "i/o error" in capsys.readouterr().err
+        assert side.read_text() == "old sidecar\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["act.csv", "in.yuv", "map.csv"]
+
+    def test_fifo_output_is_written_through(self, tmp_path, capsys):
+        clip = write_clip(tmp_path / "in.yuv", [random_frame(FMT, s) for s in range(2)])
+        regular, fifo = tmp_path / "act.csv", tmp_path / "pipe"
+        assert main(dump_args(clip, regular)) == EXIT_OK
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        assert main(dump_args(clip, fifo)) == EXIT_OK
+        reader.join(timeout=30)
+        capsys.readouterr()
+        assert received == [regular.read_text()]
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["act.csv", "in.yuv", "pipe"]
 
 
 LONG_FMT = VideoFormat(512, 512, 10, ChromaFormat.YUV420)
