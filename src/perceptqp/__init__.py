@@ -9,7 +9,6 @@ resulting RD curves.
 from .activity import (
     ActivityRecord,
     FrameActivity,
-    block_mean,
     block_variance,
     cu_activity,
     frame_activity,
@@ -21,7 +20,6 @@ from .metrics import (
     RdPoint,
     bd_psnr,
     bd_rate,
-    emit_rd_csv,
     parse_rd_csv,
     psnr,
 )

@@ -25,7 +25,6 @@ from .yuv import Channel, ChromaFormat, Frame, Plane, VideoFormat
 __all__ = [
     "ActivityRecord",
     "FrameActivity",
-    "block_mean",
     "block_variance",
     "cu_activity",
     "frame_activity",
@@ -56,18 +55,6 @@ class FrameActivity:
     t_cross: float
 
 
-def _require_nonempty(rect) -> None:
-    if rect.w <= 0 or rect.h <= 0:
-        raise ValueError(f"rect {rect.w}x{rect.h} at ({rect.x},{rect.y}) is empty")
-
-
-def block_mean(plane: Plane, rect) -> float:
-    """Arithmetic mean of the samples under rect, from an exact integer sum."""
-    _require_nonempty(rect)
-    block = plane.data[rect.y : rect.y + rect.h, rect.x : rect.x + rect.w]
-    return int(block.sum(dtype=np.int64)) / (rect.w * rect.h)
-
-
 def block_variance(plane: Plane, rect) -> float:
     """Population variance of the samples under rect.
 
@@ -75,7 +62,8 @@ def block_variance(plane: Plane, rect) -> float:
     which equals mean(s^2) - mean(s)^2 but cannot go negative through
     floating-point cancellation.
     """
-    _require_nonempty(rect)
+    if rect.w <= 0 or rect.h <= 0:
+        raise ValueError(f"rect {rect.w}x{rect.h} at ({rect.x},{rect.y}) is empty")
     block = plane.data[rect.y : rect.y + rect.h, rect.x : rect.x + rect.w].astype(np.int64)
     count = rect.w * rect.h
     s1 = int(block.sum())

@@ -16,6 +16,7 @@ import stat
 import sys
 from collections import Counter
 from contextlib import contextmanager, suppress
+from itertools import combinations
 from pathlib import Path
 from typing import Iterator, TextIO
 
@@ -57,30 +58,6 @@ def _qp_config(args: argparse.Namespace, suffix: str = "") -> QpConfig:
         t_mode=TMode(getattr(args, f"t_mode{suffix}")),
         rounding=Rounding(getattr(args, f"rounding{suffix}")),
     )
-
-
-def _refuse_to_overwrite(inputs: list[Path | None], outputs: list[Path | None]) -> None:
-    """Raise before anything is written if an existing output is one of the inputs."""
-    for out in outputs:
-        if out is None or not out.exists():
-            continue
-        for path in inputs:
-            if path is not None and path.exists() and os.path.samefile(out, path):
-                raise ValueError(f"output {out} is the input {path}; refusing to overwrite it")
-
-
-def _refuse_shared_output(first: Path, second: Path | None) -> None:
-    """Raise before anything is read or written if two outputs name one file."""
-    if second is None:
-        return
-    if first.exists() and second.exists():
-        shared = os.path.samefile(first, second)
-    else:
-        shared = first.resolve() == second.resolve()
-    if shared:
-        raise ValueError(
-            f"outputs {first} and {second} are the same file; one would overwrite the other"
-        )
 
 
 def _frame_range(total: int, skip: int, frames: int | None) -> range:
@@ -144,23 +121,38 @@ def _replaceable(path: Path) -> bool:
 
 
 @contextmanager
-def _atomic_outputs(*paths: Path) -> Iterator[list[TextIO]]:
+def _atomic_outputs(paths: list[Path], inputs: list[Path | None]) -> Iterator[list[TextIO]]:
     """One text sink per path; files replace their paths only if the block completes.
 
-    A missing or regular-file path is written to a hidden partial file beside
-    it. After the block, every sink is closed and then each partial file is
-    moved into place, in argument order. On any exception the partial files
-    are deleted, so existing files keep their bytes. Any other existing path,
-    such as /dev/null, a FIFO or /dev/stdout, is opened and written directly,
-    since a device or a pipe must not be replaced by a file. open(..., "x")
-    gives a new file the umask's mode, as Path.write_text would.
+    Before anything is opened, an existing path that is an input, or two paths
+    naming one file, raise ValueError. A missing or regular-file path is
+    written to a hidden partial file beside it, whose name does not grow with
+    the path's. After the block, every sink is closed and then each partial
+    file is moved into place, in argument order. On any exception the partial
+    files are deleted, so existing files keep their bytes. Any other existing
+    path, such as /dev/null, a FIFO or /dev/stdout, is opened and written
+    directly, since a device or a pipe must not be replaced by a file.
+    open(..., "x") gives a new file the umask's mode, as Path.write_text would.
     """
+    for out in paths:
+        for path in inputs:
+            if path is not None and out.exists() and path.exists() and os.path.samefile(out, path):
+                raise ValueError(f"output {out} is the input {path}; refusing to overwrite it")
+    for first, second in combinations(paths, 2):
+        if first.exists() and second.exists():
+            shared = os.path.samefile(first, second)
+        else:
+            shared = first.resolve() == second.resolve()
+        if shared:
+            raise ValueError(
+                f"outputs {first} and {second} are the same file; one would overwrite the other"
+            )
     sinks: list[TextIO] = []
     staged: list[tuple[Path, Path]] = []
     try:
-        for path in paths:
+        for k, path in enumerate(paths):
             if _replaceable(path):
-                partial = path.with_name(f".{path.name}.{os.getpid()}.partial")
+                partial = path.with_name(f".perceptqp.{os.getpid()}.{k}.partial")
                 sinks.append(open(partial, "x"))
                 staged.append((partial, path))
             else:
@@ -292,8 +284,6 @@ def activity_csv(
 def cmd_analyze(args: argparse.Namespace) -> int:
     config = _qp_config(args)
     fmt = _format_from_args(args)
-    _refuse_to_overwrite([args.input], [args.output, args.dump_activity])
-    _refuse_shared_output(args.output, args.dump_activity)
     if args.format == "json":
         head, sep, tail = _qp_json_head(fmt, config), _JSON_FRAME_SEP, _JSON_TAIL
         render = _qp_json_frame
@@ -304,7 +294,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     min_qp, max_qp = QP_MAX, QP_MIN
     # The map is listed first, so it is moved into place before the sidecar.
     paths = [args.output] + ([args.dump_activity] if args.dump_activity is not None else [])
-    with _atomic_outputs(*paths) as sinks:
+    with _atomic_outputs(paths, [args.input]) as sinks:
         out, dump = sinks[0], sinks[1] if len(sinks) > 1 else None
         out.write(head)
         if dump is not None:
@@ -334,22 +324,22 @@ def cmd_compare(args: argparse.Namespace) -> int:
     fmt = _format_from_args(args)
     config_a = _qp_config(args, "_a")
     config_b = _qp_config(args, "_b")
-    _refuse_to_overwrite([args.input, args.input_b], [args.output])
-    # The QP rules are pure functions of the activity, so one input needs one pass.
-    activities = frame_activities(args.input, fmt, args)
-    if args.input_b is None:
-        pairs = ((item, item) for item in activities)
-    else:
-        count_a = _selected_count(args.input, fmt, args)
-        count_b = _selected_count(args.input_b, fmt, args)
-        if count_a != count_b:
-            raise YuvError(
-                f"inputs differ in frame count ({count_a} vs {count_b});"
-                " pass --frames to pin a common range"
-            )
-        pairs = zip(activities, frame_activities(args.input_b, fmt, args))
     histogram: Counter[int] = Counter()
-    with _atomic_outputs(args.output) as (out,):
+    # Entered first, so the outputs are checked before any input is probed.
+    with _atomic_outputs([args.output], [args.input, args.input_b]) as (out,):
+        # The QP rules are pure functions of the activity, so one input needs one pass.
+        activities = frame_activities(args.input, fmt, args)
+        if args.input_b is None:
+            pairs = ((item, item) for item in activities)
+        else:
+            count_a = _selected_count(args.input, fmt, args)
+            count_b = _selected_count(args.input_b, fmt, args)
+            if count_a != count_b:
+                raise YuvError(
+                    f"inputs differ in frame count ({count_a} vs {count_b});"
+                    " pass --frames to pin a common range"
+                )
+            pairs = zip(activities, frame_activities(args.input_b, fmt, args))
         out.write(_compare_head(fmt, config_a, config_b))
         for (index, act_a), (_, act_b) in pairs:
             map_a = qp_map_from_activity(fmt, act_a, config_a, frame_index=index)
@@ -390,9 +380,8 @@ def cmd_bdrate(args: argparse.Namespace) -> int:
 
 def cmd_dump_activity(args: argparse.Namespace) -> int:
     fmt = _format_from_args(args)
-    _refuse_to_overwrite([args.input], [args.output])
     frames = cus_per_frame = 0
-    with _atomic_outputs(args.output) as (out,):
+    with _atomic_outputs([args.output], [args.input]) as (out,):
         out.write(_activity_csv_head(fmt, args.cu_size))
         for index, act in frame_activities(args.input, fmt, args):
             out.write(_activity_csv_frame(index, act))
@@ -402,7 +391,7 @@ def cmd_dump_activity(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_geometry_args(parser: argparse.ArgumentParser) -> None:
+def _add_clip_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", type=Path, required=True, help="raw planar YCbCr file")
     parser.add_argument("--width", type=int, required=True)
     parser.add_argument("--height", type=int, required=True)
@@ -410,6 +399,8 @@ def _add_geometry_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--chroma", choices=("444", "422", "420"), default="420")
     parser.add_argument("--frames", type=int, default=None, help="frames to process (default: all)")
     parser.add_argument("--skip", type=int, default=0, help="frames to skip from the start")
+    parser.add_argument("--cu-size", type=int, choices=CU_SIZES, default=64)
+    parser.add_argument("--output", type=Path, required=True)
 
 
 def _add_qp_args(parser: argparse.ArgumentParser, suffix: str = "") -> None:
@@ -423,25 +414,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     analyze = sub.add_parser("analyze", help="emit a per-CU QP map for each frame")
-    _add_geometry_args(analyze)
-    analyze.add_argument("--cu-size", type=int, choices=CU_SIZES, default=64)
+    _add_clip_args(analyze)
     analyze.add_argument("--qp", type=int, required=True, help="slice QP the deltas adapt around")
     analyze.add_argument("--qp-range", type=int, default=6)
     _add_qp_args(analyze)
-    analyze.add_argument("--output", type=Path, required=True)
     analyze.add_argument("--format", choices=("csv", "json"), default="csv")
     analyze.add_argument("--dump-activity", type=Path, default=None, metavar="PATH")
     analyze.set_defaults(func=cmd_analyze)
 
     compare = sub.add_parser("compare", help="diff the QP maps of two runs")
-    _add_geometry_args(compare)
+    _add_clip_args(compare)
     compare.add_argument("--input-b", type=Path, default=None, help="second clip (default: --input)")
-    compare.add_argument("--cu-size", type=int, choices=CU_SIZES, default=64)
     compare.add_argument("--qp", type=int, required=True)
     compare.add_argument("--qp-range", type=int, default=6)
     _add_qp_args(compare, "-a")
     _add_qp_args(compare, "-b")
-    compare.add_argument("--output", type=Path, required=True)
     compare.set_defaults(func=cmd_compare)
 
     bdrate_cmd = sub.add_parser("bdrate", help="BD-Rate / BD-PSNR between two RD CSV files")
@@ -450,9 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     bdrate_cmd.set_defaults(func=cmd_bdrate)
 
     dump = sub.add_parser("dump-activity", help="emit per-CU activity values")
-    _add_geometry_args(dump)
-    dump.add_argument("--cu-size", type=int, choices=CU_SIZES, default=64)
-    dump.add_argument("--output", type=Path, required=True)
+    _add_clip_args(dump)
     dump.set_defaults(func=cmd_dump_activity)
 
     return parser

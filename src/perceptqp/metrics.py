@@ -29,7 +29,6 @@ __all__ = [
     "RdPoint",
     "bd_psnr",
     "bd_rate",
-    "emit_rd_csv",
     "parse_rd_csv",
     "psnr",
     "rd_csv_bytes",
@@ -210,19 +209,17 @@ def rd_csv_bytes(runs: Sequence[tuple[str, CurvesByChannel]]) -> bytes:
     return out.getvalue().encode()
 
 
-def emit_rd_csv(label: str, curves: CurvesByChannel) -> bytes:
-    """Serialize one labeled run; see rd_csv_bytes for the layout."""
-    return rd_csv_bytes([(label, curves)])
-
-
 def parse_rd_csv(data: bytes) -> dict[str, dict[str, list[tuple[int, RdPoint]]]]:
     """Inverse of rd_csv_bytes: {label: {channel: [(qp, RdPoint), ...]}}."""
-    reader = csv.reader(io.StringIO(data.decode()))
-    header = next(reader, None)
+    try:
+        rows = list(csv.reader(io.StringIO(data.decode())))
+    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+        raise ValueError(f"bad RD CSV: {exc}") from exc
+    header = rows[0] if rows else None
     if header is None or tuple(header) != RD_CSV_HEADER:
         raise ValueError(f"bad RD CSV header {header}, expected {list(RD_CSV_HEADER)}")
     parsed: dict[str, dict[str, list[tuple[int, RdPoint]]]] = {}
-    for row in reader:
+    for row in rows[1:]:
         if not row:
             continue
         if len(row) != len(RD_CSV_HEADER):

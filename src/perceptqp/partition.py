@@ -37,10 +37,6 @@ class CuRect:
     clipped_w: int
     clipped_h: int
 
-    @property
-    def is_clipped(self) -> bool:
-        return self.clipped_w != self.size or self.clipped_h != self.size
-
 
 @dataclass(frozen=True)
 class CbRect:
@@ -57,8 +53,6 @@ class CbRect:
 class SubBlock:
     """One quadrant of a coding block; may be empty after boundary clipping."""
 
-    parent: CbRect
-    index: int  # 1..4 in raster order of quadrants
     x: int
     y: int
     w: int
@@ -132,10 +126,9 @@ def sub_blocks(cb: CbRect) -> tuple[SubBlock, SubBlock, SubBlock, SubBlock]:
     top = (cb.h + 1) // 2
     right = cb.w - left
     bottom = cb.h - top
-    quads = (
-        (cb.x, cb.y, left, top),
-        (cb.x + left, cb.y, right, top),
-        (cb.x, cb.y + top, left, bottom),
-        (cb.x + left, cb.y + top, right, bottom),
+    return (
+        SubBlock(cb.x, cb.y, left, top),
+        SubBlock(cb.x + left, cb.y, right, top),
+        SubBlock(cb.x, cb.y + top, left, bottom),
+        SubBlock(cb.x + left, cb.y + top, right, bottom),
     )
-    return tuple(SubBlock(cb, k, x, y, w, h) for k, (x, y, w, h) in enumerate(quads, start=1))

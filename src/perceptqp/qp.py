@@ -153,8 +153,14 @@ def qp_map_from_activity(
     config: QpConfig,
     frame_index: int = 0,
 ) -> QpMap:
-    """Second pass of qp_map, reusing an already computed FrameActivity."""
+    """Second pass of qp_map, reusing a FrameActivity of fmt at config.cu_size."""
     cols, rows = grid_dims(fmt, config.cu_size)
+    count = len(activity.records)
+    if count != cols * rows or activity.records[0].cu.size != config.cu_size:
+        raise ValueError(
+            f"activity of {count} CUs was not computed on the {cols}x{rows} grid"
+            f" of CU {config.cu_size}"
+        )
     records = iter(activity.records)
     qps = tuple(
         tuple(cu_qp(config, next(records), activity) for _ in range(cols)) for _ in range(rows)

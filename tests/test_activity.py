@@ -20,7 +20,6 @@ from perceptqp import (
     FrameActivity,
     Plane,
     VideoFormat,
-    block_mean,
     block_variance,
     cu_activity,
     cu_grid,
@@ -70,28 +69,6 @@ def oracle_cu_activity(frame, cu):
     cb = oracle_channel_activity(frame.cb.data, cu.x // sx, cu.y // sy, cw, ch)
     cr = oracle_channel_activity(frame.cr.data, cu.x // sx, cu.y // sy, cw, ch)
     return luma, cb, cr
-
-
-class TestBlockMean:
-    def test_constant_block(self):
-        plane = Plane(np.full((8, 8), 512, dtype=np.uint16))
-        assert block_mean(plane, rect(0, 0, 8, 8)) == 512.0
-
-    def test_small_mixed_block(self):
-        plane = Plane(np.array([[0, 0], [0, 4]], dtype=np.uint8))
-        assert block_mean(plane, rect(0, 0, 2, 2)) == 1.0
-
-    def test_random_block_matches_exact_fraction(self):
-        rng = np.random.default_rng(11)
-        data = rng.integers(0, 1024, size=(16, 16), dtype=np.uint16)
-        got = block_mean(Plane(data), rect(2, 3, 9, 7))
-        block = data[3:10, 2:11]
-        assert got == int(block.sum(dtype=np.int64)) / 63
-
-    def test_empty_block_rejected(self):
-        plane = Plane(np.zeros((4, 4), dtype=np.uint8))
-        with pytest.raises(ValueError):
-            block_mean(plane, rect(0, 0, 0, 4))
 
 
 class TestBlockVariance:

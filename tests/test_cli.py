@@ -1,13 +1,17 @@
 """End-to-end CLI behaviour: every subcommand through cli.main."""
 
+import csv
 import json
 import os
 import stat
+import tempfile
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perceptqp import (
     ChromaFormat,
@@ -17,16 +21,15 @@ from perceptqp import (
     QpConfig,
     RdPoint,
     VideoFormat,
-    emit_rd_csv,
     frame_activity,
     frame_bytes,
     qp_map_from_activity,
     write_frame,
 )
 from perceptqp import cli
-from perceptqp.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from perceptqp.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from perceptqp.metrics import rd_csv_bytes
-from strategies import random_frame
+from strategies import random_frame, video_formats
 
 FMT = VideoFormat(128, 64, 8, ChromaFormat.YUV420)
 
@@ -343,9 +346,9 @@ def scaled_points(points, c):
 class TestBdrateCommand:
     def test_identical_curves_report_zero(self, tmp_path, capsys):
         anchor = tmp_path / "anchor.csv"
-        anchor.write_bytes(emit_rd_csv("anchor", ANCHOR_POINTS))
+        anchor.write_bytes(rd_csv_bytes([("anchor", ANCHOR_POINTS)]))
         test = tmp_path / "test.csv"
-        test.write_bytes(emit_rd_csv("test", ANCHOR_POINTS))
+        test.write_bytes(rd_csv_bytes([("test", ANCHOR_POINTS)]))
         assert main(["bdrate", "--anchor", str(anchor), "--test", str(test)]) == EXIT_OK
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "channel,bd_rate_pct,bd_psnr_db"
@@ -357,9 +360,9 @@ class TestBdrateCommand:
 
     def test_ten_percent_rate_increase(self, tmp_path, capsys):
         anchor = tmp_path / "anchor.csv"
-        anchor.write_bytes(emit_rd_csv("anchor", {"Y": ANCHOR_POINTS["Y"]}))
+        anchor.write_bytes(rd_csv_bytes([("anchor", {"Y": ANCHOR_POINTS["Y"]})]))
         test = tmp_path / "test.csv"
-        test.write_bytes(emit_rd_csv("test", scaled_points({"Y": ANCHOR_POINTS["Y"]}, 1.10)))
+        test.write_bytes(rd_csv_bytes([("test", scaled_points({"Y": ANCHOR_POINTS["Y"]}, 1.10))]))
         assert main(["bdrate", "--anchor", str(anchor), "--test", str(test)]) == EXIT_OK
         line = capsys.readouterr().out.strip().splitlines()[1]
         channel, rate, quality = line.split(",")
@@ -372,7 +375,7 @@ class TestBdrateCommand:
         def rd_file(name, scale):
             points = [(42 - 5 * k, RdPoint(k * scale, 29.0 + k)) for k in range(1, 5)]
             path = tmp_path / f"{name}.csv"
-            path.write_bytes(emit_rd_csv(name, {"Y": points}))
+            path.write_bytes(rd_csv_bytes([(name, {"Y": points})]))
             return path
 
         anchor, test = rd_file("anchor", 1e-300), rd_file("test", 1e300)
@@ -384,7 +387,7 @@ class TestBdrateCommand:
         def rd_file(name, base):
             points = [(42 - 5 * k, RdPoint(100.0 * k, base + 1e300 * (k - 1))) for k in range(1, 5)]
             path = tmp_path / f"{name}.csv"
-            path.write_bytes(emit_rd_csv(name, {"Y": points}))
+            path.write_bytes(rd_csv_bytes([(name, {"Y": points})]))
             return path
 
         anchor, test = rd_file("anchor", 1e300), rd_file("test", 1.5e300)
@@ -393,6 +396,15 @@ class TestBdrateCommand:
         out, err = capfd.readouterr()
         assert out == "channel,bd_rate_pct,bd_psnr_db\n"
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_oversized_field_is_validation_error(self, tmp_path, capfd):
+        label = "x" * (csv.field_size_limit() + 1)
+        anchor = tmp_path / "anchor.csv"
+        anchor.write_bytes(rd_csv_bytes([(label, {"Y": ANCHOR_POINTS["Y"]})]))
+        assert main(["bdrate", "--anchor", str(anchor), "--test", str(anchor)]) == EXIT_VALIDATION
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err.startswith("error: bad RD CSV") and err.count("\n") == 1
 
     def test_multi_label_file_is_validation_error(self, tmp_path, capsys):
         both = rd_csv_bytes(
@@ -462,6 +474,16 @@ class TestStreaming:
             ],
         }
         assert json_out.read_text() == json.dumps(payload, indent=2) + "\n"
+
+    def test_long_output_name_is_written(self, tmp_path, capsys):
+        clip = write_clip(tmp_path / "in.yuv", [random_frame(FMT, s) for s in range(2)])
+        short, long = tmp_path / "m.csv", tmp_path / ("m" * 246 + ".csv")
+        assert main(analyze_args(clip, short, dump_activity=tmp_path / "a.csv")) == EXIT_OK
+        assert main(analyze_args(clip, long, dump_activity=tmp_path / ("a" * 250))) == EXIT_OK
+        capsys.readouterr()
+        assert long.read_bytes() == short.read_bytes()
+        assert (tmp_path / ("a" * 250)).read_bytes() == (tmp_path / "a.csv").read_bytes()
+        assert not [p for p in tmp_path.iterdir() if p.name.endswith(".partial")]
 
     def test_new_output_mode_follows_umask(self, tmp_path, capsys):
         clip = constant_clip(tmp_path / "in.yuv")
@@ -575,3 +597,90 @@ def test_peak_memory_does_not_grow_with_clip_length(tmp_path, capsys, long_clip,
     short, long = (traced_peak(args + ["--frames", str(n)]) for n in (2, 16))
     capsys.readouterr()
     assert long < short + frame_bytes(LONG_FMT), (short, long)
+
+
+NUMERIC_FLAGS = ("--width", "--height", "--skip", "--frames", "--qp", "--qp-range", "--cu-size")
+
+
+@st.composite
+def tiny_clips(draw):
+    """A clip of at most 600 bytes and its geometry, maybe truncated, emptied or out of range."""
+    fmt = draw(video_formats(max_dim=8))
+    count = draw(st.integers(0, 600 // frame_bytes(fmt)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    samples = rng.integers(0, fmt.max_sample + 1, size=count * frame_bytes(fmt) // fmt.bytes_per_sample)
+    data = bytearray(samples.astype("<u2" if fmt.bit_depth == 10 else np.uint8).tobytes())
+    damage = draw(st.sampled_from(["none", "none", "truncated", "empty", "above-1023"]))
+    if damage == "truncated" and data:
+        del data[draw(st.integers(0, len(data) - 1)):]
+    elif damage == "empty":
+        data.clear()
+    elif damage == "above-1023" and len(data) >= 2:
+        at = 2 * draw(st.integers(0, len(data) // 2 - 1))
+        data[at : at + 2] = draw(st.integers(1024, 0xFFFF)).to_bytes(2, "little")
+    return fmt, bytes(data)
+
+
+def rd_csv_files():
+    """Valid RD CSVs, one with an oversized field, a truncated one and arbitrary bytes."""
+    valid = rd_csv_bytes([("run", ANCHOR_POINTS)])
+    return st.one_of(
+        st.just(valid),
+        st.just(rd_csv_bytes([("run", scaled_points(ANCHOR_POINTS, 1.1))])),
+        st.just(rd_csv_bytes([("x" * (csv.field_size_limit() + 1), ANCHOR_POINTS)])),
+        st.integers(0, len(valid) - 1).map(lambda n: valid[:n]),
+        st.binary(max_size=600),
+    )
+
+
+@st.composite
+def cli_runs(draw):
+    """(files to write, argv) for one CLI call; {NAME} in argv is the path of file NAME.
+
+    A few numeric flags get an arbitrary integer, the rest their right value.
+    """
+    command = draw(st.sampled_from(["analyze", "compare", "dump-activity", "bdrate"]))
+    if command == "bdrate":
+        files = {"anchor": draw(rd_csv_files()), "test": draw(rd_csv_files())}
+        return files, ["bdrate", "--anchor", "{anchor}", "--test", "{test}"]
+    fmt, clip = draw(tiny_clips())
+    files = {"clip": clip}
+    wrong = draw(st.lists(st.sampled_from(NUMERIC_FLAGS), max_size=3))
+    right = {"--width": fmt.width, "--height": fmt.height, "--skip": 0, "--frames": 1,
+             "--qp": 32, "--qp-range": 6, "--cu-size": draw(st.sampled_from([16, 32, 64]))}
+    if command == "dump-activity":
+        del right["--qp"], right["--qp-range"]
+    for flag in ("--skip", "--frames"):
+        if draw(st.booleans()) and flag not in wrong:
+            del right[flag]
+    argv = [command, "--input", "{clip}", "--output", "{out}",
+            "--bit-depth", fmt.bit_depth, "--chroma", fmt.chroma_format.value]
+    for flag, value in right.items():
+        argv += [flag, draw(st.integers()) if flag in wrong else value]
+    if command == "analyze":
+        argv += ["--mode", "cbaq", "--format", draw(st.sampled_from(["csv", "json"]))]
+        if draw(st.booleans()):
+            argv += ["--dump-activity", "{side}"]
+    if command == "compare":
+        argv += ["--mode-a", "adaptiveqp", "--mode-b", "cbaq"]
+        if draw(st.booleans()):
+            argv += ["--input-b", "{other}"]
+            if draw(st.booleans()):  # else a missing file
+                files["other"] = draw(tiny_clips())[1]
+    return files, [str(arg) for arg in argv]
+
+
+@settings(max_examples=200, deadline=None)
+@given(cli_runs())
+def test_every_argv_ends_in_a_documented_exit_code(run):
+    files, argv = run
+    with tempfile.TemporaryDirectory() as scratch:
+        paths = {name: os.path.join(scratch, name) for name in ("out", "side", "other", *files)}
+        for name, data in files.items():
+            with open(paths[name], "wb") as sink:
+                sink.write(data)
+        try:
+            code = main([arg.format(**paths) for arg in argv])
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_IO)

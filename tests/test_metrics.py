@@ -1,5 +1,6 @@
 """PSNR and Bjontegaard deltas against closed forms and a trapezoid oracle."""
 
+import csv
 import math
 
 import numpy as np
@@ -15,7 +16,6 @@ from perceptqp import (
     RdPoint,
     bd_psnr,
     bd_rate,
-    emit_rd_csv,
     parse_rd_csv,
     psnr,
 )
@@ -229,18 +229,18 @@ SAMPLE_CURVES = {
 
 class TestRdCsv:
     def test_single_curve_line_count(self):
-        data = emit_rd_csv("anchor", {"Y": SAMPLE_CURVES["Y"]})
+        data = rd_csv_bytes([("anchor", {"Y": SAMPLE_CURVES["Y"]})])
         lines = data.decode().splitlines()
         assert len(lines) == 5
         assert lines[0] == "label,channel,qp,bitrate_kbps,psnr_db"
 
     def test_rows_sorted_by_qp_within_channel(self):
-        data = emit_rd_csv("anchor", {"Y": SAMPLE_CURVES["Y"]})
+        data = rd_csv_bytes([("anchor", {"Y": SAMPLE_CURVES["Y"]})])
         qps = [int(line.split(",")[2]) for line in data.decode().splitlines()[1:]]
         assert qps == [22, 27, 32, 37]
 
     def test_channels_in_plane_order(self):
-        data = emit_rd_csv("run", SAMPLE_CURVES)
+        data = rd_csv_bytes([("run", SAMPLE_CURVES)])
         channels = [line.split(",")[1] for line in data.decode().splitlines()[1:]]
         assert channels == ["Y"] * 4 + ["Cb"] * 4
 
@@ -264,7 +264,12 @@ class TestRdCsv:
         with pytest.raises(ValueError):
             parse_rd_csv(b"nope,channel,qp,bitrate_kbps,psnr_db\n")
 
+    def test_parse_rejects_oversized_field(self):
+        label = "x" * (csv.field_size_limit() + 1)
+        with pytest.raises(ValueError, match="bad RD CSV"):
+            parse_rd_csv(rd_csv_bytes([(label, {"Y": SAMPLE_CURVES["Y"]})]))
+
     def test_parse_rejects_short_row(self):
-        good = emit_rd_csv("anchor", {"Y": SAMPLE_CURVES["Y"]})
+        good = rd_csv_bytes([("anchor", {"Y": SAMPLE_CURVES["Y"]})])
         with pytest.raises(ValueError):
             parse_rd_csv(good + b"anchor,Y,22\n")

