@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .partition import CbRect, CuRect, cb_rect, cu_grid, sub_blocks
-from .yuv import Channel, ChromaFormat, Frame, Plane, VideoFormat
+from .yuv import Channel, Frame, Plane, VideoFormat
 
 __all__ = [
     "ActivityRecord",
@@ -77,9 +77,9 @@ def _cb_activity(plane: Plane, cb: CbRect) -> float:
     return 1.0 + min(variances)
 
 
-def cu_activity(frame: Frame, cu: CuRect, chroma_format: ChromaFormat | None = None) -> ActivityRecord:
-    """Per-channel activity of one CU (defaults to the frame's own subsampling)."""
-    cf = chroma_format if chroma_format is not None else frame.format.chroma_format
+def cu_activity(frame: Frame, cu: CuRect) -> ActivityRecord:
+    """Per-channel activity of one CU under the frame's own subsampling."""
+    cf = frame.format.chroma_format
     return ActivityRecord(
         cu=cu,
         luma=_cb_activity(frame.y, cb_rect(cu, Channel.Y, cf)),

@@ -126,12 +126,14 @@ def _atomic_outputs(paths: list[Path], inputs: list[Path | None]) -> Iterator[li
 
     Before anything is opened, an existing path that is an input, or two paths
     naming one file, raise ValueError. A missing or regular-file path is
-    written to a hidden partial file beside it, whose name does not grow with
-    the path's. After the block, every sink is closed and then each partial
-    file is moved into place, in argument order. On any exception the partial
-    files are deleted, so existing files keep their bytes. Any other existing
-    path, such as /dev/null, a FIFO or /dev/stdout, is opened and written
-    directly, since a device or a pipe must not be replaced by a file.
+    written to a hidden partial file beside it, named by 64 random bits, so
+    its name neither grows with the path's nor matches one that an earlier,
+    killed run left behind. After the block, every sink is closed and then
+    each partial file is moved into place, in argument order. On any
+    exception the partial files are deleted, so existing files keep their
+    bytes. Any other existing path, such as /dev/null, a FIFO or /dev/stdout,
+    is opened and written directly, since a device or a pipe must not be
+    replaced by a file.
     open(..., "x") gives a new file the umask's mode, as Path.write_text would.
     """
     for out in paths:
@@ -142,7 +144,8 @@ def _atomic_outputs(paths: list[Path], inputs: list[Path | None]) -> Iterator[li
         if first.exists() and second.exists():
             shared = os.path.samefile(first, second)
         else:
-            shared = first.resolve() == second.resolve()
+            # realpath, unlike Path.resolve before Python 3.13, returns on a symlink loop.
+            shared = os.path.realpath(first) == os.path.realpath(second)
         if shared:
             raise ValueError(
                 f"outputs {first} and {second} are the same file; one would overwrite the other"
@@ -150,9 +153,9 @@ def _atomic_outputs(paths: list[Path], inputs: list[Path | None]) -> Iterator[li
     sinks: list[TextIO] = []
     staged: list[tuple[Path, Path]] = []
     try:
-        for k, path in enumerate(paths):
+        for path in paths:
             if _replaceable(path):
-                partial = path.with_name(f".perceptqp.{os.getpid()}.{k}.partial")
+                partial = path.with_name(f".perceptqp.{os.urandom(8).hex()}.partial")
                 sinks.append(open(partial, "x"))
                 staged.append((partial, path))
             else:
@@ -282,8 +285,8 @@ def activity_csv(
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    config = _qp_config(args)
     fmt = _format_from_args(args)
+    config = _qp_config(args)
     if args.format == "json":
         head, sep, tail = _qp_json_head(fmt, config), _JSON_FRAME_SEP, _JSON_TAIL
         render = _qp_json_frame

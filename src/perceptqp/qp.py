@@ -154,12 +154,15 @@ def qp_map_from_activity(
     frame_index: int = 0,
 ) -> QpMap:
     """Second pass of qp_map, reusing a FrameActivity of fmt at config.cu_size."""
-    cols, rows = grid_dims(fmt, config.cu_size)
-    count = len(activity.records)
-    if count != cols * rows or activity.records[0].cu.size != config.cu_size:
+    size, count = config.cu_size, len(activity.records)
+    cols, rows = grid_dims(fmt, size)
+    last = activity.records[-1].cu
+    # With count and size right, the last CU's origin tells a transposed grid apart.
+    corner = ((cols - 1) * size, (rows - 1) * size)
+    if count != cols * rows or activity.records[0].cu.size != size or (last.x, last.y) != corner:
         raise ValueError(
             f"activity of {count} CUs was not computed on the {cols}x{rows} grid"
-            f" of CU {config.cu_size}"
+            f" of CU {size}"
         )
     records = iter(activity.records)
     qps = tuple(

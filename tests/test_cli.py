@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: every subcommand through cli.main."""
 
 import csv
+import errno
 import json
 import os
 import stat
@@ -10,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perceptqp import (
@@ -328,6 +329,84 @@ def test_shared_output_and_dump_activity_is_refused(tmp_path, capsys, exists):
             assert not out.exists()
 
 
+TEN_BIT = VideoFormat(128, 64, 10, ChromaFormat.YUV420)
+
+
+def ten_bit_clip(path, count, bad_frame=None, tail=b""):
+    """count mid-grey 10-bit frames, a 1024 sample leading bad_frame, tail appended."""
+    words = np.full((count, frame_bytes(TEN_BIT) // 2), 512, dtype="<u2")
+    if bad_frame is not None:
+        words[bad_frame, 0] = 1024
+    path.write_bytes(words.tobytes() + tail)
+    return path
+
+
+def set_flags(args, **flags):
+    """args with each --flag set to its value, replacing any value it already has."""
+    args = list(args)
+    for key, value in flags.items():
+        flag = f"--{key.replace('_', '-')}"
+        if flag in args:
+            args[args.index(flag) + 1] = str(value)
+        else:
+            args += [flag, str(value)]
+    return args
+
+
+def ten_bit_analyze(f, **flags):
+    return set_flags(analyze_args(f["clip"], f["out"], fmt=TEN_BIT, bit_depth=10), **flags)
+
+
+# One case per row of the README's precedence table: the row's fault plus the
+# next row's, and what the error must name. The clip itself holds the last
+# row's fault, a 10-bit sample of 1024 in frame 0.
+PRECEDENCE = [
+    ("usage", lambda f: ten_bit_analyze(f, format="xml", width=15), EXIT_USAGE, "invalid choice"),
+    ("geometry", lambda f: ten_bit_analyze(f, width=15, qp=99), EXIT_VALIDATION, "width 15"),
+    ("geometry-compare", lambda f: set_flags(
+        compare_args(f["clip"], f["out"], fmt=TEN_BIT, bit_depth=10), width=15, qp=99),
+     EXIT_VALIDATION, "width 15"),
+    ("qp-rule", lambda f: ten_bit_analyze(f, qp=99, output=f["clip"]), EXIT_VALIDATION, "slice_qp 99"),
+    ("output-is-input", lambda f: ten_bit_analyze(f, output=f["clip"], dump_activity=f["dir"]),
+     EXIT_VALIDATION, "refusing"),
+    ("output-unopenable", lambda f: ten_bit_analyze(f, output=f["dir"], input=f["absent"]),
+     EXIT_IO, os.strerror(errno.EISDIR)),
+    ("input-unopenable", lambda f: ten_bit_analyze(f, input=f["absent"], skip=-1),
+     EXIT_IO, os.strerror(errno.ENOENT)),
+    ("input-size", lambda f: ten_bit_analyze(f, input=f["ragged"], skip=-1),
+     EXIT_VALIDATION, "not a multiple"),
+    ("frame-range", lambda f: ten_bit_analyze(f, frames=3), EXIT_VALIDATION, "input has only 2"),
+    ("frame-count", lambda f: set_flags(
+        compare_args(f["clip"], f["out"], fmt=TEN_BIT, bit_depth=10), input_b=f["one"]),
+     EXIT_VALIDATION, "differ in frame count"),
+    ("sample-range", lambda f: ten_bit_analyze(f), EXIT_VALIDATION, "out of range"),
+]
+
+
+@pytest.mark.parametrize(
+    "make_args, code, names", [case[1:] for case in PRECEDENCE], ids=[case[0] for case in PRECEDENCE]
+)
+def test_first_fault_in_precedence_order_wins(tmp_path, capsys, make_args, code, names):
+    f = {
+        "clip": ten_bit_clip(tmp_path / "in.yuv", 2, bad_frame=0),
+        "one": ten_bit_clip(tmp_path / "one.yuv", 1),
+        "ragged": ten_bit_clip(tmp_path / "ragged.yuv", 2, tail=b"\0"),
+        "absent": tmp_path / "absent.yuv",
+        "dir": tmp_path / "dir",
+        "out": tmp_path / "out.csv",
+    }
+    f["dir"].mkdir()
+    before = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    try:
+        got = main(make_args(f))
+    except SystemExit as exc:  # argparse's usage errors
+        got = exc.code
+    assert got == code
+    assert names in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+    assert sorted(tmp_path.rglob("*")) == sorted([*before, f["dir"]])
+
+
 ANCHOR_POINTS = {
     "Y": [(22, RdPoint(8000.0, 36.5)), (27, RdPoint(4000.0, 35.0)),
           (32, RdPoint(2000.0, 33.0)), (37, RdPoint(1000.0, 30.0))],
@@ -405,6 +484,15 @@ class TestBdrateCommand:
         out, err = capfd.readouterr()
         assert out == ""
         assert err.startswith("error: bad RD CSV") and err.count("\n") == 1
+
+    def test_no_common_channel_is_validation_error(self, tmp_path, capsys):
+        anchor, test = tmp_path / "anchor.csv", tmp_path / "test.csv"
+        anchor.write_bytes(rd_csv_bytes([("anchor", {"Y": ANCHOR_POINTS["Y"]})]))
+        test.write_bytes(rd_csv_bytes([("test", {"Cb": ANCHOR_POINTS["Cb"]})]))
+        assert main(["bdrate", "--anchor", str(anchor), "--test", str(test)]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "no common channels" in err
 
     def test_multi_label_file_is_validation_error(self, tmp_path, capsys):
         both = rd_csv_bytes(
@@ -484,6 +572,37 @@ class TestStreaming:
         assert long.read_bytes() == short.read_bytes()
         assert (tmp_path / ("a" * 250)).read_bytes() == (tmp_path / "a.csv").read_bytes()
         assert not [p for p in tmp_path.iterdir() if p.name.endswith(".partial")]
+
+    def test_stale_partial_file_is_left_alone(self, tmp_path, capsys):
+        clip = write_clip(tmp_path / "in.yuv", [random_frame(FMT, s) for s in range(2)])
+        (tmp_path / "fresh").mkdir()
+        fresh = tmp_path / "fresh" / "m.csv"
+        assert main(analyze_args(clip, fresh, dump_activity=fresh.with_name("a.csv"))) == EXIT_OK
+        # What a run killed by SIGKILL leaves behind, under a PID this run now holds.
+        stale = [tmp_path / f".perceptqp.{os.getpid()}.{k}.partial" for k in (0, 1)]
+        for path in stale:
+            path.write_text("left by a killed run\n")
+        before = [path.stat() for path in stale]
+        out, side = tmp_path / "m.csv", tmp_path / "a.csv"
+        assert main(analyze_args(clip, out, dump_activity=side)) == EXIT_OK
+        capsys.readouterr()
+        assert out.read_bytes() == fresh.read_bytes()
+        assert side.read_bytes() == fresh.with_name("a.csv").read_bytes()
+        for path, stat_before in zip(stale, before):
+            assert path.read_text() == "left by a killed run\n"
+            assert path.stat().st_mtime_ns == stat_before.st_mtime_ns
+        partials = sorted(p.name for p in tmp_path.iterdir() if p.name.endswith(".partial"))
+        assert partials == sorted(path.name for path in stale)
+
+    @pytest.mark.parametrize("loop_at", ["output", "dump-activity"])
+    def test_symlink_loop_output_is_io_error(self, tmp_path, capsys, loop_at):
+        clip = constant_clip(tmp_path / "in.yuv")
+        loop, other = tmp_path / "loop", tmp_path / "other.csv"
+        loop.symlink_to(loop.name)
+        out, side = (loop, other) if loop_at == "output" else (other, loop)
+        assert main(analyze_args(clip, out, dump_activity=side)) == EXIT_IO
+        assert os.strerror(errno.ELOOP) in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.yuv", "loop"]
 
     def test_new_output_mode_follows_umask(self, tmp_path, capsys):
         clip = constant_clip(tmp_path / "in.yuv")
@@ -633,16 +752,20 @@ def rd_csv_files():
     )
 
 
+OUTPUT_KINDS = ("plain", "symlink-loop", "directory", "stale-partial")
+
+
 @st.composite
 def cli_runs(draw):
-    """(files to write, argv) for one CLI call; {NAME} in argv is the path of file NAME.
+    """(files to write, output kind, argv) for one CLI call; {NAME} in argv is the path of NAME.
 
     A few numeric flags get an arbitrary integer, the rest their right value.
+    The output kind says what already sits at {out}, or beside it.
     """
     command = draw(st.sampled_from(["analyze", "compare", "dump-activity", "bdrate"]))
     if command == "bdrate":
         files = {"anchor": draw(rd_csv_files()), "test": draw(rd_csv_files())}
-        return files, ["bdrate", "--anchor", "{anchor}", "--test", "{test}"]
+        return files, "plain", ["bdrate", "--anchor", "{anchor}", "--test", "{test}"]
     fmt, clip = draw(tiny_clips())
     files = {"clip": clip}
     wrong = draw(st.lists(st.sampled_from(NUMERIC_FLAGS), max_size=3))
@@ -667,20 +790,37 @@ def cli_runs(draw):
             argv += ["--input-b", "{other}"]
             if draw(st.booleans()):  # else a missing file
                 files["other"] = draw(tiny_clips())[1]
-    return files, [str(arg) for arg in argv]
+    return files, draw(st.sampled_from(OUTPUT_KINDS)), [str(arg) for arg in argv]
 
 
 @settings(max_examples=200, deadline=None)
 @given(cli_runs())
+@example(({"clip": bytes(96)}, "symlink-loop", [  # one 8x8 4:2:0 frame, map and sidecar
+    "analyze", "--input", "{clip}", "--output", "{out}", "--dump-activity", "{side}",
+    "--width", "8", "--height", "8", "--qp", "32", "--mode", "cbaq"]))
 def test_every_argv_ends_in_a_documented_exit_code(run):
-    files, argv = run
+    files, kind, argv = run
     with tempfile.TemporaryDirectory() as scratch:
         paths = {name: os.path.join(scratch, name) for name in ("out", "side", "other", *files)}
         for name, data in files.items():
             with open(paths[name], "wb") as sink:
                 sink.write(data)
+        stale = os.path.join(scratch, f".perceptqp.{os.getpid()}.0.partial")
+        if kind == "symlink-loop":
+            os.symlink("out", paths["out"])
+        elif kind == "directory":
+            os.mkdir(paths["out"])
+        elif kind == "stale-partial":
+            with open(stale, "w") as sink:
+                sink.write("left by a killed run\n")
         try:
             code = main([arg.format(**paths) for arg in argv])
         except SystemExit as exc:  # argparse's usage errors
             code = exc.code
+        # Whatever the outcome, no partial file is left but one the run did not make.
+        partials = [name for name in os.listdir(scratch) if name.endswith(".partial")]
+        assert partials == ([os.path.basename(stale)] if kind == "stale-partial" else [])
+        if kind == "stale-partial":
+            with open(stale) as source:
+                assert source.read() == "left by a killed run\n"
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_IO)

@@ -244,6 +244,12 @@ class TestRdCsv:
         channels = [line.split(",")[1] for line in data.decode().splitlines()[1:]]
         assert channels == ["Y"] * 4 + ["Cb"] * 4
 
+    def test_unknown_channels_follow_plane_order_by_name(self):
+        curves = {name: SAMPLE_CURVES["Y"] for name in ("W", "Cr", "A", "Y")}
+        data = rd_csv_bytes([("run", curves)])
+        channels = [line.split(",")[1] for line in data.decode().splitlines()[1:]]
+        assert channels == ["Y"] * 4 + ["Cr"] * 4 + ["A"] * 4 + ["W"] * 4
+
     def test_two_labels_grouped(self):
         data = rd_csv_bytes(
             [("anchor", {"Y": SAMPLE_CURVES["Y"]}), ("test", {"Y": SAMPLE_CURVES["Y"]})]
@@ -259,6 +265,12 @@ class TestRdCsv:
         assert parsed["anchor"]["Y"] == want_y
         assert parsed["anchor"]["Cb"] == sorted(SAMPLE_CURVES["Cb"])
         assert parsed["test"]["Y"] == want_y
+
+    def test_parse_skips_blank_rows(self):
+        data = rd_csv_bytes([("anchor", {"Y": SAMPLE_CURVES["Y"]})])
+        head, *rows = data.decode().splitlines(keepends=True)
+        spaced = (head + "\n" + "\n".join(rows) + "\n\n").encode()
+        assert parse_rd_csv(spaced) == parse_rd_csv(data)
 
     def test_parse_rejects_wrong_header(self):
         with pytest.raises(ValueError):

@@ -284,13 +284,17 @@ class TestQpMap:
                 assert abs(qp - 26) <= a
 
     @pytest.mark.parametrize(
-        "width, height, analysed, mapped",
-        [(128, 64, 16, 64), (128, 64, 64, 16), (16, 16, 16, 32)],
-        ids=["32-records-into-2", "2-records-into-32", "same-count"],
+        "size, analysed, mapped_size, mapped",
+        [
+            ((128, 64), 16, (128, 64), 64),
+            ((128, 64), 64, (128, 64), 16),
+            ((16, 16), 16, (16, 16), 32),
+            ((128, 64), 64, (64, 128), 64),
+        ],
+        ids=["32-records-into-2", "2-records-into-32", "same-count", "transposed"],
     )
-    def test_activity_of_another_cu_size_is_rejected(self, width, height, analysed, mapped):
-        fmt = VideoFormat(width, height, 8, ChromaFormat.YUV420)
-        activity = frame_activity(random_frame(fmt, seed=2), analysed)
+    def test_activity_of_another_cu_size_is_rejected(self, size, analysed, mapped_size, mapped):
+        activity = frame_activity(random_frame(VideoFormat(*size), seed=2), analysed)
         cfg = QpConfig(slice_qp=32, mode=Mode.CBAQ, cu_size=mapped)
         with pytest.raises(ValueError, match="grid"):
-            qp_map_from_activity(fmt, activity, cfg)
+            qp_map_from_activity(VideoFormat(*mapped_size), activity, cfg)

@@ -196,6 +196,11 @@ class TestProbeFrameCount:
 
 
 class TestFrameValidation:
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2)], ids=["1-D", "3-D"])
+    def test_plane_must_be_2d(self, shape):
+        with pytest.raises(YuvError, match="2-D"):
+            Plane(np.zeros(shape, dtype=np.uint8))
+
     def test_wrong_chroma_dims_rejected(self):
         fmt = VideoFormat(4, 4, 8, ChromaFormat.YUV420)
         full = Plane(np.zeros((4, 4), dtype=np.uint8))
