@@ -6,6 +6,12 @@ cross-channel rule. Plus PSNR and Bjontegaard metrics for comparing the
 resulting RD curves.
 """
 
+import os
+
+# numpy's OpenBLAS starts a spinning worker per extra core at import; the
+# analysis never calls BLAS, so one thread saves that CPU. An explicit value wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .activity import (
     ActivityRecord,
     FrameActivity,

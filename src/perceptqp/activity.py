@@ -8,14 +8,18 @@ luma-only mean and the mean of the summed three-channel activity.
 
 Sample sums and squared-sample sums are accumulated as exact integers
 (one float division at the end), so results are bit-reproducible
-regardless of block traversal order. frame_activity computes them for a
-whole CU row of a plane at once; cu_activity and block_variance are the
-per-block reference it must match bit for bit.
+regardless of block traversal order. activity_arrays computes them for a
+whole CU row of a plane at once and returns one (rows, cols) array per
+channel; frame_activity wraps those arrays in per-CU records. cu_activity
+and block_variance are the per-block reference both must match bit for
+bit. The frame means fold the activities strictly left to right in
+raster order, as Python's sum() did up to 3.11.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +50,21 @@ class ActivityRecord:
         return self.luma + self.cb + self.cr
 
 
+class ActivityArrays(NamedTuple):
+    """Per-channel activity of a frame's CUs, each (rows, cols), plus the frame means."""
+
+    luma: np.ndarray
+    cb: np.ndarray
+    cr: np.ndarray
+    t_luma: float
+    t_cross: float
+
+    @property
+    def cross(self) -> np.ndarray:
+        """Combined activity over all three channels, added as ActivityRecord.cross does."""
+        return self.luma + self.cb + self.cr
+
+
 @dataclass(frozen=True)
 class FrameActivity:
     """All CU records of a frame (raster order) plus the normalization means."""
@@ -53,6 +72,12 @@ class FrameActivity:
     records: tuple[ActivityRecord, ...]
     t_luma: float
     t_cross: float
+
+    def arrays(self, rows: int, cols: int) -> ActivityArrays:
+        """The records' activities as (rows, cols) arrays, with the same means."""
+        values = np.array([(r.luma, r.cb, r.cr) for r in self.records], dtype=np.float64)
+        luma, cb, cr = values.T.reshape(3, rows, cols)
+        return ActivityArrays(luma, cb, cr, self.t_luma, self.t_cross)
 
 
 def block_variance(plane: Plane, rect) -> float:
@@ -106,8 +131,8 @@ def _quadrant_halves(length: int, cu_size: int, sub: int) -> tuple[np.ndarray, n
 
 def _plane_activity(
     plane: Plane, fmt: VideoFormat, cu_size: int, sub_x: int, sub_y: int
-) -> list[float]:
-    """One plus the minimum quadrant variance of every CU's block in one plane, raster order.
+) -> np.ndarray:
+    """One plus the minimum quadrant variance of every CU's block in one plane, as (rows, cols).
 
     Works one CU row at a time, so temporaries stay the size of one strip,
     never of the plane. The strip's top and bottom quadrant rows are summed
@@ -141,28 +166,49 @@ def _plane_activity(
             np.inf,
         )
         activity[row] = variances.reshape(2, cols, 2).min(axis=(0, 2))
-    return (1.0 + activity).ravel().tolist()
+    activity += 1.0
+    return activity
+
+
+def _raster_mean(values: np.ndarray) -> float:
+    """Mean of values summed strictly left to right in raster order.
+
+    np.sum adds pairwise and Python 3.12's sum() compensates, so either
+    can differ from this fold in the last bit; np.cumsum adds in sequence.
+    """
+    return float(np.cumsum(values)[-1]) / values.size
+
+
+def activity_arrays(frame: Frame, cu_size: int) -> ActivityArrays:
+    """Activity of every CU as (rows, cols) arrays, plus the frame means.
+
+    Each element is bit-identical to cu_activity of that CU of cu_grid.
+    """
+    fmt = frame.format
+    sub = fmt.chroma_format.sub_x, fmt.chroma_format.sub_y
+    luma = _plane_activity(frame.y, fmt, cu_size, 1, 1)
+    cb = _plane_activity(frame.cb, fmt, cu_size, *sub)
+    cr = _plane_activity(frame.cr, fmt, cu_size, *sub)
+    return ActivityArrays(luma, cb, cr, _raster_mean(luma), _raster_mean(luma + cb + cr))
 
 
 def frame_activity(frame: Frame, cu_size: int, max_workers: int | None = None) -> FrameActivity:
     """Activity records for every CU in raster order plus the frame means.
 
-    Bit-identical to cu_activity applied to each CU of cu_grid. The pass
-    runs on one thread. max_workers is accepted and ignored; it is kept
-    only because the benchmark replay still passes it.
+    Built from activity_arrays, so bit-identical to cu_activity applied to
+    each CU of cu_grid. The pass runs on one thread. max_workers is
+    accepted and ignored; it is kept only because the benchmark replay
+    still passes it.
     """
-    fmt = frame.format
-    sub = fmt.chroma_format.sub_x, fmt.chroma_format.sub_y
+    grid = cu_grid(frame.format, cu_size)
+    act = activity_arrays(frame, cu_size)
     records = tuple(
-        ActivityRecord(cu, luma, cb, cr)
-        for cu, luma, cb, cr in zip(
-            cu_grid(fmt, cu_size),
-            _plane_activity(frame.y, fmt, cu_size, 1, 1),
-            _plane_activity(frame.cb, fmt, cu_size, *sub),
-            _plane_activity(frame.cr, fmt, cu_size, *sub),
+        map(
+            ActivityRecord,
+            grid,
+            act.luma.ravel().tolist(),
+            act.cb.ravel().tolist(),
+            act.cr.ravel().tolist(),
         )
     )
-    count = len(records)
-    t_luma = sum(r.luma for r in records) / count
-    t_cross = sum(r.cross for r in records) / count
-    return FrameActivity(records=records, t_luma=t_luma, t_cross=t_cross)
+    return FrameActivity(records=records, t_luma=act.t_luma, t_cross=act.t_cross)

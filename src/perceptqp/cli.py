@@ -16,14 +16,17 @@ import stat
 import sys
 from collections import Counter
 from contextlib import contextmanager, suppress
+from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
 from typing import Iterator, TextIO
 
-from .activity import FrameActivity, frame_activity
+import numpy as np
+
+from .activity import ActivityArrays, FrameActivity, activity_arrays
 from .metrics import RdCurve, _channel_sort_key, bd_psnr, bd_rate, parse_rd_csv
-from .partition import CU_SIZES
-from .qp import QP_MAX, QP_MIN, Mode, QpConfig, QpMap, Rounding, TMode, qp_map_from_activity
+from .partition import CU_SIZES, grid_dims
+from .qp import QP_MAX, QP_MIN, Mode, QpConfig, QpMap, Rounding, TMode, qp_grid
 from .yuv import (
     ChromaFormat,
     Frame,
@@ -103,10 +106,10 @@ def _selected_count(path: Path, fmt: VideoFormat, args: argparse.Namespace) -> i
 
 def frame_activities(
     path: Path, fmt: VideoFormat, args: argparse.Namespace
-) -> Iterator[tuple[int, FrameActivity]]:
+) -> Iterator[tuple[int, ActivityArrays]]:
     """Yield (index, activity) for every frame the flags select: the CLI's one frame loop."""
     for index, frame in read_frames(path, fmt, args.skip, args.frames):
-        activity = frame_activity(frame, args.cu_size)
+        activity = activity_arrays(frame, args.cu_size)
         # Free the samples before the caller renders this frame's rows.
         del frame
         yield index, activity
@@ -200,16 +203,28 @@ def _echo_comment(tag: str, items: list[tuple[str, object]]) -> str:
 
 # Each output is a head, one chunk per frame joined by a separator, and a
 # tail; the commands write the chunks as frames arrive, and the whole-clip
-# renderers below join the same chunks.
+# renderers below join the same chunks. A chunk is rendered from the frame's
+# (rows, cols) arrays, and its rows start with the frame index and the CU's
+# "x,y," cell, which is the same for every frame of a run.
+
+
+@lru_cache(maxsize=1)
+def _cells(rows: int, cols: int, cu_size: int) -> tuple[str, ...]:
+    """The "cu_x,cu_y," of every CU of the grid in raster order, in luma samples.
+
+    Built from an analysed frame's grid, never from the flags alone, so a
+    geometry the input does not hold is refused before it costs memory.
+    """
+    return tuple(f"{x * cu_size},{y * cu_size}," for y in range(rows) for x in range(cols))
 
 
 def _qp_csv_head(fmt: VideoFormat, config: QpConfig) -> str:
     return _echo_comment("qp-map", _echo_items(fmt, config)) + "\nframe,cu_x,cu_y,qp\n"
 
 
-def _qp_csv_frame(m: QpMap) -> str:
-    index = m.frame_index
-    return "".join(f"{index},{cu_x},{cu_y},{qp}\n" for cu_x, cu_y, qp in m.cells())
+def _qp_csv_frame(index: int, qps: np.ndarray, cu_size: int) -> str:
+    cells = _cells(*qps.shape, cu_size)
+    return "".join([f"{index},{cell}{qp}\n" for cell, qp in zip(cells, qps.ravel().tolist())])
 
 
 # Pieces of json.dumps({"config": ..., "frames": [...]}, indent=2) + "\n":
@@ -223,13 +238,9 @@ def _qp_json_head(fmt: VideoFormat, config: QpConfig) -> str:
     return '{\n  "config": ' + echo + ',\n  "frames": [\n    '
 
 
-def _qp_json_frame(m: QpMap) -> str:
-    frame = {
-        "frame": m.frame_index,
-        "cols": m.cols,
-        "rows": m.rows,
-        "qp": [list(row) for row in m.qps],
-    }
+def _qp_json_frame(index: int, qps: np.ndarray) -> str:
+    rows, cols = qps.shape
+    frame = {"frame": index, "cols": cols, "rows": rows, "qp": qps.tolist()}
     return json.dumps(frame, indent=2).replace("\n", "\n    ")
 
 
@@ -238,12 +249,11 @@ def _activity_csv_head(fmt: VideoFormat, cu_size: int) -> str:
     return echo + "\nframe,cu_x,cu_y,l,b,d,t_luma,t_cross\n"
 
 
-def _activity_csv_frame(index: int, act: FrameActivity) -> str:
+def _activity_csv_frame(index: int, act: ActivityArrays, cu_size: int) -> str:
     tail = f",{act.t_luma!r},{act.t_cross!r}\n"
-    return "".join(
-        f"{index},{rec.cu.x},{rec.cu.y},{rec.luma!r},{rec.cb!r},{rec.cr!r}{tail}"
-        for rec in act.records
-    )
+    cells = _cells(*act.luma.shape, cu_size)
+    values = zip(cells, act.luma.ravel().tolist(), act.cb.ravel().tolist(), act.cr.ravel().tolist())
+    return "".join([f"{index},{cell}{l!r},{b!r},{d!r}{tail}" for cell, l, b, d in values])
 
 
 def _compare_head(fmt: VideoFormat, config_a: QpConfig, config_b: QpConfig) -> str:
@@ -257,42 +267,43 @@ def _compare_head(fmt: VideoFormat, config_a: QpConfig, config_b: QpConfig) -> s
     return _echo_comment("compare", items) + "\nframe,cu_x,cu_y,qp_a,qp_b,delta\n"
 
 
-def _compare_frame(map_a: QpMap, map_b: QpMap, histogram: Counter[int]) -> str:
-    """The frame's compare rows; each row's delta is also counted into histogram."""
-    index = map_a.frame_index
-    rows = []
-    for (cu_x, cu_y, qp_a), (_, _, qp_b) in zip(map_a.cells(), map_b.cells()):
-        delta = qp_b - qp_a
-        histogram[delta] += 1
-        rows.append(f"{index},{cu_x},{cu_y},{qp_a},{qp_b},{delta}\n")
-    return "".join(rows)
+def _compare_frame(index: int, qps_a: np.ndarray, qps_b: np.ndarray, cu_size: int) -> str:
+    rows = zip(_cells(*qps_a.shape, cu_size), qps_a.ravel().tolist(), qps_b.ravel().tolist())
+    return "".join([f"{index},{cell}{a},{b},{b - a}\n" for cell, a, b in rows])
+
+
+# The whole-clip renderers take the per-CU objects of the public API and
+# join the same chunks the commands write.
 
 
 def qp_maps_csv(maps: list[QpMap], fmt: VideoFormat) -> str:
-    return _qp_csv_head(fmt, maps[0].config) + "".join(map(_qp_csv_frame, maps))
+    size = maps[0].config.cu_size
+    rows = (_qp_csv_frame(m.frame_index, np.array(m.qps), size) for m in maps)
+    return _qp_csv_head(fmt, maps[0].config) + "".join(rows)
 
 
 def qp_maps_json(maps: list[QpMap], fmt: VideoFormat) -> str:
-    frames = _JSON_FRAME_SEP.join(map(_qp_json_frame, maps))
+    frames = _JSON_FRAME_SEP.join(_qp_json_frame(m.frame_index, np.array(m.qps)) for m in maps)
     return _qp_json_head(fmt, maps[0].config) + frames + _JSON_TAIL
 
 
 def activity_csv(
     activities: list[tuple[int, FrameActivity]], fmt: VideoFormat, cu_size: int
 ) -> str:
-    rows = "".join(_activity_csv_frame(index, act) for index, act in activities)
-    return _activity_csv_head(fmt, cu_size) + rows
+    cols, rows = grid_dims(fmt, cu_size)
+    chunks = (_activity_csv_frame(i, act.arrays(rows, cols), cu_size) for i, act in activities)
+    return _activity_csv_head(fmt, cu_size) + "".join(chunks)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     fmt = _format_from_args(args)
     config = _qp_config(args)
-    if args.format == "json":
+    as_json = args.format == "json"
+    if as_json:
         head, sep, tail = _qp_json_head(fmt, config), _JSON_FRAME_SEP, _JSON_TAIL
-        render = _qp_json_frame
     else:
         head, sep, tail = _qp_csv_head(fmt, config), "", ""
-        render = _qp_csv_frame
+    size = config.cu_size
     frames = cus = qp_sum = 0
     min_qp, max_qp = QP_MAX, QP_MIN
     # The map is listed first, so it is moved into place before the sidecar.
@@ -303,17 +314,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if dump is not None:
             dump.write(_activity_csv_head(fmt, config.cu_size))
         for index, act in frame_activities(args.input, fmt, args):
-            frame_map = qp_map_from_activity(fmt, act, config, frame_index=index)
+            qps = qp_grid(config, act)
             if frames:
                 out.write(sep)
-            out.write(render(frame_map))
+            out.write(_qp_json_frame(index, qps) if as_json else _qp_csv_frame(index, qps, size))
             if dump is not None:
-                dump.write(_activity_csv_frame(index, act))
-            qps = frame_map.flat()
+                dump.write(_activity_csv_frame(index, act, size))
             frames += 1
-            cus += len(qps)
-            qp_sum += sum(qps)
-            min_qp, max_qp = min(min_qp, min(qps)), max(max_qp, max(qps))
+            cus += qps.size
+            qp_sum += int(qps.sum())
+            min_qp, max_qp = min(min_qp, int(qps.min())), max(max_qp, int(qps.max()))
         out.write(tail)
     mean_delta = (qp_sum - config.slice_qp * cus) / cus
     print(
@@ -345,9 +355,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
             pairs = zip(activities, frame_activities(args.input_b, fmt, args))
         out.write(_compare_head(fmt, config_a, config_b))
         for (index, act_a), (_, act_b) in pairs:
-            map_a = qp_map_from_activity(fmt, act_a, config_a, frame_index=index)
-            map_b = qp_map_from_activity(fmt, act_b, config_b, frame_index=index)
-            out.write(_compare_frame(map_a, map_b, histogram))
+            qps_a, qps_b = qp_grid(config_a, act_a), qp_grid(config_b, act_b)
+            out.write(_compare_frame(index, qps_a, qps_b, args.cu_size))
+            deltas, counts = np.unique(qps_b - qps_a, return_counts=True)
+            histogram.update(dict(zip(deltas.tolist(), counts.tolist())))
     for delta in sorted(histogram):
         print(f"delta={delta:+d} count={histogram[delta]}")
     return EXIT_OK
@@ -387,9 +398,9 @@ def cmd_dump_activity(args: argparse.Namespace) -> int:
     with _atomic_outputs([args.output], [args.input]) as (out,):
         out.write(_activity_csv_head(fmt, args.cu_size))
         for index, act in frame_activities(args.input, fmt, args):
-            out.write(_activity_csv_frame(index, act))
+            out.write(_activity_csv_frame(index, act, args.cu_size))
             frames += 1
-            cus_per_frame = len(act.records)
+            cus_per_frame = act.luma.size
     print(f"frames={frames} cus_per_frame={cus_per_frame}")
     return EXIT_OK
 

@@ -6,6 +6,10 @@ the same with the summed luma+Cb+Cr activity. Either way the normalized
 value n lands in [1/f, f] for f = 2**(range/6), so the QP delta
 6*log2(n) is bounded by the adaptation range, and a CU whose activity
 equals the frame mean keeps the slice QP exactly.
+
+qp_grid applies a rule to a whole frame's activity arrays at once;
+cu_qp is the per-CU reference it must match exactly, and the QpMap
+builders wrap qp_grid's result.
 """
 
 from __future__ import annotations
@@ -15,7 +19,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .activity import ActivityRecord, FrameActivity, frame_activity
+import numpy as np
+
+from .activity import ActivityArrays, ActivityRecord, FrameActivity, activity_arrays
 from .partition import CU_SIZES, grid_dims
 from .yuv import Frame, VideoFormat
 
@@ -126,6 +132,36 @@ def cu_qp(config: QpConfig, record: ActivityRecord, activity: FrameActivity) -> 
     return min(QP_MAX, max(QP_MIN, qp))
 
 
+def _delta_qps(n: np.ndarray, rounding: Rounding) -> np.ndarray:
+    """delta_qp of every element of n, as floats holding integers.
+
+    np.log2 can differ from math.log2 in the last bit, which can move a
+    value across a rounding boundary, so math.log2 is mapped over n.
+    """
+    log2 = np.fromiter(map(math.log2, n.ravel().tolist()), np.float64, n.size)
+    raw = 6.0 * log2.reshape(n.shape)
+    if rounding is Rounding.CEILING:
+        return np.ceil(raw)
+    return np.where(raw >= 0, np.floor(raw + 0.5), np.ceil(raw - 0.5))
+
+
+def qp_grid(config: QpConfig, act: ActivityArrays) -> np.ndarray:
+    """cu_qp of every CU at once, as a (rows, cols) int64 array.
+
+    Each step is the IEEE operation cu_qp performs, in the same order, so
+    every element equals cu_qp exactly.
+    """
+    f = scaling_factor(config.qp_range)
+    if config.mode is Mode.ADAPTIVE_QP:
+        s, t = act.luma, act.t_luma
+    else:
+        s = act.cross
+        t = act.t_cross if config.t_mode is TMode.CROSS else act.t_luma
+    n = np.minimum(np.maximum((f * s + t) / (s + f * t), 1.0 / f), f)
+    qps = config.slice_qp + _delta_qps(n, config.rounding)
+    return np.clip(qps, QP_MIN, QP_MAX).astype(np.int64)
+
+
 @dataclass(frozen=True)
 class QpMap:
     """Per-frame grid of CU QPs plus the configuration that produced it."""
@@ -147,6 +183,12 @@ class QpMap:
         return [qp for row in self.qps for qp in row]
 
 
+def _qp_map(config: QpConfig, act: ActivityArrays, frame_index: int) -> QpMap:
+    rows, cols = act.luma.shape
+    qps = tuple(map(tuple, qp_grid(config, act).tolist()))
+    return QpMap(frame_index=frame_index, cols=cols, rows=rows, qps=qps, config=config)
+
+
 def qp_map_from_activity(
     fmt: VideoFormat,
     activity: FrameActivity,
@@ -164,11 +206,7 @@ def qp_map_from_activity(
             f"activity of {count} CUs was not computed on the {cols}x{rows} grid"
             f" of CU {size}"
         )
-    records = iter(activity.records)
-    qps = tuple(
-        tuple(cu_qp(config, next(records), activity) for _ in range(cols)) for _ in range(rows)
-    )
-    return QpMap(frame_index=frame_index, cols=cols, rows=rows, qps=qps, config=config)
+    return _qp_map(config, activity.arrays(rows, cols), frame_index)
 
 
 def qp_map(frame: Frame, config: QpConfig, frame_index: int = 0) -> QpMap:
@@ -177,5 +215,4 @@ def qp_map(frame: Frame, config: QpConfig, frame_index: int = 0) -> QpMap:
     Pass 1 gathers frame-level activity statistics, pass 2 converts each
     CU's activity into a QP.
     """
-    activity = frame_activity(frame, config.cu_size)
-    return qp_map_from_activity(frame.format, activity, config, frame_index=frame_index)
+    return _qp_map(config, activity_arrays(frame, config.cu_size), frame_index)

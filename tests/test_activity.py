@@ -5,7 +5,9 @@ float arithmetic and its own quadrant geometry, so agreement is meaningful.
 """
 
 import math
+import operator
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from perceptqp import (
     frame_activity,
     plane_dims,
 )
+from perceptqp.activity import _raster_mean
 from strategies import frames, random_frame
 
 
@@ -212,11 +215,37 @@ class TestFrameActivity:
 
 
 def reference_frame_activity(frame, cu_size):
-    """frame_activity rebuilt from the per-CU scalar reference, same summation order."""
+    """frame_activity rebuilt from the per-CU scalar reference, same summation order.
+
+    The means fold left to right with operator.add: sum() of floats is
+    compensated from Python 3.12 on and would round differently.
+    """
     records = tuple(cu_activity(frame, cu) for cu in cu_grid(frame.format, cu_size))
-    t_luma = sum(r.luma for r in records) / len(records)
-    t_cross = sum(r.cross for r in records) / len(records)
+    t_luma = reduce(operator.add, (r.luma for r in records)) / len(records)
+    t_cross = reduce(operator.add, (r.cross for r in records)) / len(records)
     return FrameActivity(records, t_luma, t_cross)
+
+
+class TestRasterMean:
+    def test_folds_left_to_right(self):
+        # 2**53 + 1 rounds back to 2**53 at each step; a compensated sum keeps both ones.
+        values = np.array([2.0**53, 1.0, 1.0])
+        assert _raster_mean(values) == 2.0**53 / 3
+        assert _raster_mean(values) != (2.0**53 + 2) / 3
+
+    def test_is_not_pairwise(self):
+        # np.sum keeps eight partial sums here, and their ones add up past 2**53.
+        values = np.array([2.0**53] + [1.0] * 15)
+        assert _raster_mean(values) == 2.0**53 / 16
+        assert _raster_mean(values) != np.sum(values) / 16
+
+    def test_raster_order_of_a_grid(self):
+        grid = np.array([[1.0, 2.0**53], [1.0, -(2.0**53)]])
+        # raster order: ((1 + 2**53) + 1) - 2**53 = 0; column order would give 2
+        assert _raster_mean(grid) == reduce(operator.add, grid.ravel().tolist()) / 4 == 0.0
+
+    def test_is_a_python_float(self):
+        assert type(_raster_mean(np.array([[1.5, 2.5]]))) is float
 
 
 def checkerboard_frame(fmt, lo, hi):

@@ -5,6 +5,8 @@ import errno
 import json
 import os
 import stat
+import subprocess
+import sys
 import tempfile
 import threading
 import tracemalloc
@@ -27,6 +29,7 @@ from perceptqp import (
     qp_map_from_activity,
     write_frame,
 )
+import perceptqp
 from perceptqp import cli
 from perceptqp.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from perceptqp.metrics import rd_csv_bytes
@@ -202,15 +205,15 @@ def compare_args(clip, out, fmt=FMT, mode_a="cbaq", mode_b="cbaq", **extra):
 
 
 def count_activity_calls(monkeypatch):
-    """Wrap cli.frame_activity so that each call appends its CU size to the returned list."""
+    """Wrap cli.activity_arrays so that each call appends its CU size to the returned list."""
     calls = []
-    real = cli.frame_activity
+    real = cli.activity_arrays
 
     def counting(frame, cu_size):
         calls.append(cu_size)
         return real(frame, cu_size)
 
-    monkeypatch.setattr(cli, "frame_activity", counting)
+    monkeypatch.setattr(cli, "activity_arrays", counting)
     return calls
 
 
@@ -824,3 +827,46 @@ def test_every_argv_ends_in_a_documented_exit_code(run):
             with open(stale) as source:
                 assert source.read() == "left by a killed run\n"
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_IO)
+
+
+@pytest.mark.parametrize(
+    "make_args", [analyze_args, compare_args, dump_args], ids=["analyze", "compare", "dump-activity"]
+)
+def test_geometry_the_input_cannot_hold_is_refused_before_any_grid(tmp_path, capsys, make_args):
+    # 2**40 x 2**40 has 2**68 CUs of 16: any per-CU list built from the flags would exhaust memory.
+    clip = write_clip(tmp_path / "in.yuv", [random_frame(FMT, 2)])
+    args = make_args(clip, tmp_path / "out.csv", cu_size=16)
+    args[args.index("--width") + 1] = args[args.index("--height") + 1] = str(2**40)
+    assert main(args) == EXIT_VALIDATION
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def fresh_interpreter(code, **env):
+    """Run code in a new Python with perceptqp importable and OPENBLAS_NUM_THREADS as given."""
+    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    src = os.path.dirname(os.path.dirname(perceptqp.__file__))
+    environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, environ.get("PYTHONPATH")]))
+    environ.update(env)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=environ, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+class TestOpenblasDefault:
+    """Importing perceptqp pins numpy's OpenBLAS to one thread unless the caller chose."""
+
+    def test_import_sets_one_thread(self):
+        code = "import os, perceptqp.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert fresh_interpreter(code) == "1"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+    def test_process_runs_one_thread(self):
+        code = "import os, perceptqp.cli; print(len(os.listdir('/proc/self/task')))"
+        assert fresh_interpreter(code) == "1"
+
+    def test_explicit_value_wins(self):
+        code = "import os, perceptqp.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert fresh_interpreter(code, OPENBLAS_NUM_THREADS="2") == "2"

@@ -1,5 +1,9 @@
 """QP rules: scaling, normalization, rounding, per-CU selection, maps."""
 
+import math
+import operator
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,16 +23,21 @@ from perceptqp import (
     Rounding,
     TMode,
     VideoFormat,
+    cu_activity,
+    cu_grid,
     cu_qp,
     delta_qp,
     frame_activity,
+    grid_dims,
     normalized_activity,
     qp_map,
     qp_map_from_activity,
     round_half_away_from_zero,
     scaling_factor,
 )
-from strategies import random_frame
+from perceptqp.activity import ActivityArrays, activity_arrays
+from perceptqp.qp import _delta_qps, qp_grid
+from strategies import frames, random_frame
 
 positive = st.floats(min_value=1.0, max_value=1e9, allow_nan=False)
 
@@ -298,3 +307,86 @@ class TestQpMap:
         cfg = QpConfig(slice_qp=32, mode=Mode.CBAQ, cu_size=mapped)
         with pytest.raises(ValueError, match="grid"):
             qp_map_from_activity(VideoFormat(*mapped_size), activity, cfg)
+
+
+configs = st.builds(
+    QpConfig,
+    slice_qp=st.integers(QP_MIN, QP_MAX),
+    mode=st.sampled_from(list(Mode)),
+    qp_range=st.integers(0, QP_MAX - QP_MIN),
+    cu_size=st.sampled_from([16, 32, 64]),
+    t_mode=st.sampled_from(list(TMode)),
+    rounding=st.sampled_from(list(Rounding)),
+)
+
+# n whose 6*log2(n) is exactly a half-integer (the NEAREST boundary) or an
+# integer (the CEILING boundary), found by scanning the floats around 2**(k/6).
+ON_HALF = [1.3348398541700344, 0.7491535384383408, 1.887748625363387, 0.5297315471796477]
+ON_INTEGER = [1.0, 2.0, 0.5, 4.0, 1.7817974362806785, 2.244924096618746, 0.22272467953508482]
+
+
+def scalar_qps(config, frame):
+    """cu_qp of every CU from the scalar cu_activity records, in raster order."""
+    records = tuple(cu_activity(frame, cu) for cu in cu_grid(frame.format, config.cu_size))
+    t_luma = reduce(operator.add, (r.luma for r in records)) / len(records)
+    t_cross = reduce(operator.add, (r.cross for r in records)) / len(records)
+    activity = FrameActivity(records, t_luma, t_cross)
+    return [cu_qp(config, r, activity) for r in records]
+
+
+class TestQpGrid:
+    """The vectorised QP must equal the scalar cu_qp on every CU, not approximately."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(frames(max_dim=80), configs)
+    def test_equals_cu_qp_on_frames(self, frame, config):
+        qps = qp_grid(config, activity_arrays(frame, config.cu_size))
+        assert qps.shape == grid_dims(frame.format, config.cu_size)[::-1]
+        assert qps.ravel().tolist() == scalar_qps(config, frame)
+
+    @pytest.mark.parametrize("cu_size", [16, 32, 64])
+    @pytest.mark.parametrize(
+        "fmt",
+        [
+            VideoFormat(2, 40, 8, ChromaFormat.YUV420),
+            VideoFormat(40, 70, 10, ChromaFormat.YUV420),
+            VideoFormat(65, 65, 8, ChromaFormat.YUV444),
+            VideoFormat(34, 17, 10, ChromaFormat.YUV422),
+        ],
+        ids=["420-2-wide", "420-chroma-h3", "444-65", "422-34x17"],
+    )
+    def test_clipped_edges_equal_cu_qp(self, fmt, cu_size):
+        frame = random_frame(fmt, seed=fmt.width + cu_size)
+        for mode in Mode:
+            for t_mode in TMode:
+                for rounding in Rounding:
+                    for qp_range in (0, 6, 51):
+                        config = QpConfig(32, mode, qp_range, cu_size, t_mode, rounding)
+                        qps = qp_grid(config, activity_arrays(frame, cu_size))
+                        assert qps.ravel().tolist() == scalar_qps(config, frame)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(positive, positive, positive), min_size=1, max_size=12),
+        positive,
+        positive,
+        configs,
+    )
+    def test_equals_cu_qp_on_any_activities(self, cus, t_luma, t_cross, config):
+        records = tuple(record(*values) for values in cus)
+        activity = FrameActivity(records, t_luma, t_cross)
+        arrays = ActivityArrays(*(np.array([v]) for v in zip(*cus)), t_luma, t_cross)
+        assert qp_grid(config, arrays).ravel().tolist() == [
+            cu_qp(config, r, activity) for r in records
+        ]
+
+    @pytest.mark.parametrize(
+        "rounding, boundary",
+        [(Rounding.NEAREST, n) for n in ON_HALF] + [(Rounding.CEILING, n) for n in ON_INTEGER],
+    )
+    def test_rounding_boundaries_and_their_neighbours(self, rounding, boundary):
+        raw = 6.0 * math.log2(boundary)
+        on_boundary = raw - 0.5 if rounding is Rounding.NEAREST else raw
+        assert on_boundary == math.floor(on_boundary)
+        ns = [math.nextafter(boundary, 0.0), boundary, math.nextafter(boundary, math.inf)]
+        assert _delta_qps(np.array(ns), rounding).tolist() == [delta_qp(n, rounding) for n in ns]
