@@ -357,13 +357,13 @@ class TestQpGrid:
     )
     def test_clipped_edges_equal_cu_qp(self, fmt, cu_size):
         frame = random_frame(fmt, seed=fmt.width + cu_size)
+        arrays = activity_arrays(frame, cu_size)
         for mode in Mode:
             for t_mode in TMode:
                 for rounding in Rounding:
                     for qp_range in (0, 6, 51):
                         config = QpConfig(32, mode, qp_range, cu_size, t_mode, rounding)
-                        qps = qp_grid(config, activity_arrays(frame, cu_size))
-                        assert qps.ravel().tolist() == scalar_qps(config, frame)
+                        assert qp_grid(config, arrays).ravel().tolist() == scalar_qps(config, frame)
 
     @settings(max_examples=200, deadline=None)
     @given(
