@@ -29,7 +29,7 @@ from .metrics import (
     parse_rd_csv,
     psnr,
 )
-from .partition import CU_SIZES, CbRect, CuRect, SubBlock, cb_rect, cu_grid, grid_dims, sub_blocks
+from .partition import CU_SIZES, CbRect, CuRect, cb_rect, cu_grid, grid_dims, sub_blocks
 from .qp import (
     Mode,
     QP_MAX,

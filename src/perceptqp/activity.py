@@ -80,15 +80,18 @@ class FrameActivity:
         return ActivityArrays(luma, cb, cr, self.t_luma, self.t_cross)
 
 
-def block_variance(plane: Plane, rect) -> float:
-    """Population variance of the samples under rect.
+def block_variance(plane: Plane, rect: CbRect) -> float:
+    """Population variance of the samples under rect, which must lie inside the plane.
 
     Computed from exact integer sums as (n*sum(s^2) - sum(s)^2) / n^2,
     which equals mean(s^2) - mean(s)^2 but cannot go negative through
     floating-point cancellation.
     """
+    where = f"rect {rect.w}x{rect.h} at ({rect.x},{rect.y})"
     if rect.w <= 0 or rect.h <= 0:
-        raise ValueError(f"rect {rect.w}x{rect.h} at ({rect.x},{rect.y}) is empty")
+        raise ValueError(f"{where} is empty")
+    if rect.x < 0 or rect.y < 0 or rect.x + rect.w > plane.width or rect.y + rect.h > plane.height:
+        raise ValueError(f"{where} leaves the {plane.width}x{plane.height} plane")
     block = plane.data[rect.y : rect.y + rect.h, rect.x : rect.x + rect.w].astype(np.int64)
     count = rect.w * rect.h
     s1 = int(block.sum())

@@ -17,7 +17,6 @@ __all__ = [
     "CU_SIZES",
     "CbRect",
     "CuRect",
-    "SubBlock",
     "cb_rect",
     "cu_grid",
     "grid_dims",
@@ -40,19 +39,12 @@ class CuRect:
 
 @dataclass(frozen=True)
 class CbRect:
-    """One channel's coding block, in that channel's plane coordinates."""
+    """A rectangle in one channel's plane: a coding block or one of its quadrants.
+
+    A quadrant may be empty after boundary clipping.
+    """
 
     channel: Channel
-    x: int
-    y: int
-    w: int
-    h: int
-
-
-@dataclass(frozen=True)
-class SubBlock:
-    """One quadrant of a coding block; may be empty after boundary clipping."""
-
     x: int
     y: int
     w: int
@@ -115,7 +107,7 @@ def cb_rect(cu: CuRect, channel: Channel, chroma_format: ChromaFormat) -> CbRect
     )
 
 
-def sub_blocks(cb: CbRect) -> tuple[SubBlock, SubBlock, SubBlock, SubBlock]:
+def sub_blocks(cb: CbRect) -> tuple[CbRect, CbRect, CbRect, CbRect]:
     """Split a coding block into its four quadrants.
 
     Odd extents split with ceiling halves, so left/top quadrants are never
@@ -127,8 +119,8 @@ def sub_blocks(cb: CbRect) -> tuple[SubBlock, SubBlock, SubBlock, SubBlock]:
     right = cb.w - left
     bottom = cb.h - top
     return (
-        SubBlock(cb.x, cb.y, left, top),
-        SubBlock(cb.x + left, cb.y, right, top),
-        SubBlock(cb.x, cb.y + top, left, bottom),
-        SubBlock(cb.x + left, cb.y + top, right, bottom),
+        CbRect(cb.channel, cb.x, cb.y, left, top),
+        CbRect(cb.channel, cb.x + left, cb.y, right, top),
+        CbRect(cb.channel, cb.x, cb.y + top, left, bottom),
+        CbRect(cb.channel, cb.x + left, cb.y + top, right, bottom),
     )

@@ -85,6 +85,11 @@ class QpConfig:
             raise ValueError(f"qp_range {self.qp_range} outside [0, {QP_MAX - QP_MIN}]")
         if self.cu_size not in CU_SIZES:
             raise ValueError(f"cu_size {self.cu_size} unsupported; choose one of {CU_SIZES}")
+        # The rules compare by identity, so a string such as "ceiling" would
+        # silently select the other branch.
+        for name, kind in (("mode", Mode), ("t_mode", TMode), ("rounding", Rounding)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} {getattr(self, name)!r} is not a {kind.__name__}")
 
 
 def scaling_factor(qp_range: int) -> float:
@@ -196,14 +201,18 @@ def qp_map_from_activity(
     frame_index: int = 0,
 ) -> QpMap:
     """Second pass of qp_map, reusing a FrameActivity of fmt at config.cu_size."""
-    size, count = config.cu_size, len(activity.records)
+    size, records = config.cu_size, activity.records
     cols, rows = grid_dims(fmt, size)
-    last = activity.records[-1].cu
-    # With count and size right, the last CU's origin tells a transposed grid apart.
+    # The count goes first, as an empty activity has no record to index. With
+    # count and size right, the last CU's origin tells a transposed grid apart.
     corner = ((cols - 1) * size, (rows - 1) * size)
-    if count != cols * rows or activity.records[0].cu.size != size or (last.x, last.y) != corner:
+    if (
+        len(records) != cols * rows
+        or records[0].cu.size != size
+        or (records[-1].cu.x, records[-1].cu.y) != corner
+    ):
         raise ValueError(
-            f"activity of {count} CUs was not computed on the {cols}x{rows} grid"
+            f"activity of {len(records)} CUs was not computed on the {cols}x{rows} grid"
             f" of CU {size}"
         )
     return _qp_map(config, activity.arrays(rows, cols), frame_index)

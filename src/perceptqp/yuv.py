@@ -132,6 +132,8 @@ class Plane:
     def __post_init__(self) -> None:
         if self.data.ndim != 2:
             raise YuvError(f"plane data must be 2-D, got {self.data.ndim}-D")
+        if not np.issubdtype(self.data.dtype, np.integer):
+            raise YuvError(f"plane samples must be integers, got {self.data.dtype}")
 
     @property
     def width(self) -> int:

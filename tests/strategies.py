@@ -1,13 +1,17 @@
-"""Shared hypothesis strategies: random video formats and frames.
+"""Shared test fixtures: hypothesis strategies, hand-made frames, references and RD points.
 
-Pixel data comes from a numpy generator seeded by a drawn integer, which
-keeps example generation fast while shape and format still shrink.
+Random pixel data comes from a numpy generator seeded by a drawn integer,
+which keeps example generation fast while shape and format still shrink.
 """
+
+import operator
+from functools import reduce
 
 import numpy as np
 from hypothesis import strategies as st
 
-from perceptqp import Channel, ChromaFormat, Frame, Plane, VideoFormat, plane_dims
+from perceptqp import Channel, ChromaFormat, Frame, FrameActivity, Plane, RdPoint, VideoFormat
+from perceptqp import cu_activity, cu_grid, plane_dims
 
 
 @st.composite
@@ -45,3 +49,48 @@ def frames(draw, fmt=None, max_dim=48):
         fmt = draw(video_formats(max_dim=max_dim))
     seed = draw(st.integers(0, 2**32 - 1))
     return random_frame(fmt, seed)
+
+
+def checkerboard(h, w, lo, hi, dtype=np.uint8):
+    grid = np.add.outer(np.arange(h), np.arange(w)) % 2
+    return np.where(grid.astype(bool), hi, lo).astype(dtype)
+
+
+def tiled_frame():
+    """128x64 4:2:0: every CU carries identical texture, so both rules stay at the slice QP."""
+    y = np.tile(checkerboard(64, 64, 60, 196), (1, 2))
+    cb = np.tile(checkerboard(32, 32, 100, 140), (1, 2))
+    cr = np.tile(checkerboard(32, 32, 90, 150), (1, 2))
+    return Frame(Plane(y), Plane(cb), Plane(cr), VideoFormat(128, 64, 8, ChromaFormat.YUV420))
+
+
+def chroma_contrast_frame():
+    """Uniform luma texture; one CU carries much busier chroma than the rest."""
+    fmt = VideoFormat(128, 128, 8, ChromaFormat.YUV420)
+    y = np.tile(checkerboard(64, 64, 50, 200), (2, 2))
+    cb = np.full((64, 64), 128, dtype=np.uint8)
+    cr = np.full((64, 64), 128, dtype=np.uint8)
+    cb[0:32, 0:32] = checkerboard(32, 32, 0, 255)
+    cr[0:32, 0:32] = checkerboard(32, 32, 0, 255)
+    return Frame(Plane(y), Plane(cb), Plane(cr), fmt)
+
+
+def reference_frame_activity(frame, cu_size):
+    """frame_activity rebuilt from the per-CU scalar reference, same summation order.
+
+    The means fold left to right with operator.add: sum() of floats is
+    compensated from Python 3.12 on and would round differently.
+    """
+    records = tuple(cu_activity(frame, cu) for cu in cu_grid(frame.format, cu_size))
+    t_luma = reduce(operator.add, (r.luma for r in records)) / len(records)
+    t_cross = reduce(operator.add, (r.cross for r in records)) / len(records)
+    return FrameActivity(records, t_luma, t_cross)
+
+
+# Two channels of (qp, point); Y is out of QP order on purpose, so writers must sort.
+SAMPLE_CURVES = {
+    "Y": [(37, RdPoint(1000.0, 30.0)), (22, RdPoint(8000.0, 36.5)),
+          (32, RdPoint(2000.0, 33.0)), (27, RdPoint(4000.0, 35.0))],
+    "Cb": [(22, RdPoint(900.0, 38.0)), (27, RdPoint(500.0, 36.0)),
+           (32, RdPoint(260.0, 34.2)), (37, RdPoint(130.0, 32.1))],
+}

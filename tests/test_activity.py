@@ -4,7 +4,6 @@ The oracle here recomputes everything from scratch with naive two-pass
 float arithmetic and its own quadrant geometry, so agreement is meaningful.
 """
 
-import math
 import operator
 import tracemalloc
 from functools import reduce
@@ -19,17 +18,15 @@ from perceptqp import (
     Channel,
     ChromaFormat,
     Frame,
-    FrameActivity,
     Plane,
     VideoFormat,
     block_variance,
     cu_activity,
     cu_grid,
     frame_activity,
-    plane_dims,
 )
 from perceptqp.activity import _raster_mean
-from strategies import frames, random_frame
+from strategies import checkerboard, frames, random_frame, reference_frame_activity
 
 
 def rect(x, y, w, h):
@@ -93,6 +90,17 @@ class TestBlockVariance:
         plane = Plane(np.zeros((4, 4), dtype=np.uint8))
         with pytest.raises(ValueError):
             block_variance(plane, rect(2, 2, 3, 0))
+
+    @pytest.mark.parametrize(
+        "x, y, w, h",
+        [(2, 0, 3, 4), (0, 2, 4, 3), (-1, 0, 2, 2), (0, -1, 2, 2)],
+        ids=["overhang-right", "overhang-bottom", "negative-x", "negative-y"],
+    )
+    def test_rect_outside_plane_rejected(self, x, y, w, h):
+        # a clipped slice would still be divided by the whole rect's count
+        plane = Plane(np.ones((4, 4), dtype=np.uint8))
+        with pytest.raises(ValueError, match="4x4 plane"):
+            block_variance(plane, rect(x, y, w, h))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -214,18 +222,6 @@ class TestFrameActivity:
         assert single == pooled
 
 
-def reference_frame_activity(frame, cu_size):
-    """frame_activity rebuilt from the per-CU scalar reference, same summation order.
-
-    The means fold left to right with operator.add: sum() of floats is
-    compensated from Python 3.12 on and would round differently.
-    """
-    records = tuple(cu_activity(frame, cu) for cu in cu_grid(frame.format, cu_size))
-    t_luma = reduce(operator.add, (r.luma for r in records)) / len(records)
-    t_cross = reduce(operator.add, (r.cross for r in records)) / len(records)
-    return FrameActivity(records, t_luma, t_cross)
-
-
 class TestRasterMean:
     def test_folds_left_to_right(self):
         # 2**53 + 1 rounds back to 2**53 at each step; a compensated sum keeps both ones.
@@ -246,15 +242,6 @@ class TestRasterMean:
 
     def test_is_a_python_float(self):
         assert type(_raster_mean(np.array([[1.5, 2.5]]))) is float
-
-
-def checkerboard_frame(fmt, lo, hi):
-    planes = []
-    for channel in Channel:
-        w, h = plane_dims(fmt, channel)
-        odd = (np.add.outer(np.arange(h), np.arange(w)) % 2).astype(bool)
-        planes.append(Plane(np.where(odd, hi, lo).astype(fmt.dtype)))
-    return Frame(*planes, format=fmt)
 
 
 class TestFrameActivityIsBitExact:
@@ -284,10 +271,18 @@ class TestFrameActivityIsBitExact:
         frame = random_frame(fmt, seed=fmt.width * fmt.height + cu_size)
         assert frame_activity(frame, cu_size) == reference_frame_activity(frame, cu_size)
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.uint16, np.int16, np.int32, np.int64])
+    def test_every_integer_dtype_equals_scalar_reference(self, dtype):
+        fmt = VideoFormat(48, 40, 8, ChromaFormat.YUV420)
+        frame = random_frame(fmt, seed=8, hi=127)
+        planes = [Plane(p.data.astype(dtype)) for p in (frame.y, frame.cb, frame.cr)]
+        frame = Frame(*planes, format=fmt)
+        assert frame_activity(frame, 16) == reference_frame_activity(frame, 16)
+
     def test_largest_squared_sum_is_exact(self):
         # 0/1023 alternation fills each 32x32 quadrant with the largest sum(s^2) there is
         fmt = VideoFormat(128, 64, 10, ChromaFormat.YUV444)
-        frame = checkerboard_frame(fmt, 0, 1023)
+        frame = Frame(*(Plane(checkerboard(64, 128, 0, 1023, fmt.dtype)) for _ in Channel), format=fmt)
         fa = frame_activity(frame, 64)
         assert fa == reference_frame_activity(frame, 64)
         assert {(r.luma, r.cb, r.cr) for r in fa.records} == {(1.0 + 511.5**2,) * 3}

@@ -2,6 +2,7 @@
 
 import csv
 import errno
+import functools
 import json
 import os
 import stat
@@ -18,9 +19,7 @@ from hypothesis import strategies as st
 
 from perceptqp import (
     ChromaFormat,
-    Frame,
     Mode,
-    Plane,
     QpConfig,
     RdPoint,
     VideoFormat,
@@ -33,7 +32,7 @@ import perceptqp
 from perceptqp import cli
 from perceptqp.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from perceptqp.metrics import rd_csv_bytes
-from strategies import random_frame, video_formats
+from strategies import SAMPLE_CURVES, chroma_contrast_frame, random_frame, tiled_frame, video_formats
 
 FMT = VideoFormat(128, 64, 8, ChromaFormat.YUV420)
 
@@ -49,44 +48,36 @@ def constant_clip(path, fmt=FMT, value=100, count=2):
     return write_clip(path, [random_frame(fmt, 0, lo=value, hi=value)] * count)
 
 
-def checkerboard(h, w, lo, hi):
-    grid = np.add.outer(np.arange(h), np.arange(w)) % 2
-    return np.where(grid.astype(bool), hi, lo).astype(np.uint8)
+COMMAND_DEFAULTS = {
+    "analyze": ["--qp", "32", "--mode", "cbaq"],
+    "compare": ["--qp", "32", "--mode-a", "cbaq", "--mode-b", "cbaq"],
+    "dump-activity": [],
+}
 
 
-def tiled_frame():
-    """Every CU carries identical texture, so both rules stay at the slice QP."""
-    y = np.tile(checkerboard(64, 64, 60, 196), (1, 2))
-    cb = np.tile(checkerboard(32, 32, 100, 140), (1, 2))
-    cr = np.tile(checkerboard(32, 32, 90, 150), (1, 2))
-    return Frame(Plane(y), Plane(cb), Plane(cr), FMT)
-
-
-def chroma_contrast_frame():
-    """Uniform luma texture; one CU carries much busier chroma than the rest."""
-    fmt = VideoFormat(128, 128, 8, ChromaFormat.YUV420)
-    y = np.tile(checkerboard(64, 64, 50, 200), (2, 2))
-    cb = np.full((64, 64), 128, dtype=np.uint8)
-    cr = np.full((64, 64), 128, dtype=np.uint8)
-    cb[0:32, 0:32] = checkerboard(32, 32, 0, 255)
-    cr[0:32, 0:32] = checkerboard(32, 32, 0, 255)
-    return Frame(Plane(y), Plane(cb), Plane(cr), fmt)
-
-
-def analyze_args(clip, out, fmt=FMT, **extra):
+def cli_args(command, clip, out, fmt=FMT, **flags):
+    """argv for one clip command; each flag replaces a value already in argv, or is appended."""
     args = [
-        "analyze",
+        command,
         "--input", str(clip),
         "--width", str(fmt.width),
         "--height", str(fmt.height),
         "--chroma", fmt.chroma_format.value,
-        "--qp", "32",
-        "--mode", "cbaq",
+        *COMMAND_DEFAULTS[command],
         "--output", str(out),
     ]
-    for key, value in extra.items():
-        args += [f"--{key.replace('_', '-')}", str(value)]
+    for key, value in flags.items():
+        flag = f"--{key.replace('_', '-')}"
+        if flag in args:
+            args[args.index(flag) + 1] = str(value)
+        else:
+            args += [flag, str(value)]
     return args
+
+
+analyze_args = functools.partial(cli_args, "analyze")
+compare_args = functools.partial(cli_args, "compare")
+dump_args = functools.partial(cli_args, "dump-activity")
 
 
 class TestAnalyze:
@@ -153,9 +144,7 @@ class TestAnalyze:
 
     def test_odd_width_is_validation_error(self, tmp_path, capsys):
         clip = constant_clip(tmp_path / "in.yuv")
-        args = analyze_args(clip, tmp_path / "map.csv")
-        args[args.index("--width") + 1] = "127"
-        assert main(args) == EXIT_VALIDATION
+        assert main(analyze_args(clip, tmp_path / "map.csv", width=127)) == EXIT_VALIDATION
         assert "error:" in capsys.readouterr().err
 
     def test_skip_beyond_input_is_validation_error(self, tmp_path, capsys):
@@ -176,32 +165,13 @@ class TestAnalyze:
 
     def test_illegal_slice_qp_is_validation_error(self, tmp_path, capsys):
         clip = constant_clip(tmp_path / "in.yuv")
-        args = analyze_args(clip, tmp_path / "map.csv")
-        args[args.index("--qp") + 1] = "99"
-        assert main(args) == EXIT_VALIDATION
+        assert main(analyze_args(clip, tmp_path / "map.csv", qp=99)) == EXIT_VALIDATION
         capsys.readouterr()
 
     def test_huge_qp_range_is_validation_error(self, tmp_path, capsys):
         clip = constant_clip(tmp_path / "in.yuv")
         assert main(analyze_args(clip, tmp_path / "map.csv", qp_range=10000)) == EXIT_VALIDATION
         assert "error:" in capsys.readouterr().err
-
-
-def compare_args(clip, out, fmt=FMT, mode_a="cbaq", mode_b="cbaq", **extra):
-    args = [
-        "compare",
-        "--input", str(clip),
-        "--width", str(fmt.width),
-        "--height", str(fmt.height),
-        "--chroma", fmt.chroma_format.value,
-        "--qp", "32",
-        "--mode-a", mode_a,
-        "--mode-b", mode_b,
-        "--output", str(out),
-    ]
-    for key, value in extra.items():
-        args += [f"--{key.replace('_', '-')}", str(value)]
-    return args
 
 
 def count_activity_calls(monkeypatch):
@@ -281,20 +251,6 @@ class TestCompare:
         assert calls == []  # refused before any frame was analysed
 
 
-def dump_args(clip, out, fmt=FMT, **extra):
-    args = [
-        "dump-activity",
-        "--input", str(clip),
-        "--width", str(fmt.width),
-        "--height", str(fmt.height),
-        "--chroma", fmt.chroma_format.value,
-        "--output", str(out),
-    ]
-    for key, value in extra.items():
-        args += [f"--{key.replace('_', '-')}", str(value)]
-    return args
-
-
 @pytest.mark.parametrize(
     "make_args",
     [
@@ -344,20 +300,8 @@ def ten_bit_clip(path, count, bad_frame=None, tail=b""):
     return path
 
 
-def set_flags(args, **flags):
-    """args with each --flag set to its value, replacing any value it already has."""
-    args = list(args)
-    for key, value in flags.items():
-        flag = f"--{key.replace('_', '-')}"
-        if flag in args:
-            args[args.index(flag) + 1] = str(value)
-        else:
-            args += [flag, str(value)]
-    return args
-
-
 def ten_bit_analyze(f, **flags):
-    return set_flags(analyze_args(f["clip"], f["out"], fmt=TEN_BIT, bit_depth=10), **flags)
+    return analyze_args(f["clip"], f["out"], fmt=TEN_BIT, bit_depth=10, **flags)
 
 
 # One case per row of the README's precedence table: the row's fault plus the
@@ -366,8 +310,8 @@ def ten_bit_analyze(f, **flags):
 PRECEDENCE = [
     ("usage", lambda f: ten_bit_analyze(f, format="xml", width=15), EXIT_USAGE, "invalid choice"),
     ("geometry", lambda f: ten_bit_analyze(f, width=15, qp=99), EXIT_VALIDATION, "width 15"),
-    ("geometry-compare", lambda f: set_flags(
-        compare_args(f["clip"], f["out"], fmt=TEN_BIT, bit_depth=10), width=15, qp=99),
+    ("geometry-compare", lambda f: compare_args(
+        f["clip"], f["out"], fmt=TEN_BIT, bit_depth=10, width=15, qp=99),
      EXIT_VALIDATION, "width 15"),
     ("qp-rule", lambda f: ten_bit_analyze(f, qp=99, output=f["clip"]), EXIT_VALIDATION, "slice_qp 99"),
     ("output-is-input", lambda f: ten_bit_analyze(f, output=f["clip"], dump_activity=f["dir"]),
@@ -379,8 +323,8 @@ PRECEDENCE = [
     ("input-size", lambda f: ten_bit_analyze(f, input=f["ragged"], skip=-1),
      EXIT_VALIDATION, "not a multiple"),
     ("frame-range", lambda f: ten_bit_analyze(f, frames=3), EXIT_VALIDATION, "input has only 2"),
-    ("frame-count", lambda f: set_flags(
-        compare_args(f["clip"], f["out"], fmt=TEN_BIT, bit_depth=10), input_b=f["one"]),
+    ("frame-count", lambda f: compare_args(
+        f["clip"], f["out"], fmt=TEN_BIT, bit_depth=10, input_b=f["one"]),
      EXIT_VALIDATION, "differ in frame count"),
     ("sample-range", lambda f: ten_bit_analyze(f), EXIT_VALIDATION, "out of range"),
 ]
@@ -410,12 +354,11 @@ def test_first_fault_in_precedence_order_wins(tmp_path, capsys, make_args, code,
     assert sorted(tmp_path.rglob("*")) == sorted([*before, f["dir"]])
 
 
-ANCHOR_POINTS = {
-    "Y": [(22, RdPoint(8000.0, 36.5)), (27, RdPoint(4000.0, 35.0)),
-          (32, RdPoint(2000.0, 33.0)), (37, RdPoint(1000.0, 30.0))],
-    "Cb": [(22, RdPoint(900.0, 38.0)), (27, RdPoint(500.0, 36.0)),
-           (32, RdPoint(260.0, 34.2)), (37, RdPoint(130.0, 32.1))],
-}
+def rd_file(directory, label, curves):
+    """Write one labelled run's RD CSV to directory/label.csv and return its path."""
+    path = directory / f"{label}.csv"
+    path.write_bytes(rd_csv_bytes([(label, curves)]))
+    return path
 
 
 def scaled_points(points, c):
@@ -427,10 +370,8 @@ def scaled_points(points, c):
 
 class TestBdrateCommand:
     def test_identical_curves_report_zero(self, tmp_path, capsys):
-        anchor = tmp_path / "anchor.csv"
-        anchor.write_bytes(rd_csv_bytes([("anchor", ANCHOR_POINTS)]))
-        test = tmp_path / "test.csv"
-        test.write_bytes(rd_csv_bytes([("test", ANCHOR_POINTS)]))
+        anchor = rd_file(tmp_path, "anchor", SAMPLE_CURVES)
+        test = rd_file(tmp_path, "test", SAMPLE_CURVES)
         assert main(["bdrate", "--anchor", str(anchor), "--test", str(test)]) == EXIT_OK
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "channel,bd_rate_pct,bd_psnr_db"
@@ -441,10 +382,8 @@ class TestBdrateCommand:
             assert float(quality) == pytest.approx(0.0, abs=1e-6)
 
     def test_ten_percent_rate_increase(self, tmp_path, capsys):
-        anchor = tmp_path / "anchor.csv"
-        anchor.write_bytes(rd_csv_bytes([("anchor", {"Y": ANCHOR_POINTS["Y"]})]))
-        test = tmp_path / "test.csv"
-        test.write_bytes(rd_csv_bytes([("test", scaled_points({"Y": ANCHOR_POINTS["Y"]}, 1.10))]))
+        anchor = rd_file(tmp_path, "anchor", {"Y": SAMPLE_CURVES["Y"]})
+        test = rd_file(tmp_path, "test", scaled_points({"Y": SAMPLE_CURVES["Y"]}, 1.10))
         assert main(["bdrate", "--anchor", str(anchor), "--test", str(test)]) == EXIT_OK
         line = capsys.readouterr().out.strip().splitlines()[1]
         channel, rate, quality = line.split(",")
@@ -454,25 +393,23 @@ class TestBdrateCommand:
 
     def test_overflowing_bd_rate_is_validation_error(self, tmp_path, capsys):
         # rates 600 decades apart: the BD-Rate ratio 10**600 overflows a float
-        def rd_file(name, scale):
-            points = [(42 - 5 * k, RdPoint(k * scale, 29.0 + k)) for k in range(1, 5)]
-            path = tmp_path / f"{name}.csv"
-            path.write_bytes(rd_csv_bytes([(name, {"Y": points})]))
-            return path
-
-        anchor, test = rd_file("anchor", 1e-300), rd_file("test", 1e300)
+        anchor, test = (
+            rd_file(tmp_path, name, {
+                "Y": [(42 - 5 * k, RdPoint(k * scale, 29.0 + k)) for k in range(1, 5)]
+            })
+            for name, scale in (("anchor", 1e-300), ("test", 1e300))
+        )
         args = ["bdrate", "--anchor", str(anchor), "--test", str(test)]
         assert main(args) == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("error: BD-Rate")
 
     def test_huge_psnrs_are_validation_error_without_lapack_noise(self, tmp_path, capfd):
-        def rd_file(name, base):
-            points = [(42 - 5 * k, RdPoint(100.0 * k, base + 1e300 * (k - 1))) for k in range(1, 5)]
-            path = tmp_path / f"{name}.csv"
-            path.write_bytes(rd_csv_bytes([(name, {"Y": points})]))
-            return path
-
-        anchor, test = rd_file("anchor", 1e300), rd_file("test", 1.5e300)
+        anchor, test = (
+            rd_file(tmp_path, name, {
+                "Y": [(42 - 5 * k, RdPoint(100.0 * k, base + 1e300 * (k - 1))) for k in range(1, 5)]
+            })
+            for name, base in (("anchor", 1e300), ("test", 1.5e300))
+        )
         args = ["bdrate", "--anchor", str(anchor), "--test", str(test)]
         assert main(args) == EXIT_VALIDATION
         out, err = capfd.readouterr()
@@ -482,16 +419,15 @@ class TestBdrateCommand:
     def test_oversized_field_is_validation_error(self, tmp_path, capfd):
         label = "x" * (csv.field_size_limit() + 1)
         anchor = tmp_path / "anchor.csv"
-        anchor.write_bytes(rd_csv_bytes([(label, {"Y": ANCHOR_POINTS["Y"]})]))
+        anchor.write_bytes(rd_csv_bytes([(label, {"Y": SAMPLE_CURVES["Y"]})]))
         assert main(["bdrate", "--anchor", str(anchor), "--test", str(anchor)]) == EXIT_VALIDATION
         out, err = capfd.readouterr()
         assert out == ""
         assert err.startswith("error: bad RD CSV") and err.count("\n") == 1
 
     def test_no_common_channel_is_validation_error(self, tmp_path, capsys):
-        anchor, test = tmp_path / "anchor.csv", tmp_path / "test.csv"
-        anchor.write_bytes(rd_csv_bytes([("anchor", {"Y": ANCHOR_POINTS["Y"]})]))
-        test.write_bytes(rd_csv_bytes([("test", {"Cb": ANCHOR_POINTS["Cb"]})]))
+        anchor = rd_file(tmp_path, "anchor", {"Y": SAMPLE_CURVES["Y"]})
+        test = rd_file(tmp_path, "test", {"Cb": SAMPLE_CURVES["Cb"]})
         assert main(["bdrate", "--anchor", str(anchor), "--test", str(test)]) == EXIT_VALIDATION
         out, err = capsys.readouterr()
         assert out == ""
@@ -499,7 +435,7 @@ class TestBdrateCommand:
 
     def test_multi_label_file_is_validation_error(self, tmp_path, capsys):
         both = rd_csv_bytes(
-            [("a", {"Y": ANCHOR_POINTS["Y"]}), ("b", {"Y": ANCHOR_POINTS["Y"]})]
+            [("a", {"Y": SAMPLE_CURVES["Y"]}), ("b", {"Y": SAMPLE_CURVES["Y"]})]
         )
         anchor = tmp_path / "anchor.csv"
         anchor.write_bytes(both)
@@ -511,14 +447,7 @@ class TestDumpActivity:
     def test_constant_clip_activity(self, tmp_path, capsys):
         clip = constant_clip(tmp_path / "in.yuv", count=1)
         out = tmp_path / "act.csv"
-        args = [
-            "dump-activity",
-            "--input", str(clip),
-            "--width", "128",
-            "--height", "64",
-            "--output", str(out),
-        ]
-        assert main(args) == EXIT_OK
+        assert main(dump_args(clip, out)) == EXIT_OK
         assert capsys.readouterr().out.strip() == "frames=1 cus_per_frame=2"
         lines = out.read_text().splitlines()
         assert lines[1] == "frame,cu_x,cu_y,l,b,d,t_luma,t_cross"
@@ -528,15 +457,7 @@ class TestDumpActivity:
         clip = write_clip(tmp_path / "in.yuv", [random_frame(FMT, 31)])
         direct = tmp_path / "direct.csv"
         sidecar = tmp_path / "side.csv"
-        args = [
-            "dump-activity",
-            "--input", str(clip),
-            "--width", "128",
-            "--height", "64",
-            "--cu-size", "32",
-            "--output", str(direct),
-        ]
-        assert main(args) == EXIT_OK
+        assert main(dump_args(clip, direct, cu_size=32)) == EXIT_OK
         assert main(analyze_args(clip, tmp_path / "m.csv", cu_size=32, dump_activity=sidecar)) == EXIT_OK
         assert direct.read_text() == sidecar.read_text()
 
@@ -745,11 +666,11 @@ def tiny_clips(draw):
 
 def rd_csv_files():
     """Valid RD CSVs, one with an oversized field, a truncated one and arbitrary bytes."""
-    valid = rd_csv_bytes([("run", ANCHOR_POINTS)])
+    valid = rd_csv_bytes([("run", SAMPLE_CURVES)])
     return st.one_of(
         st.just(valid),
-        st.just(rd_csv_bytes([("run", scaled_points(ANCHOR_POINTS, 1.1))])),
-        st.just(rd_csv_bytes([("x" * (csv.field_size_limit() + 1), ANCHOR_POINTS)])),
+        st.just(rd_csv_bytes([("run", scaled_points(SAMPLE_CURVES, 1.1))])),
+        st.just(rd_csv_bytes([("x" * (csv.field_size_limit() + 1), SAMPLE_CURVES)])),
         st.integers(0, len(valid) - 1).map(lambda n: valid[:n]),
         st.binary(max_size=600),
     )
@@ -835,8 +756,7 @@ def test_every_argv_ends_in_a_documented_exit_code(run):
 def test_geometry_the_input_cannot_hold_is_refused_before_any_grid(tmp_path, capsys, make_args):
     # 2**40 x 2**40 has 2**68 CUs of 16: any per-CU list built from the flags would exhaust memory.
     clip = write_clip(tmp_path / "in.yuv", [random_frame(FMT, 2)])
-    args = make_args(clip, tmp_path / "out.csv", cu_size=16)
-    args[args.index("--width") + 1] = args[args.index("--height") + 1] = str(2**40)
+    args = make_args(clip, tmp_path / "out.csv", cu_size=16, width=2**40, height=2**40)
     assert main(args) == EXIT_VALIDATION
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()

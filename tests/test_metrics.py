@@ -20,6 +20,7 @@ from perceptqp import (
     psnr,
 )
 from perceptqp.metrics import rd_csv_bytes
+from strategies import SAMPLE_CURVES
 
 
 def curve(rates, psnrs):
@@ -217,14 +218,6 @@ class TestBdPsnr:
         grid = np.linspace(lo, hi, 200_001)
         want = trapezoid(psnr_b(grid) - psnr_a(grid), grid[1] - grid[0]) / (hi - lo)
         assert bd_psnr(a, b) == pytest.approx(want, abs=1e-6)
-
-
-SAMPLE_CURVES = {
-    "Y": [(37, RdPoint(1000.0, 30.0)), (22, RdPoint(8000.0, 36.5)),
-          (32, RdPoint(2000.0, 33.0)), (27, RdPoint(4000.0, 35.0))],
-    "Cb": [(22, RdPoint(900.0, 38.0)), (27, RdPoint(500.0, 36.0)),
-           (32, RdPoint(260.0, 34.2)), (37, RdPoint(130.0, 32.1))],
-}
 
 
 class TestRdCsv:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perceptqp import (
+    CbRect,
     Channel,
     ChromaFormat,
     CuRect,
@@ -116,6 +117,11 @@ class TestSubBlocks:
         parent = cb_rect(cu, Channel.Y, ChromaFormat.YUV444)
         quads = sub_blocks(parent)
         assert [(q.w, q.h) for q in quads if not q.empty] == [(3, 1), (3, 1)]
+
+    @pytest.mark.parametrize("channel", list(Channel))
+    def test_quadrants_are_blocks_of_the_parent_channel(self, channel):
+        parent = cb_rect(CuRect(0, 0, 16, 16, 16), channel, ChromaFormat.YUV420)
+        assert [(type(q), q.channel) for q in sub_blocks(parent)] == [(CbRect, channel)] * 4
 
     @settings(max_examples=120, deadline=None)
     @given(st.integers(1, 64), st.integers(1, 64))

@@ -1,8 +1,6 @@
 """QP rules: scaling, normalization, rounding, per-CU selection, maps."""
 
 import math
-import operator
-from functools import reduce
 
 import numpy as np
 import pytest
@@ -23,8 +21,6 @@ from perceptqp import (
     Rounding,
     TMode,
     VideoFormat,
-    cu_activity,
-    cu_grid,
     cu_qp,
     delta_qp,
     frame_activity,
@@ -37,7 +33,7 @@ from perceptqp import (
 )
 from perceptqp.activity import ActivityArrays, activity_arrays
 from perceptqp.qp import _delta_qps, qp_grid
-from strategies import frames, random_frame
+from strategies import chroma_contrast_frame, frames, random_frame, reference_frame_activity, tiled_frame
 
 positive = st.floats(min_value=1.0, max_value=1e9, allow_nan=False)
 
@@ -214,10 +210,13 @@ class TestQpConfigValidation:
         with pytest.raises(ValueError):
             QpConfig(slice_qp=32, mode=Mode.CBAQ, cu_size=8)
 
-
-def checkerboard(h, w, lo, hi):
-    grid = np.add.outer(np.arange(h), np.arange(w)) % 2
-    return np.where(grid.astype(bool), hi, lo).astype(np.uint8)
+    @pytest.mark.parametrize(
+        "field, value", [("mode", "adaptiveqp"), ("t_mode", "cross"), ("rounding", "ceiling")]
+    )
+    def test_value_that_is_not_an_enum_member_rejected(self, field, value):
+        # the rules compare by identity, so a string would select another rule
+        with pytest.raises(ValueError, match=field):
+            QpConfig(**{"slice_qp": 32, "mode": Mode.CBAQ, field: value})
 
 
 class TestQpMap:
@@ -258,24 +257,14 @@ class TestQpMap:
     def test_modes_agree_when_chroma_tracks_luma(self):
         # every CU gets the same chroma texture, so the cross activity is
         # a constant shift of luma activity only when luma is uniform too
-        fmt = VideoFormat(128, 64, 8, ChromaFormat.YUV420)
-        y = np.tile(checkerboard(64, 64, 60, 196), (1, 2))
-        cb = np.tile(checkerboard(32, 32, 100, 140), (1, 2))
-        cr = np.tile(checkerboard(32, 32, 90, 150), (1, 2))
-        frame = Frame(Plane(y), Plane(cb), Plane(cr), fmt)
+        frame = tiled_frame()
         a = qp_map(frame, QpConfig(slice_qp=27, mode=Mode.ADAPTIVE_QP))
         c = qp_map(frame, QpConfig(slice_qp=27, mode=Mode.CBAQ))
         assert a.qps == c.qps == ((27, 27),)
 
     def test_chroma_only_contrast_splits_the_modes(self):
         # identical luma everywhere; one CU carries busy chroma
-        fmt = VideoFormat(128, 128, 8, ChromaFormat.YUV420)
-        y = np.tile(checkerboard(64, 64, 50, 200), (2, 2))
-        cb = np.full((64, 64), 128, dtype=np.uint8)
-        cr = np.full((64, 64), 128, dtype=np.uint8)
-        cb[0:32, 0:32] = checkerboard(32, 32, 0, 255)
-        cr[0:32, 0:32] = checkerboard(32, 32, 0, 255)
-        frame = Frame(Plane(y), Plane(cb), Plane(cr), fmt)
+        frame = chroma_contrast_frame()
         adaptive = qp_map(frame, QpConfig(slice_qp=32, mode=Mode.ADAPTIVE_QP))
         cross = qp_map(frame, QpConfig(slice_qp=32, mode=Mode.CBAQ))
         assert adaptive.qps == ((32, 32), (32, 32))
@@ -308,6 +297,11 @@ class TestQpMap:
         with pytest.raises(ValueError, match="grid"):
             qp_map_from_activity(VideoFormat(*mapped_size), activity, cfg)
 
+    def test_activity_without_records_is_rejected(self):
+        cfg = QpConfig(slice_qp=32, mode=Mode.CBAQ)
+        with pytest.raises(ValueError, match="activity of 0 CUs"):
+            qp_map_from_activity(VideoFormat(128, 64), FrameActivity((), 1.0, 3.0), cfg)
+
 
 configs = st.builds(
     QpConfig,
@@ -327,11 +321,8 @@ ON_INTEGER = [1.0, 2.0, 0.5, 4.0, 1.7817974362806785, 2.244924096618746, 0.22272
 
 def scalar_qps(config, frame):
     """cu_qp of every CU from the scalar cu_activity records, in raster order."""
-    records = tuple(cu_activity(frame, cu) for cu in cu_grid(frame.format, config.cu_size))
-    t_luma = reduce(operator.add, (r.luma for r in records)) / len(records)
-    t_cross = reduce(operator.add, (r.cross for r in records)) / len(records)
-    activity = FrameActivity(records, t_luma, t_cross)
-    return [cu_qp(config, r, activity) for r in records]
+    activity = reference_frame_activity(frame, config.cu_size)
+    return [cu_qp(config, r, activity) for r in activity.records]
 
 
 class TestQpGrid:

@@ -201,6 +201,12 @@ class TestFrameValidation:
         with pytest.raises(YuvError, match="2-D"):
             Plane(np.zeros(shape, dtype=np.uint8))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_plane_samples_must_be_integers(self, dtype):
+        # the array path would raise TypeError and the scalar reference truncate 128.5
+        with pytest.raises(YuvError, match="integers"):
+            Plane(np.full((2, 2), 128.5, dtype=dtype))
+
     def test_wrong_chroma_dims_rejected(self):
         fmt = VideoFormat(4, 4, 8, ChromaFormat.YUV420)
         full = Plane(np.zeros((4, 4), dtype=np.uint8))
