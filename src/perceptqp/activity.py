@@ -51,13 +51,16 @@ class ActivityRecord:
 
 
 class ActivityArrays(NamedTuple):
-    """Per-channel activity of a frame's CUs, each (rows, cols), plus the frame means."""
+    """Per-channel activity of a frame's CUs, each (rows, cols), plus the frame means.
+
+    cb, cr and t_cross are None when only luma was computed.
+    """
 
     luma: np.ndarray
-    cb: np.ndarray
-    cr: np.ndarray
+    cb: np.ndarray | None
+    cr: np.ndarray | None
     t_luma: float
-    t_cross: float
+    t_cross: float | None
 
     @property
     def cross(self) -> np.ndarray:
@@ -139,29 +142,42 @@ def _plane_activity(
 
     Works one CU row at a time, so temporaries stay the size of one strip,
     never of the plane. The strip's top and bottom quadrant rows are summed
-    down the columns into int64, then np.add.reduceat sums every quadrant's
-    columns; empty halves are left out of the reduction and count as
-    infinite variance, as sub_blocks' empty quadrants are skipped.
+    down the columns into int32, then np.add.reduceat sums every quadrant's
+    columns into int64. An empty half counts as infinite variance, as
+    sub_blocks' empty quadrants are skipped.
     """
     x_starts, widths = _quadrant_halves(fmt.width, cu_size, sub_x)
     y_starts, heights = _quadrant_halves(fmt.height, cu_size, sub_y)
     rows, cols = heights.size // 2, widths.size // 2
-    nonempty = widths > 0
+    width = plane.width
+    # A half is empty only where a CU's extent is one sample, which only the
+    # last CU can have; its right half then starts one past the plane's edge,
+    # where reduceat cannot start. Clamped to the last column, that start keeps
+    # the one-column left half exact, and the empty half's zero count below
+    # discards its own sum.
+    starts = np.minimum(x_starts, width - 1)
     activity = np.empty((rows, cols))
-    # (top/bottom, sum/squared sum, column half) of the current CU row
-    sums = np.zeros((2, 2, widths.size), dtype=np.int64)
+    # Frame caps samples at 1023 and the largest quadrant is 32x32 (CU 64 luma,
+    # or 4:4:4 chroma), so every quadrant's sum(s^2) <= 1024 * 1023^2 =
+    # 1,071,645,696 fits int32 (< 2^31 - 1), and so does each column sum.
+    # (sum/squared sum, top/bottom, column) of the current CU row
+    columns = np.empty((2, 2, width), dtype=np.int32)
+    # (sum/squared sum, top/bottom, column half); int64 so that s1 * s1 fits
+    sums = np.empty((2, 2, widths.size), dtype=np.int64)
     for row in range(rows):
         y, top, bottom = y_starts[2 * row], heights[2 * row], heights[2 * row + 1]
         strip = plane.data[y : y + top + bottom]
-        # Frame caps samples at 1023, so a square fits int32; sums go to int64.
         squares = np.square(strip, dtype=np.int32)
-        columns = np.stack(
-            (strip[:top].sum(axis=0, dtype=np.int64), squares[:top].sum(axis=0, dtype=np.int64),
-             strip[top:].sum(axis=0, dtype=np.int64), squares[top:].sum(axis=0, dtype=np.int64))
-        )
-        sums.reshape(4, -1)[:, nonempty] = np.add.reduceat(columns, x_starts[nonempty], axis=1)
+        if top == bottom:
+            strip.reshape(2, top, width).sum(axis=1, dtype=np.int32, out=columns[0])
+            squares.reshape(2, top, width).sum(axis=1, dtype=np.int32, out=columns[1])
+        else:
+            for values, out in ((strip, columns[0]), (squares, columns[1])):
+                values[:top].sum(axis=0, dtype=np.int32, out=out[0])
+                values[top:].sum(axis=0, dtype=np.int32, out=out[1])
+        np.add.reduceat(columns.reshape(4, width), starts, axis=1, out=sums.reshape(4, -1))
         counts = heights[2 * row : 2 * row + 2, None] * widths
-        s1, s2 = sums[:, 0], sums[:, 1]
+        s1, s2 = sums
         # Exact in float64: n * sum(s^2) <= 1024 * 1024 * 1023^2 < 2^53.
         variances = np.where(
             counts > 0,
@@ -182,14 +198,18 @@ def _raster_mean(values: np.ndarray) -> float:
     return float(np.cumsum(values)[-1]) / values.size
 
 
-def activity_arrays(frame: Frame, cu_size: int) -> ActivityArrays:
+def activity_arrays(frame: Frame, cu_size: int, chroma: bool = True) -> ActivityArrays:
     """Activity of every CU as (rows, cols) arrays, plus the frame means.
 
-    Each element is bit-identical to cu_activity of that CU of cu_grid.
+    Each element is bit-identical to cu_activity of that CU of cu_grid. With
+    chroma false only the luma plane is analysed, and cb, cr and t_cross are
+    None.
     """
     fmt = frame.format
     sub = fmt.chroma_format.sub_x, fmt.chroma_format.sub_y
     luma = _plane_activity(frame.y, fmt, cu_size, 1, 1)
+    if not chroma:
+        return ActivityArrays(luma, None, None, _raster_mean(luma), None)
     cb = _plane_activity(frame.cb, fmt, cu_size, *sub)
     cr = _plane_activity(frame.cr, fmt, cu_size, *sub)
     return ActivityArrays(luma, cb, cr, _raster_mean(luma), _raster_mean(luma + cb + cr))

@@ -105,11 +105,15 @@ def _selected_count(path: Path, fmt: VideoFormat, args: argparse.Namespace) -> i
 
 
 def frame_activities(
-    path: Path, fmt: VideoFormat, args: argparse.Namespace
+    path: Path, fmt: VideoFormat, args: argparse.Namespace, chroma: bool
 ) -> Iterator[tuple[int, ActivityArrays]]:
-    """Yield (index, activity) for every frame the flags select: the CLI's one frame loop."""
+    """Yield (index, activity) for every frame the flags select: the CLI's one frame loop.
+
+    Chroma activity is computed only when chroma is true; Frame still reads
+    and range-checks the chroma samples either way.
+    """
     for index, frame in read_frames(path, fmt, args.skip, args.frames):
-        activity = activity_arrays(frame, args.cu_size)
+        activity = activity_arrays(frame, args.cu_size, chroma)
         # Free the samples before the caller renders this frame's rows.
         del frame
         yield index, activity
@@ -313,7 +317,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         out.write(head)
         if dump is not None:
             dump.write(_activity_csv_head(fmt, config.cu_size))
-        for index, act in frame_activities(args.input, fmt, args):
+        chroma = config.mode is Mode.CBAQ or dump is not None
+        for index, act in frame_activities(args.input, fmt, args, chroma):
             qps = qp_grid(config, act)
             if frames:
                 out.write(sep)
@@ -341,7 +346,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     # Entered first, so the outputs are checked before any input is probed.
     with _atomic_outputs([args.output], [args.input, args.input_b]) as (out,):
         # The QP rules are pure functions of the activity, so one input needs one pass.
-        activities = frame_activities(args.input, fmt, args)
+        chroma = Mode.CBAQ in (config_a.mode, config_b.mode)
+        activities = frame_activities(args.input, fmt, args, chroma)
         if args.input_b is None:
             pairs = ((item, item) for item in activities)
         else:
@@ -352,7 +358,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                     f"inputs differ in frame count ({count_a} vs {count_b});"
                     " pass --frames to pin a common range"
                 )
-            pairs = zip(activities, frame_activities(args.input_b, fmt, args))
+            pairs = zip(activities, frame_activities(args.input_b, fmt, args, chroma))
         out.write(_compare_head(fmt, config_a, config_b))
         for (index, act_a), (_, act_b) in pairs:
             qps_a, qps_b = qp_grid(config_a, act_a), qp_grid(config_b, act_b)
@@ -397,7 +403,7 @@ def cmd_dump_activity(args: argparse.Namespace) -> int:
     frames = cus_per_frame = 0
     with _atomic_outputs([args.output], [args.input]) as (out,):
         out.write(_activity_csv_head(fmt, args.cu_size))
-        for index, act in frame_activities(args.input, fmt, args):
+        for index, act in frame_activities(args.input, fmt, args, chroma=True):
             out.write(_activity_csv_frame(index, act, args.cu_size))
             frames += 1
             cus_per_frame = act.luma.size

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -77,6 +78,11 @@ class QpConfig:
     rounding: Rounding = Rounding.NEAREST
 
     def __post_init__(self) -> None:
+        # A float slice_qp would make cu_qp return a float, and a float cu_size
+        # passes the CU_SIZES check but cannot slice a plane.
+        for name in ("slice_qp", "qp_range", "cu_size"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} {getattr(self, name)!r} is not an integer")
         if not QP_MIN <= self.slice_qp <= QP_MAX:
             raise ValueError(f"slice_qp {self.slice_qp} outside [{QP_MIN}, {QP_MAX}]")
         # No CU can move further than the whole QP span, and the bound keeps
@@ -159,6 +165,8 @@ def qp_grid(config: QpConfig, act: ActivityArrays) -> np.ndarray:
     f = scaling_factor(config.qp_range)
     if config.mode is Mode.ADAPTIVE_QP:
         s, t = act.luma, act.t_luma
+    elif act.cb is None:
+        raise ValueError(f"the {config.mode.value} rule reads chroma activity; none was computed")
     else:
         s = act.cross
         t = act.t_cross if config.t_mode is TMode.CROSS else act.t_luma
@@ -224,4 +232,5 @@ def qp_map(frame: Frame, config: QpConfig, frame_index: int = 0) -> QpMap:
     Pass 1 gathers frame-level activity statistics, pass 2 converts each
     CU's activity into a QP.
     """
-    return _qp_map(config, activity_arrays(frame, config.cu_size), frame_index)
+    act = activity_arrays(frame, config.cu_size, chroma=config.mode is Mode.CBAQ)
+    return _qp_map(config, act, frame_index)

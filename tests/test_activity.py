@@ -25,7 +25,7 @@ from perceptqp import (
     cu_grid,
     frame_activity,
 )
-from perceptqp.activity import _raster_mean
+from perceptqp.activity import _raster_mean, activity_arrays
 from strategies import checkerboard, frames, random_frame, reference_frame_activity
 
 
@@ -280,12 +280,22 @@ class TestFrameActivityIsBitExact:
         assert frame_activity(frame, 16) == reference_frame_activity(frame, 16)
 
     def test_largest_squared_sum_is_exact(self):
-        # 0/1023 alternation fills each 32x32 quadrant with the largest sum(s^2) there is
+        # 0/1023 alternation gives each 32x32 quadrant the largest variance there is;
+        # the largest sum(s^2), twice this one, is test_constant_top_code_is_exact's
         fmt = VideoFormat(128, 64, 10, ChromaFormat.YUV444)
         frame = Frame(*(Plane(checkerboard(64, 128, 0, 1023, fmt.dtype)) for _ in Channel), format=fmt)
         fa = frame_activity(frame, 64)
         assert fa == reference_frame_activity(frame, 64)
         assert {(r.luma, r.cb, r.cr) for r in fa.records} == {(1.0 + 511.5**2,) * 3}
+
+    def test_constant_top_code_is_exact(self):
+        # 32x32 quadrants of 1023 hold the largest sum(s^2) there is, 1024 * 1023^2,
+        # which the int32 column sums must carry without overflow
+        fmt = VideoFormat(128, 64, 10, ChromaFormat.YUV444)
+        frame = Frame(*(Plane(np.full((64, 128), 1023, fmt.dtype)) for _ in Channel), format=fmt)
+        fa = frame_activity(frame, 64)
+        assert fa == reference_frame_activity(frame, 64)
+        assert {(r.luma, r.cb, r.cr) for r in fa.records} == {(1.0, 1.0, 1.0)}
 
     def test_memory_stays_per_strip(self):
         # A whole-plane int64 copy of this luma plane alone is 16.6 MB.
@@ -298,3 +308,26 @@ class TestFrameActivityIsBitExact:
         finally:
             tracemalloc.stop()
         assert peak < 8_000_000
+
+    def test_variance_stays_per_strip(self):
+        # 0.43 MB here; a variance over the whole (rows, 2, 2, 2 * cols) sums took 1.9 MB
+        fmt = VideoFormat(1920, 1080, 8, ChromaFormat.YUV420)
+        frame = random_frame(fmt, seed=4)
+        tracemalloc.start()
+        try:
+            activity_arrays(frame, 16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+
+class TestLumaOnly:
+    @settings(max_examples=40, deadline=None)
+    @given(frames(max_dim=80), st.sampled_from([16, 32, 64]))
+    def test_luma_and_its_mean_match_the_full_pass(self, frame, cu_size):
+        full = activity_arrays(frame, cu_size)
+        luma_only = activity_arrays(frame, cu_size, chroma=False)
+        assert luma_only.luma.tolist() == full.luma.tolist()
+        assert luma_only.t_luma == full.t_luma
+        assert (luma_only.cb, luma_only.cr, luma_only.t_cross) == (None, None, None)

@@ -29,7 +29,7 @@ from perceptqp import (
     write_frame,
 )
 import perceptqp
-from perceptqp import cli
+from perceptqp import activity, cli
 from perceptqp.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from perceptqp.metrics import rd_csv_bytes
 from strategies import SAMPLE_CURVES, chroma_contrast_frame, random_frame, tiled_frame, video_formats
@@ -179,9 +179,9 @@ def count_activity_calls(monkeypatch):
     calls = []
     real = cli.activity_arrays
 
-    def counting(frame, cu_size):
+    def counting(frame, cu_size, chroma=True):
         calls.append(cu_size)
-        return real(frame, cu_size)
+        return real(frame, cu_size, chroma)
 
     monkeypatch.setattr(cli, "activity_arrays", counting)
     return calls
@@ -249,6 +249,83 @@ class TestCompare:
         assert main(args) == EXIT_VALIDATION
         assert "frame count" in capsys.readouterr().err
         assert calls == []  # refused before any frame was analysed
+
+
+def count_plane_passes(monkeypatch):
+    """Wrap activity._plane_activity so that each plane it analyses appends to the returned list."""
+    calls = []
+    real = activity._plane_activity
+
+    def counting(plane, *rest):
+        calls.append(plane.data.shape)
+        return real(plane, *rest)
+
+    monkeypatch.setattr(activity, "_plane_activity", counting)
+    return calls
+
+
+# Plane passes per frame: chroma is analysed only where an output reads it.
+PLANE_PASSES = [
+    ("analyze-adaptiveqp", lambda clip, out: analyze_args(clip, out, mode="adaptiveqp"), 1),
+    ("compare-adaptiveqp-adaptiveqp", lambda clip, out: compare_args(
+        clip, out, mode_a="adaptiveqp", mode_b="adaptiveqp"), 1),
+    ("analyze-cbaq", lambda clip, out: analyze_args(clip, out, mode="cbaq"), 3),
+    ("analyze-adaptiveqp-dump-activity", lambda clip, out: analyze_args(
+        clip, out, mode="adaptiveqp", dump_activity=out.with_name("act.csv")), 3),
+    ("dump-activity", lambda clip, out: dump_args(clip, out), 3),
+    ("compare-adaptiveqp-cbaq", lambda clip, out: compare_args(
+        clip, out, mode_a="adaptiveqp", mode_b="cbaq"), 3),
+    ("compare-cbaq-adaptiveqp", lambda clip, out: compare_args(
+        clip, out, mode_a="cbaq", mode_b="adaptiveqp"), 3),
+]
+
+
+class TestLumaOnlyPath:
+    @pytest.mark.parametrize("output_format", ["csv", "json"])
+    def test_adaptiveqp_map_ignores_dump_activity(self, tmp_path, capsys, output_format):
+        clip = write_clip(tmp_path / "in.yuv", [random_frame(FMT, s) for s in (3, 4)])
+        plain, dumped = tmp_path / "plain.out", tmp_path / "dumped.out"
+        args = dict(mode="adaptiveqp", format=output_format)
+        assert main(analyze_args(clip, plain, **args)) == EXIT_OK
+        assert main(analyze_args(clip, dumped, dump_activity=tmp_path / "act.csv", **args)) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert plain.read_bytes() == dumped.read_bytes()
+        assert out[0] == out[1]
+
+    @pytest.mark.parametrize(
+        "make_args, passes", [case[1:] for case in PLANE_PASSES], ids=[case[0] for case in PLANE_PASSES]
+    )
+    def test_plane_passes_per_frame(self, tmp_path, monkeypatch, capsys, make_args, passes):
+        frames = 2
+        clip = write_clip(tmp_path / "in.yuv", [random_frame(FMT, s) for s in range(frames)])
+        calls = count_plane_passes(monkeypatch)
+        assert main(make_args(clip, tmp_path / "out.csv")) == EXIT_OK
+        capsys.readouterr()
+        luma, chroma = (FMT.height, FMT.width), (FMT.height // 2, FMT.width // 2)
+        assert calls == ([luma] + [chroma] * (passes - 1)) * frames
+
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    def test_out_of_range_chroma_still_refused(self, tmp_path, capsys, command):
+        fmt = VideoFormat(128, 64, 10, ChromaFormat.YUV420)
+        clip = tmp_path / "in.yuv"
+        with open(clip, "wb") as sink:
+            for seed in (1, 2):
+                write_frame(sink, random_frame(fmt, seed))
+            last = np.full(frame_bytes(fmt) // 2, 512, dtype="<u2")
+            last[-1] = 1024  # the last Cr sample, not a 10-bit one
+            sink.write(last.tobytes())
+        out = tmp_path / "out.csv"
+        out.write_text("old output\n")
+        args = {
+            "analyze": analyze_args(clip, out, fmt=fmt, bit_depth=10, mode="adaptiveqp"),
+            "compare": compare_args(
+                clip, out, fmt=fmt, bit_depth=10, mode_a="adaptiveqp", mode_b="adaptiveqp"
+            ),
+        }[command]
+        assert main(args) == EXIT_VALIDATION
+        assert "Cr sample out of range" in capsys.readouterr().err
+        assert out.read_text() == "old output\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.yuv", "out.csv"]
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """QP rules: scaling, normalization, rounding, per-CU selection, maps."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -218,6 +219,12 @@ class TestQpConfigValidation:
         with pytest.raises(ValueError, match=field):
             QpConfig(**{"slice_qp": 32, "mode": Mode.CBAQ, field: value})
 
+    @pytest.mark.parametrize("field, value", [("slice_qp", 32.5), ("qp_range", 6.0), ("cu_size", 16.0)])
+    def test_value_that_is_not_an_integer_rejected(self, field, value):
+        # 32.5 made cu_qp return 32.5 where qp_map gave 32; 16.0 passed as a CU size
+        with pytest.raises(ValueError, match=f"{field} {value} is not an integer"):
+            QpConfig(**{"slice_qp": 32, "mode": Mode.CBAQ, field: value})
+
 
 class TestQpMap:
     def test_constant_frame_is_all_slice_qp(self):
@@ -355,6 +362,22 @@ class TestQpGrid:
                     for qp_range in (0, 6, 51):
                         config = QpConfig(32, mode, qp_range, cu_size, t_mode, rounding)
                         assert qp_grid(config, arrays).ravel().tolist() == scalar_qps(config, frame)
+
+    @pytest.mark.parametrize("t_mode", list(TMode))
+    def test_cbaq_rule_refuses_luma_only_arrays(self, t_mode):
+        arrays = activity_arrays(random_frame(VideoFormat(64, 32), seed=6), 16, chroma=False)
+        with pytest.raises(ValueError, match="cbaq rule reads chroma activity"):
+            qp_grid(QpConfig(32, Mode.CBAQ, cu_size=16, t_mode=t_mode), arrays)
+
+    @settings(max_examples=60, deadline=None)
+    @given(frames(max_dim=80), configs)
+    def test_luma_only_arrays_give_the_same_adaptiveqp_map(self, frame, config):
+        config = dataclasses.replace(config, mode=Mode.ADAPTIVE_QP)
+        luma_only = activity_arrays(frame, config.cu_size, chroma=False)
+        assert (luma_only.cb, luma_only.cr, luma_only.t_cross) == (None, None, None)
+        qps = qp_grid(config, luma_only)
+        assert qps.tolist() == qp_grid(config, activity_arrays(frame, config.cu_size)).tolist()
+        assert qp_map(frame, config).flat() == qps.ravel().tolist() == scalar_qps(config, frame)
 
     @settings(max_examples=200, deadline=None)
     @given(
