@@ -310,7 +310,7 @@ class TestFrameActivityIsBitExact:
         assert peak < 8_000_000
 
     def test_variance_stays_per_strip(self):
-        # 0.43 MB here; a variance over the whole (rows, 2, 2, 2 * cols) sums took 1.9 MB
+        # about 0.4 MB here; a variance over the whole (rows, 2, 2, 2 * cols) sums took 1.9 MB
         fmt = VideoFormat(1920, 1080, 8, ChromaFormat.YUV420)
         frame = random_frame(fmt, seed=4)
         tracemalloc.start()

@@ -304,29 +304,6 @@ class TestLumaOnlyPath:
         luma, chroma = (FMT.height, FMT.width), (FMT.height // 2, FMT.width // 2)
         assert calls == ([luma] + [chroma] * (passes - 1)) * frames
 
-    @pytest.mark.parametrize("command", ["analyze", "compare"])
-    def test_out_of_range_chroma_still_refused(self, tmp_path, capsys, command):
-        fmt = VideoFormat(128, 64, 10, ChromaFormat.YUV420)
-        clip = tmp_path / "in.yuv"
-        with open(clip, "wb") as sink:
-            for seed in (1, 2):
-                write_frame(sink, random_frame(fmt, seed))
-            last = np.full(frame_bytes(fmt) // 2, 512, dtype="<u2")
-            last[-1] = 1024  # the last Cr sample, not a 10-bit one
-            sink.write(last.tobytes())
-        out = tmp_path / "out.csv"
-        out.write_text("old output\n")
-        args = {
-            "analyze": analyze_args(clip, out, fmt=fmt, bit_depth=10, mode="adaptiveqp"),
-            "compare": compare_args(
-                clip, out, fmt=fmt, bit_depth=10, mode_a="adaptiveqp", mode_b="adaptiveqp"
-            ),
-        }[command]
-        assert main(args) == EXIT_VALIDATION
-        assert "Cr sample out of range" in capsys.readouterr().err
-        assert out.read_text() == "old output\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.yuv", "out.csv"]
-
 
 @pytest.mark.parametrize(
     "make_args",
@@ -616,7 +593,9 @@ class TestStreaming:
         capsys.readouterr()
         assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~0o027
 
-    @pytest.mark.parametrize("command", ["analyze", "compare", "dump-activity"])
+    @pytest.mark.parametrize(
+        "command", ["analyze", "compare", "dump-activity", "analyze-adaptiveqp", "compare-adaptiveqp"]
+    )
     def test_failed_run_leaves_existing_outputs_untouched(self, tmp_path, capsys, command):
         fmt = VideoFormat(128, 64, 10, ChromaFormat.YUV420)
         clip = tmp_path / "in.yuv"
@@ -624,18 +603,23 @@ class TestStreaming:
             for seed in (1, 2):
                 write_frame(sink, random_frame(fmt, seed))
             last = np.full(frame_bytes(fmt) // 2, 512, dtype="<u2")
-            last[-1] = 1024  # not a 10-bit sample
+            last[-1] = 1024  # the last Cr sample, not a 10-bit one
             sink.write(last.tobytes())
         out, side = tmp_path / "out.csv", tmp_path / "side.csv"
         out.write_text("old output\n")
         side.write_text("old sidecar\n")
+        # The adaptiveqp runs analyse no chroma, but still range-check it.
         args = {
             "analyze": analyze_args(clip, out, fmt=fmt, bit_depth=10, dump_activity=side),
             "compare": compare_args(clip, out, fmt=fmt, bit_depth=10),
             "dump-activity": dump_args(clip, out, fmt=fmt, bit_depth=10),
+            "analyze-adaptiveqp": analyze_args(clip, out, fmt=fmt, bit_depth=10, mode="adaptiveqp"),
+            "compare-adaptiveqp": compare_args(
+                clip, out, fmt=fmt, bit_depth=10, mode_a="adaptiveqp", mode_b="adaptiveqp"
+            ),
         }[command]
         assert main(args) == EXIT_VALIDATION
-        assert "out of range" in capsys.readouterr().err
+        assert "Cr sample out of range" in capsys.readouterr().err
         assert out.read_text() == "old output\n"
         assert side.read_text() == "old sidecar\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.yuv", "out.csv", "side.csv"]

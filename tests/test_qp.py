@@ -373,9 +373,7 @@ class TestQpGrid:
     @given(frames(max_dim=80), configs)
     def test_luma_only_arrays_give_the_same_adaptiveqp_map(self, frame, config):
         config = dataclasses.replace(config, mode=Mode.ADAPTIVE_QP)
-        luma_only = activity_arrays(frame, config.cu_size, chroma=False)
-        assert (luma_only.cb, luma_only.cr, luma_only.t_cross) == (None, None, None)
-        qps = qp_grid(config, luma_only)
+        qps = qp_grid(config, activity_arrays(frame, config.cu_size, chroma=False))
         assert qps.tolist() == qp_grid(config, activity_arrays(frame, config.cu_size)).tolist()
         assert qp_map(frame, config).flat() == qps.ravel().tolist() == scalar_qps(config, frame)
 
