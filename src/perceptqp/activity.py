@@ -10,7 +10,8 @@ Sample sums and squared-sample sums are accumulated as exact integers
 (one float division at the end), so results are bit-reproducible
 regardless of block traversal order. activity_arrays computes them for a
 whole CU row of a plane at once and returns one (rows, cols) array per
-channel; frame_activity wraps those arrays in per-CU records. cu_activity
+channel; stream_activity does the same for a frame read from a stream one
+CU row at a time; frame_activity wraps those arrays in per-CU records. cu_activity
 and block_variance are the per-block reference both must match bit for
 bit. The frame means fold the activities strictly left to right in
 raster order, as Python's sum() did up to 3.11.
@@ -19,12 +20,13 @@ raster order, as Python's sum() did up to 3.11.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from itertools import accumulate
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .partition import CbRect, CuRect, cb_rect, cu_grid, sub_blocks
-from .yuv import Channel, Frame, Plane, VideoFormat
+from .yuv import Channel, Frame, Plane, VideoFormat, read_strips
 
 __all__ = [
     "ActivityRecord",
@@ -135,21 +137,34 @@ def _quadrant_halves(length: int, cu_size: int, sub: int) -> tuple[np.ndarray, n
     return starts, sizes
 
 
+def _strip_heights(fmt: VideoFormat, cu_size: int, sub_y: int) -> list[int]:
+    """Rows of each CU row's strip of a plane, top to bottom.
+
+    They tile the plane exactly: where chroma is subsampled vertically the
+    height is even, so the CU rows' chroma extents add up to half of it.
+    """
+    _, heights = _quadrant_halves(fmt.height, cu_size, sub_y)
+    return heights.reshape(-1, 2).sum(axis=1).tolist()
+
+
 def _plane_activity(
-    plane: Plane, fmt: VideoFormat, cu_size: int, sub_x: int, sub_y: int
+    strips: Iterable[np.ndarray], fmt: VideoFormat, cu_size: int, sub_x: int, sub_y: int
 ) -> np.ndarray:
     """One plus the minimum quadrant variance of every CU's block in one plane, as (rows, cols).
 
-    Works one CU row at a time, so temporaries stay the size of one strip,
+    strips are the plane's CU-row strips, top to bottom, with the row
+    counts _strip_heights gives; each is used only until the next is drawn,
+    so they may share one buffer. Temporaries stay the size of one strip,
     never of the plane. The strip's top and bottom quadrant rows are summed
     down the columns into int32, then np.add.reduceat sums every quadrant's
     columns into int64. An empty half counts as infinite variance, as
     sub_blocks' empty quadrants are skipped.
     """
     x_starts, widths = _quadrant_halves(fmt.width, cu_size, sub_x)
-    y_starts, heights = _quadrant_halves(fmt.height, cu_size, sub_y)
+    _, heights = _quadrant_halves(fmt.height, cu_size, sub_y)
     rows, cols = heights.size // 2, widths.size // 2
-    width = plane.width
+    strip_rows = heights.reshape(rows, 2).sum(axis=1)
+    width = fmt.width // sub_x
     # A half is empty only where a CU's extent is one sample, which only the
     # last CU can have; its right half then starts one past the plane's edge,
     # where reduceat cannot start. Clamped to the last column, that start keeps
@@ -160,14 +175,20 @@ def _plane_activity(
     # Frame caps samples at 1023 and the largest quadrant is 32x32 (CU 64 luma,
     # or 4:4:4 chroma), so every quadrant's sum(s^2) <= 1024 * 1023^2 =
     # 1,071,645,696 fits int32 (< 2^31 - 1), and so does each column sum.
+    # read_strips checks a plane only after its last strip; sums that wrapped
+    # on an illegal sample before then are discarded with the error it raises.
     # (sum/squared sum, top/bottom, column) of the current CU row
     columns = np.empty((2, 2, width), dtype=np.int32)
     # (sum/squared sum, top/bottom, column half); int64 so that s1 * s1 fits
     sums = np.empty((2, 2, widths.size), dtype=np.int64)
-    for row in range(rows):
-        y, top, bottom = y_starts[2 * row], heights[2 * row], heights[2 * row + 1]
-        strip = plane.data[y : y + top + bottom]
-        squares = np.square(strip, dtype=np.int32)
+    # One squares buffer for every strip: a fresh one per strip would be mapped
+    # and unmapped each time once it is larger than malloc's mmap threshold.
+    squared = np.empty((int(strip_rows.max()), width), dtype=np.int32)
+    # strict: zip draws once past the last strip, which lets a reader finish
+    # its range check, and it refuses a strip count that is not rows.
+    for row, strip in zip(range(rows), strips, strict=True):
+        top, bottom = heights[2 * row], heights[2 * row + 1]
+        squares = np.square(strip, dtype=np.int32, out=squared[: top + bottom])
         if top == bottom:
             strip.reshape(2, top, width).sum(axis=1, dtype=np.int32, out=columns[0])
             squares.reshape(2, top, width).sum(axis=1, dtype=np.int32, out=columns[1])
@@ -198,6 +219,30 @@ def _raster_mean(values: np.ndarray) -> float:
     return float(np.cumsum(values)[-1]) / values.size
 
 
+def _frame_arrays(
+    strips: Callable[[Channel, list[int]], Iterable[np.ndarray]],
+    fmt: VideoFormat,
+    cu_size: int,
+    chroma: bool,
+) -> ActivityArrays:
+    """Activity of one frame whose planes strips(channel, heights) yields in Y, Cb, Cr order.
+
+    With chroma false the chroma strips are still drawn, so a reader can
+    range-check them, but not analysed.
+    """
+    cf = fmt.chroma_format
+    luma = _plane_activity(strips(Channel.Y, _strip_heights(fmt, cu_size, 1)), fmt, cu_size, 1, 1)
+    chroma_heights = _strip_heights(fmt, cu_size, cf.sub_y)
+    if not chroma:
+        for channel in (Channel.CB, Channel.CR):
+            for _ in strips(channel, chroma_heights):
+                pass
+        return ActivityArrays(luma, None, None, _raster_mean(luma), None)
+    cb = _plane_activity(strips(Channel.CB, chroma_heights), fmt, cu_size, cf.sub_x, cf.sub_y)
+    cr = _plane_activity(strips(Channel.CR, chroma_heights), fmt, cu_size, cf.sub_x, cf.sub_y)
+    return ActivityArrays(luma, cb, cr, _raster_mean(luma), _raster_mean(luma + cb + cr))
+
+
 def activity_arrays(frame: Frame, cu_size: int, chroma: bool = True) -> ActivityArrays:
     """Activity of every CU as (rows, cols) arrays, plus the frame means.
 
@@ -205,14 +250,30 @@ def activity_arrays(frame: Frame, cu_size: int, chroma: bool = True) -> Activity
     chroma false only the luma plane is analysed, and cb, cr and t_cross are
     None.
     """
-    fmt = frame.format
-    sub = fmt.chroma_format.sub_x, fmt.chroma_format.sub_y
-    luma = _plane_activity(frame.y, fmt, cu_size, 1, 1)
-    if not chroma:
-        return ActivityArrays(luma, None, None, _raster_mean(luma), None)
-    cb = _plane_activity(frame.cb, fmt, cu_size, *sub)
-    cr = _plane_activity(frame.cr, fmt, cu_size, *sub)
-    return ActivityArrays(luma, cb, cr, _raster_mean(luma), _raster_mean(luma + cb + cr))
+    planes = {Channel.Y: frame.y, Channel.CB: frame.cb, Channel.CR: frame.cr}
+
+    def strips(channel: Channel, heights: list[int]) -> Iterator[np.ndarray]:
+        data = planes[channel].data
+        for y, rows in zip(accumulate(heights, initial=0), heights):
+            yield data[y : y + rows]
+
+    return _frame_arrays(strips, frame.format, cu_size, chroma)
+
+
+def stream_activity(
+    stream: BinaryIO, fmt: VideoFormat, cu_size: int, chroma: bool = True
+) -> ActivityArrays:
+    """activity_arrays of the frame at the stream's position, read one CU row at a time.
+
+    Bit-identical to activity_arrays(read_frame(...), cu_size, chroma), and
+    raises the errors read_frame and Frame raise, but holds one CU row of
+    samples per plane, never the frame. Every plane is read and
+    range-checked whatever chroma is, so the stream is left at the next
+    frame.
+    """
+    return _frame_arrays(
+        lambda channel, heights: read_strips(stream, fmt, channel, heights), fmt, cu_size, chroma
+    )
 
 
 def frame_activity(frame: Frame, cu_size: int, max_workers: int | None = None) -> FrameActivity:

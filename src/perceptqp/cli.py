@@ -17,13 +17,13 @@ import sys
 from collections import Counter
 from contextlib import contextmanager, suppress
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path
 from typing import Iterator, TextIO
 
 import numpy as np
 
-from .activity import ActivityArrays, FrameActivity, activity_arrays
+from .activity import ActivityArrays, FrameActivity, stream_activity
 from .metrics import RdCurve, _channel_sort_key, bd_psnr, bd_rate, parse_rd_csv
 from .partition import CU_SIZES, grid_dims
 from .qp import QP_MAX, QP_MIN, Mode, QpConfig, QpMap, Rounding, TMode, qp_grid
@@ -32,6 +32,7 @@ from .yuv import (
     Frame,
     VideoFormat,
     YuvError,
+    frame_bytes,
     probe_frame_count,
     read_frame,
 )
@@ -80,23 +81,15 @@ def _frame_range(total: int, skip: int, frames: int | None) -> range:
     return range(skip, skip + count)
 
 
-def read_frames(
-    path: Path, fmt: VideoFormat, skip: int, frames: int | None
-) -> Iterator[tuple[int, Frame]]:
-    """Yield (index, frame) over the selected range, decoding one frame at a time.
+def load_frames(path: Path, fmt: VideoFormat, skip: int, frames: int | None) -> list[tuple[int, Frame]]:
+    """(index, frame) for every selected frame, all decoded at once.
 
-    The file size must match the geometry; the range is checked before the
-    first frame is read.
+    The CLI itself streams through frame_activities; this whole-clip form
+    serves library callers and tests.
     """
     with open(path, "rb") as stream:
-        total = probe_frame_count(stream, fmt)
-        for index in _frame_range(total, skip, frames):
-            yield index, read_frame(stream, fmt, index)
-
-
-def load_frames(path: Path, fmt: VideoFormat, skip: int, frames: int | None) -> list[tuple[int, Frame]]:
-    """Every selected frame at once; the CLI itself streams through read_frames."""
-    return list(read_frames(path, fmt, skip, frames))
+        selected = _frame_range(probe_frame_count(stream, fmt), skip, frames)
+        return [(index, read_frame(stream, fmt, index)) for index in selected]
 
 
 def _selected_count(path: Path, fmt: VideoFormat, args: argparse.Namespace) -> int:
@@ -109,14 +102,16 @@ def frame_activities(
 ) -> Iterator[tuple[int, ActivityArrays]]:
     """Yield (index, activity) for every frame the flags select: the CLI's one frame loop.
 
-    Chroma activity is computed only when chroma is true; Frame still reads
-    and range-checks the chroma samples either way.
+    The file size must match the geometry, and the range is checked before
+    the first frame is read. The loop then reads forward only, one CU row
+    of samples per plane at a time. Chroma activity is computed only when
+    chroma is true; the chroma samples are read and range-checked either way.
     """
-    for index, frame in read_frames(path, fmt, args.skip, args.frames):
-        activity = activity_arrays(frame, args.cu_size, chroma)
-        # Free the samples before the caller renders this frame's rows.
-        del frame
-        yield index, activity
+    with open(path, "rb") as stream:
+        selected = _frame_range(probe_frame_count(stream, fmt), args.skip, args.frames)
+        stream.seek(selected.start * frame_bytes(fmt))
+        for index in selected:
+            yield index, stream_activity(stream, fmt, args.cu_size, chroma)
 
 
 def _replaceable(path: Path) -> bool:
@@ -205,30 +200,34 @@ def _echo_comment(tag: str, items: list[tuple[str, object]]) -> str:
     return "# perceptqp " + tag + " " + " ".join(f"{k}={v}" for k, v in items)
 
 
-# Each output is a head, one chunk per frame joined by a separator, and a
-# tail; the commands write the chunks as frames arrive, and the whole-clip
-# renderers below join the same chunks. A chunk is rendered from the frame's
-# (rows, cols) arrays, and its rows start with the frame index and the CU's
-# "x,y," cell, which is the same for every frame of a run.
+# Each output is a head, one piece per frame joined by a separator, and a
+# tail; the commands write the pieces as frames arrive, and the whole-clip
+# renderers below join the same pieces. A CSV piece is one chunk of text per
+# CU row, so no frame's text is held at once; a JSON piece is one chunk. A
+# piece is rendered from the frame's (rows, cols) arrays, and its rows start
+# with the frame index and the CU's "x,y," cell, which is the same for every
+# frame of a run.
 
 
 @lru_cache(maxsize=1)
-def _cells(rows: int, cols: int, cu_size: int) -> tuple[str, ...]:
-    """The "cu_x,cu_y," of every CU of the grid in raster order, in luma samples.
+def _cells(rows: int, cols: int, cu_size: int) -> tuple[tuple[str, ...], ...]:
+    """The "cu_x,cu_y," of every CU of the grid, one tuple per CU row, in luma samples.
 
     Built from an analysed frame's grid, never from the flags alone, so a
     geometry the input does not hold is refused before it costs memory.
     """
-    return tuple(f"{x * cu_size},{y * cu_size}," for y in range(rows) for x in range(cols))
+    return tuple(
+        tuple(f"{x * cu_size},{y * cu_size}," for x in range(cols)) for y in range(rows)
+    )
 
 
 def _qp_csv_head(fmt: VideoFormat, config: QpConfig) -> str:
     return _echo_comment("qp-map", _echo_items(fmt, config)) + "\nframe,cu_x,cu_y,qp\n"
 
 
-def _qp_csv_frame(index: int, qps: np.ndarray, cu_size: int) -> str:
-    cells = _cells(*qps.shape, cu_size)
-    return "".join([f"{index},{cell}{qp}\n" for cell, qp in zip(cells, qps.ravel().tolist())])
+def _qp_csv_frame(index: int, qps: np.ndarray, cu_size: int) -> Iterator[str]:
+    for cells, row in zip(_cells(*qps.shape, cu_size), qps.tolist()):
+        yield "".join([f"{index},{cell}{qp}\n" for cell, qp in zip(cells, row)])
 
 
 # Pieces of json.dumps({"config": ..., "frames": [...]}, indent=2) + "\n":
@@ -253,11 +252,12 @@ def _activity_csv_head(fmt: VideoFormat, cu_size: int) -> str:
     return echo + "\nframe,cu_x,cu_y,l,b,d,t_luma,t_cross\n"
 
 
-def _activity_csv_frame(index: int, act: ActivityArrays, cu_size: int) -> str:
+def _activity_csv_frame(index: int, act: ActivityArrays, cu_size: int) -> Iterator[str]:
     tail = f",{act.t_luma!r},{act.t_cross!r}\n"
-    cells = _cells(*act.luma.shape, cu_size)
-    values = zip(cells, act.luma.ravel().tolist(), act.cb.ravel().tolist(), act.cr.ravel().tolist())
-    return "".join([f"{index},{cell}{l!r},{b!r},{d!r}{tail}" for cell, l, b, d in values])
+    # A row's floats are boxed only while its chunk is built: a frame's at CU 16 take 0.8 MB.
+    for cells, *rows in zip(_cells(*act.luma.shape, cu_size), act.luma, act.cb, act.cr):
+        values = zip(cells, *(row.tolist() for row in rows))
+        yield "".join([f"{index},{cell}{l!r},{b!r},{d!r}{tail}" for cell, l, b, d in values])
 
 
 def _compare_head(fmt: VideoFormat, config_a: QpConfig, config_b: QpConfig) -> str:
@@ -271,9 +271,12 @@ def _compare_head(fmt: VideoFormat, config_a: QpConfig, config_b: QpConfig) -> s
     return _echo_comment("compare", items) + "\nframe,cu_x,cu_y,qp_a,qp_b,delta\n"
 
 
-def _compare_frame(index: int, qps_a: np.ndarray, qps_b: np.ndarray, cu_size: int) -> str:
-    rows = zip(_cells(*qps_a.shape, cu_size), qps_a.ravel().tolist(), qps_b.ravel().tolist())
-    return "".join([f"{index},{cell}{a},{b},{b - a}\n" for cell, a, b in rows])
+def _compare_frame(
+    index: int, qps_a: np.ndarray, qps_b: np.ndarray, cu_size: int
+) -> Iterator[str]:
+    for cells, *rows in zip(_cells(*qps_a.shape, cu_size), qps_a.tolist(), qps_b.tolist()):
+        values = zip(cells, *rows)
+        yield "".join([f"{index},{cell}{a},{b},{b - a}\n" for cell, a, b in values])
 
 
 # The whole-clip renderers take the per-CU objects of the public API and
@@ -282,8 +285,8 @@ def _compare_frame(index: int, qps_a: np.ndarray, qps_b: np.ndarray, cu_size: in
 
 def qp_maps_csv(maps: list[QpMap], fmt: VideoFormat) -> str:
     size = maps[0].config.cu_size
-    rows = (_qp_csv_frame(m.frame_index, np.array(m.qps), size) for m in maps)
-    return _qp_csv_head(fmt, maps[0].config) + "".join(rows)
+    chunks = chain.from_iterable(_qp_csv_frame(m.frame_index, np.array(m.qps), size) for m in maps)
+    return _qp_csv_head(fmt, maps[0].config) + "".join(chunks)
 
 
 def qp_maps_json(maps: list[QpMap], fmt: VideoFormat) -> str:
@@ -295,7 +298,9 @@ def activity_csv(
     activities: list[tuple[int, FrameActivity]], fmt: VideoFormat, cu_size: int
 ) -> str:
     cols, rows = grid_dims(fmt, cu_size)
-    chunks = (_activity_csv_frame(i, act.arrays(rows, cols), cu_size) for i, act in activities)
+    chunks = chain.from_iterable(
+        _activity_csv_frame(i, act.arrays(rows, cols), cu_size) for i, act in activities
+    )
     return _activity_csv_head(fmt, cu_size) + "".join(chunks)
 
 
@@ -322,9 +327,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             qps = qp_grid(config, act)
             if frames:
                 out.write(sep)
-            out.write(_qp_json_frame(index, qps) if as_json else _qp_csv_frame(index, qps, size))
+            if as_json:
+                out.write(_qp_json_frame(index, qps))
+            else:
+                out.writelines(_qp_csv_frame(index, qps, size))
             if dump is not None:
-                dump.write(_activity_csv_frame(index, act, size))
+                dump.writelines(_activity_csv_frame(index, act, size))
             frames += 1
             cus += qps.size
             qp_sum += int(qps.sum())
@@ -362,7 +370,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         out.write(_compare_head(fmt, config_a, config_b))
         for (index, act_a), (_, act_b) in pairs:
             qps_a, qps_b = qp_grid(config_a, act_a), qp_grid(config_b, act_b)
-            out.write(_compare_frame(index, qps_a, qps_b, args.cu_size))
+            out.writelines(_compare_frame(index, qps_a, qps_b, args.cu_size))
             deltas, counts = np.unique(qps_b - qps_a, return_counts=True)
             histogram.update(dict(zip(deltas.tolist(), counts.tolist())))
     for delta in sorted(histogram):
@@ -404,7 +412,7 @@ def cmd_dump_activity(args: argparse.Namespace) -> int:
     with _atomic_outputs([args.output], [args.input]) as (out,):
         out.write(_activity_csv_head(fmt, args.cu_size))
         for index, act in frame_activities(args.input, fmt, args, chroma=True):
-            out.write(_activity_csv_frame(index, act, args.cu_size))
+            out.writelines(_activity_csv_frame(index, act, args.cu_size))
             frames += 1
             cus_per_frame = act.luma.size
     print(f"frames={frames} cus_per_frame={cus_per_frame}")

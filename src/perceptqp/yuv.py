@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import io
 from dataclasses import dataclass
-from typing import BinaryIO
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -166,12 +166,15 @@ class Frame:
             got = (plane.width, plane.height)
             if got != expect:
                 raise YuvError(f"{channel.value} plane is {got}, format implies {expect}")
-            lo, hi = int(plane.data.min()), int(plane.data.max())
-            if lo < 0 or hi > self.format.max_sample:
-                raise SampleRangeError(
-                    f"{channel.value} sample out of range 0..{self.format.max_sample}"
-                    f" (saw {lo}..{hi})"
-                )
+            # Only passes that can fail: none where the dtype cannot hold an
+            # illegal sample, the max alone for an unsigned one; the min of an
+            # unsigned plane only words the error.
+            data, top = plane.data, self.format.max_sample
+            info = np.iinfo(data.dtype)
+            if info.min >= 0 and info.max <= top:
+                continue
+            if info.min < 0 or int(data.max()) > top:
+                _check_range(channel, self.format, int(data.min()), int(data.max()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Frame):
@@ -181,6 +184,14 @@ class Frame:
             and self.y == other.y
             and self.cb == other.cb
             and self.cr == other.cr
+        )
+
+
+def _check_range(channel: Channel, fmt: VideoFormat, lo: int, hi: int) -> None:
+    """Raise SampleRangeError unless a plane whose samples span lo..hi is legal for fmt."""
+    if lo < 0 or hi > fmt.max_sample:
+        raise SampleRangeError(
+            f"{channel.value} sample out of range 0..{fmt.max_sample} (saw {lo}..{hi})"
         )
 
 
@@ -215,6 +226,44 @@ def read_frame(source: BinaryIO, fmt: VideoFormat, index: int = 0) -> Frame:
         planes.append(Plane(flat[offset : offset + w * h].reshape(h, w)))
         offset += w * h
     return Frame(*planes, format=fmt)
+
+
+def read_strips(
+    source: BinaryIO, fmt: VideoFormat, channel: Channel, heights: list[int]
+) -> Iterator[np.ndarray]:
+    """Read one plane at the stream's position as consecutive strips of the given row counts.
+
+    heights must sum to the plane's height. Each strip is a (rows, width)
+    view of one reused buffer of the native dtype, sized for the tallest
+    strip, so a strip is valid only until the next one is requested; copy
+    it to keep it. Once the plane is read, SampleRangeError is raised with
+    Frame's message if any of its samples is illegal, and a short read
+    raises TruncatedInputError naming the frame. The stream is left at the
+    end of the plane.
+    """
+    width, _ = plane_dims(fmt, channel)
+    index = source.tell() // frame_bytes(fmt)
+    stored = np.empty(max(heights) * width, dtype=_storage_dtype(fmt))
+    # As in Frame: a uint8 sample cannot exceed the 8-bit range.
+    checked = np.iinfo(fmt.dtype).max > fmt.max_sample
+    lo, hi = fmt.max_sample, 0
+    done = 0
+    for rows in heights:
+        part = stored[: rows * width]
+        got = source.readinto(part.view(np.uint8))
+        done += got
+        if got < part.nbytes:
+            raise TruncatedInputError(
+                f"frame {index}: the {channel.value} plane needed"
+                f" {sum(heights) * width * fmt.bytes_per_sample} bytes, stream had {done}"
+            )
+        # As in read_frame: a copy only on a big-endian host.
+        strip = part.astype(fmt.dtype, copy=False).reshape(rows, width)
+        if checked:
+            lo, hi = min(lo, int(strip.min())), max(hi, int(strip.max()))
+        yield strip
+    if checked:
+        _check_range(channel, fmt, lo, hi)
 
 
 def write_frame(sink: BinaryIO, frame: Frame) -> int:

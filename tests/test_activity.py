@@ -4,9 +4,10 @@ The oracle here recomputes everything from scratch with naive two-pass
 float arithmetic and its own quadrant geometry, so agreement is meaningful.
 """
 
+import io
 import operator
 import tracemalloc
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 import pytest
@@ -19,13 +20,16 @@ from perceptqp import (
     ChromaFormat,
     Frame,
     Plane,
+    TruncatedInputError,
     VideoFormat,
     block_variance,
     cu_activity,
     cu_grid,
     frame_activity,
+    frame_bytes,
+    read_frame,
 )
-from perceptqp.activity import _raster_mean, activity_arrays
+from perceptqp.activity import _raster_mean, activity_arrays, stream_activity
 from strategies import checkerboard, frames, random_frame, reference_frame_activity
 
 
@@ -331,3 +335,55 @@ class TestLumaOnly:
         assert luma_only.luma.tolist() == full.luma.tolist()
         assert luma_only.t_luma == full.t_luma
         assert (luma_only.cb, luma_only.cr, luma_only.t_cross) == (None, None, None)
+
+
+STREAM_FORMATS = [
+    VideoFormat(width, height, depth, cf)
+    for width, height in ((1920, 1080), (200, 130))  # 200x130: a partial last CU row and column
+    for cf in ChromaFormat
+    for depth in (8, 10)
+]
+
+
+@lru_cache(maxsize=1)
+def distinct_frames_clip(fmt, count=3):
+    """count frames of fresh random samples, stored as read_frame reads them."""
+    rng = np.random.default_rng(fmt.width + fmt.bit_depth)
+    samples = rng.integers(0, fmt.max_sample + 1, size=count * frame_bytes(fmt) // fmt.bytes_per_sample)
+    return samples.astype("<u2" if fmt.bit_depth == 10 else np.uint8).tobytes()
+
+
+def bits(act):
+    """Everything of an ActivityArrays, arrays as their bytes, to compare bit for bit."""
+    return [None if x is None else x.tobytes() for x in (act.luma, act.cb, act.cr)] + [
+        act.t_luma,
+        act.t_cross,
+    ]
+
+
+class TestStreamActivity:
+    """A frame read one CU row at a time equals the decoded frame's activity bit for bit."""
+
+    @pytest.mark.parametrize("cu_size", [16, 32, 64])
+    @pytest.mark.parametrize(
+        "fmt", STREAM_FORMATS, ids=lambda f: f"{f.width}x{f.height}-{f.chroma_format.value}-{f.bit_depth}"
+    )
+    @pytest.mark.parametrize("chroma", [True, False], ids=["chroma", "luma-only"])
+    def test_equals_decoded_frame(self, fmt, cu_size, chroma):
+        clip = distinct_frames_clip(fmt)
+        stream, decoded = io.BytesIO(clip), io.BytesIO(clip)
+        skip = 1
+        stream.seek(skip * frame_bytes(fmt))
+        for index in range(skip, len(clip) // frame_bytes(fmt)):
+            streamed = stream_activity(stream, fmt, cu_size, chroma)
+            assert stream.tell() == (index + 1) * frame_bytes(fmt)
+            expected = activity_arrays(read_frame(decoded, fmt, index), cu_size, chroma)
+            assert bits(streamed) == bits(expected), index
+
+    def test_short_stream_names_the_frame(self):
+        fmt = VideoFormat(200, 130, 10, ChromaFormat.YUV420)
+        clip = distinct_frames_clip(fmt)
+        stream = io.BytesIO(clip[: frame_bytes(fmt) + frame_bytes(fmt) // 2])
+        stream_activity(stream, fmt, 32)
+        with pytest.raises(TruncatedInputError, match="frame 1: the Y plane"):
+            stream_activity(stream, fmt, 32)

@@ -175,15 +175,15 @@ class TestAnalyze:
 
 
 def count_activity_calls(monkeypatch):
-    """Wrap cli.activity_arrays so that each call appends its CU size to the returned list."""
+    """Wrap cli.stream_activity so that each call appends its CU size to the returned list."""
     calls = []
-    real = cli.activity_arrays
+    real = cli.stream_activity
 
-    def counting(frame, cu_size, chroma=True):
+    def counting(stream, fmt, cu_size, chroma=True):
         calls.append(cu_size)
-        return real(frame, cu_size, chroma)
+        return real(stream, fmt, cu_size, chroma)
 
-    monkeypatch.setattr(cli, "activity_arrays", counting)
+    monkeypatch.setattr(cli, "stream_activity", counting)
     return calls
 
 
@@ -252,13 +252,15 @@ class TestCompare:
 
 
 def count_plane_passes(monkeypatch):
-    """Wrap activity._plane_activity so that each plane it analyses appends to the returned list."""
+    """Wrap activity._plane_activity so that each plane it analyses appends its shape to the list."""
     calls = []
     real = activity._plane_activity
 
-    def counting(plane, *rest):
-        calls.append(plane.data.shape)
-        return real(plane, *rest)
+    def counting(strips, *rest):
+        # Copies: a reader's strips share one buffer, valid only until the next.
+        strips = [strip.copy() for strip in strips]
+        calls.append(np.concatenate(strips).shape)
+        return real(strips, *rest)
 
     monkeypatch.setattr(activity, "_plane_activity", counting)
     return calls
@@ -517,7 +519,7 @@ class TestDumpActivity:
 
 
 class TestStreaming:
-    """One decoded frame at a time, rows written as they come, outputs moved in at the end."""
+    """One CU row of samples at a time, rows written as they come, outputs moved in at the end."""
 
     def test_streamed_outputs_equal_whole_clip_renderers(self, tmp_path, capsys):
         clip = write_clip(tmp_path / "in.yuv", [random_frame(FMT, s) for s in range(4)])
@@ -624,6 +626,42 @@ class TestStreaming:
         assert side.read_text() == "old sidecar\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.yuv", "out.csv", "side.csv"]
 
+    @pytest.mark.parametrize(
+        "command", ["analyze-adaptiveqp", "analyze-dump-activity", "compare", "dump-activity"]
+    )
+    @pytest.mark.parametrize(
+        "at, message",
+        [
+            (-1, "error: Cr sample out of range 0..1023 (saw 512..1024)\n"),
+            (5, "error: Y sample out of range 0..1023 (saw 512..1024)\n"),
+        ],
+        ids=["last-cr-sample", "first-luma-strip"],
+    )
+    def test_range_error_keeps_its_bytes(self, tmp_path, capsys, command, at, message):
+        # A bad sample in the last frame, after two good frames' rows were written.
+        fmt = VideoFormat(128, 64, 10, ChromaFormat.YUV420)
+        clip = tmp_path / "in.yuv"
+        with open(clip, "wb") as sink:
+            for seed in (1, 2):
+                write_frame(sink, random_frame(fmt, seed))
+            last = np.full(frame_bytes(fmt) // 2, 512, dtype="<u2")
+            last[at] = 1024
+            sink.write(last.tobytes())
+        out, side = tmp_path / "out.csv", tmp_path / "side.csv"
+        out.write_text("old output\n")
+        side.write_text("old sidecar\n")
+        args = {
+            "analyze-adaptiveqp": analyze_args(clip, out, fmt=fmt, bit_depth=10, mode="adaptiveqp"),
+            "analyze-dump-activity": analyze_args(clip, out, fmt=fmt, bit_depth=10, dump_activity=side),
+            "compare": compare_args(clip, out, fmt=fmt, bit_depth=10, mode_a="adaptiveqp"),
+            "dump-activity": dump_args(clip, out, fmt=fmt, bit_depth=10),
+        }[command]
+        assert main(args) == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", message)
+        assert out.read_text() == "old output\n"
+        assert side.read_text() == "old sidecar\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.yuv", "out.csv", "side.csv"]
+
     def test_unwritable_sidecar_leaves_output_untouched(self, tmp_path, capsys):
         clip = constant_clip(tmp_path / "in.yuv")
         out = tmp_path / "map.csv"
@@ -701,6 +739,50 @@ def test_peak_memory_does_not_grow_with_clip_length(tmp_path, capsys, long_clip,
     short, long = (traced_peak(args + ["--frames", str(n)]) for n in (2, 16))
     capsys.readouterr()
     assert long < short + frame_bytes(LONG_FMT), (short, long)
+
+
+HD = {
+    "420": VideoFormat(1920, 1080, 8, ChromaFormat.YUV420),
+    "420-10": VideoFormat(1920, 1080, 10, ChromaFormat.YUV420),
+    "444": VideoFormat(1920, 1080, 8, ChromaFormat.YUV444),
+}
+
+
+@pytest.fixture(scope="module")
+def hd_clips(tmp_path_factory):
+    """A folder with NAME.yuv, two frames of random samples, for each NAME of HD."""
+    folder = tmp_path_factory.mktemp("hd")
+    rng = np.random.default_rng(11)
+    for name, fmt in HD.items():
+        samples = rng.integers(0, fmt.max_sample + 1, size=2 * frame_bytes(fmt) // fmt.bytes_per_sample)
+        stored = samples.astype("<u2" if fmt.bit_depth == 10 else np.uint8)
+        (folder / f"{name}.yuv").write_bytes(stored.tobytes())
+    return folder
+
+
+@pytest.mark.parametrize(
+    "name, make_args",
+    [
+        ("420", lambda clip, out, fmt: analyze_args(
+            clip, out / "m.csv", fmt=fmt, mode="adaptiveqp", cu_size=16, dump_activity=out / "a.csv")),
+        ("420-10", lambda clip, out, fmt: analyze_args(
+            clip, out / "m.json", fmt=fmt, bit_depth=10, cu_size=64, format="json")),
+        ("444", lambda clip, out, fmt: compare_args(
+            clip, out / "d.csv", fmt=fmt, mode_a="adaptiveqp", cu_size=32)),
+        ("444", lambda clip, out, fmt: compare_args(
+            clip, out / "d.csv", fmt=fmt, mode_a="adaptiveqp", cu_size=32, input_b=clip)),
+        ("420", lambda clip, out, fmt: dump_args(clip, out / "a.csv", fmt=fmt, cu_size=16)),
+    ],
+    ids=["analyze-csv-cu16-dump-activity", "analyze-json-10bit-cu64", "compare", "compare-input-b",
+         "dump-activity"],
+)
+def test_peak_memory_stays_below_half_a_frame(tmp_path, capsys, hd_clips, name, make_args):
+    args = make_args(hd_clips / f"{name}.yuv", tmp_path, HD[name])
+    assert main(args + ["--frames", "1"]) == EXIT_OK  # untraced warm-up: one-time allocations
+    peak = traced_peak(args)
+    capsys.readouterr()
+    # A decoded frame of the native dtype occupies frame_bytes.
+    assert peak < frame_bytes(HD[name]) / 2, peak
 
 
 NUMERIC_FLAGS = ("--width", "--height", "--skip", "--frames", "--qp", "--qp-range", "--cu-size")

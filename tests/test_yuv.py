@@ -220,6 +220,24 @@ class TestFrameValidation:
         with pytest.raises(SampleRangeError):
             Frame(good, bad, good, fmt)
 
+    @pytest.mark.parametrize(
+        "dtype, depth, values, message",
+        [
+            (np.int8, 8, (-1, 7), "Cr sample out of range 0..255 (saw -1..7)"),
+            (np.int16, 10, (-300, 5), "Cr sample out of range 0..1023 (saw -300..5)"),
+            (np.int64, 8, (3, 256), "Cr sample out of range 0..255 (saw 3..256)"),
+            (np.uint16, 10, (3, 1024), "Cr sample out of range 0..1023 (saw 3..1024)"),
+            (np.uint16, 8, (3, 256), "Cr sample out of range 0..255 (saw 3..256)"),
+        ],
+    )
+    def test_range_error_names_the_plane_extremes(self, dtype, depth, values, message):
+        fmt = VideoFormat(2, 2, depth, ChromaFormat.YUV444)
+        good = Plane(np.full((2, 2), 4, dtype=dtype))
+        bad = Plane(np.array([[values[0], 4], [4, values[1]]], dtype=dtype))
+        with pytest.raises(SampleRangeError) as raised:
+            Frame(good, good, bad, fmt)
+        assert str(raised.value) == message
+
     def test_negative_sample_rejected(self):
         fmt = VideoFormat(2, 2, 8, ChromaFormat.YUV444)
         good = Plane(np.zeros((2, 2), dtype=np.int32))
