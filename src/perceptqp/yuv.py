@@ -242,7 +242,6 @@ def read_strips(
     end of the plane.
     """
     width, _ = plane_dims(fmt, channel)
-    index = source.tell() // frame_bytes(fmt)
     stored = np.empty(max(heights) * width, dtype=_storage_dtype(fmt))
     # As in Frame: a uint8 sample cannot exceed the 8-bit range.
     checked = np.iinfo(fmt.dtype).max > fmt.max_sample
@@ -253,6 +252,7 @@ def read_strips(
         got = source.readinto(part.view(np.uint8))
         done += got
         if got < part.nbytes:
+            index = (source.tell() - done) // frame_bytes(fmt)
             raise TruncatedInputError(
                 f"frame {index}: the {channel.value} plane needed"
                 f" {sum(heights) * width * fmt.bytes_per_sample} bytes, stream had {done}"

@@ -595,17 +595,20 @@ class TestStreaming:
         capsys.readouterr()
         assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~0o027
 
-    @pytest.mark.parametrize(
-        "command", ["analyze", "compare", "dump-activity", "analyze-adaptiveqp", "compare-adaptiveqp"]
-    )
-    def test_failed_run_leaves_existing_outputs_untouched(self, tmp_path, capsys, command):
+    BAD_SAMPLE_COMMANDS = ["analyze", "compare", "dump-activity", "analyze-adaptiveqp", "compare-adaptiveqp"]
+
+    def fail_over_old_outputs(self, tmp_path, capsys, command, at):
+        """Run command on two good 10-bit frames and a mid-grey third holding a 1024 at flat index at.
+
+        Asserts exit 3 and that the existing outputs keep their bytes; returns (stdout, stderr).
+        """
         fmt = VideoFormat(128, 64, 10, ChromaFormat.YUV420)
         clip = tmp_path / "in.yuv"
         with open(clip, "wb") as sink:
             for seed in (1, 2):
                 write_frame(sink, random_frame(fmt, seed))
             last = np.full(frame_bytes(fmt) // 2, 512, dtype="<u2")
-            last[-1] = 1024  # the last Cr sample, not a 10-bit one
+            last[at] = 1024  # not a 10-bit sample
             sink.write(last.tobytes())
         out, side = tmp_path / "out.csv", tmp_path / "side.csv"
         out.write_text("old output\n")
@@ -621,46 +624,21 @@ class TestStreaming:
             ),
         }[command]
         assert main(args) == EXIT_VALIDATION
-        assert "Cr sample out of range" in capsys.readouterr().err
         assert out.read_text() == "old output\n"
         assert side.read_text() == "old sidecar\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.yuv", "out.csv", "side.csv"]
+        return capsys.readouterr()
 
-    @pytest.mark.parametrize(
-        "command", ["analyze-adaptiveqp", "analyze-dump-activity", "compare", "dump-activity"]
-    )
-    @pytest.mark.parametrize(
-        "at, message",
-        [
-            (-1, "error: Cr sample out of range 0..1023 (saw 512..1024)\n"),
-            (5, "error: Y sample out of range 0..1023 (saw 512..1024)\n"),
-        ],
-        ids=["last-cr-sample", "first-luma-strip"],
-    )
-    def test_range_error_keeps_its_bytes(self, tmp_path, capsys, command, at, message):
-        # A bad sample in the last frame, after two good frames' rows were written.
-        fmt = VideoFormat(128, 64, 10, ChromaFormat.YUV420)
-        clip = tmp_path / "in.yuv"
-        with open(clip, "wb") as sink:
-            for seed in (1, 2):
-                write_frame(sink, random_frame(fmt, seed))
-            last = np.full(frame_bytes(fmt) // 2, 512, dtype="<u2")
-            last[at] = 1024
-            sink.write(last.tobytes())
-        out, side = tmp_path / "out.csv", tmp_path / "side.csv"
-        out.write_text("old output\n")
-        side.write_text("old sidecar\n")
-        args = {
-            "analyze-adaptiveqp": analyze_args(clip, out, fmt=fmt, bit_depth=10, mode="adaptiveqp"),
-            "analyze-dump-activity": analyze_args(clip, out, fmt=fmt, bit_depth=10, dump_activity=side),
-            "compare": compare_args(clip, out, fmt=fmt, bit_depth=10, mode_a="adaptiveqp"),
-            "dump-activity": dump_args(clip, out, fmt=fmt, bit_depth=10),
-        }[command]
-        assert main(args) == EXIT_VALIDATION
-        assert capsys.readouterr() == ("", message)
-        assert out.read_text() == "old output\n"
-        assert side.read_text() == "old sidecar\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.yuv", "out.csv", "side.csv"]
+    @pytest.mark.parametrize("command", BAD_SAMPLE_COMMANDS)
+    def test_failed_run_leaves_existing_outputs_untouched(self, tmp_path, capsys, command):
+        # the last Cr sample of the last frame
+        err = "error: Cr sample out of range 0..1023 (saw 512..1024)\n"
+        assert self.fail_over_old_outputs(tmp_path, capsys, command, at=-1) == ("", err)
+
+    @pytest.mark.parametrize("command", BAD_SAMPLE_COMMANDS)
+    def test_bad_sample_in_first_luma_strip_keeps_error_bytes(self, tmp_path, capsys, command):
+        err = "error: Y sample out of range 0..1023 (saw 512..1024)\n"
+        assert self.fail_over_old_outputs(tmp_path, capsys, command, at=5) == ("", err)
 
     def test_unwritable_sidecar_leaves_output_untouched(self, tmp_path, capsys):
         clip = constant_clip(tmp_path / "in.yuv")
