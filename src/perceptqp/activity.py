@@ -155,15 +155,15 @@ def _plane_activity(
     strips are the plane's CU-row strips, top to bottom, with the row
     counts _strip_heights gives; each is used only until the next is drawn,
     so they may share one buffer. Temporaries stay the size of one strip,
-    never of the plane. The strip's top and bottom quadrant rows are summed
-    down the columns into int32, then np.add.reduceat sums every quadrant's
-    columns into int64. An empty half counts as infinite variance, as
-    sub_blocks' empty quadrants are skipped.
+    never of the plane, and the squares the size of one quadrant half. The
+    strip's top and bottom quadrant rows are summed down the columns into
+    int32, then np.add.reduceat sums every quadrant's columns into int64.
+    An empty half counts as infinite variance, as sub_blocks' empty
+    quadrants are skipped.
     """
     x_starts, widths = _quadrant_halves(fmt.width, cu_size, sub_x)
     _, heights = _quadrant_halves(fmt.height, cu_size, sub_y)
     rows, cols = heights.size // 2, widths.size // 2
-    strip_rows = heights.reshape(rows, 2).sum(axis=1)
     width = fmt.width // sub_x
     # A half is empty only where a CU's extent is one sample, which only the
     # last CU can have; its right half then starts one past the plane's edge,
@@ -181,21 +181,18 @@ def _plane_activity(
     columns = np.empty((2, 2, width), dtype=np.int32)
     # (sum/squared sum, top/bottom, column half); int64 so that s1 * s1 fits
     sums = np.empty((2, 2, widths.size), dtype=np.int64)
-    # One squares buffer for every strip: a fresh one per strip would be mapped
-    # and unmapped each time once it is larger than malloc's mmap threshold.
-    squared = np.empty((int(strip_rows.max()), width), dtype=np.int32)
+    # One squares buffer for every half, top and bottom in turn, so it is half
+    # a strip: a fresh one each time would be mapped and unmapped once it is
+    # larger than malloc's mmap threshold.
+    squared = np.empty((int(heights.max()), width), dtype=np.int32)
     # strict: zip draws once past the last strip, which lets a reader finish
     # its range check, and it refuses a strip count that is not rows.
     for row, strip in zip(range(rows), strips, strict=True):
-        top, bottom = heights[2 * row], heights[2 * row + 1]
-        squares = np.square(strip, dtype=np.int32, out=squared[: top + bottom])
-        if top == bottom:
-            strip.reshape(2, top, width).sum(axis=1, dtype=np.int32, out=columns[0])
-            squares.reshape(2, top, width).sum(axis=1, dtype=np.int32, out=columns[1])
-        else:
-            for values, out in ((strip, columns[0]), (squares, columns[1])):
-                values[:top].sum(axis=0, dtype=np.int32, out=out[0])
-                values[top:].sum(axis=0, dtype=np.int32, out=out[1])
+        top = heights[2 * row]
+        for half, values in enumerate((strip[:top], strip[top:])):
+            values.sum(axis=0, dtype=np.int32, out=columns[0, half])
+            squares = np.square(values, dtype=np.int32, out=squared[: len(values)])
+            squares.sum(axis=0, dtype=np.int32, out=columns[1, half])
         np.add.reduceat(columns.reshape(4, width), starts, axis=1, out=sums.reshape(4, -1))
         counts = heights[2 * row : 2 * row + 2, None] * widths
         s1, s2 = sums

@@ -10,8 +10,8 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import json
 import os
+import signal
 import stat
 import sys
 from collections import Counter
@@ -19,12 +19,11 @@ from contextlib import contextmanager, suppress
 from functools import lru_cache
 from itertools import chain, combinations
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import TYPE_CHECKING, Iterator, TextIO
 
 import numpy as np
 
 from .activity import ActivityArrays, FrameActivity, stream_activity
-from .metrics import RdCurve, _channel_sort_key, bd_psnr, bd_rate, parse_rd_csv
 from .partition import CU_SIZES, grid_dims
 from .qp import QP_MAX, QP_MIN, Mode, QpConfig, QpMap, Rounding, TMode, qp_grid
 from .yuv import (
@@ -37,10 +36,16 @@ from .yuv import (
     read_frame,
 )
 
+if TYPE_CHECKING:
+    from .metrics import RdCurve
+
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_IO = 4
+# A run ended by a signal exits 128 plus its number, as a shell reports it.
+EXIT_INTERRUPTED = 128 + signal.SIGINT
+EXIT_TERMINATED = 128 + signal.SIGTERM
 
 
 def _format_from_args(args: argparse.Namespace) -> VideoFormat:
@@ -230,21 +235,30 @@ def _qp_csv_frame(index: int, qps: np.ndarray, cu_size: int) -> Iterator[str]:
         yield "".join([f"{index},{cell}{qp}\n" for cell, qp in zip(cells, row)])
 
 
-# Pieces of json.dumps({"config": ..., "frames": [...]}, indent=2) + "\n":
-# each nested value is dumped alone and re-indented to its depth.
+# Pieces of json.dumps({"config": ..., "frames": [...]}, indent=2) + "\n".
+# The config is dumped alone and re-indented to its depth. A frame holds
+# only ints and is joined directly: indent makes json fall back to its
+# pure-Python encoder, which takes about three times as long per frame.
 _JSON_FRAME_SEP = ",\n    "
 _JSON_TAIL = "\n  ]\n}\n"
 
 
 def _qp_json_head(fmt: VideoFormat, config: QpConfig) -> str:
+    import json
+
     echo = json.dumps(dict(_echo_items(fmt, config)), indent=2).replace("\n", "\n  ")
     return '{\n  "config": ' + echo + ',\n  "frames": [\n    '
 
 
 def _qp_json_frame(index: int, qps: np.ndarray) -> str:
     rows, cols = qps.shape
-    frame = {"frame": index, "cols": cols, "rows": rows, "qp": qps.tolist()}
-    return json.dumps(frame, indent=2).replace("\n", "\n    ")
+    grid = ",\n        ".join(
+        ["[\n          " + ",\n          ".join(map(str, row)) + "\n        ]" for row in qps.tolist()]
+    )
+    return (
+        f'{{\n      "frame": {index},\n      "cols": {cols},\n      "rows": {rows},\n'
+        f'      "qp": [\n        {grid}\n      ]\n    }}'
+    )
 
 
 def _activity_csv_head(fmt: VideoFormat, cu_size: int) -> str:
@@ -379,6 +393,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _channel_curves(path: Path) -> dict[str, RdCurve]:
+    from .metrics import RdCurve, parse_rd_csv
+
     parsed = parse_rd_csv(path.read_bytes())
     if len(parsed) != 1:
         raise ValueError(f"{path}: expected a single label, found {sorted(parsed)}")
@@ -391,6 +407,9 @@ def _channel_curves(path: Path) -> dict[str, RdCurve]:
 
 
 def cmd_bdrate(args: argparse.Namespace) -> int:
+    # Only this command reads RD curves, so only it loads metrics (and csv).
+    from .metrics import _channel_sort_key, bd_psnr, bd_rate
+
     anchor = _channel_curves(args.anchor)
     test = _channel_curves(args.test)
     shared = sorted(set(anchor) & set(test), key=_channel_sort_key)
@@ -483,8 +502,24 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
 
 
+def _terminate(signum: int, frame: object) -> None:
+    raise SystemExit(EXIT_TERMINATED)
+
+
 def entry() -> None:
-    raise SystemExit(main())
+    """The console script: main() with the process's argv, and signals ending in exit codes.
+
+    SIGTERM raises inside the run, so staged outputs are removed as on any
+    failure, and exits 143; SIGINT does the same and exits 130 after one
+    "interrupted" line on stderr.
+    """
+    signal.signal(signal.SIGTERM, _terminate)
+    try:
+        code = main()
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        code = EXIT_INTERRUPTED
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ from perceptqp import (
     frame_activity,
     frame_bytes,
     read_frame,
+    write_frame,
 )
 from perceptqp.activity import _raster_mean, activity_arrays, stream_activity
 from strategies import checkerboard, frames, random_frame, reference_frame_activity
@@ -324,6 +325,21 @@ class TestFrameActivityIsBitExact:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    def test_squares_stay_per_quadrant_half(self):
+        # about 0.6 MB here; squaring a whole CU 64 luma strip at once, a 491 KB
+        # buffer, took 0.84 MB
+        fmt = VideoFormat(1920, 1080, 10, ChromaFormat.YUV420)
+        stream = io.BytesIO()
+        write_frame(stream, random_frame(fmt, seed=4))
+        stream.seek(0)
+        tracemalloc.start()
+        try:
+            stream_activity(stream, fmt, 64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 700_000
 
 
 class TestLumaOnly:

@@ -5,11 +5,13 @@ import errno
 import functools
 import json
 import os
+import signal
 import stat
 import subprocess
 import sys
 import tempfile
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -18,6 +20,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perceptqp import (
+    QP_MAX,
+    QP_MIN,
     ChromaFormat,
     Mode,
     QpConfig,
@@ -883,14 +887,19 @@ def test_geometry_the_input_cannot_hold_is_refused_before_any_grid(tmp_path, cap
     assert not (tmp_path / "out.csv").exists()
 
 
-def fresh_interpreter(code, **env):
-    """Run code in a new Python with perceptqp importable and OPENBLAS_NUM_THREADS as given."""
+def child_env(**env):
+    """This process's environment with perceptqp importable and OPENBLAS_NUM_THREADS as given."""
     environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     src = os.path.dirname(os.path.dirname(perceptqp.__file__))
     environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, environ.get("PYTHONPATH")]))
     environ.update(env)
+    return environ
+
+
+def fresh_interpreter(code, **env):
+    """Run code in a new Python with perceptqp importable and OPENBLAS_NUM_THREADS as given."""
     done = subprocess.run(
-        [sys.executable, "-c", code], env=environ, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code], env=child_env(**env), capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
     return done.stdout.strip()
@@ -911,3 +920,138 @@ class TestOpenblasDefault:
     def test_explicit_value_wins(self):
         code = "import os, perceptqp.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
         assert fresh_interpreter(code, OPENBLAS_NUM_THREADS="2") == "2"
+
+
+# Every name the package exported when its __init__ imported all submodules up front.
+EXPORTS = [
+    (module, name)
+    for module, names in {
+        "activity": "ActivityRecord FrameActivity block_variance cu_activity frame_activity",
+        "metrics": "CurveOverlapError DegenerateCurveError RdCurve RdPoint bd_psnr bd_rate"
+        " parse_rd_csv psnr",
+        "partition": "CU_SIZES CbRect CuRect cb_rect cu_grid grid_dims sub_blocks",
+        "qp": "Mode QP_MAX QP_MIN QpConfig QpMap Rounding TMode cu_qp delta_qp normalized_activity"
+        " qp_map qp_map_from_activity round_half_away_from_zero scaling_factor",
+        "yuv": "Channel ChromaFormat Frame Plane SampleRangeError TruncatedInputError VideoFormat"
+        " YuvError frame_bytes plane_dims probe_frame_count read_frame write_frame",
+    }.items()
+    for name in names.split()
+]
+
+
+class TestLazyExports:
+    """perceptqp's names load their submodule on first use, so the CLI loads only its own path."""
+
+    def test_cli_import_leaves_out_metrics_csv_and_json(self):
+        code = "import sys, perceptqp.cli; print(sorted({'perceptqp.metrics', 'csv', 'json'} & set(sys.modules)))"
+        assert fresh_interpreter(code) == "[]"
+
+    def test_every_export_is_listed_and_is_its_submodules_object(self):
+        code = (
+            "import importlib, perceptqp\n"
+            f"exports = {EXPORTS!r}\n"
+            "listed = set(dir(perceptqp))\n"
+            "print([n for _, n in exports if n not in listed])\n"
+            "print([n for m, n in exports if getattr(perceptqp, n) is not"
+            " getattr(importlib.import_module('perceptqp.' + m), n)])\n"
+            "print(sorted(perceptqp.__all__) == sorted(n for _, n in exports))\n"
+        )
+        assert fresh_interpreter(code).splitlines() == ["[]", "[]", "True"]
+
+    def test_unknown_name_is_attribute_error(self):
+        with pytest.raises(AttributeError, match="'perceptqp' has no attribute 'no_such_name'"):
+            perceptqp.no_such_name
+        with pytest.raises(ImportError):
+            from perceptqp import no_such_name  # noqa: F401
+
+    def test_submodules_import_by_name(self):
+        code = (
+            "import sys; from perceptqp import activity, cli;"
+            " print(activity is sys.modules['perceptqp.activity'], cli is sys.modules['perceptqp.cli'])"
+        )
+        assert fresh_interpreter(code) == "True True"
+
+
+@st.composite
+def qp_grids(draw):
+    """A (rows, cols) int64 QP grid: 1x1, one row, one column or up to 17x30."""
+    rows, cols = draw(st.sampled_from([(1, 1), (1, None), (None, 1), (None, None)]))
+    rows = rows or draw(st.integers(1, 17))
+    cols = cols or draw(st.integers(1, 30))
+    qps = draw(st.lists(st.integers(QP_MIN, QP_MAX), min_size=rows * cols, max_size=rows * cols))
+    return np.array(qps, dtype=np.int64).reshape(rows, cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6), qp_grids())
+def test_json_frame_equals_json_dumps(index, qps):
+    rows, cols = qps.shape
+    frame = {"frame": index, "cols": cols, "rows": rows, "qp": qps.tolist()}
+    assert cli._qp_json_frame(index, qps) == json.dumps(frame, indent=2).replace("\n", "\n    ")
+
+
+def cli_child(argv):
+    """The console script's entry() on argv in a new process, stdout and stderr piped.
+
+    SIGINT is handled as in a foreground job: a test run in the background
+    inherits an ignored SIGINT, which Python would leave ignored.
+    """
+    code = (
+        "import signal; signal.signal(signal.SIGINT, signal.default_int_handler);"
+        " from perceptqp.cli import entry; entry()"
+    )
+    return subprocess.Popen(
+        [sys.executable, "-c", code, *argv], env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+
+
+@pytest.mark.parametrize(
+    "signum, code, err",
+    [(signal.SIGINT, cli.EXIT_INTERRUPTED, b"interrupted\n"), (signal.SIGTERM, cli.EXIT_TERMINATED, b"")],
+    ids=["SIGINT", "SIGTERM"],
+)
+def test_signal_mid_clip_removes_partial_files(tmp_path, long_clip, signum, code, err):
+    # The sidecar is a FIFO that this test stops reading once frame 2's rows
+    # begin, so the run is held mid-clip, its map staged in a partial file,
+    # until the signal arrives; 13 frames of sidecar rows are still to come.
+    side = tmp_path / "side"
+    os.mkfifo(side)
+    # Read and write, so the run's open of the FIFO never waits for this reader.
+    fifo = os.open(side, os.O_RDWR | os.O_NONBLOCK)
+    received = bytearray()
+    deadline = time.monotonic() + 60
+
+    def drain():
+        try:
+            received.extend(os.read(fifo, 1 << 16))
+        except BlockingIOError:
+            time.sleep(0.005)
+
+    try:
+        child = cli_child(analyze_args(
+            long_clip, tmp_path / "map.csv", fmt=LONG_FMT, bit_depth=10, cu_size=16, dump_activity=side
+        ))
+        while b"\n2," not in received:
+            assert child.poll() is None and time.monotonic() < deadline
+            drain()
+        assert len([p for p in tmp_path.iterdir() if p.name.endswith(".partial")]) == 1
+        child.send_signal(signum)
+        while child.poll() is None:  # the run's clean-up flushes its last sidecar rows
+            assert time.monotonic() < deadline
+            drain()
+        out, stderr = child.communicate(timeout=60)
+    finally:
+        os.close(fifo)
+    assert (child.returncode, out, stderr) == (code, b"", err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["side"]
+
+
+def test_broken_pipe_is_one_io_error_line(long_clip):
+    # As `perceptqp analyze --output /dev/stdout | head -1`: about 210 KB of
+    # rows, far more than the pipe holds, so the run is still writing.
+    child = cli_child(analyze_args(long_clip, "/dev/stdout", fmt=LONG_FMT, bit_depth=10, cu_size=16))
+    first = child.stdout.readline()
+    child.stdout.close()
+    _, err = child.communicate(timeout=60)
+    assert first.startswith(b"# perceptqp qp-map ")
+    assert (child.returncode, err) == (EXIT_IO, b"i/o error: [Errno 32] Broken pipe\n")
