@@ -1036,7 +1036,7 @@ def test_signal_mid_clip_removes_partial_files(tmp_path, long_clip, signum, code
             drain()
         assert len([p for p in tmp_path.iterdir() if p.name.endswith(".partial")]) == 1
         child.send_signal(signum)
-        while child.poll() is None:  # the run's clean-up flushes its last sidecar rows
+        while child.poll() is None:  # keep reading, so no write of the clean-up can block
             assert time.monotonic() < deadline
             drain()
         out, stderr = child.communicate(timeout=60)
