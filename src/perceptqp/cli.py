@@ -15,8 +15,9 @@ import signal
 import stat
 import sys
 from collections import Counter
-from contextlib import contextmanager, suppress
+from contextlib import ExitStack, contextmanager, suppress
 from functools import lru_cache
+from io import StringIO
 from itertools import chain, combinations
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, TextIO
@@ -97,26 +98,33 @@ def load_frames(path: Path, fmt: VideoFormat, skip: int, frames: int | None) -> 
         return [(index, read_frame(stream, fmt, index)) for index in selected]
 
 
-def _selected_count(path: Path, fmt: VideoFormat, args: argparse.Namespace) -> int:
-    with open(path, "rb") as stream:
-        return len(_frame_range(probe_frame_count(stream, fmt), args.skip, args.frames))
-
-
 def frame_activities(
-    path: Path, fmt: VideoFormat, args: argparse.Namespace, chroma: bool
-) -> Iterator[tuple[int, ActivityArrays]]:
-    """Yield (index, activity) for every frame the flags select: the CLI's one frame loop.
+    paths: list[Path], fmt: VideoFormat, args: argparse.Namespace, chroma: bool
+) -> Iterator[tuple[int, list[ActivityArrays]]]:
+    """Yield (index, one activity per input) for every frame the flags select: the CLI's one frame loop.
 
-    The file size must match the geometry, and the range is checked before
-    the first frame is read. The loop then reads forward only, one CU row
-    of samples per plane at a time. Chroma activity is computed only when
+    Each input is opened and probed once: in order, its size must match the
+    geometry and its range lie inside it; then the ranges must have one
+    length. The inputs are then read forward only, in lockstep, one CU row of
+    samples per plane at a time. Chroma activity is computed only when
     chroma is true; the chroma samples are read and range-checked either way.
     """
-    with open(path, "rb") as stream:
-        selected = _frame_range(probe_frame_count(stream, fmt), args.skip, args.frames)
-        stream.seek(selected.start * frame_bytes(fmt))
+    with ExitStack() as stack:
+        streams, counts = [], []
+        for path in paths:
+            streams.append(stack.enter_context(open(path, "rb")))
+            selected = _frame_range(probe_frame_count(streams[-1], fmt), args.skip, args.frames)
+            counts.append(len(selected))
+        if len(set(counts)) > 1:
+            raise YuvError(
+                f"inputs differ in frame count ({' vs '.join(map(str, counts))});"
+                " pass --frames to pin a common range"
+            )
+        # Every range starts at --skip, so ranges of one length are one range.
+        for stream in streams:
+            stream.seek(selected.start * frame_bytes(fmt))
         for index in selected:
-            yield index, stream_activity(stream, fmt, args.cu_size, chroma)
+            yield index, [stream_activity(stream, fmt, args.cu_size, chroma) for stream in streams]
 
 
 def _replaceable(path: Path) -> bool:
@@ -127,25 +135,51 @@ def _replaceable(path: Path) -> bool:
         return True
 
 
+def _std_fd(path: Path) -> int | None:
+    """1 or 2 if path exists and is the file this process's stdout or stderr writes to."""
+    for fd in (1, 2):
+        with suppress(OSError):
+            if os.path.samestat(os.stat(path), os.fstat(fd)):
+                return fd
+    return None
+
+
+def _flush(stream: TextIO) -> None:
+    """Flush stream; if that fails, point its fd at os.devnull and re-raise.
+
+    The interpreter flushes stdout again at exit, and a second failure there
+    would print a traceback and exit 120 after the run's own error line.
+    """
+    try:
+        stream.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        raise
+
+
 @contextmanager
-def _atomic_outputs(paths: list[Path], inputs: list[Path | None]) -> Iterator[list[TextIO]]:
-    """One text sink per path; files replace their paths only if the block completes.
+def _atomic_outputs(paths: list[Path], inputs: list[Path]) -> Iterator[tuple[TextIO, list[TextIO]]]:
+    """A summary buffer and one text sink per path; files replace their paths only if the block completes.
 
     Before anything is opened, an existing path that is an input, or two paths
-    naming one file, raise ValueError. A missing or regular-file path is
-    written to a hidden partial file beside it, named by 64 random bits, so
-    its name neither grows with the path's nor matches one that an earlier,
-    killed run left behind. After the block, every sink is closed and then
-    each partial file is moved into place, in argument order. On any
-    exception the partial files are deleted, so existing files keep their
-    bytes. Any other existing path, such as /dev/null, a FIFO or /dev/stdout,
-    is opened and written directly, since a device or a pipe must not be
-    replaced by a file.
+    naming one file, raise ValueError. A path that is this process's stdout or
+    stderr, even a regular file a shell redirected it to, is written through
+    that descriptor; the summary then goes to stderr, so it never joins the
+    rows, and otherwise to stdout. Any other existing path that is not a
+    regular file, such as /dev/null or a FIFO, is opened and written directly,
+    since a device or a pipe must not be replaced by a file. A missing or
+    regular-file path is written to a hidden partial file beside it, named by
+    64 random bits, so its name neither grows with the path's nor matches one
+    that an earlier, killed run left behind. After the block, every sink is
+    closed, the summary is written and flushed, so it follows the rows on a
+    shared stream, and each partial file is moved into place, in argument
+    order. On any exception, a summary that cannot be written included, the
+    partial files are deleted, so existing files keep their bytes.
     open(..., "x") gives a new file the umask's mode, as Path.write_text would.
     """
     for out in paths:
         for path in inputs:
-            if path is not None and out.exists() and path.exists() and os.path.samefile(out, path):
+            if out.exists() and path.exists() and os.path.samefile(out, path):
                 raise ValueError(f"output {out} is the input {path}; refusing to overwrite it")
     for first, second in combinations(paths, 2):
         if first.exists() and second.exists():
@@ -157,19 +191,26 @@ def _atomic_outputs(paths: list[Path], inputs: list[Path | None]) -> Iterator[li
             raise ValueError(
                 f"outputs {first} and {second} are the same file; one would overwrite the other"
             )
+    std_fds = [_std_fd(path) for path in paths]
+    report = sys.stderr if 1 in std_fds else sys.stdout
+    summary = StringIO()
     sinks: list[TextIO] = []
     staged: list[tuple[Path, Path]] = []
     try:
-        for path in paths:
-            if _replaceable(path):
+        for path, fd in zip(paths, std_fds):
+            if fd is not None:
+                sinks.append(open(fd, "w", closefd=False))
+            elif _replaceable(path):
                 partial = path.with_name(f".perceptqp.{os.urandom(8).hex()}.partial")
                 sinks.append(open(partial, "x"))
                 staged.append((partial, path))
             else:
                 sinks.append(open(path, "w"))
-        yield sinks
+        yield summary, sinks
         for sink in sinks:
             sink.close()
+        report.write(summary.getvalue())
+        _flush(report)
         for partial, path in staged:
             os.replace(partial, path)
     except BaseException:
@@ -331,13 +372,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     min_qp, max_qp = QP_MAX, QP_MIN
     # The map is listed first, so it is moved into place before the sidecar.
     paths = [args.output] + ([args.dump_activity] if args.dump_activity is not None else [])
-    with _atomic_outputs(paths, [args.input]) as sinks:
+    with _atomic_outputs(paths, [args.input]) as (summary, sinks):
         out, dump = sinks[0], sinks[1] if len(sinks) > 1 else None
         out.write(head)
         if dump is not None:
             dump.write(_activity_csv_head(fmt, config.cu_size))
         chroma = config.mode is Mode.CBAQ or dump is not None
-        for index, act in frame_activities(args.input, fmt, args, chroma):
+        for index, (act,) in frame_activities([args.input], fmt, args, chroma):
             qps = qp_grid(config, act)
             if frames:
                 out.write(sep)
@@ -352,11 +393,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             qp_sum += int(qps.sum())
             min_qp, max_qp = min(min_qp, int(qps.min())), max(max_qp, int(qps.max()))
         out.write(tail)
-    mean_delta = (qp_sum - config.slice_qp * cus) / cus
-    print(
-        f"frames={frames} cus={cus} mean_delta_qp={mean_delta:.4f}"
-        f" min_qp={min_qp} max_qp={max_qp}"
-    )
+        mean_delta = (qp_sum - config.slice_qp * cus) / cus
+        print(
+            f"frames={frames} cus={cus} mean_delta_qp={mean_delta:.4f}"
+            f" min_qp={min_qp} max_qp={max_qp}",
+            file=summary,
+        )
     return EXIT_OK
 
 
@@ -365,30 +407,19 @@ def cmd_compare(args: argparse.Namespace) -> int:
     config_a = _qp_config(args, "_a")
     config_b = _qp_config(args, "_b")
     histogram: Counter[int] = Counter()
+    inputs = [args.input] if args.input_b is None else [args.input, args.input_b]
     # Entered first, so the outputs are checked before any input is probed.
-    with _atomic_outputs([args.output], [args.input, args.input_b]) as (out,):
+    with _atomic_outputs([args.output], inputs) as (summary, (out,)):
         # The QP rules are pure functions of the activity, so one input needs one pass.
         chroma = Mode.CBAQ in (config_a.mode, config_b.mode)
-        activities = frame_activities(args.input, fmt, args, chroma)
-        if args.input_b is None:
-            pairs = ((item, item) for item in activities)
-        else:
-            count_a = _selected_count(args.input, fmt, args)
-            count_b = _selected_count(args.input_b, fmt, args)
-            if count_a != count_b:
-                raise YuvError(
-                    f"inputs differ in frame count ({count_a} vs {count_b});"
-                    " pass --frames to pin a common range"
-                )
-            pairs = zip(activities, frame_activities(args.input_b, fmt, args, chroma))
         out.write(_compare_head(fmt, config_a, config_b))
-        for (index, act_a), (_, act_b) in pairs:
-            qps_a, qps_b = qp_grid(config_a, act_a), qp_grid(config_b, act_b)
+        for index, acts in frame_activities(inputs, fmt, args, chroma):
+            qps_a, qps_b = qp_grid(config_a, acts[0]), qp_grid(config_b, acts[-1])
             out.writelines(_compare_frame(index, qps_a, qps_b, args.cu_size))
             deltas, counts = np.unique(qps_b - qps_a, return_counts=True)
             histogram.update(dict(zip(deltas.tolist(), counts.tolist())))
-    for delta in sorted(histogram):
-        print(f"delta={delta:+d} count={histogram[delta]}")
+        for delta in sorted(histogram):
+            print(f"delta={delta:+d} count={histogram[delta]}", file=summary)
     return EXIT_OK
 
 
@@ -422,19 +453,20 @@ def cmd_bdrate(args: argparse.Namespace) -> int:
         rate = bd_rate(anchor[channel], test[channel])
         quality = bd_psnr(anchor[channel], test[channel])
         print(f"{channel},{rate:.6f},{quality:.6f}")
+    _flush(sys.stdout)
     return EXIT_OK
 
 
 def cmd_dump_activity(args: argparse.Namespace) -> int:
     fmt = _format_from_args(args)
     frames = cus_per_frame = 0
-    with _atomic_outputs([args.output], [args.input]) as (out,):
+    with _atomic_outputs([args.output], [args.input]) as (summary, (out,)):
         out.write(_activity_csv_head(fmt, args.cu_size))
-        for index, act in frame_activities(args.input, fmt, args, chroma=True):
+        for index, (act,) in frame_activities([args.input], fmt, args, chroma=True):
             out.writelines(_activity_csv_frame(index, act, args.cu_size))
             frames += 1
             cus_per_frame = act.luma.size
-    print(f"frames={frames} cus_per_frame={cus_per_frame}")
+        print(f"frames={frames} cus_per_frame={cus_per_frame}", file=summary)
     return EXIT_OK
 
 

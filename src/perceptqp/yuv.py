@@ -166,15 +166,7 @@ class Frame:
             got = (plane.width, plane.height)
             if got != expect:
                 raise YuvError(f"{channel.value} plane is {got}, format implies {expect}")
-            # Only passes that can fail: none where the dtype cannot hold an
-            # illegal sample, the max alone for an unsigned one; the min of an
-            # unsigned plane only words the error.
-            data, top = plane.data, self.format.max_sample
-            info = np.iinfo(data.dtype)
-            if info.min >= 0 and info.max <= top:
-                continue
-            if info.min < 0 or int(data.max()) > top:
-                _check_range(channel, self.format, int(data.min()), int(data.max()))
+            _check_range(channel, self.format, int(plane.data.min()), int(plane.data.max()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Frame):
@@ -243,7 +235,7 @@ def read_strips(
     """
     width, _ = plane_dims(fmt, channel)
     stored = np.empty(max(heights) * width, dtype=_storage_dtype(fmt))
-    # As in Frame: a uint8 sample cannot exceed the 8-bit range.
+    # Only a dtype wider than the bit depth can hold an illegal sample; a uint8 one cannot.
     checked = np.iinfo(fmt.dtype).max > fmt.max_sample
     lo, hi = fmt.max_sample, 0
     done = 0

@@ -3,6 +3,7 @@
 import csv
 import errno
 import functools
+import itertools
 import json
 import os
 import signal
@@ -22,13 +23,20 @@ from hypothesis import strategies as st
 from perceptqp import (
     QP_MAX,
     QP_MIN,
+    Channel,
     ChromaFormat,
+    Frame,
     Mode,
+    Plane,
     QpConfig,
     RdPoint,
+    Rounding,
+    TMode,
     VideoFormat,
     frame_activity,
     frame_bytes,
+    plane_dims,
+    qp_map,
     qp_map_from_activity,
     write_frame,
 )
@@ -253,6 +261,86 @@ class TestCompare:
         assert main(args) == EXIT_VALIDATION
         assert "frame count" in capsys.readouterr().err
         assert calls == []  # refused before any frame was analysed
+
+    def test_each_input_is_opened_and_probed_once(self, tmp_path, monkeypatch, capsys):
+        clip_a = write_clip(tmp_path / "a.yuv", [random_frame(FMT, 1)] * 2)
+        clip_b = write_clip(tmp_path / "b.yuv", [random_frame(FMT, 2)] * 2)
+        probed = []
+        real = cli.probe_frame_count
+        monkeypatch.setattr(
+            cli, "probe_frame_count", lambda stream, fmt: probed.append(stream.name) or real(stream, fmt)
+        )
+        assert main(compare_args(clip_a, tmp_path / "d.csv", input_b=clip_b)) == EXIT_OK
+        assert probed == [str(clip_a), str(clip_b)]
+        capsys.readouterr()
+
+
+RULE_FMT = VideoFormat(96, 64, 8, ChromaFormat.YUV422)
+# (mode, t-mode, rounding): every QP rule that analyze's flags can select.
+RULES = list(itertools.product(("adaptiveqp", "cbaq"), ("luma", "cross"), ("nearest", "ceiling")))
+
+
+def textured_frame(fmt, seed):
+    """Noise whose amplitude changes every 8x8 samples, drawn apart per plane, so CU activities differ."""
+    rng = np.random.default_rng(seed)
+    planes = []
+    for channel in Channel:
+        w, h = plane_dims(fmt, channel)
+        amp = rng.integers(1, fmt.max_sample + 1, size=(h // 8 + 1, w // 8 + 1))
+        amp = amp.repeat(8, axis=0).repeat(8, axis=1)[:h, :w]
+        planes.append(Plane((rng.random((h, w)) * amp).astype(fmt.dtype)))
+    return Frame(*planes, format=fmt)
+
+
+def per_frame_column(path, column, frames=2):
+    """One list per frame of a CSV output's integer column."""
+    rows = [line.split(",") for line in path.read_text().splitlines()[2:]]
+    return [[int(row[column]) for row in rows if row[0] == str(i)] for i in range(frames)]
+
+
+@pytest.fixture(scope="module")
+def rule_runs(tmp_path_factory):
+    """The two-frame clip at CU 16, its frames, and analyze's per-frame QPs under every rule."""
+    frames = [textured_frame(RULE_FMT, seed) for seed in (1, 2)]
+    directory = tmp_path_factory.mktemp("rules")
+    clip = write_clip(directory / "in.yuv", frames)
+    maps = {}
+    for mode, t_mode, rounding in RULES:
+        out = directory / f"{mode}-{t_mode}-{rounding}.csv"
+        args = analyze_args(
+            clip, out, fmt=RULE_FMT, cu_size=16, mode=mode, t_mode=t_mode, rounding=rounding
+        )
+        assert main(args) == EXIT_OK
+        maps[mode, t_mode, rounding] = per_frame_column(out, 3)
+    return clip, frames, maps
+
+
+class TestRuleFlags:
+    @pytest.mark.parametrize("rule", RULES, ids="-".join)
+    def test_analyze_maps_by_the_rule_flags(self, rule_runs, rule):
+        _, frames, maps = rule_runs
+        mode, t_mode, rounding = rule
+        config = QpConfig(
+            slice_qp=32, mode=Mode(mode), cu_size=16, t_mode=TMode(t_mode), rounding=Rounding(rounding)
+        )
+        assert maps[rule] == [qp_map(frame, config).flat() for frame in frames]
+
+    def test_rules_give_distinct_maps(self, rule_runs):
+        # adaptiveqp reads no --t-mode, so at most 6 of the 8 rules differ.
+        _, _, maps = rule_runs
+        assert len({repr(m) for m in maps.values()}) >= 6
+
+    def test_compare_maps_each_side_by_its_own_flags(self, rule_runs, tmp_path, capsys):
+        clip, _, maps = rule_runs
+        out = tmp_path / "diff.csv"
+        args = compare_args(
+            clip, out, fmt=RULE_FMT, cu_size=16,
+            t_mode_a="luma", rounding_a="ceiling", t_mode_b="cross", rounding_b="nearest",
+        )
+        assert main(args) == EXIT_OK
+        capsys.readouterr()
+        assert per_frame_column(out, 3) == maps["cbaq", "luma", "ceiling"]
+        assert per_frame_column(out, 4) == maps["cbaq", "cross", "nearest"]
 
 
 def count_plane_passes(monkeypatch):
@@ -888,8 +976,13 @@ def test_geometry_the_input_cannot_hold_is_refused_before_any_grid(tmp_path, cap
 
 
 def child_env(**env):
-    """This process's environment with perceptqp importable and OPENBLAS_NUM_THREADS as given."""
-    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    """This process's environment with perceptqp importable and OPENBLAS_NUM_THREADS as given.
+
+    PYTHONUNBUFFERED is dropped, so a child's stdout is buffered as a user's is.
+    """
+    environ = {
+        k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "PYTHONUNBUFFERED")
+    }
     src = os.path.dirname(os.path.dirname(perceptqp.__file__))
     environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, environ.get("PYTHONPATH")]))
     environ.update(env)
@@ -990,8 +1083,8 @@ def test_json_frame_equals_json_dumps(index, qps):
     assert cli._qp_json_frame(index, qps) == json.dumps(frame, indent=2).replace("\n", "\n    ")
 
 
-def cli_child(argv):
-    """The console script's entry() on argv in a new process, stdout and stderr piped.
+def cli_child(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE):
+    """The console script's entry() on argv in a new process, by default with stdout and stderr piped.
 
     SIGINT is handled as in a foreground job: a test run in the background
     inherits an ignored SIGINT, which Python would leave ignored.
@@ -1001,7 +1094,7 @@ def cli_child(argv):
         " from perceptqp.cli import entry; entry()"
     )
     return subprocess.Popen(
-        [sys.executable, "-c", code, *argv], env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        [sys.executable, "-c", code, *argv], env=child_env(), stdout=stdout, stderr=stderr
     )
 
 
@@ -1055,3 +1148,67 @@ def test_broken_pipe_is_one_io_error_line(long_clip):
     _, err = child.communicate(timeout=60)
     assert first.startswith(b"# perceptqp qp-map ")
     assert (child.returncode, err) == (EXIT_IO, b"i/o error: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize("command", ["analyze", "compare", "dump-activity", "bdrate"])
+def test_unwritable_summary_is_one_io_error_and_replaces_nothing(tmp_path, command):
+    clip = constant_clip(tmp_path / "in.yuv")
+    out = tmp_path / "out.csv"
+    out.write_text("old output\n")
+    rd = [rd_file(tmp_path, name, SAMPLE_CURVES) for name in ("anchor", "test")]
+    argv = {
+        "analyze": analyze_args(clip, out),
+        "compare": compare_args(clip, out),
+        "dump-activity": dump_args(clip, out),
+        "bdrate": ["bdrate", "--anchor", rd[0], "--test", rd[1]],
+    }[command]
+    before = sorted(tmp_path.iterdir())
+    # stdout is a pipe no one reads: the summary, buffered as in a shell, fails when flushed.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        child = cli_child(argv, stdout=write)
+    finally:
+        os.close(write)
+    _, err = child.communicate(timeout=60)
+    assert (child.returncode, err) == (EXIT_IO, b"i/o error: [Errno 32] Broken pipe\n")
+    assert out.read_text() == "old output\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize(
+    "make_args",
+    [functools.partial(analyze_args, format="json"), compare_args, dump_args],
+    ids=["analyze-json", "compare", "dump-activity"],
+)
+def test_summary_stays_out_of_rows_streamed_to_stdout(tmp_path, capsys, make_args):
+    clip = write_clip(tmp_path / "in.yuv", [random_frame(FMT, s) for s in range(2)])
+    regular = tmp_path / "out"
+    assert main(make_args(clip, regular)) == EXIT_OK
+    summary = capsys.readouterr().out
+    child = cli_child(make_args(clip, "/dev/stdout"))  # stdout is a pipe
+    out, err = child.communicate(timeout=60)
+    assert (child.returncode, out, err.decode()) == (EXIT_OK, regular.read_bytes(), summary)
+    if "json" in make_args.keywords.get("format", ""):
+        assert len(json.loads(out)["frames"]) == 2
+    # As `2>&1`: on one stream, the summary still follows the rows.
+    child = cli_child(make_args(clip, "/dev/stdout"), stderr=subprocess.STDOUT)
+    assert child.communicate(timeout=60)[0] == regular.read_bytes() + summary.encode()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/fd/1"), reason="needs Linux /proc")
+def test_output_that_is_stdout_redirected_to_a_file_is_written_through(tmp_path, capsys):
+    # As `analyze --output /dev/stdout > map.csv`, with a stand-in for /dev/stdout.
+    clip = write_clip(tmp_path / "in.yuv", [random_frame(FMT, s) for s in range(2)])
+    regular = tmp_path / "regular.csv"
+    assert main(analyze_args(clip, regular)) == EXIT_OK
+    summary = capsys.readouterr().out
+    link, redirected = tmp_path / "stdout", tmp_path / "map.csv"
+    link.symlink_to("/proc/self/fd/1")
+    with open(redirected, "wb") as sink:
+        child = cli_child(analyze_args(clip, link), stdout=sink)
+        _, err = child.communicate(timeout=60)
+    assert (child.returncode, err.decode()) == (EXIT_OK, summary)
+    assert os.readlink(link) == "/proc/self/fd/1"
+    assert redirected.read_bytes() == regular.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.yuv", "map.csv", "regular.csv", "stdout"]
