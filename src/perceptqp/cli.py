@@ -10,6 +10,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import signal
 import stat
@@ -20,7 +21,7 @@ from functools import lru_cache
 from io import StringIO
 from itertools import chain, combinations
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, TextIO
+from typing import TYPE_CHECKING, Iterator, NoReturn, TextIO
 
 import numpy as np
 
@@ -144,12 +145,16 @@ def _std_fd(path: Path) -> int | None:
     return None
 
 
-def _flush(stream: TextIO) -> None:
+def _flush(stream: TextIO | None) -> None:
     """Flush stream; if that fails, point its fd at os.devnull and re-raise.
 
-    The interpreter flushes stdout again at exit, and a second failure there
-    would print a traceback and exit 120 after the run's own error line.
+    A later flush of the same stream, such as the interpreter's at exit after
+    an in-process main(), then cannot fail again; that failure would print a
+    traceback and exit 120 after the run's own error line. None, which Python
+    makes sys.stdout when fd 1 is closed at start, fails as a closed fd does.
     """
+    if stream is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
     try:
         stream.flush()
     except OSError:
@@ -209,7 +214,8 @@ def _atomic_outputs(paths: list[Path], inputs: list[Path]) -> Iterator[tuple[Tex
         yield summary, sinks
         for sink in sinks:
             sink.close()
-        report.write(summary.getvalue())
+        if report is not None:
+            report.write(summary.getvalue())
         _flush(report)
         for partial, path in staged:
             os.replace(partial, path)
@@ -538,20 +544,42 @@ def _terminate(signum: int, frame: object) -> None:
     raise SystemExit(EXIT_TERMINATED)
 
 
-def entry() -> None:
+def _exit(code: int) -> NoReturn:
+    """Flush stdout, then stderr, and end the process with code, skipping interpreter teardown.
+
+    Teardown frees every loaded module, numpy's among them, and collects
+    garbage: tens of milliseconds of a run that needs none of it. atexit
+    handlers do not run. A flush that fails ends in EXIT_IO with one
+    "i/o error:" line; _flush has pointed the failed fd at os.devnull.
+    """
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                _flush(stream)
+    except OSError as exc:
+        code = EXIT_IO
+        with suppress(OSError):
+            print(f"i/o error: {exc}", file=sys.stderr, flush=True)
+    os._exit(code)
+
+
+def entry() -> NoReturn:
     """The console script: main() with the process's argv, and signals ending in exit codes.
 
     SIGTERM raises inside the run, so staged outputs are removed as on any
     failure, and exits 143; SIGINT does the same and exits 130 after one
-    "interrupted" line on stderr.
+    "interrupted" line on stderr. Every exit, argparse's included, goes
+    through _exit; an unexpected exception propagates with its traceback.
     """
     signal.signal(signal.SIGTERM, _terminate)
     try:
         code = main()
+    except SystemExit as exc:  # argparse's usage error (2) and --help (0), SIGTERM (143)
+        code = exc.code
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         code = EXIT_INTERRUPTED
-    raise SystemExit(code)
+    _exit(code)
 
 
 if __name__ == "__main__":

@@ -1083,18 +1083,19 @@ def test_json_frame_equals_json_dumps(index, qps):
     assert cli._qp_json_frame(index, qps) == json.dumps(frame, indent=2).replace("\n", "\n    ")
 
 
-def cli_child(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE):
+def cli_child(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **popen):
     """The console script's entry() on argv in a new process, by default with stdout and stderr piped.
 
     SIGINT is handled as in a foreground job: a test run in the background
-    inherits an ignored SIGINT, which Python would leave ignored.
+    inherits an ignored SIGINT, which Python would leave ignored. Any other
+    keyword goes to Popen.
     """
     code = (
         "import signal; signal.signal(signal.SIGINT, signal.default_int_handler);"
         " from perceptqp.cli import entry; entry()"
     )
     return subprocess.Popen(
-        [sys.executable, "-c", code, *argv], env=child_env(), stdout=stdout, stderr=stderr
+        [sys.executable, "-c", code, *argv], env=child_env(), stdout=stdout, stderr=stderr, **popen
     )
 
 
@@ -1150,8 +1151,8 @@ def test_broken_pipe_is_one_io_error_line(long_clip):
     assert (child.returncode, err) == (EXIT_IO, b"i/o error: [Errno 32] Broken pipe\n")
 
 
-@pytest.mark.parametrize("command", ["analyze", "compare", "dump-activity", "bdrate"])
-def test_unwritable_summary_is_one_io_error_and_replaces_nothing(tmp_path, command):
+def stdout_command(tmp_path, command):
+    """argv for a command that writes to stdout, and the output it names, which holds "old output"."""
     clip = constant_clip(tmp_path / "in.yuv")
     out = tmp_path / "out.csv"
     out.write_text("old output\n")
@@ -1161,9 +1162,17 @@ def test_unwritable_summary_is_one_io_error_and_replaces_nothing(tmp_path, comma
         "compare": compare_args(clip, out),
         "dump-activity": dump_args(clip, out),
         "bdrate": ["bdrate", "--anchor", rd[0], "--test", rd[1]],
+        "help": ["--help"],
+        "analyze-help": ["analyze", "--help"],
     }[command]
+    return argv, out
+
+
+@pytest.mark.parametrize("command", ["analyze", "compare", "dump-activity", "bdrate", "help", "analyze-help"])
+def test_unwritable_summary_is_one_io_error_and_replaces_nothing(tmp_path, command):
+    argv, out = stdout_command(tmp_path, command)
     before = sorted(tmp_path.iterdir())
-    # stdout is a pipe no one reads: the summary, buffered as in a shell, fails when flushed.
+    # stdout is a pipe no one reads: the summary or help, buffered as in a shell, fails when flushed.
     read, write = os.pipe()
     os.close(read)
     try:
@@ -1174,6 +1183,56 @@ def test_unwritable_summary_is_one_io_error_and_replaces_nothing(tmp_path, comma
     assert (child.returncode, err) == (EXIT_IO, b"i/o error: [Errno 32] Broken pipe\n")
     assert out.read_text() == "old output\n"
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command", ["analyze", "compare", "dump-activity", "bdrate"])
+def test_closed_stdout_is_one_io_error_and_replaces_nothing(tmp_path, command):
+    argv, out = stdout_command(tmp_path, command)
+    before = sorted(tmp_path.iterdir())
+    # As `perceptqp ... >&-`: fd 1 is closed when Python starts, so sys.stdout is None.
+    child = cli_child(argv, stdout=None, preexec_fn=functools.partial(os.close, 1))
+    _, err = child.communicate(timeout=60)
+    assert (child.returncode, err) == (EXIT_IO, b"i/o error: [Errno 9] Bad file descriptor\n")
+    assert out.read_text() == "old output\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize(
+    "case, code",
+    [("bdrate", EXIT_OK), ("help", EXIT_OK), ("usage", EXIT_USAGE), ("validation", EXIT_VALIDATION), ("io", EXIT_IO)],
+)
+def test_console_script_exit_loses_no_byte(tmp_path, capsys, monkeypatch, case, code):
+    # The help's width follows COLUMNS, which the child inherits.
+    monkeypatch.setenv("COLUMNS", "80")
+    clip = constant_clip(tmp_path / "in.yuv")
+    rd = [str(rd_file(tmp_path, name, SAMPLE_CURVES)) for name in ("anchor", "test")]
+    argv = {
+        "bdrate": ["bdrate", "--anchor", rd[0], "--test", rd[1]],
+        "help": ["--help"],
+        "usage": analyze_args(clip, tmp_path / "out.csv", qp="x"),
+        "validation": analyze_args(clip, tmp_path / "out.csv", qp_range=52),
+        "io": analyze_args(tmp_path / "missing.yuv", tmp_path / "out.csv"),
+    }[case]
+    try:
+        assert main(argv) == code
+    except SystemExit as exc:  # argparse's exits
+        assert exc.code == code
+    expected = (code, *capsys.readouterr())
+    child = cli_child(argv)
+    out, err = child.communicate(timeout=60)
+    assert (child.returncode, out.decode(), err.decode()) == expected
+    if case == "help":
+        assert out.decode() == cli.build_parser().format_help()
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_console_script_skips_atexit_handlers():
+    code = "import atexit; atexit.register(print, 'atexit ran'); from perceptqp.cli import entry; entry()"
+    done = subprocess.run(
+        [sys.executable, "-c", code, "--help"], env=child_env(), capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stderr) == (EXIT_OK, "")
+    assert "atexit ran" not in done.stdout and done.stdout.startswith("usage: perceptqp")
 
 
 @pytest.mark.parametrize(
