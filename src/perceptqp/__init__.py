@@ -25,8 +25,8 @@ _SUBMODULE = {
         "activity": "ActivityRecord FrameActivity block_variance cu_activity frame_activity",
         "metrics": "CurveOverlapError DegenerateCurveError RdCurve RdPoint bd_psnr bd_rate"
         " parse_rd_csv psnr",
-        "partition": "CU_SIZES CbRect CuRect cb_rect cu_grid grid_dims sub_blocks",
-        "qp": "Mode QP_MAX QP_MIN QpConfig QpMap Rounding TMode cu_qp delta_qp"
+        "partition": "CbRect CuRect cb_rect cu_grid grid_dims sub_blocks",
+        "qp": "CU_SIZES Mode QP_MAX QP_MIN QpConfig QpMap Rounding TMode cu_qp delta_qp"
         " normalized_activity qp_map qp_map_from_activity round_half_away_from_zero"
         " scaling_factor",
         "yuv": "Channel ChromaFormat Frame Plane SampleRangeError TruncatedInputError"

@@ -20,13 +20,16 @@ raster order, as Python's sum() did up to 3.11.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
-from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .partition import CbRect, CuRect, cb_rect, cu_grid, sub_blocks
 from .yuv import Channel, Frame, Plane, VideoFormat, read_strips
+
+if TYPE_CHECKING:
+    from .partition import CbRect, CuRect
 
 __all__ = [
     "ActivityRecord",
@@ -106,12 +109,17 @@ def block_variance(plane: Plane, rect: CbRect) -> float:
 
 def _cb_activity(plane: Plane, cb: CbRect) -> float:
     """One plus the minimum sub-block variance; empty quadrants are skipped."""
+    from .partition import sub_blocks
+
     variances = [block_variance(plane, sb) for sb in sub_blocks(cb) if not sb.empty]
     return 1.0 + min(variances)
 
 
 def cu_activity(frame: Frame, cu: CuRect) -> ActivityRecord:
     """Per-channel activity of one CU under the frame's own subsampling."""
+    # The per-CU reference and its records load partition; the CLI's array path does not.
+    from .partition import cb_rect
+
     cf = frame.format.chroma_format
     return ActivityRecord(
         cu=cu,
@@ -137,41 +145,83 @@ def _quadrant_halves(length: int, cu_size: int, sub: int) -> tuple[np.ndarray, n
     return starts, sizes
 
 
-def _strip_heights(fmt: VideoFormat, cu_size: int, sub_y: int) -> list[int]:
-    """Rows of each CU row's strip of a plane, top to bottom.
+class _RowTerms(NamedTuple):
+    """What a CU row's variances need besides its sums, each (top/bottom, column half)."""
 
-    They tile the plane exactly: where chroma is subsampled vertically the
-    height is even, so the CU rows' chroma extents add up to half of it.
-    """
-    _, heights = _quadrant_halves(fmt.height, cu_size, sub_y)
-    return heights.reshape(-1, 2).sum(axis=1).tolist()
+    top: int
+    counts: np.ndarray
+    nonempty: np.ndarray
+    denominator: np.ndarray
 
 
-def _plane_activity(
-    strips: Iterable[np.ndarray], fmt: VideoFormat, cu_size: int, sub_x: int, sub_y: int
-) -> np.ndarray:
-    """One plus the minimum quadrant variance of every CU's block in one plane, as (rows, cols).
+class _PlanePlan(NamedTuple):
+    """The geometry of one plane's CU rows, the same for every frame of a run."""
 
-    strips are the plane's CU-row strips, top to bottom, with the row
-    counts _strip_heights gives; each is used only until the next is drawn,
-    so they may share one buffer. Temporaries stay the size of one strip,
-    never of the plane, and the squares the size of one quadrant half. The
-    strip's top and bottom quadrant rows are summed down the columns into
-    int32, then np.add.reduceat sums every quadrant's columns into int64.
-    An empty half counts as infinite variance, as sub_blocks' empty
-    quadrants are skipped.
+    heights: tuple[int, ...]
+    starts: np.ndarray
+    width: int
+    cols: int
+    tallest_half: int
+    rows: tuple[_RowTerms, ...]
+
+
+def _row_terms(top: int, bottom: int, widths: np.ndarray) -> _RowTerms:
+    counts = np.array([[top], [bottom]]) * widths
+    terms = _RowTerms(top, counts, counts > 0, np.maximum(counts * counts, 1))
+    for array in terms[1:]:
+        array.flags.writeable = False
+    return terms
+
+
+@lru_cache(maxsize=8)
+def _plane_plan(fmt: VideoFormat, cu_size: int, sub_x: int, sub_y: int) -> _PlanePlan:
+    """The strips, reduceat starts and per-row variance terms of one plane, built once per run.
+
+    The strips tile the plane exactly: where chroma is subsampled vertically
+    the height is even, so the CU rows' chroma extents add up to half of it.
+    Every CU row but a clipped last one has the same halves, so they share
+    one _RowTerms.
     """
     x_starts, widths = _quadrant_halves(fmt.width, cu_size, sub_x)
     _, heights = _quadrant_halves(fmt.height, cu_size, sub_y)
-    rows, cols = heights.size // 2, widths.size // 2
+    halves = list(map(tuple, heights.reshape(-1, 2).tolist()))
     width = fmt.width // sub_x
     # A half is empty only where a CU's extent is one sample, which only the
     # last CU can have; its right half then starts one past the plane's edge,
     # where reduceat cannot start. Clamped to the last column, that start keeps
-    # the one-column left half exact, and the empty half's zero count below
+    # the one-column left half exact, and the empty half's zero count
     # discards its own sum.
     starts = np.minimum(x_starts, width - 1)
-    activity = np.empty((rows, cols))
+    starts.flags.writeable = False
+    regular = _row_terms(*halves[0], widths)
+    rows = tuple(
+        regular if (top, bottom) == halves[0] else _row_terms(top, bottom, widths)
+        for top, bottom in halves
+    )
+    return _PlanePlan(
+        heights=tuple(map(sum, halves)),
+        starts=starts,
+        width=width,
+        cols=widths.size // 2,
+        tallest_half=int(heights.max()),
+        rows=rows,
+    )
+
+
+def _plane_activity(strips: Iterable[np.ndarray], plan: _PlanePlan) -> np.ndarray:
+    """One plus the minimum quadrant variance of every CU's block in one plane, as (rows, cols).
+
+    strips are the plane's CU-row strips, top to bottom, with plan.heights
+    rows; each is used only until the next is drawn, so they may share one
+    buffer. Temporaries stay the size of one strip, never of the plane, and
+    the int32 copy the size of one quadrant half. Each of the strip's top
+    and bottom quadrant halves is copied into int32 once and summed down the
+    columns, then squared in place and summed again; np.add.reduceat then
+    sums every quadrant's columns into int64. An empty half counts as
+    infinite variance, as sub_blocks' empty quadrants are skipped.
+    """
+    width = plan.width
+    activity = np.empty((len(plan.rows), plan.cols))
     # Frame caps samples at 1023 and the largest quadrant is 32x32 (CU 64 luma,
     # or 4:4:4 chroma), so every quadrant's sum(s^2) <= 1024 * 1023^2 =
     # 1,071,645,696 fits int32 (< 2^31 - 1), and so does each column sum.
@@ -180,29 +230,29 @@ def _plane_activity(
     # (sum/squared sum, top/bottom, column) of the current CU row
     columns = np.empty((2, 2, width), dtype=np.int32)
     # (sum/squared sum, top/bottom, column half); int64 so that s1 * s1 fits
-    sums = np.empty((2, 2, widths.size), dtype=np.int64)
-    # One squares buffer for every half, top and bottom in turn, so it is half
-    # a strip: a fresh one each time would be mapped and unmapped once it is
-    # larger than malloc's mmap threshold.
-    squared = np.empty((int(heights.max()), width), dtype=np.int32)
+    sums = np.empty((2, 2, 2 * plan.cols), dtype=np.int64)
+    # One int32 buffer for every half, top and bottom in turn, so it is half a
+    # strip: a fresh one each time would be mapped and unmapped once it is
+    # larger than malloc's mmap threshold. Summing and squaring an int32 copy
+    # skips the buffered casting loops that sum(dtype=) and square(dtype=) run
+    # on uint8 and uint16 samples.
+    buffer = np.empty((plan.tallest_half, width), dtype=np.int32)
     # strict: zip draws once past the last strip, which lets a reader finish
     # its range check, and it refuses a strip count that is not rows.
-    for row, strip in zip(range(rows), strips, strict=True):
-        top = heights[2 * row]
-        for half, values in enumerate((strip[:top], strip[top:])):
-            values.sum(axis=0, dtype=np.int32, out=columns[0, half])
-            squares = np.square(values, dtype=np.int32, out=squared[: len(values)])
-            squares.sum(axis=0, dtype=np.int32, out=columns[1, half])
-        np.add.reduceat(columns.reshape(4, width), starts, axis=1, out=sums.reshape(4, -1))
-        counts = heights[2 * row : 2 * row + 2, None] * widths
+    for row, (terms, strip) in enumerate(zip(plan.rows, strips, strict=True)):
+        for half, values in enumerate((strip[: terms.top], strip[terms.top :])):
+            samples = buffer[: len(values)]
+            np.copyto(samples, values, casting="unsafe")
+            samples.sum(axis=0, out=columns[0, half])
+            np.multiply(samples, samples, out=samples)
+            samples.sum(axis=0, out=columns[1, half])
+        np.add.reduceat(columns.reshape(4, width), plan.starts, axis=1, out=sums.reshape(4, -1))
         s1, s2 = sums
         # Exact in float64: n * sum(s^2) <= 1024 * 1024 * 1023^2 < 2^53.
         variances = np.where(
-            counts > 0,
-            (counts * s2 - s1 * s1) / np.maximum(counts * counts, 1),
-            np.inf,
+            terms.nonempty, (terms.counts * s2 - s1 * s1) / terms.denominator, np.inf
         )
-        activity[row] = variances.reshape(2, cols, 2).min(axis=(0, 2))
+        activity[row] = variances.reshape(2, plan.cols, 2).min(axis=(0, 2))
     activity += 1.0
     return activity
 
@@ -228,15 +278,16 @@ def _frame_arrays(
     range-check them, but not analysed.
     """
     cf = fmt.chroma_format
-    luma = _plane_activity(strips(Channel.Y, _strip_heights(fmt, cu_size, 1)), fmt, cu_size, 1, 1)
-    chroma_heights = _strip_heights(fmt, cu_size, cf.sub_y)
+    luma_plan = _plane_plan(fmt, cu_size, 1, 1)
+    luma = _plane_activity(strips(Channel.Y, luma_plan.heights), luma_plan)
+    chroma_plan = _plane_plan(fmt, cu_size, cf.sub_x, cf.sub_y)
     if not chroma:
         for channel in (Channel.CB, Channel.CR):
-            for _ in strips(channel, chroma_heights):
+            for _ in strips(channel, chroma_plan.heights):
                 pass
         return ActivityArrays(luma, None, None, _raster_mean(luma), None)
-    cb = _plane_activity(strips(Channel.CB, chroma_heights), fmt, cu_size, cf.sub_x, cf.sub_y)
-    cr = _plane_activity(strips(Channel.CR, chroma_heights), fmt, cu_size, cf.sub_x, cf.sub_y)
+    cb = _plane_activity(strips(Channel.CB, chroma_plan.heights), chroma_plan)
+    cr = _plane_activity(strips(Channel.CR, chroma_plan.heights), chroma_plan)
     return ActivityArrays(luma, cb, cr, _raster_mean(luma), _raster_mean(luma + cb + cr))
 
 
@@ -281,6 +332,8 @@ def frame_activity(frame: Frame, cu_size: int, max_workers: int | None = None) -
     accepted and ignored; it is kept only because the benchmark replay
     still passes it.
     """
+    from .partition import cu_grid
+
     grid = cu_grid(frame.format, cu_size)
     act = activity_arrays(frame, cu_size)
     records = tuple(

@@ -26,8 +26,7 @@ from typing import TYPE_CHECKING, Iterator, NoReturn, TextIO
 import numpy as np
 
 from .activity import ActivityArrays, FrameActivity, stream_activity
-from .partition import CU_SIZES, grid_dims
-from .qp import QP_MAX, QP_MIN, Mode, QpConfig, QpMap, Rounding, TMode, qp_grid
+from .qp import CU_SIZES, QP_MAX, QP_MIN, Mode, QpConfig, QpMap, Rounding, TMode, qp_grid
 from .yuv import (
     ChromaFormat,
     Frame,
@@ -282,19 +281,21 @@ def _qp_csv_frame(index: int, qps: np.ndarray, cu_size: int) -> Iterator[str]:
         yield "".join([f"{index},{cell}{qp}\n" for cell, qp in zip(cells, row)])
 
 
-# Pieces of json.dumps({"config": ..., "frames": [...]}, indent=2) + "\n".
-# The config is dumped alone and re-indented to its depth. A frame holds
-# only ints and is joined directly: indent makes json fall back to its
-# pure-Python encoder, which takes about three times as long per frame.
+# Pieces of json.dumps({"config": ..., "frames": [...]}, indent=2) + "\n",
+# joined directly, so a run loads no json module. The config holds only ints
+# and words from argparse's choices, none of which needs escaping. A frame
+# holds only ints; indent would also make json fall back to its pure-Python
+# encoder, which takes about three times as long per frame.
 _JSON_FRAME_SEP = ",\n    "
 _JSON_TAIL = "\n  ]\n}\n"
 
 
 def _qp_json_head(fmt: VideoFormat, config: QpConfig) -> str:
-    import json
-
-    echo = json.dumps(dict(_echo_items(fmt, config)), indent=2).replace("\n", "\n  ")
-    return '{\n  "config": ' + echo + ',\n  "frames": [\n    '
+    echo = ",\n    ".join(
+        f'"{key}": "{value}"' if isinstance(value, str) else f'"{key}": {value}'
+        for key, value in _echo_items(fmt, config)
+    )
+    return '{\n  "config": {\n    ' + echo + '\n  },\n  "frames": [\n    '
 
 
 def _qp_json_frame(index: int, qps: np.ndarray) -> str:
@@ -358,6 +359,8 @@ def qp_maps_json(maps: list[QpMap], fmt: VideoFormat) -> str:
 def activity_csv(
     activities: list[tuple[int, FrameActivity]], fmt: VideoFormat, cu_size: int
 ) -> str:
+    from .partition import grid_dims
+
     cols, rows = grid_dims(fmt, cu_size)
     chunks = chain.from_iterable(
         _activity_csv_frame(i, act.arrays(rows, cols), cu_size) for i, act in activities

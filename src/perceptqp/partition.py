@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .qp import CU_SIZES
 from .yuv import Channel, ChromaFormat, VideoFormat
 
 __all__ = [
@@ -22,8 +23,6 @@ __all__ = [
     "grid_dims",
     "sub_blocks",
 ]
-
-CU_SIZES = (16, 32, 64)
 
 
 @dataclass(frozen=True)

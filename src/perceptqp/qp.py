@@ -23,7 +23,6 @@ from typing import Iterator
 import numpy as np
 
 from .activity import ActivityArrays, ActivityRecord, FrameActivity, activity_arrays
-from .partition import CU_SIZES, grid_dims
 from .yuv import Frame, VideoFormat
 
 __all__ = [
@@ -45,6 +44,8 @@ __all__ = [
 
 QP_MIN = 0
 QP_MAX = 51
+# The CU sizes the QP maps support; partition re-exports them.
+CU_SIZES = (16, 32, 64)
 
 
 class Mode(enum.Enum):
@@ -209,6 +210,8 @@ def qp_map_from_activity(
     frame_index: int = 0,
 ) -> QpMap:
     """Second pass of qp_map, reusing a FrameActivity of fmt at config.cu_size."""
+    from .partition import grid_dims
+
     size, records = config.cu_size, activity.records
     cols, rows = grid_dims(fmt, size)
     # The count goes first, as an empty activity has no record to index. With

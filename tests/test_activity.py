@@ -30,7 +30,7 @@ from perceptqp import (
     read_frame,
     write_frame,
 )
-from perceptqp.activity import _raster_mean, activity_arrays, stream_activity
+from perceptqp.activity import _plane_plan, _raster_mean, activity_arrays, stream_activity
 from strategies import checkerboard, frames, random_frame, reference_frame_activity
 
 
@@ -276,6 +276,25 @@ class TestFrameActivityIsBitExact:
         frame = random_frame(fmt, seed=fmt.width * fmt.height + cu_size)
         assert frame_activity(frame, cu_size) == reference_frame_activity(frame, cu_size)
 
+    @pytest.mark.parametrize("cu_size", [16, 32, 64])
+    @pytest.mark.parametrize(
+        "fmt",
+        # 200 and 1928 leave a last CU column of 8 at every size, 130 and 1090 a
+        # last CU row of 2 (of 1 in 4:2:0 chroma, whose bottom halves are then
+        # empty). Geometry does not depend on the bit depth, so the 1928x1090
+        # frames, whose reference takes seconds, are drawn at 10 bits only.
+        [
+            VideoFormat(width, height, depth, cf)
+            for width, height, depths in ((200, 130, (8, 10)), (1928, 1090, (10,)))
+            for cf in ChromaFormat
+            for depth in depths
+        ],
+        ids=lambda f: f"{f.width}x{f.height}-{f.chroma_format.value}-{f.bit_depth}",
+    )
+    def test_clipped_last_row_and_column_equal_scalar_reference(self, fmt, cu_size):
+        frame = random_frame(fmt, seed=fmt.bit_depth + cu_size)
+        assert frame_activity(frame, cu_size) == reference_frame_activity(frame, cu_size)
+
     @pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.uint16, np.int16, np.int32, np.int64])
     def test_every_integer_dtype_equals_scalar_reference(self, dtype):
         fmt = VideoFormat(48, 40, 8, ChromaFormat.YUV420)
@@ -340,6 +359,25 @@ class TestFrameActivityIsBitExact:
         finally:
             tracemalloc.stop()
         assert peak < 700_000
+
+
+class TestPlanePlan:
+    def test_regular_rows_share_one_set_of_terms(self):
+        plan = _plane_plan(VideoFormat(1928, 1090, 8, ChromaFormat.YUV420), 16, 2, 2)
+        first, *middle, last = plan.rows
+        assert all(terms is first for terms in middle)
+        # the last CU row covers 2 luma rows, so 1 chroma row: an empty bottom half
+        assert (len(plan.rows), sum(plan.heights), last.top) == (69, 545, 1)
+        assert last.nonempty[0].all() and not last.nonempty[1].any()
+
+    def test_unclipped_plane_has_one_set_of_terms(self):
+        plan = _plane_plan(VideoFormat(1920, 1088, 8, ChromaFormat.YUV420), 16, 1, 1)
+        assert len(set(map(id, plan.rows))) == 1
+
+    def test_terms_are_read_only(self):
+        plan = _plane_plan(VideoFormat(200, 130, 8, ChromaFormat.YUV420), 32, 2, 2)
+        with pytest.raises(ValueError, match="read-only"):
+            plan.rows[0].counts[0, 0] = 0
 
 
 class TestLumaOnly:

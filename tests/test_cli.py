@@ -358,6 +358,30 @@ def count_plane_passes(monkeypatch):
     return calls
 
 
+class TestPlanePlan:
+    """Each plane's geometry is planned once per run, not once per frame."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            lambda clip, out, frames: analyze_args(clip, out, frames=frames),
+            lambda clip, out, frames: compare_args(clip, out, frames=frames, input_b=clip),
+            lambda clip, out, frames: dump_args(clip, out, frames=frames),
+        ],
+        ids=["analyze", "compare-input-b", "dump-activity"],
+    )
+    def test_plan_is_built_once_per_run(self, tmp_path, capsys, command):
+        clip = write_clip(tmp_path / "in.yuv", [random_frame(FMT, seed) for seed in range(6)])
+        builds = []
+        for frames in (1, 6):
+            activity._plane_plan.cache_clear()
+            assert main(command(clip, tmp_path / "out.csv", frames)) == EXIT_OK
+            builds.append(activity._plane_plan.cache_info().misses)
+        capsys.readouterr()
+        # one plan for luma, one for both chroma planes
+        assert builds == [2, 2]
+
+
 # Plane passes per frame: chroma is analysed only where an output reads it.
 PLANE_PASSES = [
     ("analyze-adaptiveqp", lambda clip, out: analyze_args(clip, out, mode="adaptiveqp"), 1),
@@ -689,10 +713,12 @@ class TestStreaming:
 
     BAD_SAMPLE_COMMANDS = ["analyze", "compare", "dump-activity", "analyze-adaptiveqp", "compare-adaptiveqp"]
 
-    def fail_over_old_outputs(self, tmp_path, capsys, command, at):
+    def fail_over_old_outputs(self, tmp_path, capsys, command, at, low_at=None, **flags):
         """Run command on two good 10-bit frames and a mid-grey third holding a 1024 at flat index at.
 
-        Asserts exit 3 and that the existing outputs keep their bytes; returns (stdout, stderr).
+        A 3 goes at flat index low_at, if given; flags are added to every
+        command. Asserts exit 3 and that the existing outputs keep their
+        bytes; returns (stdout, stderr).
         """
         fmt = VideoFormat(128, 64, 10, ChromaFormat.YUV420)
         clip = tmp_path / "in.yuv"
@@ -701,18 +727,22 @@ class TestStreaming:
                 write_frame(sink, random_frame(fmt, seed))
             last = np.full(frame_bytes(fmt) // 2, 512, dtype="<u2")
             last[at] = 1024  # not a 10-bit sample
+            if low_at is not None:
+                last[low_at] = 3
             sink.write(last.tobytes())
         out, side = tmp_path / "out.csv", tmp_path / "side.csv"
         out.write_text("old output\n")
         side.write_text("old sidecar\n")
         # The adaptiveqp runs analyse no chroma, but still range-check it.
         args = {
-            "analyze": analyze_args(clip, out, fmt=fmt, bit_depth=10, dump_activity=side),
-            "compare": compare_args(clip, out, fmt=fmt, bit_depth=10),
-            "dump-activity": dump_args(clip, out, fmt=fmt, bit_depth=10),
-            "analyze-adaptiveqp": analyze_args(clip, out, fmt=fmt, bit_depth=10, mode="adaptiveqp"),
+            "analyze": analyze_args(clip, out, fmt=fmt, bit_depth=10, dump_activity=side, **flags),
+            "compare": compare_args(clip, out, fmt=fmt, bit_depth=10, **flags),
+            "dump-activity": dump_args(clip, out, fmt=fmt, bit_depth=10, **flags),
+            "analyze-adaptiveqp": analyze_args(
+                clip, out, fmt=fmt, bit_depth=10, mode="adaptiveqp", **flags
+            ),
             "compare-adaptiveqp": compare_args(
-                clip, out, fmt=fmt, bit_depth=10, mode_a="adaptiveqp", mode_b="adaptiveqp"
+                clip, out, fmt=fmt, bit_depth=10, mode_a="adaptiveqp", mode_b="adaptiveqp", **flags
             ),
         }[command]
         assert main(args) == EXIT_VALIDATION
@@ -731,6 +761,16 @@ class TestStreaming:
     def test_bad_sample_in_first_luma_strip_keeps_error_bytes(self, tmp_path, capsys, command):
         err = "error: Y sample out of range 0..1023 (saw 512..1024)\n"
         assert self.fail_over_old_outputs(tmp_path, capsys, command, at=5) == ("", err)
+
+    @pytest.mark.parametrize("command", ["analyze", "compare", "dump-activity"])
+    def test_min_in_an_earlier_strip_keeps_error_bytes(self, tmp_path, capsys, command):
+        # CU 16 cuts the 64-row luma plane into four strips: the 3 lies in the
+        # first, the 1024 (the last luma sample) in the last
+        err = "error: Y sample out of range 0..1023 (saw 3..1024)\n"
+        got = self.fail_over_old_outputs(
+            tmp_path, capsys, command, at=128 * 64 - 1, low_at=0, cu_size=16
+        )
+        assert got == ("", err)
 
     def test_unwritable_sidecar_leaves_output_untouched(self, tmp_path, capsys):
         clip = constant_clip(tmp_path / "in.yuv")
@@ -1036,8 +1076,19 @@ class TestLazyExports:
     """perceptqp's names load their submodule on first use, so the CLI loads only its own path."""
 
     def test_cli_import_leaves_out_metrics_csv_and_json(self):
-        code = "import sys, perceptqp.cli; print(sorted({'perceptqp.metrics', 'csv', 'json'} & set(sys.modules)))"
+        code = (
+            "import sys, perceptqp.cli;"
+            " print(sorted({'perceptqp.metrics', 'perceptqp.partition', 'csv', 'json'} & set(sys.modules)))"
+        )
         assert fresh_interpreter(code) == "[]"
+
+    def test_json_analyze_loads_no_json_module(self, tmp_path):
+        clip = constant_clip(tmp_path / "in.yuv")
+        out = tmp_path / "map.json"
+        argv = analyze_args(clip, out, format="json")
+        code = f"import sys; from perceptqp.cli import main; print(main({argv!r})); print('json' in sys.modules)"
+        assert fresh_interpreter(code).splitlines()[-2:] == [str(EXIT_OK), "False"]
+        assert json.loads(out.read_text())["config"]["mode"] == "cbaq"
 
     def test_every_export_is_listed_and_is_its_submodules_object(self):
         code = (

@@ -21,6 +21,7 @@ from perceptqp import (
     read_frame,
     write_frame,
 )
+from perceptqp.yuv import read_strips
 from strategies import frames, random_frame
 
 
@@ -137,6 +138,51 @@ class TestReadFrame:
             write_frame(stream, frame)
         assert read_frame(stream, fmt, index=1) == originals[1]
         assert read_frame(stream, fmt, index=0) == originals[0]
+
+
+class SeekCounter(io.BytesIO):
+    def __init__(self, data):
+        super().__init__(data)
+        self.seeks = 0
+
+    def seek(self, *args):
+        self.seeks += 1
+        return super().seek(*args)
+
+
+class TestReadStrips:
+    """A 10-bit plane is checked by its max; its min is re-read only to word an error."""
+
+    FMT = VideoFormat(4, 6, 10, ChromaFormat.YUV444)
+
+    def read(self, words):
+        """The strips of a 4x6 Y plane of the given words, copied, and the stream they came from."""
+        stream = SeekCounter(np.asarray(words, dtype="<u2").tobytes() + b"tail")
+        return [strip.copy() for strip in read_strips(stream, self.FMT, Channel.Y, [2, 2, 2])], stream
+
+    def test_min_in_an_earlier_strip_than_the_illegal_sample(self):
+        words = np.full(24, 512)
+        words[1] = 3  # first strip
+        words[-1] = 1024  # last strip
+        with pytest.raises(SampleRangeError) as raised:
+            self.read(words)
+        assert str(raised.value) == "Y sample out of range 0..1023 (saw 3..1024)"
+
+    def test_strips_are_yielded_before_the_error(self):
+        words = np.arange(24) + 1001
+        stream = io.BytesIO(words.astype("<u2").tobytes())
+        strips = read_strips(stream, self.FMT, Channel.Y, [2, 2, 2])
+        drawn = [next(strips).tolist() for _ in range(3)]
+        assert drawn == words.reshape(3, 2, 4).tolist()
+        with pytest.raises(SampleRangeError, match=r"\(saw 1001\.\.1024\)"):
+            next(strips)
+
+    def test_legal_plane_is_read_once_and_left_at_its_end(self):
+        words = np.full(24, 512)
+        words[[1, -1]] = 0, 1023
+        strips, stream = self.read(words)
+        assert np.concatenate(strips).ravel().tolist() == words.tolist()
+        assert (stream.seeks, stream.tell()) == (0, 48)
 
 
 class TestWriteFrame:
