@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -168,6 +168,7 @@ class _PlanePlan(NamedTuple):
 def _row_terms(top: int, bottom: int, widths: np.ndarray) -> _RowTerms:
     counts = np.array([[top], [bottom]]) * widths
     terms = _RowTerms(top, counts, counts > 0, np.maximum(counts * counts, 1))
+    # The plan is cached and shared by every frame, so no caller may write to it.
     for array in terms[1:]:
         array.flags.writeable = False
     return terms
@@ -267,7 +268,7 @@ def _raster_mean(values: np.ndarray) -> float:
 
 
 def _frame_arrays(
-    strips: Callable[[Channel, list[int]], Iterable[np.ndarray]],
+    strips: Callable[[Channel, Sequence[int]], Iterable[np.ndarray]],
     fmt: VideoFormat,
     cu_size: int,
     chroma: bool,
@@ -300,7 +301,7 @@ def activity_arrays(frame: Frame, cu_size: int, chroma: bool = True) -> Activity
     """
     planes = {Channel.Y: frame.y, Channel.CB: frame.cb, Channel.CR: frame.cr}
 
-    def strips(channel: Channel, heights: list[int]) -> Iterator[np.ndarray]:
+    def strips(channel: Channel, heights: Sequence[int]) -> Iterator[np.ndarray]:
         data = planes[channel].data
         for y, rows in zip(accumulate(heights, initial=0), heights):
             yield data[y : y + rows]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import io
 from dataclasses import dataclass
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
@@ -221,7 +221,7 @@ def read_frame(source: BinaryIO, fmt: VideoFormat, index: int = 0) -> Frame:
 
 
 def read_strips(
-    source: BinaryIO, fmt: VideoFormat, channel: Channel, heights: list[int]
+    source: BinaryIO, fmt: VideoFormat, channel: Channel, heights: Sequence[int]
 ) -> Iterator[np.ndarray]:
     """Read one plane at the stream's position as consecutive strips of the given row counts.
 
