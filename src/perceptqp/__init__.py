@@ -25,10 +25,10 @@ _SUBMODULE = {
         "activity": "ActivityRecord FrameActivity block_variance cu_activity frame_activity",
         "metrics": "CurveOverlapError DegenerateCurveError RdCurve RdPoint bd_psnr bd_rate"
         " parse_rd_csv psnr",
-        "partition": "CbRect CuRect cb_rect cu_grid grid_dims sub_blocks",
+        "partition": "CbRect CuRect cb_rect cu_grid sub_blocks",
         "qp": "CU_SIZES Mode QP_MAX QP_MIN QpConfig QpMap Rounding TMode cu_qp delta_qp"
-        " normalized_activity qp_map qp_map_from_activity round_half_away_from_zero"
-        " scaling_factor",
+        " grid_dims normalized_activity qp_map qp_map_from_activity"
+        " round_half_away_from_zero scaling_factor",
         "yuv": "Channel ChromaFormat Frame Plane SampleRangeError TruncatedInputError"
         " VideoFormat YuvError frame_bytes plane_dims probe_frame_count read_frame write_frame",
     }.items()

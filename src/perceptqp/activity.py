@@ -10,11 +10,12 @@ Sample sums and squared-sample sums are accumulated as exact integers
 (one float division at the end), so results are bit-reproducible
 regardless of block traversal order. activity_arrays computes them for a
 whole CU row of a plane at once and returns one (rows, cols) array per
-channel; stream_activity does the same for a frame read from a stream one
-CU row at a time; frame_activity wraps those arrays in per-CU records. cu_activity
-and block_variance are the per-block reference both must match bit for
-bit. The frame means fold the activities strictly left to right in
-raster order, as Python's sum() did up to 3.11.
+channel, which frame_activity returns too; stream_activity does the same
+for a frame read from a stream one CU row at a time. cu_activity and
+block_variance are the per-block reference both must match bit for bit;
+only that reference builds per-CU ActivityRecords. The frame means fold
+the activities strictly left to right in raster order, as Python's sum()
+did up to 3.11.
 """
 
 from __future__ import annotations
@@ -75,17 +76,11 @@ class ActivityArrays(NamedTuple):
 
 @dataclass(frozen=True)
 class FrameActivity:
-    """All CU records of a frame (raster order) plus the normalization means."""
+    """The scalar reference's CU records of a frame (raster order) plus the normalization means."""
 
     records: tuple[ActivityRecord, ...]
     t_luma: float
     t_cross: float
-
-    def arrays(self, rows: int, cols: int) -> ActivityArrays:
-        """The records' activities as (rows, cols) arrays, with the same means."""
-        values = np.array([(r.luma, r.cb, r.cr) for r in self.records], dtype=np.float64)
-        luma, cb, cr = values.T.reshape(3, rows, cols)
-        return ActivityArrays(luma, cb, cr, self.t_luma, self.t_cross)
 
 
 def block_variance(plane: Plane, rect: CbRect) -> float:
@@ -325,25 +320,10 @@ def stream_activity(
     )
 
 
-def frame_activity(frame: Frame, cu_size: int, max_workers: int | None = None) -> FrameActivity:
-    """Activity records for every CU in raster order plus the frame means.
+def frame_activity(frame: Frame, cu_size: int, max_workers: int | None = None) -> ActivityArrays:
+    """activity_arrays of every channel: the first pass of qp_map_from_activity.
 
-    Built from activity_arrays, so bit-identical to cu_activity applied to
-    each CU of cu_grid. The pass runs on one thread. max_workers is
-    accepted and ignored; it is kept only because the benchmark replay
-    still passes it.
+    max_workers is accepted and ignored; it is kept only because the
+    benchmark replay still passes it.
     """
-    from .partition import cu_grid
-
-    grid = cu_grid(frame.format, cu_size)
-    act = activity_arrays(frame, cu_size)
-    records = tuple(
-        map(
-            ActivityRecord,
-            grid,
-            act.luma.ravel().tolist(),
-            act.cb.ravel().tolist(),
-            act.cr.ravel().tolist(),
-        )
-    )
-    return FrameActivity(records=records, t_luma=act.t_luma, t_cross=act.t_cross)
+    return activity_arrays(frame, cu_size)

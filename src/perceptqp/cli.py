@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Iterator, NoReturn, TextIO
 
 import numpy as np
 
-from .activity import ActivityArrays, FrameActivity, stream_activity
+from .activity import ActivityArrays, stream_activity
 from .qp import CU_SIZES, QP_MAX, QP_MIN, Mode, QpConfig, QpMap, Rounding, TMode, qp_grid
 from .yuv import (
     ChromaFormat,
@@ -169,7 +169,8 @@ def _atomic_outputs(paths: list[Path], inputs: list[Path]) -> Iterator[tuple[Tex
     naming one file, raise ValueError. A path that is this process's stdout or
     stderr, even a regular file a shell redirected it to, is written through
     that descriptor; the summary then goes to stderr, so it never joins the
-    rows, and otherwise to stdout. Any other existing path that is not a
+    rows, and otherwise to stdout, and a stdout closed at start raises
+    _flush's OSError before anything is opened. Any other existing path that is not a
     regular file, such as /dev/null or a FIFO, is opened and written directly,
     since a device or a pipe must not be replaced by a file. A missing or
     regular-file path is written to a hidden partial file beside it, named by
@@ -197,6 +198,8 @@ def _atomic_outputs(paths: list[Path], inputs: list[Path]) -> Iterator[tuple[Tex
             )
     std_fds = [_std_fd(path) for path in paths]
     report = sys.stderr if 1 in std_fds else sys.stdout
+    if report is None:
+        _flush(report)
     summary = StringIO()
     sinks: list[TextIO] = []
     staged: list[tuple[Path, Path]] = []
@@ -213,8 +216,7 @@ def _atomic_outputs(paths: list[Path], inputs: list[Path]) -> Iterator[tuple[Tex
         yield summary, sinks
         for sink in sinks:
             sink.close()
-        if report is not None:
-            report.write(summary.getvalue())
+        report.write(summary.getvalue())
         _flush(report)
         for partial, path in staged:
             os.replace(partial, path)
@@ -341,7 +343,7 @@ def _compare_frame(
         yield "".join([f"{index},{cell}{a},{b},{b - a}\n" for cell, a, b in values])
 
 
-# The whole-clip renderers take the per-CU objects of the public API and
+# The whole-clip renderers take what the library's two passes return and
 # join the same chunks the commands write.
 
 
@@ -357,14 +359,9 @@ def qp_maps_json(maps: list[QpMap], fmt: VideoFormat) -> str:
 
 
 def activity_csv(
-    activities: list[tuple[int, FrameActivity]], fmt: VideoFormat, cu_size: int
+    activities: list[tuple[int, ActivityArrays]], fmt: VideoFormat, cu_size: int
 ) -> str:
-    from .partition import grid_dims
-
-    cols, rows = grid_dims(fmt, cu_size)
-    chunks = chain.from_iterable(
-        _activity_csv_frame(i, act.arrays(rows, cols), cu_size) for i, act in activities
-    )
+    chunks = chain.from_iterable(_activity_csv_frame(i, act, cu_size) for i, act in activities)
     return _activity_csv_head(fmt, cu_size) + "".join(chunks)
 
 
@@ -498,7 +495,8 @@ def _add_qp_args(parser: argparse.ArgumentParser, suffix: str = "") -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="perceptqp", description=__doc__)
+    # argparse lists the subcommands itself, and would reflow the docstring's list.
+    parser = argparse.ArgumentParser(prog="perceptqp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     analyze = sub.add_parser("analyze", help="emit a per-CU QP map for each frame")

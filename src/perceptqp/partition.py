@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .qp import CU_SIZES
+from .qp import CU_SIZES, grid_dims
 from .yuv import Channel, ChromaFormat, VideoFormat
 
 __all__ = [
@@ -56,11 +56,6 @@ class CbRect:
     @property
     def area(self) -> int:
         return self.w * self.h
-
-
-def grid_dims(fmt: VideoFormat, cu_size: int) -> tuple[int, int]:
-    """CU grid shape as (columns, rows)."""
-    return -(-fmt.width // cu_size), -(-fmt.height // cu_size)
 
 
 def cu_grid(fmt: VideoFormat, cu_size: int) -> list[CuRect]:

@@ -44,8 +44,13 @@ __all__ = [
 
 QP_MIN = 0
 QP_MAX = 51
-# The CU sizes the QP maps support; partition re-exports them.
+# The CU sizes the QP maps support; partition re-exports them and grid_dims.
 CU_SIZES = (16, 32, 64)
+
+
+def grid_dims(fmt: VideoFormat, cu_size: int) -> tuple[int, int]:
+    """CU grid shape as (columns, rows)."""
+    return -(-fmt.width // cu_size), -(-fmt.height // cu_size)
 
 
 class Mode(enum.Enum):
@@ -205,28 +210,20 @@ def _qp_map(config: QpConfig, act: ActivityArrays, frame_index: int) -> QpMap:
 
 def qp_map_from_activity(
     fmt: VideoFormat,
-    activity: FrameActivity,
+    activity: ActivityArrays,
     config: QpConfig,
     frame_index: int = 0,
 ) -> QpMap:
-    """Second pass of qp_map, reusing a FrameActivity of fmt at config.cu_size."""
-    from .partition import grid_dims
-
-    size, records = config.cu_size, activity.records
-    cols, rows = grid_dims(fmt, size)
-    # The count goes first, as an empty activity has no record to index. With
-    # count and size right, the last CU's origin tells a transposed grid apart.
-    corner = ((cols - 1) * size, (rows - 1) * size)
-    if (
-        len(records) != cols * rows
-        or records[0].cu.size != size
-        or (records[-1].cu.x, records[-1].cu.y) != corner
-    ):
+    """Second pass of qp_map, reusing frame_activity of a frame of fmt at config.cu_size."""
+    cols, rows = grid_dims(fmt, config.cu_size)
+    # Two CU sizes give one grid shape only to a frame of one clipped CU,
+    # whose blocks are the same at both, so the shape is all there is to check.
+    if activity.luma.shape != (rows, cols):
         raise ValueError(
-            f"activity of {len(records)} CUs was not computed on the {cols}x{rows} grid"
-            f" of CU {size}"
+            f"activity of {activity.luma.size} CUs was not computed on the {cols}x{rows} grid"
+            f" of CU {config.cu_size}"
         )
-    return _qp_map(config, activity.arrays(rows, cols), frame_index)
+    return _qp_map(config, activity, frame_index)
 
 
 def qp_map(frame: Frame, config: QpConfig, frame_index: int = 0) -> QpMap:

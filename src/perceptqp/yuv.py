@@ -260,7 +260,7 @@ def read_strips(
         yield strip
     if hi > fmt.max_sample:
         source.seek(-done, io.SEEK_CUR)
-        lo = fmt.max_sample
+        lo = hi
         for rows in heights:
             part = stored[: rows * width]
             source.readinto(part.view(np.uint8))

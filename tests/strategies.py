@@ -87,6 +87,18 @@ def reference_frame_activity(frame, cu_size):
     return FrameActivity(records, t_luma, t_cross)
 
 
+def assert_equals_reference(act, reference):
+    """Assert that ActivityArrays act equals a reference FrameActivity exactly.
+
+    Each channel's array, in raster order, must hold the records' values, and
+    both frame means must be the reference's, compared as floats with ==.
+    """
+    for channel in ("luma", "cb", "cr"):
+        values = getattr(act, channel).ravel().tolist()
+        assert values == [getattr(r, channel) for r in reference.records], channel
+    assert (act.t_luma, act.t_cross) == (reference.t_luma, reference.t_cross)
+
+
 # Two channels of (qp, point); Y is out of QP order on purpose, so writers must sort.
 SAMPLE_CURVES = {
     "Y": [(37, RdPoint(1000.0, 30.0)), (22, RdPoint(8000.0, 36.5)),

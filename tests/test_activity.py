@@ -31,7 +31,13 @@ from perceptqp import (
     write_frame,
 )
 from perceptqp.activity import _plane_plan, _raster_mean, activity_arrays, stream_activity
-from strategies import checkerboard, frames, random_frame, reference_frame_activity
+from strategies import (
+    assert_equals_reference,
+    checkerboard,
+    frames,
+    random_frame,
+    reference_frame_activity,
+)
 
 
 def rect(x, y, w, h):
@@ -184,7 +190,7 @@ class TestFrameActivity:
         fmt = VideoFormat(128, 128, 8, ChromaFormat.YUV420)
         frame = random_frame(fmt, seed=0, lo=64, hi=64)
         fa = frame_activity(frame, 64)
-        assert len(fa.records) == 4
+        assert fa.luma.shape == fa.cb.shape == fa.cr.shape == (2, 2)
         assert fa.t_luma == 1.0
         assert fa.t_cross == 3.0
 
@@ -192,28 +198,35 @@ class TestFrameActivity:
         fmt = VideoFormat(128, 64, 8, ChromaFormat.YUV420)
         frame = random_frame(fmt, seed=21)
         fa = frame_activity(frame, 64)
-        assert len(fa.records) == 2
-        want_l = (fa.records[0].luma + fa.records[1].luma) / 2
-        want_c = (fa.records[0].cross + fa.records[1].cross) / 2
+        assert fa.luma.shape == (1, 2)
+        want_l = (fa.luma[0, 0] + fa.luma[0, 1]) / 2
+        want_c = (fa.cross[0, 0] + fa.cross[0, 1]) / 2
         assert fa.t_luma == pytest.approx(want_l, rel=1e-12)
         assert fa.t_cross == pytest.approx(want_c, rel=1e-12)
 
     def test_records_in_raster_order(self):
-        fmt = VideoFormat(96, 96, 8, ChromaFormat.YUV444)
+        # 96x64 at CU 32: three columns, two rows, so a transposed grid cannot pass
+        fmt = VideoFormat(96, 64, 8, ChromaFormat.YUV444)
         frame = random_frame(fmt, seed=2)
         fa = frame_activity(frame, 32)
-        coords = [(r.cu.x, r.cu.y) for r in fa.records]
-        assert coords == [(x, y) for y in (0, 32, 64) for x in (0, 32, 64)]
+        assert fa.luma.shape == (2, 3)
+        cus = cu_grid(fmt, 32)
+        assert [(cu.x, cu.y) for cu in cus] == [(x, y) for y in (0, 32) for x in (0, 32, 64)]
+        records = [cu_activity(frame, cu) for cu in cus]
+        for channel in ("luma", "cb", "cr"):
+            assert getattr(fa, channel).ravel().tolist() == [getattr(r, channel) for r in records]
 
     @settings(max_examples=20, deadline=None)
     @given(frames(max_dim=72), st.sampled_from([16, 32, 64]))
     def test_matches_oracle_end_to_end(self, frame, cu_size):
         fa = frame_activity(frame, cu_size)
         oracle = [oracle_cu_activity(frame, cu) for cu in cu_grid(frame.format, cu_size)]
-        for rec, (l, b, d) in zip(fa.records, oracle):
-            assert rec.luma == pytest.approx(l, rel=1e-9)
-            assert rec.cb == pytest.approx(b, rel=1e-9)
-            assert rec.cr == pytest.approx(d, rel=1e-9)
+        got = zip(fa.luma.ravel().tolist(), fa.cb.ravel().tolist(), fa.cr.ravel().tolist())
+        assert fa.luma.size == len(oracle)
+        for (luma, cb, cr), (l, b, d) in zip(got, oracle):
+            assert luma == pytest.approx(l, rel=1e-9)
+            assert cb == pytest.approx(b, rel=1e-9)
+            assert cr == pytest.approx(d, rel=1e-9)
         want_t = sum(l for l, _, _ in oracle) / len(oracle)
         want_tc = sum(l + b + d for l, b, d in oracle) / len(oracle)
         assert fa.t_luma == pytest.approx(want_t, rel=1e-9)
@@ -222,9 +235,9 @@ class TestFrameActivity:
     def test_worker_count_does_not_change_results(self):
         fmt = VideoFormat(176, 144, 8, ChromaFormat.YUV420)
         frame = random_frame(fmt, seed=77)
-        single = frame_activity(frame, 16, max_workers=1)
-        pooled = frame_activity(frame, 16, max_workers=4)
-        assert single == pooled
+        reference = reference_frame_activity(frame, 16)
+        assert_equals_reference(frame_activity(frame, 16, max_workers=1), reference)
+        assert_equals_reference(frame_activity(frame, 16, max_workers=4), reference)
 
 
 class TestRasterMean:
@@ -255,7 +268,7 @@ class TestFrameActivityIsBitExact:
     @settings(max_examples=60, deadline=None)
     @given(frames(max_dim=80), st.sampled_from([16, 32, 64]))
     def test_equals_scalar_reference(self, frame, cu_size):
-        assert frame_activity(frame, cu_size) == reference_frame_activity(frame, cu_size)
+        assert_equals_reference(frame_activity(frame, cu_size), reference_frame_activity(frame, cu_size))
 
     @pytest.mark.parametrize("cu_size", [16, 32, 64])
     @pytest.mark.parametrize(
@@ -274,7 +287,7 @@ class TestFrameActivityIsBitExact:
     )
     def test_clipped_edges_equal_scalar_reference(self, fmt, cu_size):
         frame = random_frame(fmt, seed=fmt.width * fmt.height + cu_size)
-        assert frame_activity(frame, cu_size) == reference_frame_activity(frame, cu_size)
+        assert_equals_reference(frame_activity(frame, cu_size), reference_frame_activity(frame, cu_size))
 
     @pytest.mark.parametrize("cu_size", [16, 32, 64])
     @pytest.mark.parametrize(
@@ -293,7 +306,7 @@ class TestFrameActivityIsBitExact:
     )
     def test_clipped_last_row_and_column_equal_scalar_reference(self, fmt, cu_size):
         frame = random_frame(fmt, seed=fmt.bit_depth + cu_size)
-        assert frame_activity(frame, cu_size) == reference_frame_activity(frame, cu_size)
+        assert_equals_reference(frame_activity(frame, cu_size), reference_frame_activity(frame, cu_size))
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.uint16, np.int16, np.int32, np.int64])
     def test_every_integer_dtype_equals_scalar_reference(self, dtype):
@@ -301,7 +314,7 @@ class TestFrameActivityIsBitExact:
         frame = random_frame(fmt, seed=8, hi=127)
         planes = [Plane(p.data.astype(dtype)) for p in (frame.y, frame.cb, frame.cr)]
         frame = Frame(*planes, format=fmt)
-        assert frame_activity(frame, 16) == reference_frame_activity(frame, 16)
+        assert_equals_reference(frame_activity(frame, 16), reference_frame_activity(frame, 16))
 
     def test_largest_squared_sum_is_exact(self):
         # 0/1023 alternation gives each 32x32 quadrant the largest variance there is;
@@ -309,8 +322,8 @@ class TestFrameActivityIsBitExact:
         fmt = VideoFormat(128, 64, 10, ChromaFormat.YUV444)
         frame = Frame(*(Plane(checkerboard(64, 128, 0, 1023, fmt.dtype)) for _ in Channel), format=fmt)
         fa = frame_activity(frame, 64)
-        assert fa == reference_frame_activity(frame, 64)
-        assert {(r.luma, r.cb, r.cr) for r in fa.records} == {(1.0 + 511.5**2,) * 3}
+        assert_equals_reference(fa, reference_frame_activity(frame, 64))
+        assert set(zip(fa.luma.flat, fa.cb.flat, fa.cr.flat)) == {(1.0 + 511.5**2,) * 3}
 
     def test_constant_top_code_is_exact(self):
         # 32x32 quadrants of 1023 hold the largest sum(s^2) there is, 1024 * 1023^2,
@@ -318,8 +331,8 @@ class TestFrameActivityIsBitExact:
         fmt = VideoFormat(128, 64, 10, ChromaFormat.YUV444)
         frame = Frame(*(Plane(np.full((64, 128), 1023, fmt.dtype)) for _ in Channel), format=fmt)
         fa = frame_activity(frame, 64)
-        assert fa == reference_frame_activity(frame, 64)
-        assert {(r.luma, r.cb, r.cr) for r in fa.records} == {(1.0, 1.0, 1.0)}
+        assert_equals_reference(fa, reference_frame_activity(frame, 64))
+        assert set(zip(fa.luma.flat, fa.cb.flat, fa.cr.flat)) == {(1.0, 1.0, 1.0)}
 
     def test_memory_stays_per_strip(self):
         # A whole-plane int64 copy of this luma plane alone is 16.6 MB.

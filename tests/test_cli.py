@@ -478,7 +478,8 @@ def ten_bit_analyze(f, **flags):
 
 # One case per row of the README's precedence table: the row's fault plus the
 # next row's, and what the error must name. The clip itself holds the last
-# row's fault, a 10-bit sample of 1024 in frame 0.
+# row's fault, a 10-bit sample of 1024 in frame 0. A closed stdout needs a
+# child process: test_closed_stdout_fails_before_any_input_is_read.
 PRECEDENCE = [
     ("usage", lambda f: ten_bit_analyze(f, format="xml", width=15), EXIT_USAGE, "invalid choice"),
     ("geometry", lambda f: ten_bit_analyze(f, width=15, qp=99), EXIT_VALIDATION, "width 15"),
@@ -770,6 +771,13 @@ class TestStreaming:
         got = self.fail_over_old_outputs(
             tmp_path, capsys, command, at=128 * 64 - 1, low_at=0, cu_size=16
         )
+        assert got == ("", err)
+
+    @pytest.mark.parametrize("command", ["analyze", "compare", "dump-activity"])
+    def test_plane_without_a_legal_sample_words_its_own_min(self, tmp_path, capsys, command):
+        # every luma sample of the last frame is 1024, as in Frame's message
+        err = "error: Y sample out of range 0..1023 (saw 1024..1024)\n"
+        got = self.fail_over_old_outputs(tmp_path, capsys, command, at=slice(0, 128 * 64))
         assert got == ("", err)
 
     def test_unwritable_sidecar_leaves_output_untouched(self, tmp_path, capsys):
@@ -1090,6 +1098,19 @@ class TestLazyExports:
         assert fresh_interpreter(code).splitlines()[-2:] == [str(EXIT_OK), "False"]
         assert json.loads(out.read_text())["config"]["mode"] == "cbaq"
 
+    def test_two_pass_library_path_loads_no_partition(self):
+        code = (
+            "import io, sys\n"
+            "from perceptqp import ChromaFormat, Mode, QpConfig, VideoFormat, frame_activity, frame_bytes,"
+            " qp_map_from_activity, read_frame\n"
+            "fmt = VideoFormat(96, 64, 8, ChromaFormat.YUV420)\n"
+            "frame = read_frame(io.BytesIO(bytes(range(256)) * (frame_bytes(fmt) // 256)), fmt)\n"
+            "config = QpConfig(slice_qp=32, mode=Mode.CBAQ, cu_size=32)\n"
+            "qps = qp_map_from_activity(fmt, frame_activity(frame, 32), config)\n"
+            "print((qps.cols, qps.rows), 'perceptqp.partition' in sys.modules)\n"
+        )
+        assert fresh_interpreter(code) == "(3, 2) False"
+
     def test_every_export_is_listed_and_is_its_submodules_object(self):
         code = (
             "import importlib, perceptqp\n"
@@ -1246,6 +1267,31 @@ def test_closed_stdout_is_one_io_error_and_replaces_nothing(tmp_path, command):
     assert (child.returncode, err) == (EXIT_IO, b"i/o error: [Errno 9] Bad file descriptor\n")
     assert out.read_text() == "old output\n"
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command", ["analyze", "compare", "dump-activity"])
+def test_closed_stdout_fails_before_any_input_is_read(tmp_path, command):
+    # The clip's first sample is a 10-bit 1024, a fault that reading frame 0 would report.
+    clip = ten_bit_clip(tmp_path / "in.yuv", 2, bad_frame=0)
+    out = tmp_path / "out.csv"
+    out.write_text("old output\n")
+    argv = cli_args(command, clip, out, fmt=TEN_BIT, bit_depth=10)
+    child = cli_child(argv, stdout=None, preexec_fn=functools.partial(os.close, 1))
+    _, err = child.communicate(timeout=60)
+    assert (child.returncode, err) == (EXIT_IO, b"i/o error: [Errno 9] Bad file descriptor\n")
+    assert out.read_text() == "old output\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.yuv", "out.csv"]
+
+
+def test_help_keeps_one_line_description(capsys, monkeypatch):
+    # argparse lists the subcommands itself; a reflowed list broke "dump-activity" in two.
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    lines = capsys.readouterr().out.splitlines()
+    description = lines[lines.index("") + 1 : lines.index("positional arguments:") - 1]
+    assert description == [cli.__doc__.splitlines()[0]]
+    assert not [line for line in lines if line.endswith("dump-")]
 
 
 @pytest.mark.parametrize(

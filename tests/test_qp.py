@@ -293,10 +293,9 @@ class TestQpMap:
         [
             ((128, 64), 16, (128, 64), 64),
             ((128, 64), 64, (128, 64), 16),
-            ((16, 16), 16, (16, 16), 32),
             ((128, 64), 64, (64, 128), 64),
         ],
-        ids=["32-records-into-2", "2-records-into-32", "same-count", "transposed"],
+        ids=["32-records-into-2", "2-records-into-32", "transposed"],
     )
     def test_activity_of_another_cu_size_is_rejected(self, size, analysed, mapped_size, mapped):
         activity = frame_activity(random_frame(VideoFormat(*size), seed=2), analysed)
@@ -304,10 +303,17 @@ class TestQpMap:
         with pytest.raises(ValueError, match="grid"):
             qp_map_from_activity(VideoFormat(*mapped_size), activity, cfg)
 
+    def test_same_count_of_another_cu_size_maps_as_qp_map(self):
+        # A 16x16 frame is one CU at 16 and one clipped CU at 32, with the same blocks.
+        frame = random_frame(VideoFormat(16, 16), seed=2)
+        cfg32 = QpConfig(slice_qp=32, mode=Mode.CBAQ, cu_size=32)
+        assert qp_map_from_activity(frame.format, frame_activity(frame, 16), cfg32) == qp_map(frame, cfg32)
+
     def test_activity_without_records_is_rejected(self):
         cfg = QpConfig(slice_qp=32, mode=Mode.CBAQ)
+        empty = np.empty((0, 0))
         with pytest.raises(ValueError, match="activity of 0 CUs"):
-            qp_map_from_activity(VideoFormat(128, 64), FrameActivity((), 1.0, 3.0), cfg)
+            qp_map_from_activity(VideoFormat(128, 64), ActivityArrays(empty, empty, empty, 1.0, 3.0), cfg)
 
 
 configs = st.builds(

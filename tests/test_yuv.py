@@ -177,6 +177,11 @@ class TestReadStrips:
         with pytest.raises(SampleRangeError, match=r"\(saw 1001\.\.1024\)"):
             next(strips)
 
+    def test_plane_without_a_legal_sample_words_its_own_min(self):
+        with pytest.raises(SampleRangeError) as raised:
+            self.read(np.full(24, 1024))
+        assert str(raised.value) == "Y sample out of range 0..1023 (saw 1024..1024)"
+
     def test_legal_plane_is_read_once_and_left_at_its_end(self):
         words = np.full(24, 512)
         words[[1, -1]] = 0, 1023
