@@ -70,8 +70,13 @@ class ActivityArrays(NamedTuple):
 
     @property
     def cross(self) -> np.ndarray:
-        """Combined activity over all three channels, added as ActivityRecord.cross does."""
-        return self.luma + self.cb + self.cr
+        """Combined activity over all three channels, added as ActivityRecord.cross does.
+
+        A new array each call, so the caller may write to it.
+        """
+        cross = self.luma + self.cb
+        cross += self.cr
+        return cross
 
 
 @dataclass(frozen=True)

@@ -255,23 +255,30 @@ def _echo_comment(tag: str, items: list[tuple[str, object]]) -> str:
 
 # Each output is a head, one piece per frame joined by a separator, and a
 # tail; the commands write the pieces as frames arrive, and the whole-clip
-# renderers below join the same pieces. A CSV piece is one chunk of text per
-# CU row, so no frame's text is held at once; a JSON piece is one chunk. A
-# piece is rendered from the frame's (rows, cols) arrays, and its rows start
-# with the frame index and the CU's "x,y," cell, which is the same for every
-# frame of a run.
+# renderers below join the same pieces. A piece is one chunk of text per CU
+# row, rendered from that row of the frame's (rows, cols) arrays, so no
+# frame's text, and no frame's values as Python objects, is held at once. A
+# CSV row starts with "frame,cu_x,cu_y,": the frame's column heads
+# "frame,cu_x," are built once per frame, and each row adds its "cu_y,".
 
 
 @lru_cache(maxsize=1)
-def _cells(rows: int, cols: int, cu_size: int) -> tuple[tuple[str, ...], ...]:
-    """The "cu_x,cu_y," of every CU of the grid, one tuple per CU row, in luma samples.
+def _labels(rows: int, cols: int, cu_size: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The "cu_x," of every CU column and the "cu_y," of every CU row, in luma samples.
 
     Built from an analysed frame's grid, never from the flags alone, so a
     geometry the input does not hold is refused before it costs memory.
     """
-    return tuple(
-        tuple(f"{x * cu_size},{y * cu_size}," for x in range(cols)) for y in range(rows)
+    return (
+        tuple(f"{x * cu_size}," for x in range(cols)),
+        tuple(f"{y * cu_size}," for y in range(rows)),
     )
+
+
+def _row_heads(index: int, shape: tuple[int, int], cu_size: int) -> tuple[list[str], tuple[str, ...]]:
+    """The "frame,cu_x," of every CU column of a frame, and the "cu_y," of every CU row."""
+    xs, ys = _labels(*shape, cu_size)
+    return [f"{index},{x}" for x in xs], ys
 
 
 def _qp_csv_head(fmt: VideoFormat, config: QpConfig) -> str:
@@ -279,8 +286,9 @@ def _qp_csv_head(fmt: VideoFormat, config: QpConfig) -> str:
 
 
 def _qp_csv_frame(index: int, qps: np.ndarray, cu_size: int) -> Iterator[str]:
-    for cells, row in zip(_cells(*qps.shape, cu_size), qps.tolist()):
-        yield "".join([f"{index},{cell}{qp}\n" for cell, qp in zip(cells, row)])
+    heads, ys = _row_heads(index, qps.shape, cu_size)
+    for y, row in zip(ys, qps):
+        yield "".join([f"{h}{y}{qp}\n" for h, qp in zip(heads, row.tolist())])
 
 
 # Pieces of json.dumps({"config": ..., "frames": [...]}, indent=2) + "\n",
@@ -300,15 +308,16 @@ def _qp_json_head(fmt: VideoFormat, config: QpConfig) -> str:
     return '{\n  "config": {\n    ' + echo + '\n  },\n  "frames": [\n    '
 
 
-def _qp_json_frame(index: int, qps: np.ndarray) -> str:
+def _qp_json_frame(index: int, qps: np.ndarray) -> Iterator[str]:
     rows, cols = qps.shape
-    grid = ",\n        ".join(
-        ["[\n          " + ",\n          ".join(map(str, row)) + "\n        ]" for row in qps.tolist()]
-    )
-    return (
+    sep = (
         f'{{\n      "frame": {index},\n      "cols": {cols},\n      "rows": {rows},\n'
-        f'      "qp": [\n        {grid}\n      ]\n    }}'
+        '      "qp": [\n        '
     )
+    for row in qps:
+        yield sep + "[\n          " + ",\n          ".join(map(str, row.tolist())) + "\n        ]"
+        sep = ",\n        "
+    yield "\n      ]\n    }"
 
 
 def _activity_csv_head(fmt: VideoFormat, cu_size: int) -> str:
@@ -318,10 +327,10 @@ def _activity_csv_head(fmt: VideoFormat, cu_size: int) -> str:
 
 def _activity_csv_frame(index: int, act: ActivityArrays, cu_size: int) -> Iterator[str]:
     tail = f",{act.t_luma!r},{act.t_cross!r}\n"
-    # A row's floats are boxed only while its chunk is built: a frame's at CU 16 take 0.8 MB.
-    for cells, *rows in zip(_cells(*act.luma.shape, cu_size), act.luma, act.cb, act.cr):
-        values = zip(cells, *(row.tolist() for row in rows))
-        yield "".join([f"{index},{cell}{l!r},{b!r},{d!r}{tail}" for cell, l, b, d in values])
+    heads, ys = _row_heads(index, act.luma.shape, cu_size)
+    for y, *rows in zip(ys, act.luma, act.cb, act.cr):
+        values = zip(heads, *(row.tolist() for row in rows))
+        yield "".join([f"{h}{y}{l!r},{b!r},{d!r}{tail}" for h, l, b, d in values])
 
 
 def _compare_head(fmt: VideoFormat, config_a: QpConfig, config_b: QpConfig) -> str:
@@ -338,9 +347,10 @@ def _compare_head(fmt: VideoFormat, config_a: QpConfig, config_b: QpConfig) -> s
 def _compare_frame(
     index: int, qps_a: np.ndarray, qps_b: np.ndarray, cu_size: int
 ) -> Iterator[str]:
-    for cells, *rows in zip(_cells(*qps_a.shape, cu_size), qps_a.tolist(), qps_b.tolist()):
-        values = zip(cells, *rows)
-        yield "".join([f"{index},{cell}{a},{b},{b - a}\n" for cell, a, b in values])
+    heads, ys = _row_heads(index, qps_a.shape, cu_size)
+    for y, row_a, row_b in zip(ys, qps_a, qps_b):
+        values = zip(heads, row_a.tolist(), row_b.tolist())
+        yield "".join([f"{h}{y}{a},{b},{b - a}\n" for h, a, b in values])
 
 
 # The whole-clip renderers take what the library's two passes return and
@@ -354,7 +364,7 @@ def qp_maps_csv(maps: list[QpMap], fmt: VideoFormat) -> str:
 
 
 def qp_maps_json(maps: list[QpMap], fmt: VideoFormat) -> str:
-    frames = _JSON_FRAME_SEP.join(_qp_json_frame(m.frame_index, np.array(m.qps)) for m in maps)
+    frames = _JSON_FRAME_SEP.join("".join(_qp_json_frame(m.frame_index, np.array(m.qps))) for m in maps)
     return _qp_json_head(fmt, maps[0].config) + frames + _JSON_TAIL
 
 
@@ -388,10 +398,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             qps = qp_grid(config, act)
             if frames:
                 out.write(sep)
-            if as_json:
-                out.write(_qp_json_frame(index, qps))
-            else:
-                out.writelines(_qp_csv_frame(index, qps, size))
+            out.writelines(_qp_json_frame(index, qps) if as_json else _qp_csv_frame(index, qps, size))
             if dump is not None:
                 dump.writelines(_activity_csv_frame(index, act, size))
             frames += 1

@@ -150,23 +150,35 @@ def cu_qp(config: QpConfig, record: ActivityRecord, activity: FrameActivity) -> 
 
 
 def _delta_qps(n: np.ndarray, rounding: Rounding) -> np.ndarray:
-    """delta_qp of every element of n, as floats holding integers.
+    """delta_qp of every element of n, as floats holding integers, written over n (1-D or 2-D).
 
     np.log2 can differ from math.log2 in the last bit, which can move a
-    value across a rounding boundary, so math.log2 is mapped over n.
+    value across a rounding boundary, so math.log2 is mapped over n one row
+    at a time, and only one row is boxed as Python floats at once. The other
+    steps are delta_qp's IEEE operations, in its order, done in place; the
+    nearest rounding computes both of its branches and keeps one per element.
     """
-    log2 = np.fromiter(map(math.log2, n.ravel().tolist()), np.float64, n.size)
-    raw = 6.0 * log2.reshape(n.shape)
+    for row in np.atleast_2d(n):
+        row[:] = list(map(math.log2, row.tolist()))
+    n *= 6.0
     if rounding is Rounding.CEILING:
-        return np.ceil(raw)
-    return np.where(raw >= 0, np.floor(raw + 0.5), np.ceil(raw - 0.5))
+        return np.ceil(n, out=n)
+    negative = n < 0
+    below = np.subtract(n, 0.5)
+    np.ceil(below, out=below)
+    n += 0.5
+    np.floor(n, out=n)
+    np.copyto(n, below, where=negative)
+    return n
 
 
 def qp_grid(config: QpConfig, act: ActivityArrays) -> np.ndarray:
     """cu_qp of every CU at once, as a (rows, cols) int64 array.
 
     Each step is the IEEE operation cu_qp performs, in the same order, so
-    every element equals cu_qp exactly.
+    every element equals cu_qp exactly. The steps write into buffers of the
+    grid's size that this call owns, act.cross among them; act's own arrays
+    are only read, since the caller may still render them.
     """
     f = scaling_factor(config.qp_range)
     if config.mode is Mode.ADAPTIVE_QP:
@@ -176,9 +188,18 @@ def qp_grid(config: QpConfig, act: ActivityArrays) -> np.ndarray:
     else:
         s = act.cross
         t = act.t_cross if config.t_mode is TMode.CROSS else act.t_luma
-    n = np.minimum(np.maximum((f * s + t) / (s + f * t), 1.0 / f), f)
-    qps = config.slice_qp + _delta_qps(n, config.rounding)
-    return np.clip(qps, QP_MIN, QP_MAX).astype(np.int64)
+    n = np.multiply(f, s)
+    n += t
+    if config.mode is Mode.ADAPTIVE_QP:
+        n /= s + f * t  # a temporary, since act.luma is the caller's
+    else:
+        s += f * t  # act.cross is this call's own array
+        n /= s
+    np.maximum(n, 1.0 / f, out=n)
+    np.minimum(n, f, out=n)
+    qps = _delta_qps(n, config.rounding)
+    qps += config.slice_qp
+    return np.clip(qps, QP_MIN, QP_MAX, out=qps).astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ import tempfile
 import threading
 import time
 import tracemalloc
+from contextlib import suppress
 
 import numpy as np
 import pytest
@@ -815,6 +816,25 @@ class TestStreaming:
         assert stat.S_ISFIFO(fifo.lstat().st_mode)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["act.csv", "in.yuv", "pipe"]
 
+    def test_fifo_input_is_refused_as_not_seekable(self, tmp_path, capsys):
+        # The size probe seeks, which a pipe cannot. The writer unblocks the
+        # run's open of the FIFO; a run that never opens it leaves the writer
+        # blocked, so its join is bounded.
+        fifo = tmp_path / "in.yuv"
+        os.mkfifo(fifo)
+
+        def write():
+            with suppress(BrokenPipeError), open(fifo, "wb") as sink:
+                sink.write(bytes(frame_bytes(FMT)))
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        assert main(analyze_args(fifo, tmp_path / "map.csv")) == EXIT_VALIDATION
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert capsys.readouterr() == ("", "error: File or stream is not seekable.\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["in.yuv"]
+
 
 LONG_FMT = VideoFormat(512, 512, 10, ChromaFormat.YUV420)
 
@@ -901,6 +921,32 @@ def test_peak_memory_stays_below_half_a_frame(tmp_path, capsys, hd_clips, name, 
     capsys.readouterr()
     # A decoded frame of the native dtype occupies frame_bytes.
     assert peak < frame_bytes(HD[name]) / 2, peak
+
+
+def test_memory_held_after_a_run_does_not_grow_with_cu_count(tmp_path, capsys):
+    """What one run leaves allocated, caches included, is the same for a frame of 4x the CUs.
+
+    Each measured geometry runs cold: the warm-up runs a third, tiny one, so
+    it takes only the process's one-time allocations and caches nothing the
+    measured runs could reuse.
+    """
+    def args(width, height):
+        fmt = VideoFormat(width, height, 8, ChromaFormat.YUV420)
+        clip = write_clip(tmp_path / f"{width}x{height}.yuv", [random_frame(fmt, 0)])
+        return analyze_args(clip, tmp_path / "m.csv", fmt=fmt, cu_size=16, dump_activity=tmp_path / "a.csv")
+
+    assert main(args(32, 32)) == EXIT_OK
+    held = []
+    for argv in (args(640, 360), args(1280, 720)):
+        tracemalloc.start()
+        try:
+            assert main(argv) == EXIT_OK
+            held.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+    capsys.readouterr()
+    # 3600 CUs against 920: a table of one string per CU holds 50-70 bytes per added CU.
+    assert held[1] - held[0] < 8 * (3600 - 920), held
 
 
 NUMERIC_FLAGS = ("--width", "--height", "--skip", "--frames", "--qp", "--qp-range", "--cu-size")
@@ -1152,7 +1198,7 @@ def qp_grids(draw):
 def test_json_frame_equals_json_dumps(index, qps):
     rows, cols = qps.shape
     frame = {"frame": index, "cols": cols, "rows": rows, "qp": qps.tolist()}
-    assert cli._qp_json_frame(index, qps) == json.dumps(frame, indent=2).replace("\n", "\n    ")
+    assert "".join(cli._qp_json_frame(index, qps)) == json.dumps(frame, indent=2).replace("\n", "\n    ")
 
 
 def cli_child(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **popen):
