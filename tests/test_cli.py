@@ -480,7 +480,8 @@ def ten_bit_analyze(f, **flags):
 # One case per row of the README's precedence table: the row's fault plus the
 # next row's, and what the error must name. The clip itself holds the last
 # row's fault, a 10-bit sample of 1024 in frame 0. A closed stdout needs a
-# child process: test_closed_stdout_fails_before_any_input_is_read.
+# child process: test_closed_stdout_fails_before_any_input_is_read; a FIFO
+# input needs a writer thread: test_fifo_input_is_refused_as_not_seekable.
 PRECEDENCE = [
     ("usage", lambda f: ten_bit_analyze(f, format="xml", width=15), EXIT_USAGE, "invalid choice"),
     ("geometry", lambda f: ten_bit_analyze(f, width=15, qp=99), EXIT_VALIDATION, "width 15"),
@@ -817,9 +818,10 @@ class TestStreaming:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["act.csv", "in.yuv", "pipe"]
 
     def test_fifo_input_is_refused_as_not_seekable(self, tmp_path, capsys):
-        # The size probe seeks, which a pipe cannot. The writer unblocks the
-        # run's open of the FIFO; a run that never opens it leaves the writer
-        # blocked, so its join is bounded.
+        # The size probe seeks, which a pipe cannot, so the probe fails
+        # before --skip is checked. The writer unblocks the run's open of the
+        # FIFO; a run that never opens it leaves the writer blocked, so its
+        # join is bounded.
         fifo = tmp_path / "in.yuv"
         os.mkfifo(fifo)
 
@@ -829,7 +831,7 @@ class TestStreaming:
 
         writer = threading.Thread(target=write, daemon=True)
         writer.start()
-        assert main(analyze_args(fifo, tmp_path / "map.csv")) == EXIT_VALIDATION
+        assert main(analyze_args(fifo, tmp_path / "map.csv", skip=-1)) == EXIT_VALIDATION
         writer.join(timeout=30)
         assert not writer.is_alive()
         assert capsys.readouterr() == ("", "error: File or stream is not seekable.\n")
