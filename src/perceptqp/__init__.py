@@ -7,7 +7,8 @@ resulting RD curves.
 
 Every public name loads its submodule on first use (PEP 562), so
 importing one submodule, such as perceptqp.cli, loads only what it
-imports itself.
+imports itself. _SUBMODULE is the one list of public names; the
+submodules keep no __all__.
 """
 
 import os
@@ -22,13 +23,13 @@ __version__ = "0.1.0"
 _SUBMODULE = {
     name: module
     for module, names in {
-        "activity": "ActivityRecord FrameActivity block_variance cu_activity frame_activity",
+        "activity": "frame_activity",
         "metrics": "CurveOverlapError DegenerateCurveError RdCurve RdPoint bd_psnr bd_rate"
         " parse_rd_csv psnr",
-        "partition": "CbRect CuRect cb_rect cu_grid sub_blocks",
-        "qp": "CU_SIZES Mode QP_MAX QP_MIN QpConfig QpMap Rounding TMode cu_qp delta_qp"
-        " grid_dims normalized_activity qp_map qp_map_from_activity"
-        " round_half_away_from_zero scaling_factor",
+        "partition": "ActivityRecord CbRect CuRect FrameActivity block_variance cb_rect cu_activity"
+        " cu_grid cu_qp delta_qp normalized_activity round_half_away_from_zero sub_blocks",
+        "qp": "CU_SIZES Mode QP_MAX QP_MIN QpConfig QpMap Rounding TMode grid_dims qp_map"
+        " qp_map_from_activity scaling_factor",
         "yuv": "Channel ChromaFormat Frame Plane SampleRangeError TruncatedInputError"
         " VideoFormat YuvError frame_bytes plane_dims probe_frame_count read_frame write_frame",
     }.items()

@@ -11,49 +11,21 @@ Sample sums and squared-sample sums are accumulated as exact integers
 regardless of block traversal order. activity_arrays computes them for a
 whole CU row of a plane at once and returns one (rows, cols) array per
 channel, which frame_activity returns too; stream_activity does the same
-for a frame read from a stream one CU row at a time. cu_activity and
-block_variance are the per-block reference both must match bit for bit;
-only that reference builds per-CU ActivityRecords. The frame means fold
-the activities strictly left to right in raster order, as Python's sum()
-did up to 3.11.
+for a frame read from a stream one CU row at a time. Both must match
+partition.cu_activity, the per-CU reference, bit for bit. The frame
+means fold the activities strictly left to right in raster order, as
+Python's sum() did up to 3.11.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .yuv import Channel, Frame, Plane, VideoFormat, read_strips
-
-if TYPE_CHECKING:
-    from .partition import CbRect, CuRect
-
-__all__ = [
-    "ActivityRecord",
-    "FrameActivity",
-    "block_variance",
-    "cu_activity",
-    "frame_activity",
-]
-
-
-@dataclass(frozen=True)
-class ActivityRecord:
-    """Spatial activity of one CU, one value per channel, each >= 1."""
-
-    cu: CuRect
-    luma: float
-    cb: float
-    cr: float
-
-    @property
-    def cross(self) -> float:
-        """Combined activity over all three channels."""
-        return self.luma + self.cb + self.cr
+from .yuv import Channel, Frame, VideoFormat, read_strips
 
 
 class ActivityArrays(NamedTuple):
@@ -70,63 +42,13 @@ class ActivityArrays(NamedTuple):
 
     @property
     def cross(self) -> np.ndarray:
-        """Combined activity over all three channels, added as ActivityRecord.cross does.
+        """Combined activity over all three channels, added as partition.ActivityRecord.cross does.
 
         A new array each call, so the caller may write to it.
         """
         cross = self.luma + self.cb
         cross += self.cr
         return cross
-
-
-@dataclass(frozen=True)
-class FrameActivity:
-    """The scalar reference's CU records of a frame (raster order) plus the normalization means."""
-
-    records: tuple[ActivityRecord, ...]
-    t_luma: float
-    t_cross: float
-
-
-def block_variance(plane: Plane, rect: CbRect) -> float:
-    """Population variance of the samples under rect, which must lie inside the plane.
-
-    Computed from exact integer sums as (n*sum(s^2) - sum(s)^2) / n^2,
-    which equals mean(s^2) - mean(s)^2 but cannot go negative through
-    floating-point cancellation.
-    """
-    where = f"rect {rect.w}x{rect.h} at ({rect.x},{rect.y})"
-    if rect.w <= 0 or rect.h <= 0:
-        raise ValueError(f"{where} is empty")
-    if rect.x < 0 or rect.y < 0 or rect.x + rect.w > plane.width or rect.y + rect.h > plane.height:
-        raise ValueError(f"{where} leaves the {plane.width}x{plane.height} plane")
-    block = plane.data[rect.y : rect.y + rect.h, rect.x : rect.x + rect.w].astype(np.int64)
-    count = rect.w * rect.h
-    s1 = int(block.sum())
-    s2 = int((block * block).sum())
-    return (count * s2 - s1 * s1) / (count * count)
-
-
-def _cb_activity(plane: Plane, cb: CbRect) -> float:
-    """One plus the minimum sub-block variance; empty quadrants are skipped."""
-    from .partition import sub_blocks
-
-    variances = [block_variance(plane, sb) for sb in sub_blocks(cb) if not sb.empty]
-    return 1.0 + min(variances)
-
-
-def cu_activity(frame: Frame, cu: CuRect) -> ActivityRecord:
-    """Per-channel activity of one CU under the frame's own subsampling."""
-    # The per-CU reference and its records load partition; the CLI's array path does not.
-    from .partition import cb_rect
-
-    cf = frame.format.chroma_format
-    return ActivityRecord(
-        cu=cu,
-        luma=_cb_activity(frame.y, cb_rect(cu, Channel.Y, cf)),
-        cb=_cb_activity(frame.cb, cb_rect(cu, Channel.CB, cf)),
-        cr=_cb_activity(frame.cr, cb_rect(cu, Channel.CR, cf)),
-    )
 
 
 def _quadrant_halves(length: int, cu_size: int, sub: int) -> tuple[np.ndarray, np.ndarray]:
@@ -295,7 +217,7 @@ def _frame_arrays(
 def activity_arrays(frame: Frame, cu_size: int, chroma: bool = True) -> ActivityArrays:
     """Activity of every CU as (rows, cols) arrays, plus the frame means.
 
-    Each element is bit-identical to cu_activity of that CU of cu_grid. With
+    Each element is bit-identical to partition.cu_activity of that CU. With
     chroma false only the luma plane is analysed, and cb, cr and t_cross are
     None.
     """

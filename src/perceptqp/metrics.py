@@ -20,20 +20,6 @@ import numpy as np
 
 from .yuv import Plane
 
-__all__ = [
-    "CHANNEL_ORDER",
-    "CurveOverlapError",
-    "DegenerateCurveError",
-    "RD_CSV_HEADER",
-    "RdCurve",
-    "RdPoint",
-    "bd_psnr",
-    "bd_rate",
-    "parse_rd_csv",
-    "psnr",
-    "rd_csv_bytes",
-]
-
 CHANNEL_ORDER = ("Y", "Cb", "Cr")
 RD_CSV_HEADER = ("label", "channel", "qp", "bitrate_kbps", "psnr_db")
 

@@ -7,9 +7,9 @@ value n lands in [1/f, f] for f = 2**(range/6), so the QP delta
 6*log2(n) is bounded by the adaptation range, and a CU whose activity
 equals the frame mean keeps the slice QP exactly.
 
-qp_grid applies a rule to a whole frame's activity arrays at once;
-cu_qp is the per-CU reference it must match exactly, and the QpMap
-builders wrap qp_grid's result.
+qp_grid applies a rule to a whole frame's activity arrays at once and
+must equal partition.cu_qp, the per-CU reference, exactly; the QpMap
+builders wrap its result.
 """
 
 from __future__ import annotations
@@ -22,29 +22,12 @@ from typing import Iterator
 
 import numpy as np
 
-from .activity import ActivityArrays, ActivityRecord, FrameActivity, activity_arrays
+from .activity import ActivityArrays, activity_arrays
 from .yuv import Frame, VideoFormat
-
-__all__ = [
-    "Mode",
-    "QP_MAX",
-    "QP_MIN",
-    "QpConfig",
-    "QpMap",
-    "Rounding",
-    "TMode",
-    "cu_qp",
-    "delta_qp",
-    "normalized_activity",
-    "qp_map",
-    "qp_map_from_activity",
-    "round_half_away_from_zero",
-    "scaling_factor",
-]
 
 QP_MIN = 0
 QP_MAX = 51
-# The CU sizes the QP maps support; partition re-exports them and grid_dims.
+# The CU sizes the QP maps support.
 CU_SIZES = (16, 32, 64)
 
 
@@ -110,43 +93,6 @@ def scaling_factor(qp_range: int) -> float:
     A range of 6 gives 2.0, one QP-doubling octave in either direction.
     """
     return 2.0 ** (qp_range / 6.0)
-
-
-def normalized_activity(s: float, t: float, f: float) -> float:
-    """Normalize activity s against the frame mean t.
-
-    Returns (f*s + t) / (s + f*t), which is 1 when s == t and approaches
-    f (resp. 1/f) as s grows far above (resp. below) t. The result is
-    clamped to [1/f, f], which float rounding can leave by an ulp.
-    """
-    return min(max((f * s + t) / (s + f * t), 1.0 / f), f)
-
-
-def round_half_away_from_zero(x: float) -> int:
-    if x >= 0:
-        return math.floor(x + 0.5)
-    return math.ceil(x - 0.5)
-
-
-def delta_qp(n: float, rounding: Rounding = Rounding.NEAREST) -> int:
-    """Integer QP offset for a normalized activity: 6*log2(n), rounded."""
-    raw = 6.0 * math.log2(n)
-    if rounding is Rounding.CEILING:
-        return math.ceil(raw)
-    return round_half_away_from_zero(raw)
-
-
-def cu_qp(config: QpConfig, record: ActivityRecord, activity: FrameActivity) -> int:
-    """QP for one CU, clipped to the legal [0, 51] range."""
-    f = scaling_factor(config.qp_range)
-    if config.mode is Mode.ADAPTIVE_QP:
-        s, t = record.luma, activity.t_luma
-    else:
-        s = record.cross
-        t = activity.t_cross if config.t_mode is TMode.CROSS else activity.t_luma
-    n = normalized_activity(s, t, f)
-    qp = config.slice_qp + delta_qp(n, config.rounding)
-    return min(QP_MAX, max(QP_MIN, qp))
 
 
 def _delta_qps(n: np.ndarray, rounding: Rounding) -> np.ndarray:

@@ -15,22 +15,6 @@ from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
-__all__ = [
-    "Channel",
-    "ChromaFormat",
-    "Frame",
-    "Plane",
-    "SampleRangeError",
-    "TruncatedInputError",
-    "VideoFormat",
-    "YuvError",
-    "frame_bytes",
-    "plane_dims",
-    "probe_frame_count",
-    "read_frame",
-    "write_frame",
-]
-
 
 class YuvError(ValueError):
     """Invalid geometry or raw YCbCr data."""

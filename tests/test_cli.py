@@ -1115,12 +1115,13 @@ class TestOpenblasDefault:
 EXPORTS = [
     (module, name)
     for module, names in {
-        "activity": "ActivityRecord FrameActivity block_variance cu_activity frame_activity",
+        "activity": "frame_activity",
         "metrics": "CurveOverlapError DegenerateCurveError RdCurve RdPoint bd_psnr bd_rate"
         " parse_rd_csv psnr",
-        "partition": "CU_SIZES CbRect CuRect cb_rect cu_grid grid_dims sub_blocks",
-        "qp": "Mode QP_MAX QP_MIN QpConfig QpMap Rounding TMode cu_qp delta_qp normalized_activity"
-        " qp_map qp_map_from_activity round_half_away_from_zero scaling_factor",
+        "partition": "ActivityRecord CbRect CuRect FrameActivity block_variance cb_rect cu_activity"
+        " cu_grid cu_qp delta_qp normalized_activity round_half_away_from_zero sub_blocks",
+        "qp": "CU_SIZES Mode QP_MAX QP_MIN QpConfig QpMap Rounding TMode grid_dims qp_map"
+        " qp_map_from_activity scaling_factor",
         "yuv": "Channel ChromaFormat Frame Plane SampleRangeError TruncatedInputError VideoFormat"
         " YuvError frame_bytes plane_dims probe_frame_count read_frame write_frame",
     }.items()
@@ -1131,12 +1132,26 @@ EXPORTS = [
 class TestLazyExports:
     """perceptqp's names load their submodule on first use, so the CLI loads only its own path."""
 
-    def test_cli_import_leaves_out_metrics_csv_and_json(self):
-        code = (
-            "import sys, perceptqp.cli;"
-            " print(sorted({'perceptqp.metrics', 'perceptqp.partition', 'csv', 'json'} & set(sys.modules)))"
-        )
-        assert fresh_interpreter(code) == "[]"
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            (None, {}),
+            ("analyze", {"dump_activity": "act.csv"}),
+            ("compare", {"mode_a": "adaptiveqp", "mode_b": "cbaq"}),
+            ("dump-activity", {}),
+        ],
+        ids=["import", "analyze-dump-activity", "compare", "dump-activity"],
+    )
+    def test_cli_import_leaves_out_metrics_csv_and_json(self, tmp_path, command, flags):
+        """Neither the import nor a run of a clip command loads partition, metrics, csv or json."""
+        code = f"import os, sys, perceptqp.cli\nos.chdir({str(tmp_path)!r})\n"
+        if command is not None:
+            fmt = VideoFormat(64, 32, 8, ChromaFormat.YUV420)
+            clip = constant_clip(tmp_path / "in.yuv", fmt=fmt)
+            argv = cli_args(command, clip, "out.csv", fmt=fmt, **flags)
+            code += f"assert perceptqp.cli.main({argv!r}) == {EXIT_OK}\n"
+        code += "print(sorted({'perceptqp.metrics', 'perceptqp.partition', 'csv', 'json'} & set(sys.modules)))"
+        assert fresh_interpreter(code).splitlines()[-1] == "[]"
 
     def test_json_analyze_loads_no_json_module(self, tmp_path):
         clip = constant_clip(tmp_path / "in.yuv")
@@ -1183,6 +1198,22 @@ class TestLazyExports:
             " print(activity is sys.modules['perceptqp.activity'], cli is sys.modules['perceptqp.cli'])"
         )
         assert fresh_interpreter(code) == "True True"
+
+
+SYNTHETIC_CLIP_SCRIPT = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "make_synthetic_clip.py")
+
+
+def test_synthetic_clip_script_writes_whole_frames_analyze_reads(tmp_path, capsys):
+    """README's clip generator runs as a script and writes exactly the frames it is asked for."""
+    fmt = VideoFormat(64, 48, 10, ChromaFormat.YUV422)
+    clip = tmp_path / "clip.yuv"
+    argv = [
+        sys.executable, SYNTHETIC_CLIP_SCRIPT, "--output", str(clip), "--width", "64", "--height", "48",
+        "--bit-depth", "10", "--chroma", "422", "--frames", "2", "--pattern", "mixed",
+    ]
+    subprocess.run(argv, env=child_env(), check=True, capture_output=True, timeout=60)
+    assert clip.stat().st_size == 2 * frame_bytes(fmt)
+    assert main(analyze_args(clip, tmp_path / "map.csv", fmt=fmt, bit_depth=10)) == EXIT_OK
 
 
 @st.composite
