@@ -17,7 +17,6 @@ import stat
 import sys
 from collections import Counter
 from contextlib import ExitStack, contextmanager, suppress
-from functools import lru_cache
 from io import StringIO
 from itertools import chain, combinations
 from pathlib import Path
@@ -262,23 +261,14 @@ def _echo_comment(tag: str, items: list[tuple[str, object]]) -> str:
 # "frame,cu_x," are built once per frame, and each row adds its "cu_y,".
 
 
-@lru_cache(maxsize=1)
-def _labels(rows: int, cols: int, cu_size: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The "cu_x," of every CU column and the "cu_y," of every CU row, in luma samples.
+def _row_heads(index: int, shape: tuple[int, int], cu_size: int) -> tuple[list[str], list[str]]:
+    """The "frame,cu_x," of every CU column of a frame, and the "cu_y," of every CU row, in luma samples.
 
     Built from an analysed frame's grid, never from the flags alone, so a
     geometry the input does not hold is refused before it costs memory.
     """
-    return (
-        tuple(f"{x * cu_size}," for x in range(cols)),
-        tuple(f"{y * cu_size}," for y in range(rows)),
-    )
-
-
-def _row_heads(index: int, shape: tuple[int, int], cu_size: int) -> tuple[list[str], tuple[str, ...]]:
-    """The "frame,cu_x," of every CU column of a frame, and the "cu_y," of every CU row."""
-    xs, ys = _labels(*shape, cu_size)
-    return [f"{index},{x}" for x in xs], ys
+    rows, cols = shape
+    return [f"{index},{x * cu_size}," for x in range(cols)], [f"{y * cu_size}," for y in range(rows)]
 
 
 def _qp_csv_head(fmt: VideoFormat, config: QpConfig) -> str:

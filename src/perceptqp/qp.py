@@ -8,8 +8,8 @@ value n lands in [1/f, f] for f = 2**(range/6), so the QP delta
 equals the frame mean keeps the slice QP exactly.
 
 qp_grid applies a rule to a whole frame's activity arrays at once and
-must equal partition.cu_qp, the per-CU reference, exactly; the QpMap
-builders wrap its result.
+must equal partition.cu_qp, the per-CU reference, exactly;
+qp_map_from_activity, the one QpMap builder, wraps its result.
 """
 
 from __future__ import annotations
@@ -169,12 +169,6 @@ class QpMap:
         return [qp for row in self.qps for qp in row]
 
 
-def _qp_map(config: QpConfig, act: ActivityArrays, frame_index: int) -> QpMap:
-    rows, cols = act.luma.shape
-    qps = tuple(map(tuple, qp_grid(config, act).tolist()))
-    return QpMap(frame_index=frame_index, cols=cols, rows=rows, qps=qps, config=config)
-
-
 def qp_map_from_activity(
     fmt: VideoFormat,
     activity: ActivityArrays,
@@ -190,7 +184,8 @@ def qp_map_from_activity(
             f"activity of {activity.luma.size} CUs was not computed on the {cols}x{rows} grid"
             f" of CU {config.cu_size}"
         )
-    return _qp_map(config, activity, frame_index)
+    qps = tuple(map(tuple, qp_grid(config, activity).tolist()))
+    return QpMap(frame_index=frame_index, cols=cols, rows=rows, qps=qps, config=config)
 
 
 def qp_map(frame: Frame, config: QpConfig, frame_index: int = 0) -> QpMap:
@@ -200,4 +195,4 @@ def qp_map(frame: Frame, config: QpConfig, frame_index: int = 0) -> QpMap:
     CU's activity into a QP.
     """
     act = activity_arrays(frame, config.cu_size, chroma=config.mode is Mode.CBAQ)
-    return _qp_map(config, act, frame_index)
+    return qp_map_from_activity(frame.format, act, config, frame_index)

@@ -1,0 +1,265 @@
+"""Exact metamorphic relations: pairs of CLI runs whose outputs must agree, with no oracle.
+
+Each test transforms a random clip in a way the paper's activity cannot
+see, runs main() on both clips and compares output bytes, or rows parsed
+from them. Every relation is exact: the quadrant variances come from
+integer sums, the activity is a minimum over quadrants, and the frame
+means and QPs repeat the same IEEE operations in the same order, so no
+tolerance is needed and none is used. They hold for any kernel, reader or
+renderer, so they keep guarding a rewrite of any of them.
+"""
+
+import json
+import os
+import tempfile
+from contextlib import redirect_stdout
+from io import StringIO
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from perceptqp import ChromaFormat, VideoFormat, grid_dims
+from perceptqp.cli import EXIT_OK, main
+
+MAX_WIDTH, MAX_HEIGHT = 200, 130
+RELATION = settings(max_examples=10, deadline=None)
+
+
+def textured_plane(rng, height, width, max_sample):
+    """Samples in a band [base, base + span] narrower than the legal range, so a shift has room.
+
+    Noise is scaled by a gain drawn per 4x4 block and cubed, so quadrants
+    run from flat to busy and the CUs' activities, and so their QPs, differ.
+    """
+    span = int(rng.integers(0, max_sample))
+    base = int(rng.integers(0, max_sample - span + 1))
+    gain = rng.random((-(-height // 4), -(-width // 4))) ** 3
+    gain = gain.repeat(4, axis=0).repeat(4, axis=1)[:height, :width]
+    noise = (rng.random((height, width)) * gain * (span + 1)).astype(np.int64)
+    return base + np.minimum(noise, span)
+
+
+@st.composite
+def clips(draw, chroma=tuple(ChromaFormat), bit_depths=(8, 10), frames=(1, 3)):
+    """(fmt, cu_size, frames): each frame is a list of Y, Cb and Cr int64 planes."""
+    cf = draw(st.sampled_from(chroma))
+    width = cf.sub_x * draw(st.integers(1, MAX_WIDTH // cf.sub_x))
+    height = cf.sub_y * draw(st.integers(1, MAX_HEIGHT // cf.sub_y))
+    fmt = VideoFormat(width, height, draw(st.sampled_from(bit_depths)), cf)
+    cu_size = draw(st.sampled_from([16, 32, 64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shapes = [(height, width)] + 2 * [(height // cf.sub_y, width // cf.sub_x)]
+    count = draw(st.integers(*frames))
+    planes = [[textured_plane(rng, h, w, fmt.max_sample) for h, w in shapes] for _ in range(count)]
+    return fmt, cu_size, planes
+
+
+def write_clip(path, fmt, frames):
+    dtype = "<u2" if fmt.bit_depth == 10 else np.uint8
+    with open(path, "wb") as sink:
+        for planes in frames:
+            for plane in planes:
+                sink.write(plane.astype(dtype).tobytes())
+
+
+# {dir} is the run's scratch directory; each run of a relation writes the same names there.
+RUNS = {
+    "analyze": ["analyze", "--qp", "32", "--mode", "cbaq", "--output", "{dir}/map.csv",
+                "--dump-activity", "{dir}/act.csv"],
+    "json": ["analyze", "--qp", "27", "--mode", "cbaq", "--t-mode", "luma", "--format", "json",
+             "--output", "{dir}/map.json"],
+    "compare": ["compare", "--qp", "37", "--mode-a", "adaptiveqp", "--mode-b", "cbaq",
+                "--rounding-b", "ceiling", "--output", "{dir}/cmp.csv"],
+}
+ADAPTIVE_RUNS = {
+    "analyze": ["analyze", "--qp", "22", "--mode", "adaptiveqp", "--output", "{dir}/map.csv"],
+    "json": ["analyze", "--qp", "32", "--mode", "adaptiveqp", "--format", "json",
+             "--output", "{dir}/map.json"],
+}
+DUMP_RUNS = {"dump": ["dump-activity", "--output", "{dir}/act.csv"]}
+
+
+def run_all(fmt, cu_size, frames, runs=RUNS, flags=(), frames_b=None):
+    """{output name: bytes} and {run: stdout} of every run in runs on one clip of frames.
+
+    frames_b, if given, is written to {dir}/b.yuv.
+    """
+    outputs, stdouts = {}, {}
+    with tempfile.TemporaryDirectory() as scratch:
+        clip = os.path.join(scratch, "clip.yuv")
+        write_clip(clip, fmt, frames)
+        if frames_b is not None:
+            write_clip(os.path.join(scratch, "b.yuv"), fmt, frames_b)
+        for name, argv in runs.items():
+            geometry = ["--input", clip, "--width", str(fmt.width), "--height", str(fmt.height),
+                        "--bit-depth", str(fmt.bit_depth), "--chroma", fmt.chroma_format.value,
+                        "--cu-size", str(cu_size), *flags]
+            with redirect_stdout(StringIO()) as stdout:
+                assert main([arg.format(dir=scratch) for arg in argv] + geometry) == EXIT_OK
+            stdouts[name] = stdout.getvalue()
+        for name in os.listdir(scratch):
+            if not name.endswith(".yuv"):
+                with open(os.path.join(scratch, name), "rb") as source:
+                    outputs[name] = source.read()
+    return outputs, stdouts
+
+
+def csv_frames(data):
+    """The two header lines of a CSV output, and its rows grouped by frame, frame field dropped."""
+    lines = data.decode().splitlines()
+    rows = {}
+    for line in lines[2:]:
+        frame, rest = line.split(",", 1)
+        rows.setdefault(int(frame), []).append(rest)
+    return lines[:2], rows
+
+
+def json_frames(data):
+    """The config of a JSON output, and its frames by index, index dropped."""
+    doc = json.loads(data)
+    return doc["config"], {f.pop("frame"): f for f in doc["frames"]}
+
+
+def parsed(outputs):
+    return {
+        name: json_frames(data) if name.endswith(".json") else csv_frames(data)
+        for name, data in outputs.items()
+    }
+
+
+@RELATION
+@given(clips(), st.sampled_from([0, 1, 2]), st.data())
+def test_shifting_a_plane_changes_no_output_byte(clip, plane, data):
+    """n*sum(s^2) - sum(s)^2 is shift-invariant in integers, so every variance is unchanged."""
+    fmt, cu_size, frames = clip
+    low = min(int(f[plane].min()) for f in frames)
+    high = max(int(f[plane].max()) for f in frames)
+    # Each frame's band leaves room, but two frames' bands can cover the range together.
+    assume(low > 0 or high < fmt.max_sample)
+    shift = data.draw(st.integers(-low, fmt.max_sample - high).filter(bool), label="shift")
+    shifted = [[p + shift if i == plane else p for i, p in enumerate(f)] for f in frames]
+    assert run_all(fmt, cu_size, shifted) == run_all(fmt, cu_size, frames)
+
+
+@RELATION
+@given(clips(frames=(2, 3)), st.data())
+def test_frames_are_analysed_independently(clip, data):
+    """A permuted clip gives each frame's rows under its new index, and --skip 1 --frames 1 frame 1's."""
+    fmt, cu_size, frames = clip
+    order = data.draw(st.permutations(range(len(frames))), label="order")
+    outputs, stdouts = run_all(fmt, cu_size, frames)
+    permuted, permuted_stdouts = run_all(fmt, cu_size, [frames[i] for i in order])
+    # Each summary is a count, an integer sum or a histogram over all CUs.
+    assert permuted_stdouts == stdouts
+    full = parsed(outputs)
+    for name, (head, rows) in parsed(permuted).items():
+        assert head == full[name][0]
+        assert rows == {new: full[name][1][old] for new, old in enumerate(order)}
+    second, _ = run_all(fmt, cu_size, frames, flags=["--skip", "1", "--frames", "1"])
+    for name, (head, rows) in parsed(second).items():
+        assert (head, rows) == (full[name][0], {1: full[name][1][1]})
+
+
+@RELATION
+@given(clips(bit_depths=(8,)))
+def test_ten_bit_storage_of_eight_bit_samples_changes_only_the_bit_depth(clip):
+    """The uint8 and uint16 read paths give the same sums, so only the header's bit_depth differs."""
+    fmt, cu_size, frames = clip
+    outputs, stdouts = run_all(fmt, cu_size, frames)
+    wide = VideoFormat(fmt.width, fmt.height, 10, fmt.chroma_format)
+    wide_outputs, wide_stdouts = run_all(wide, cu_size, frames)
+    assert wide_stdouts == stdouts
+    assert wide_outputs.keys() == outputs.keys()
+    for name, data in outputs.items():
+        relabelled = data.replace(b" bit_depth=8 ", b" bit_depth=10 ")
+        relabelled = relabelled.replace(b'"bit_depth": 8,', b'"bit_depth": 10,')
+        assert relabelled != data
+        assert wide_outputs[name] == relabelled, name
+
+
+def activity_rows(data):
+    """{(frame, cu_x, cu_y): (l, b, d) as written} from an activity CSV."""
+    _, rows = csv_frames(data)
+    table = {}
+    for frame, lines in rows.items():
+        for line in lines:
+            x, y, l, b, d, _, _ = line.split(",")
+            table[frame, int(x), int(y)] = (l, b, d)
+    return table
+
+
+@RELATION
+@given(clips(chroma=(ChromaFormat.YUV444, ChromaFormat.YUV420)))
+def test_transposing_the_clip_transposes_the_activity(clip):
+    """CU (x, y) of a clip has the l,b,d of CU (y, x) of its transpose.
+
+    The means and QPs are not compared: transposing changes the order of
+    the raster fold, which can move a mean's last bit.
+    """
+    fmt, cu_size, frames = clip
+    outputs, _ = run_all(fmt, cu_size, frames, DUMP_RUNS)
+    flipped = VideoFormat(fmt.height, fmt.width, fmt.bit_depth, fmt.chroma_format)
+    transposed, _ = run_all(flipped, cu_size, [[p.T for p in f] for f in frames], DUMP_RUNS)
+    expected = {(f, y, x): lbd for (f, x, y), lbd in activity_rows(outputs["act.csv"]).items()}
+    assert activity_rows(transposed["act.csv"]) == expected
+
+
+@RELATION
+@given(clips(), st.integers(0, 2**32 - 1))
+def test_luma_only_rule_ignores_chroma(clip, seed):
+    """adaptiveqp maps are unchanged by any legal chroma, and swapping Cb and Cr swaps b and d.
+
+    t_cross and cbaq are not compared: (l + b) + d and (l + d) + b can
+    differ in the last bit.
+    """
+    fmt, cu_size, frames = clip
+    rng = np.random.default_rng(seed)
+    other = [[f[0]] + [textured_plane(rng, *p.shape, fmt.max_sample) for p in f[1:]] for f in frames]
+    assert run_all(fmt, cu_size, other, ADAPTIVE_RUNS) == run_all(fmt, cu_size, frames, ADAPTIVE_RUNS)
+    outputs, _ = run_all(fmt, cu_size, frames, DUMP_RUNS)
+    swapped, _ = run_all(fmt, cu_size, [[y, cr, cb] for y, cb, cr in frames], DUMP_RUNS)
+    expected = {cu: (l, d, b) for cu, (l, b, d) in activity_rows(outputs["act.csv"]).items()}
+    assert activity_rows(swapped["act.csv"]) == expected
+    t_luma = [line.split(",")[-2] for line in outputs["act.csv"].decode().splitlines()[2:]]
+    assert [line.split(",")[-2] for line in swapped["act.csv"].decode().splitlines()[2:]] == t_luma
+
+
+@RELATION
+@given(clips(), st.data())
+def test_changing_one_cu_changes_no_other_cus_activity(clip, data):
+    """New samples in one CU's blocks, a clipped edge CU's included, reach no other CU's l,b,d."""
+    fmt, cu_size, frames = clip
+    cols, rows = grid_dims(fmt, cu_size)
+    frame = data.draw(st.integers(0, len(frames) - 1), label="frame")
+    col, row = data.draw(st.integers(0, cols - 1), label="col"), data.draw(st.integers(0, rows - 1), label="row")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    cf = fmt.chroma_format
+    changed = [list(f) for f in frames]
+    for channel, (sub_x, sub_y) in enumerate([(1, 1), (cf.sub_x, cf.sub_y), (cf.sub_x, cf.sub_y)]):
+        plane = changed[frame][channel] = frames[frame][channel].copy()
+        x, y = col * cu_size // sub_x, row * cu_size // sub_y
+        block = plane[y : y + cu_size // sub_y, x : x + cu_size // sub_x]
+        block[...] = textured_plane(rng, *block.shape, fmt.max_sample)
+    before = activity_rows(run_all(fmt, cu_size, frames, DUMP_RUNS)[0]["act.csv"])
+    after = activity_rows(run_all(fmt, cu_size, changed, DUMP_RUNS)[0]["act.csv"])
+    for table in (before, after):
+        del table[frame, col * cu_size, row * cu_size]
+    assert after == before
+
+
+@RELATION
+@given(clips(), st.sampled_from(["adaptiveqp", "cbaq"]), st.integers(0, 2**32 - 1))
+def test_two_input_compare_holds_each_inputs_map(clip, mode, seed):
+    """compare --input A --input-b B with one rule on both sides gives analyze's QPs of A and of B."""
+    fmt, cu_size, frames = clip
+    rng = np.random.default_rng(seed)
+    other = [[textured_plane(rng, *p.shape, fmt.max_sample) for p in f] for f in frames]
+    compare = {"compare": ["compare", "--qp", "32", "--mode-a", mode, "--mode-b", mode,
+                           "--input-b", "{dir}/b.yuv", "--output", "{dir}/cmp.csv"]}
+    analyze = {"analyze": ["analyze", "--qp", "32", "--mode", mode, "--output", "{dir}/map.csv"]}
+    compared = run_all(fmt, cu_size, frames, compare, frames_b=other)[0]["cmp.csv"]
+    rows = [line.split(",") for line in compared.decode().splitlines()[2:]]
+    for side, clip_frames in ((3, frames), (4, other)):
+        mapped = run_all(fmt, cu_size, clip_frames, analyze)[0]["map.csv"]
+        assert [",".join(row[:3] + row[side : side + 1]) for row in rows] == mapped.decode().splitlines()[2:]
