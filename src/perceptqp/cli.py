@@ -164,24 +164,27 @@ def _flush(stream: TextIO | None) -> None:
 def _atomic_outputs(paths: list[Path], inputs: list[Path]) -> Iterator[tuple[TextIO, list[TextIO]]]:
     """A summary buffer and one text sink per path; files replace their paths only if the block completes.
 
-    Before anything is opened, an existing path that is an input, or two paths
-    naming one file, raise ValueError. A path that is this process's stdout or
-    stderr, even a regular file a shell redirected it to, is written through
-    that descriptor; the summary then goes to stderr, so it never joins the
-    rows, and otherwise to stdout, and a stdout closed at start raises
-    _flush's OSError before anything is opened. Any other existing path that is not a
-    regular file, such as /dev/null or a FIFO, is opened and written directly,
-    since a device or a pipe must not be replaced by a file. A missing or
-    regular-file path is written to a hidden partial file beside it, named by
-    64 random bits, so its name neither grows with the path's nor matches one
-    that an earlier, killed run left behind. After the block, every sink is
-    closed, the summary is written and flushed, so it follows the rows on a
-    shared stream, and each partial file is moved into place, in argument
-    order. On any exception, a summary that cannot be written included, the
-    partial files are deleted, so existing files keep their bytes.
-    open(..., "x") gives a new file the umask's mode, as Path.write_text would.
+    Before anything is opened, a path of "-", an existing path that is an
+    input, or two paths naming one file, raise ValueError. A path that is this
+    process's stdout or stderr, even a regular file a shell redirected it to,
+    is written through that descriptor; the summary then goes to stderr, so it
+    never joins the rows, and otherwise to stdout, and a stdout closed at
+    start raises _flush's OSError before anything is opened. Any other
+    existing path that is not a regular file, such as /dev/null or a FIFO, is
+    opened and written directly, since a device or a pipe must not be replaced
+    by a file. A missing or regular-file path is written to a hidden partial
+    file beside it, named by 64 random bits, so its name neither grows with
+    the path's nor matches one that an earlier, killed run left behind. After
+    the block, every sink is closed, the summary is written and flushed, so it
+    follows the rows on a shared stream, and each partial file is moved into
+    place, in argument order. On any exception, a summary that cannot be
+    written included, the partial files are deleted, so existing files keep
+    their bytes. open(..., "x") gives a new file the umask's mode, as
+    Path.write_text would.
     """
     for out in paths:
+        if str(out) == "-":
+            raise ValueError("output '-' would be a file named '-'; use /dev/stdout to write to stdout")
         for path in inputs:
             if out.exists() and path.exists() and os.path.samefile(out, path):
                 raise ValueError(f"output {out} is the input {path}; refusing to overwrite it")

@@ -4,6 +4,8 @@ Frames are stored as consecutive Y, Cb, Cr planes with no container
 metadata. 8-bit samples occupy one byte; 10-bit samples occupy two bytes
 little-endian with the low 10 bits significant (legal values 0..1023,
 anything above is treated as corrupt input rather than masked).
+read_strips is the one decoder of stored samples: the CLI draws each
+plane from it in CU-row strips, and read_frame draws each as one strip.
 """
 
 from __future__ import annotations
@@ -179,28 +181,19 @@ def _storage_dtype(fmt: VideoFormat) -> np.dtype:
 def read_frame(source: BinaryIO, fmt: VideoFormat, index: int = 0) -> Frame:
     """Read the index-th frame (0-based) from a seekable planar stream.
 
-    Raises TruncatedInputError if the stream holds fewer than index+1
-    whole frames, and SampleRangeError if a 10-bit sample is >= 1024.
-    The three planes are writable views of one buffer of the native dtype,
-    so a frame occupies its decoded size once.
+    Seeks to the frame and reads each plane with read_strips as one strip,
+    so it raises what read_strips raises: TruncatedInputError if the stream
+    holds fewer than index+1 whole frames, and SampleRangeError if a 10-bit
+    sample is >= 1024. Each plane is a writable array of the native dtype
+    backed by a buffer of exactly its decoded size, so a frame occupies its
+    decoded size once.
     """
-    nbytes = frame_bytes(fmt)
-    source.seek(index * nbytes)
-    # readinto fills the array in place; the dtype change copies only on a
-    # big-endian host, where the stored little-endian words must be swapped.
-    stored = np.empty(nbytes // fmt.bytes_per_sample, dtype=_storage_dtype(fmt))
-    got = source.readinto(stored.view(np.uint8))
-    if got < nbytes:
-        raise TruncatedInputError(
-            f"frame {index}: needed {nbytes} bytes, stream had {got} past the seek point"
-        )
-    flat = stored.astype(fmt.dtype, copy=False)
+    source.seek(index * frame_bytes(fmt))
     planes = []
-    offset = 0
     for channel in Channel:
-        w, h = plane_dims(fmt, channel)
-        planes.append(Plane(flat[offset : offset + w * h].reshape(h, w)))
-        offset += w * h
+        # Unpacking drains the generator, so its range check runs.
+        (data,) = read_strips(source, fmt, channel, (plane_dims(fmt, channel)[1],))
+        planes.append(Plane(data))
     return Frame(*planes, format=fmt)
 
 
@@ -237,7 +230,8 @@ def read_strips(
                 f"frame {index}: the {channel.value} plane needed"
                 f" {sum(heights) * width * fmt.bytes_per_sample} bytes, stream had {done}"
             )
-        # As in read_frame: a copy only on a big-endian host.
+        # readinto fills the buffer in place; the dtype change copies only on
+        # a big-endian host, where the stored little-endian words must be swapped.
         strip = part.astype(fmt.dtype, copy=False).reshape(rows, width)
         if checked:
             hi = max(hi, int(strip.max()))

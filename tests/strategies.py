@@ -15,7 +15,8 @@ from perceptqp import cu_activity, cu_grid, plane_dims
 
 
 @st.composite
-def video_formats(draw, max_dim=48, bit_depths=(8, 10)):
+def video_formats(draw, max_dim=48, bit_depths=(8, 10), max_height=None):
+    max_height = max_dim if max_height is None else max_height
     cf = draw(st.sampled_from(list(ChromaFormat)))
     depth = draw(st.sampled_from(bit_depths))
     if cf.sub_x == 2:
@@ -23,9 +24,9 @@ def video_formats(draw, max_dim=48, bit_depths=(8, 10)):
     else:
         width = draw(st.integers(1, max_dim))
     if cf.sub_y == 2:
-        height = 2 * draw(st.integers(1, max_dim // 2))
+        height = 2 * draw(st.integers(1, max_height // 2))
     else:
-        height = draw(st.integers(1, max_dim))
+        height = draw(st.integers(1, max_height))
     return VideoFormat(width, height, depth, cf)
 
 

@@ -491,6 +491,10 @@ PRECEDENCE = [
     ("qp-rule", lambda f: ten_bit_analyze(f, qp=99, output=f["clip"]), EXIT_VALIDATION, "slice_qp 99"),
     ("output-is-input", lambda f: ten_bit_analyze(f, output=f["clip"], dump_activity=f["dir"]),
      EXIT_VALIDATION, "refusing"),
+    ("output-is-dash", lambda f: ten_bit_analyze(f, output="-", dump_activity=f["dir"]),
+     EXIT_VALIDATION, "/dev/stdout"),
+    ("dump-is-dash", lambda f: ten_bit_analyze(f, dump_activity="-", output=f["dir"]),
+     EXIT_VALIDATION, "/dev/stdout"),
     ("output-unopenable", lambda f: ten_bit_analyze(f, output=f["dir"], input=f["absent"]),
      EXIT_IO, os.strerror(errno.EISDIR)),
     ("input-unopenable", lambda f: ten_bit_analyze(f, input=f["absent"], skip=-1),
@@ -508,7 +512,8 @@ PRECEDENCE = [
 @pytest.mark.parametrize(
     "make_args, code, names", [case[1:] for case in PRECEDENCE], ids=[case[0] for case in PRECEDENCE]
 )
-def test_first_fault_in_precedence_order_wins(tmp_path, capsys, make_args, code, names):
+def test_first_fault_in_precedence_order_wins(tmp_path, monkeypatch, capsys, make_args, code, names):
+    monkeypatch.chdir(tmp_path)  # so a relative output such as "-" would land in tmp_path
     f = {
         "clip": ten_bit_clip(tmp_path / "in.yuv", 2, bad_frame=0),
         "one": ten_bit_clip(tmp_path / "one.yuv", 1),

@@ -1,10 +1,13 @@
 """Raw planar I/O: geometry, framing, round trips."""
 
 import io
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perceptqp import (
     Channel,
@@ -22,7 +25,7 @@ from perceptqp import (
     write_frame,
 )
 from perceptqp.yuv import read_strips
-from strategies import frames, random_frame
+from strategies import frames, random_frame, video_formats
 
 
 class TestPlaneDims:
@@ -95,7 +98,7 @@ class TestReadFrame:
             read_frame(stream, fmt)
 
     @pytest.mark.parametrize("depth", [8, 10])
-    def test_planes_are_writable_views_of_one_native_buffer(self, depth):
+    def test_planes_are_writable_native_buffers_of_their_own_size(self, depth):
         fmt = VideoFormat(8, 4, depth, ChromaFormat.YUV420)
         original = random_frame(fmt, 5)
         stream = io.BytesIO()
@@ -105,11 +108,24 @@ class TestReadFrame:
         planes = [frame.y.data, frame.cb.data, frame.cr.data]
         assert all(p.dtype == fmt.dtype and p.dtype.isnative for p in planes)
         assert all(p.flags.writeable for p in planes)
-        assert len({id(p.base) for p in planes}) == 1
-        assert frame.y.data.base.nbytes == frame_bytes(fmt)
+        assert all((p if p.base is None else p.base).nbytes == p.nbytes for p in planes)
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(planes, 2))
+        w, h = plane_dims(fmt, Channel.CR)
+        cr_bytes = w * h * fmt.bytes_per_sample
         short = io.BytesIO(stream.getvalue()[:-1])
-        with pytest.raises(TruncatedInputError, match=f"stream had {frame_bytes(fmt) - 1} "):
+        message = f"frame 0: the Cr plane needed {cr_bytes} bytes, stream had {cr_bytes - 1}$"
+        with pytest.raises(TruncatedInputError, match=message):
             read_frame(short, fmt)
+        # So a frame occupies its decoded size once.
+        big = VideoFormat(1920, 1080, depth, ChromaFormat.YUV420)
+        stream = io.BytesIO(bytes(frame_bytes(big)))
+        tracemalloc.start()
+        try:
+            read_frame(stream, big)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= frame_bytes(big) + 64 * 1024
 
     def test_10bit_sample_out_of_range(self):
         fmt = VideoFormat(2, 2, 10, ChromaFormat.YUV444)
@@ -188,6 +204,61 @@ class TestReadStrips:
         strips, stream = self.read(words)
         assert np.concatenate(strips).ravel().tolist() == words.tolist()
         assert (stream.seeks, stream.tell()) == (0, 48)
+
+
+def strip_planes(stream, fmt, index, heights):
+    """The planes of frame index as read_strips yields them in strips of the given heights, joined."""
+    stream.seek(index * frame_bytes(fmt))
+    return [
+        np.concatenate([strip.copy() for strip in read_strips(stream, fmt, channel, heights[channel])])
+        for channel in Channel
+    ]
+
+
+def frame_planes(stream, fmt, index):
+    frame = read_frame(stream, fmt, index)
+    return [frame.y.data, frame.cb.data, frame.cr.data]
+
+
+def outcome(read, *args):
+    """What read(*args) returns, or the type and message of the YuvError it raises."""
+    try:
+        return read(*args)
+    except YuvError as exc:
+        return type(exc), str(exc)
+
+
+class TestOneReader:
+    """read_frame decodes with read_strips: the same samples, and the same error for the same fault."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(video_formats(max_dim=40, max_height=24), st.integers(1, 2), st.data())
+    def test_read_frame_equals_read_strips(self, fmt, count, data):
+        stream = io.BytesIO()
+        for _ in range(count):
+            write_frame(stream, random_frame(fmt, data.draw(st.integers(0, 2**32 - 1))))
+        raw = bytearray(stream.getvalue())
+        index = data.draw(st.integers(0, count - 1))
+        faults = ["none", "cut", "sample"] if fmt.bit_depth == 10 else ["none", "cut"]
+        fault = data.draw(st.sampled_from(faults))
+        if fault == "cut":
+            raw = raw[: data.draw(st.integers(0, len(raw) - 1))]
+        elif fault == "sample":
+            sizes = [w * h for w, h in (plane_dims(fmt, channel) for channel in Channel)]
+            plane = data.draw(st.integers(0, 2))
+            word = index * sum(sizes) + sum(sizes[:plane]) + data.draw(st.integers(0, sizes[plane] - 1))
+            raw[2 * word : 2 * word + 2] = (1024).to_bytes(2, "little")
+        heights = {}
+        for channel in Channel:
+            _, h = plane_dims(fmt, channel)
+            cuts = sorted(data.draw(st.sets(st.integers(1, h))) | {0, h})
+            heights[channel] = [b - a for a, b in zip(cuts, cuts[1:])]
+        got = outcome(frame_planes, io.BytesIO(raw), fmt, index)
+        expected = outcome(strip_planes, io.BytesIO(raw), fmt, index, heights)
+        if isinstance(expected, tuple):
+            assert got == expected
+        else:
+            assert [(p.dtype, p.tolist()) for p in got] == [(p.dtype, p.tolist()) for p in expected]
 
 
 class TestWriteFrame:
