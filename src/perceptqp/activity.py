@@ -19,7 +19,6 @@ Python's sum() did up to 3.11.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import accumulate
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -77,7 +76,7 @@ class _RowTerms(NamedTuple):
 
 
 class _PlanePlan(NamedTuple):
-    """The geometry of one plane's CU rows, the same for every frame of a run."""
+    """The geometry of one plane's CU rows: strip heights, reduceat starts and per-row terms."""
 
     heights: tuple[int, ...]
     starts: np.ndarray
@@ -89,21 +88,17 @@ class _PlanePlan(NamedTuple):
 
 def _row_terms(top: int, bottom: int, widths: np.ndarray) -> _RowTerms:
     counts = np.array([[top], [bottom]]) * widths
-    terms = _RowTerms(top, counts, counts > 0, np.maximum(counts * counts, 1))
-    # The plan is cached and shared by every frame, so no caller may write to it.
-    for array in terms[1:]:
-        array.flags.writeable = False
-    return terms
+    return _RowTerms(top, counts, counts > 0, np.maximum(counts * counts, 1))
 
 
-@lru_cache(maxsize=8)
 def _plane_plan(fmt: VideoFormat, cu_size: int, sub_x: int, sub_y: int) -> _PlanePlan:
-    """The strips, reduceat starts and per-row variance terms of one plane, built once per run.
+    """The strips, reduceat starts and per-row variance terms of one plane of a frame.
 
     The strips tile the plane exactly: where chroma is subsampled vertically
     the height is even, so the CU rows' chroma extents add up to half of it.
     Every CU row but a clipped last one has the same halves, so they share
-    one _RowTerms.
+    one _RowTerms. A frame builds its own plans, one for luma and one that
+    Cb and Cr share, so nothing outlives the frame.
     """
     x_starts, widths = _quadrant_halves(fmt.width, cu_size, sub_x)
     _, heights = _quadrant_halves(fmt.height, cu_size, sub_y)
@@ -115,7 +110,6 @@ def _plane_plan(fmt: VideoFormat, cu_size: int, sub_x: int, sub_y: int) -> _Plan
     # the one-column left half exact, and the empty half's zero count
     # discards its own sum.
     starts = np.minimum(x_starts, width - 1)
-    starts.flags.writeable = False
     regular = _row_terms(*halves[0], widths)
     rows = tuple(
         regular if (top, bottom) == halves[0] else _row_terms(top, bottom, widths)

@@ -156,7 +156,8 @@ def _flush(stream: TextIO | None) -> None:
     try:
         stream.flush()
     except OSError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), stream.fileno())
         raise
 
 
@@ -165,17 +166,17 @@ def _atomic_outputs(paths: list[Path], inputs: list[Path]) -> Iterator[tuple[Tex
     """A summary buffer and one text sink per path; files replace their paths only if the block completes.
 
     Before anything is opened, a path of "-", an existing path that is an
-    input, or two paths naming one file, raise ValueError. A path that is this
-    process's stdout or stderr, even a regular file a shell redirected it to,
-    is written through that descriptor; the summary then goes to stderr, so it
-    never joins the rows, and otherwise to stdout, and a stdout closed at
-    start raises _flush's OSError before anything is opened. Any other
-    existing path that is not a regular file, such as /dev/null or a FIFO, is
-    opened and written directly, since a device or a pipe must not be replaced
-    by a file. A missing or regular-file path is written to a hidden partial
-    file beside it, named by 64 random bits, so its name neither grows with
-    the path's nor matches one that an earlier, killed run left behind. After
-    the block, every sink is closed, the summary is written and flushed, so it
+    input, two paths naming one file, or paths that take both stdout and
+    stderr, raise ValueError. A path that is this process's stdout or stderr,
+    even a regular file a shell redirected it to, is written through that
+    descriptor; the summary then goes to stderr, so it never joins the rows,
+    and otherwise to stdout, and a stdout closed at start raises _flush's
+    OSError before anything is opened. Any other existing path that is not a
+    regular file, such as /dev/null or a FIFO, is opened and written directly,
+    since a device or a pipe must not be replaced by a file. A missing or
+    regular-file path is written to a hidden partial file beside it, named by
+    64 random bits, so its name neither grows with the path's nor matches one
+    that an earlier, killed run left behind. After the block, every sink is closed, the summary is written and flushed, so it
     follows the rows on a shared stream, and each partial file is moved into
     place, in argument order. On any exception, a summary that cannot be
     written included, the partial files are deleted, so existing files keep
@@ -199,6 +200,9 @@ def _atomic_outputs(paths: list[Path], inputs: list[Path]) -> Iterator[tuple[Tex
                 f"outputs {first} and {second} are the same file; one would overwrite the other"
             )
     std_fds = [_std_fd(path) for path in paths]
+    if {1, 2} <= set(std_fds):
+        both = " and ".join(map(str, paths))
+        raise ValueError(f"outputs {both} take both stdout and stderr; the summary would join one of them")
     report = sys.stderr if 1 in std_fds else sys.stdout
     if report is None:
         _flush(report)

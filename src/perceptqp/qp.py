@@ -100,22 +100,21 @@ def _delta_qps(n: np.ndarray, rounding: Rounding) -> np.ndarray:
 
     np.log2 can differ from math.log2 in the last bit, which can move a
     value across a rounding boundary, so math.log2 is mapped over n one row
-    at a time, and only one row is boxed as Python floats at once. The other
-    steps are delta_qp's IEEE operations, in its order, done in place; the
-    nearest rounding computes both of its branches and keeps one per element.
+    at a time, and only one row is boxed as Python floats at once. The
+    scaling and the ceiling are delta_qp's IEEE operations, done in place. The
+    nearest rounding takes half away from zero as copysign(floor(|x| + 0.5), x):
+    IEEE rounding is symmetric in sign, so for x < 0 floor(|x| + 0.5) is
+    exactly -ceil(x - 0.5), the branch round_half_away_from_zero takes there.
     """
     for row in np.atleast_2d(n):
         row[:] = list(map(math.log2, row.tolist()))
     n *= 6.0
     if rounding is Rounding.CEILING:
         return np.ceil(n, out=n)
-    negative = n < 0
-    below = np.subtract(n, 0.5)
-    np.ceil(below, out=below)
-    n += 0.5
-    np.floor(n, out=n)
-    np.copyto(n, below, where=negative)
-    return n
+    magnitude = np.abs(n)
+    magnitude += 0.5
+    np.floor(magnitude, out=magnitude)
+    return np.copysign(magnitude, n, out=n)
 
 
 def qp_grid(config: QpConfig, act: ActivityArrays) -> np.ndarray:
@@ -141,8 +140,7 @@ def qp_grid(config: QpConfig, act: ActivityArrays) -> np.ndarray:
     else:
         s += f * t  # act.cross is this call's own array
         n /= s
-    np.maximum(n, 1.0 / f, out=n)
-    np.minimum(n, f, out=n)
+    np.clip(n, 1.0 / f, f, out=n)
     qps = _delta_qps(n, config.rounding)
     qps += config.slice_qp
     return np.clip(qps, QP_MIN, QP_MAX, out=qps).astype(np.int64)

@@ -360,27 +360,29 @@ def count_plane_passes(monkeypatch):
 
 
 class TestPlanePlan:
-    """Each plane's geometry is planned once per run, not once per frame."""
+    """Each frame plans its own planes, one plan for luma and one both chroma planes share."""
 
     @pytest.mark.parametrize(
-        "command",
+        "command, inputs",
         [
-            lambda clip, out, frames: analyze_args(clip, out, frames=frames),
-            lambda clip, out, frames: compare_args(clip, out, frames=frames, input_b=clip),
-            lambda clip, out, frames: dump_args(clip, out, frames=frames),
+            (lambda clip, out, frames: analyze_args(clip, out, frames=frames), 1),
+            (lambda clip, out, frames: compare_args(clip, out, frames=frames, input_b=clip), 2),
+            (lambda clip, out, frames: dump_args(clip, out, frames=frames), 1),
         ],
         ids=["analyze", "compare-input-b", "dump-activity"],
     )
-    def test_plan_is_built_once_per_run(self, tmp_path, capsys, command):
+    def test_plans_are_built_per_frame(self, tmp_path, capsys, monkeypatch, command, inputs):
         clip = write_clip(tmp_path / "in.yuv", [random_frame(FMT, seed) for seed in range(6)])
+        calls = []
+        real = activity._PlanePlan
+        monkeypatch.setattr(activity, "_PlanePlan", lambda **fields: calls.append(fields) or real(**fields))
         builds = []
         for frames in (1, 6):
-            activity._plane_plan.cache_clear()
+            calls.clear()
             assert main(command(clip, tmp_path / "out.csv", frames)) == EXIT_OK
-            builds.append(activity._plane_plan.cache_info().misses)
+            builds.append(len(calls))
         capsys.readouterr()
-        # one plan for luma, one for both chroma planes
-        assert builds == [2, 2]
+        assert builds == [2 * inputs, 12 * inputs]
 
 
 # Plane passes per frame: chroma is analysed only where an output reads it.
@@ -495,6 +497,12 @@ PRECEDENCE = [
      EXIT_VALIDATION, "/dev/stdout"),
     ("dump-is-dash", lambda f: ten_bit_analyze(f, dump_activity="-", output=f["dir"]),
      EXIT_VALIDATION, "/dev/stdout"),
+    ("outputs-are-stdout-and-stderr", lambda f: ten_bit_analyze(
+        f, output="/dev/stdout", dump_activity="/dev/stderr", input=f["absent"]),
+     EXIT_VALIDATION, "outputs /dev/stdout and /dev/stderr"),
+    ("outputs-are-stderr-and-stdout", lambda f: ten_bit_analyze(
+        f, output="/dev/stderr", dump_activity="/dev/stdout", input=f["absent"]),
+     EXIT_VALIDATION, "outputs /dev/stderr and /dev/stdout"),
     ("output-unopenable", lambda f: ten_bit_analyze(f, output=f["dir"], input=f["absent"]),
      EXIT_IO, os.strerror(errno.EISDIR)),
     ("input-unopenable", lambda f: ten_bit_analyze(f, input=f["absent"], skip=-1),
@@ -931,7 +939,7 @@ def test_peak_memory_stays_below_half_a_frame(tmp_path, capsys, hd_clips, name, 
 
 
 def test_memory_held_after_a_run_does_not_grow_with_cu_count(tmp_path, capsys):
-    """What one run leaves allocated, caches included, is the same for a frame of 4x the CUs.
+    """What one run leaves allocated (a run caches nothing) is the same for a frame of 4x the CUs.
 
     Each measured geometry runs cold: the warm-up runs a third, tiny one, so
     it takes only the process's one-time allocations and caches nothing the
@@ -1434,6 +1442,20 @@ def test_summary_stays_out_of_rows_streamed_to_stdout(tmp_path, capsys, make_arg
     # As `2>&1`: on one stream, the summary still follows the rows.
     child = cli_child(make_args(clip, "/dev/stdout"), stderr=subprocess.STDOUT)
     assert child.communicate(timeout=60)[0] == regular.read_bytes() + summary.encode()
+
+
+@pytest.mark.skipif(
+    not (os.path.isdir("/proc/self/fd") and os.path.exists("/dev/full")), reason="needs Linux /proc and /dev/full"
+)
+def test_failed_summary_flush_leaves_no_descriptor_open(tmp_path, monkeypatch, capsys):
+    clip = constant_clip(tmp_path / "in.yuv")
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(3):
+        with open("/dev/full", "w") as full:
+            monkeypatch.setattr(sys, "stdout", full)
+            assert main(analyze_args(clip, tmp_path / "out.csv")) == EXIT_IO
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert capsys.readouterr().err.count("i/o error:") == 3
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/fd/1"), reason="needs Linux /proc")
