@@ -451,19 +451,18 @@ def cmd_bdrate(args: argparse.Namespace) -> int:
     # Only this command reads RD curves, so only it loads metrics (and csv).
     from .metrics import _channel_sort_key, bd_psnr, bd_rate
 
-    anchor = _channel_curves(args.anchor)
-    test = _channel_curves(args.test)
-    shared = sorted(set(anchor) & set(test), key=_channel_sort_key)
-    if not shared:
-        raise ValueError(
-            f"no common channels: anchor has {sorted(anchor)}, test has {sorted(test)}"
-        )
-    print("channel,bd_rate_pct,bd_psnr_db")
-    for channel in shared:
-        rate = bd_rate(anchor[channel], test[channel])
-        quality = bd_psnr(anchor[channel], test[channel])
-        print(f"{channel},{rate:.6f},{quality:.6f}")
-    _flush(sys.stdout)
+    # No output file: the table is the summary, written only if every channel succeeds.
+    with _atomic_outputs([], [args.anchor, args.test]) as (summary, _):
+        anchor = _channel_curves(args.anchor)
+        test = _channel_curves(args.test)
+        shared = sorted(set(anchor) & set(test), key=_channel_sort_key)
+        if not shared:
+            raise ValueError(f"no common channels: anchor has {sorted(anchor)}, test has {sorted(test)}")
+        print("channel,bd_rate_pct,bd_psnr_db", file=summary)
+        for channel in shared:
+            rate = bd_rate(anchor[channel], test[channel])
+            quality = bd_psnr(anchor[channel], test[channel])
+            print(f"{channel},{rate:.6f},{quality:.6f}", file=summary)
     return EXIT_OK
 
 

@@ -3,6 +3,7 @@
 import csv
 import errno
 import functools
+import io
 import itertools
 import json
 import os
@@ -14,7 +15,7 @@ import tempfile
 import threading
 import time
 import tracemalloc
-from contextlib import suppress
+from contextlib import redirect_stdout, suppress
 
 import numpy as np
 import pytest
@@ -148,37 +149,15 @@ class TestAnalyze:
         assert lines[1] == "frame,cu_x,cu_y,l,b,d,t_luma,t_cross"
         assert lines[2] == "0,0,0,1.0,1.0,1.0,1.0,3.0"
 
-    def test_wrong_geometry_is_validation_error(self, tmp_path, capsys):
-        clip = constant_clip(tmp_path / "in.yuv")
-        out = tmp_path / "map.csv"
-        fmt = VideoFormat(126, 64, 8, ChromaFormat.YUV420)
-        assert main(analyze_args(clip, out, fmt=fmt)) == EXIT_VALIDATION
-        assert "geometry" in capsys.readouterr().err
-
-    def test_odd_width_is_validation_error(self, tmp_path, capsys):
-        clip = constant_clip(tmp_path / "in.yuv")
-        assert main(analyze_args(clip, tmp_path / "map.csv", width=127)) == EXIT_VALIDATION
-        assert "error:" in capsys.readouterr().err
-
     def test_skip_beyond_input_is_validation_error(self, tmp_path, capsys):
         clip = constant_clip(tmp_path / "in.yuv", count=2)
         assert main(analyze_args(clip, tmp_path / "o.csv", skip=2)) == EXIT_VALIDATION
         capsys.readouterr()
 
-    def test_missing_input_is_io_error(self, tmp_path, capsys):
-        args = analyze_args(tmp_path / "absent.yuv", tmp_path / "map.csv")
-        assert main(args) == EXIT_IO
-        assert "i/o error" in capsys.readouterr().err
-
     def test_missing_required_flag_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "--input", "x.yuv"])
         assert exc.value.code == 2
-        capsys.readouterr()
-
-    def test_illegal_slice_qp_is_validation_error(self, tmp_path, capsys):
-        clip = constant_clip(tmp_path / "in.yuv")
-        assert main(analyze_args(clip, tmp_path / "map.csv", qp=99)) == EXIT_VALIDATION
         capsys.readouterr()
 
     def test_huge_qp_range_is_validation_error(self, tmp_path, capsys):
@@ -486,7 +465,7 @@ def ten_bit_analyze(f, **flags):
 # input needs a writer thread: test_fifo_input_is_refused_as_not_seekable.
 PRECEDENCE = [
     ("usage", lambda f: ten_bit_analyze(f, format="xml", width=15), EXIT_USAGE, "invalid choice"),
-    ("geometry", lambda f: ten_bit_analyze(f, width=15, qp=99), EXIT_VALIDATION, "width 15"),
+    ("geometry", lambda f: ten_bit_analyze(f, width=15, qp=99), EXIT_VALIDATION, "error: width 15"),
     ("geometry-compare", lambda f: compare_args(
         f["clip"], f["out"], fmt=TEN_BIT, bit_depth=10, width=15, qp=99),
      EXIT_VALIDATION, "width 15"),
@@ -506,14 +485,23 @@ PRECEDENCE = [
     ("output-unopenable", lambda f: ten_bit_analyze(f, output=f["dir"], input=f["absent"]),
      EXIT_IO, os.strerror(errno.EISDIR)),
     ("input-unopenable", lambda f: ten_bit_analyze(f, input=f["absent"], skip=-1),
-     EXIT_IO, os.strerror(errno.ENOENT)),
+     EXIT_IO, f"i/o error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}"),
     ("input-size", lambda f: ten_bit_analyze(f, input=f["ragged"], skip=-1),
-     EXIT_VALIDATION, "not a multiple"),
+     EXIT_VALIDATION, "not a multiple of the 24576-byte frame size; declared geometry is wrong"),
     ("frame-range", lambda f: ten_bit_analyze(f, frames=3), EXIT_VALIDATION, "input has only 2"),
     ("frame-count", lambda f: compare_args(
         f["clip"], f["out"], fmt=TEN_BIT, bit_depth=10, input_b=f["one"]),
      EXIT_VALIDATION, "differ in frame count"),
     ("sample-range", lambda f: ten_bit_analyze(f), EXIT_VALIDATION, "out of range"),
+    # bdrate: usage, then --anchor and then --test each opened and wholly checked, then the channels.
+    ("bdrate-usage", lambda f: bdrate_args(f["absent"], f["clip"]) + ["--qp", "32"],
+     EXIT_USAGE, "unrecognized arguments: --qp 32"),
+    ("bdrate-anchor-unopenable", lambda f: bdrate_args(f["absent"], f["clip"]),
+     EXIT_IO, f"i/o error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}"),
+    ("bdrate-anchor-rd-csv", lambda f: bdrate_args(f["three-points"], f["absent"]),
+     EXIT_VALIDATION, "error: need at least 4 points"),
+    ("bdrate-channel-order", lambda f: bdrate_args(f["y-low"], f["y-high"]),
+     EXIT_VALIDATION, "error: BD-Rate is inf"),
 ]
 
 
@@ -531,13 +519,17 @@ def test_first_fault_in_precedence_order_wins(tmp_path, monkeypatch, capsys, mak
         "out": tmp_path / "out.csv",
     }
     f["dir"].mkdir()
+    for name, curves in PRECEDENCE_RD_RUNS.items():
+        f[name] = rd_file(tmp_path, name, curves)
     before = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
     try:
         got = main(make_args(f))
     except SystemExit as exc:  # argparse's usage errors
         got = exc.code
     assert got == code
-    assert names in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert (out, err.count("error:")) == ("", 1)
+    assert names in err
     assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
     assert sorted(tmp_path.rglob("*")) == sorted([*before, f["dir"]])
 
@@ -556,11 +548,30 @@ def scaled_points(points, c):
     }
 
 
+def bdrate_args(anchor, test):
+    return ["bdrate", "--anchor", str(anchor), "--test", str(test)]
+
+
+# Y curves that fit, and Cb curves 100 dB apart, which share no PSNR span.
+CB_APART = {
+    "Y": SAMPLE_CURVES["Y"],
+    "Cb": [(qp, RdPoint(p.bitrate_kbps, p.psnr_db + 100.0)) for qp, p in SAMPLE_CURVES["Cb"]],
+}
+# The RD CSVs test_first_fault_in_precedence_order_wins writes. Y rates 600
+# decades apart overflow the BD-Rate ratio and leave Y's BD-PSNR, computed
+# next, no shared rate span; Cb, computed after Y, has no shared PSNR span.
+PRECEDENCE_RD_RUNS = {
+    "three-points": {"Y": SAMPLE_CURVES["Y"][:3]},
+    "y-low": {**scaled_points({"Y": SAMPLE_CURVES["Y"]}, 1e-300), "Cb": SAMPLE_CURVES["Cb"]},
+    "y-high": {**scaled_points({"Y": SAMPLE_CURVES["Y"]}, 1e300), "Cb": CB_APART["Cb"]},
+}
+
+
 class TestBdrateCommand:
     def test_identical_curves_report_zero(self, tmp_path, capsys):
         anchor = rd_file(tmp_path, "anchor", SAMPLE_CURVES)
         test = rd_file(tmp_path, "test", SAMPLE_CURVES)
-        assert main(["bdrate", "--anchor", str(anchor), "--test", str(test)]) == EXIT_OK
+        assert main(bdrate_args(anchor, test)) == EXIT_OK
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "channel,bd_rate_pct,bd_psnr_db"
         assert [line.split(",")[0] for line in lines[1:]] == ["Y", "Cb"]
@@ -572,7 +583,7 @@ class TestBdrateCommand:
     def test_ten_percent_rate_increase(self, tmp_path, capsys):
         anchor = rd_file(tmp_path, "anchor", {"Y": SAMPLE_CURVES["Y"]})
         test = rd_file(tmp_path, "test", scaled_points({"Y": SAMPLE_CURVES["Y"]}, 1.10))
-        assert main(["bdrate", "--anchor", str(anchor), "--test", str(test)]) == EXIT_OK
+        assert main(bdrate_args(anchor, test)) == EXIT_OK
         line = capsys.readouterr().out.strip().splitlines()[1]
         channel, rate, quality = line.split(",")
         assert channel == "Y"
@@ -587,7 +598,7 @@ class TestBdrateCommand:
             })
             for name, scale in (("anchor", 1e-300), ("test", 1e300))
         )
-        args = ["bdrate", "--anchor", str(anchor), "--test", str(test)]
+        args = bdrate_args(anchor, test)
         assert main(args) == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("error: BD-Rate")
 
@@ -598,17 +609,26 @@ class TestBdrateCommand:
             })
             for name, base in (("anchor", 1e300), ("test", 1.5e300))
         )
-        args = ["bdrate", "--anchor", str(anchor), "--test", str(test)]
+        args = bdrate_args(anchor, test)
         assert main(args) == EXIT_VALIDATION
         out, err = capfd.readouterr()
-        assert out == "channel,bd_rate_pct,bd_psnr_db\n"
+        assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_failed_later_channel_prints_no_table(self, tmp_path, capsys):
+        # Y fits, so a table printed row by row would already hold its header and Y row.
+        anchor = rd_file(tmp_path, "anchor", SAMPLE_CURVES)
+        test = rd_file(tmp_path, "test", CB_APART)
+        assert main(bdrate_args(anchor, test)) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: curves overlap on [") and err.count("\n") == 1
 
     def test_oversized_field_is_validation_error(self, tmp_path, capfd):
         label = "x" * (csv.field_size_limit() + 1)
         anchor = tmp_path / "anchor.csv"
         anchor.write_bytes(rd_csv_bytes([(label, {"Y": SAMPLE_CURVES["Y"]})]))
-        assert main(["bdrate", "--anchor", str(anchor), "--test", str(anchor)]) == EXIT_VALIDATION
+        assert main(bdrate_args(anchor, anchor)) == EXIT_VALIDATION
         out, err = capfd.readouterr()
         assert out == ""
         assert err.startswith("error: bad RD CSV") and err.count("\n") == 1
@@ -616,7 +636,7 @@ class TestBdrateCommand:
     def test_no_common_channel_is_validation_error(self, tmp_path, capsys):
         anchor = rd_file(tmp_path, "anchor", {"Y": SAMPLE_CURVES["Y"]})
         test = rd_file(tmp_path, "test", {"Cb": SAMPLE_CURVES["Cb"]})
-        assert main(["bdrate", "--anchor", str(anchor), "--test", str(test)]) == EXIT_VALIDATION
+        assert main(bdrate_args(anchor, test)) == EXIT_VALIDATION
         out, err = capsys.readouterr()
         assert out == ""
         assert "no common channels" in err
@@ -627,7 +647,7 @@ class TestBdrateCommand:
         )
         anchor = tmp_path / "anchor.csv"
         anchor.write_bytes(both)
-        assert main(["bdrate", "--anchor", str(anchor), "--test", str(anchor)]) == EXIT_VALIDATION
+        assert main(bdrate_args(anchor, anchor)) == EXIT_VALIDATION
         assert "single label" in capsys.readouterr().err
 
 
@@ -1044,6 +1064,9 @@ def cli_runs(draw):
 @example(({"clip": bytes(96)}, "symlink-loop", [  # one 8x8 4:2:0 frame, map and sidecar
     "analyze", "--input", "{clip}", "--output", "{out}", "--dump-activity", "{side}",
     "--width", "8", "--height", "8", "--qp", "32", "--mode", "cbaq"]))
+@example((  # Y fits and Cb does not: a failure after the first table row
+    {"anchor": rd_csv_bytes([("run", SAMPLE_CURVES)]), "test": rd_csv_bytes([("run", CB_APART)])},
+    "plain", ["bdrate", "--anchor", "{anchor}", "--test", "{test}"]))
 def test_every_argv_ends_in_a_documented_exit_code(run):
     files, kind, argv = run
     with tempfile.TemporaryDirectory() as scratch:
@@ -1059,10 +1082,14 @@ def test_every_argv_ends_in_a_documented_exit_code(run):
         elif kind == "stale-partial":
             with open(stale, "w") as sink:
                 sink.write("left by a killed run\n")
+        stdout = io.StringIO()
         try:
-            code = main([arg.format(**paths) for arg in argv])
+            with redirect_stdout(stdout):
+                code = main([arg.format(**paths) for arg in argv])
         except SystemExit as exc:  # argparse's usage errors
             code = exc.code
+        # No output here is stdout, so a run that fails writes nothing to it: no summary, no table row.
+        assert code == EXIT_OK or stdout.getvalue() == ""
         # Whatever the outcome, no partial file is left but one the run did not make.
         partials = [name for name in os.listdir(scratch) if name.endswith(".partial")]
         assert partials == ([os.path.basename(stale)] if kind == "stale-partial" else [])
@@ -1361,13 +1388,17 @@ def test_closed_stdout_is_one_io_error_and_replaces_nothing(tmp_path, command):
     assert sorted(tmp_path.iterdir()) == before
 
 
-@pytest.mark.parametrize("command", ["analyze", "compare", "dump-activity"])
+@pytest.mark.parametrize("command", ["analyze", "compare", "dump-activity", "bdrate"])
 def test_closed_stdout_fails_before_any_input_is_read(tmp_path, command):
-    # The clip's first sample is a 10-bit 1024, a fault that reading frame 0 would report.
+    # The clip's first sample is a 10-bit 1024, a fault that reading frame 0
+    # would report; as an --anchor, it is no RD CSV, which reading it would report.
     clip = ten_bit_clip(tmp_path / "in.yuv", 2, bad_frame=0)
     out = tmp_path / "out.csv"
     out.write_text("old output\n")
-    argv = cli_args(command, clip, out, fmt=TEN_BIT, bit_depth=10)
+    if command == "bdrate":
+        argv = bdrate_args(clip, clip)
+    else:
+        argv = cli_args(command, clip, out, fmt=TEN_BIT, bit_depth=10)
     child = cli_child(argv, stdout=None, preexec_fn=functools.partial(os.close, 1))
     _, err = child.communicate(timeout=60)
     assert (child.returncode, err) == (EXIT_IO, b"i/o error: [Errno 9] Bad file descriptor\n")
