@@ -1,0 +1,432 @@
+#!/usr/bin/env python3
+"""Byte-identity A/B of the CLI: a parent tree against this working tree.
+
+    python scripts/ab_cli.py --parent REV [--expect-diff PATTERN ...] [--only PATTERN]
+    python scripts/ab_cli.py --parent-tree PATH [--expect-diff PATTERN ...] [--only PATTERN]
+
+--parent exports REV of this repository with `git archive` into a
+temporary directory; --parent-tree names a directory that holds
+src/perceptqp. The script builds a fixed, seeded corpus of raw clips and RD
+CSVs, then runs a fixed argv matrix through each tree's
+`python -m perceptqp.cli`, one child at a time. Every run starts in the same
+fresh directory, which holds an existing output `old.csv` and a directory
+`dir`. It compares the exit code, stdout, stderr, and the name and bytes of
+every file the directory holds afterwards.
+
+It prints one line per argv that differs and a total. A difference whose
+argv matches an --expect-diff pattern (a regular expression searched in
+"NAME ARGV...") is marked expected; --only runs only the matching argv. The
+exit status is 0 when every difference is expected and 1 otherwise. Nothing
+here measures speed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import functools
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from itertools import zip_longest
+from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+# Paths in the argv are relative to the run directory, so messages that name them are
+# the same for both trees.
+CORPUS = "../corpus"
+OLD_OUTPUT = b"old output\n"
+FRAMES = 3
+
+
+class Clip(NamedTuple):
+    name: str
+    width: int
+    height: int
+    chroma: str
+    bit_depth: int
+
+    @property
+    def flags(self) -> list[str]:
+        return [
+            "--input", f"{CORPUS}/{self.name}.yuv", "--width", str(self.width),
+            "--height", str(self.height), "--bit-depth", str(self.bit_depth), "--chroma", self.chroma,
+        ]  # fmt: skip
+
+
+# 72x40 and 200x130 clip the last CU row and column at every CU size.
+CLIPS = [
+    Clip(f"c{chroma}-{depth}-{width}x{height}", width, height, chroma, depth)
+    for width, height in ((72, 40), (200, 130))
+    for chroma in ("420", "422", "444")
+    for depth in (8, 10)
+]
+SMALL = CLIPS[0]  # 4:2:0, 8-bit, 72x40
+LARGE = CLIPS[9]  # 4:2:2, 10-bit, 200x130
+OTHER = SMALL._replace(name="other-420-8-72x40")  # a second clip of SMALL's geometry
+# 10-bit 4:2:0 72x40: ILLEGAL's last Cr sample of its last frame is 1024;
+# ONE holds one frame; RAGGED ends half way through its third frame.
+ILLEGAL = Clip("illegal-420-10-72x40", 72, 40, "420", 10)
+ONE = ILLEGAL._replace(name="one-420-10-72x40")
+RAGGED = ILLEGAL._replace(name="ragged-420-10-72x40")
+ABSENT = f"{CORPUS}/absent.yuv"
+
+
+def plane_shapes(clip: Clip) -> list[tuple[int, int]]:
+    sub_x = 1 if clip.chroma == "444" else 2
+    sub_y = 2 if clip.chroma == "420" else 1
+    return [(clip.height, clip.width)] + [(clip.height // sub_y, clip.width // sub_x)] * 2
+
+
+def clip_samples(clip: Clip, frames: int, seed: int) -> np.ndarray:
+    """frames of noise whose amplitude grows to the right, under a flat top-left quarter.
+
+    The quarter's level drifts per frame, so CUs span flat to busy and
+    frames differ.
+    """
+    rng = np.random.default_rng(seed)
+    peak = (1 << clip.bit_depth) - 1
+    planes = []
+    for index in range(frames):
+        for rows, cols in plane_shapes(clip):
+            half_range = (np.arange(cols) + 1) * (peak // 2) // cols
+            plane = peak // 2 + rng.integers(-half_range, half_range + 1, size=(rows, cols))
+            plane[: rows // 2, : cols // 2] = (peak // 3 + 5 * index) % (peak + 1)
+            planes.append(plane.ravel())
+    return np.concatenate(planes)
+
+
+def clip_bytes(clip: Clip, samples: np.ndarray) -> bytes:
+    return samples.astype(np.uint8 if clip.bit_depth == 8 else "<u2").tobytes()
+
+
+# (qp, bitrate_kbps, psnr_db) per channel.
+ANCHOR_CURVES = {
+    "Y": [(22, 8000.0, 36.5), (27, 4000.0, 35.0), (32, 2000.0, 33.0), (37, 1000.0, 30.0)],
+    "Cb": [(22, 900.0, 38.0), (27, 500.0, 36.0), (32, 260.0, 34.2), (37, 130.0, 32.1)],
+    "Cr": [(22, 850.0, 39.1), (27, 470.0, 37.2), (32, 250.0, 35.0), (37, 120.0, 33.3)],
+}
+
+
+def scaled(curves: dict, rate: float = 1.0, psnr: float = 0.0) -> dict:
+    return {
+        channel: [(qp, kbps * rate, db + psnr) for qp, kbps, db in points]
+        for channel, points in curves.items()
+    }
+
+
+def rd_csv(label: str, curves: dict) -> bytes:
+    rows = ["label,channel,qp,bitrate_kbps,psnr_db"] + [
+        f"{label},{channel},{qp},{kbps!r},{db!r}"
+        for channel, points in curves.items()
+        for qp, kbps, db in points
+    ]
+    return ("\n".join(rows) + "\n").encode()
+
+
+RD_FILES = {
+    "anchor": rd_csv("anchor", ANCHOR_CURVES),
+    "test": rd_csv("test", {
+        "Y": scaled(ANCHOR_CURVES, 1.1)["Y"],
+        "Cb": scaled(ANCHOR_CURVES, 0.9, 0.2)["Cb"],
+        "Cr": scaled(ANCHOR_CURVES, 1.02, -0.1)["Cr"],
+    }),
+    "y-only": rd_csv("y", {"Y": ANCHOR_CURVES["Y"]}),
+    "cb-only": rd_csv("cb", {"Cb": ANCHOR_CURVES["Cb"]}),
+    "three": rd_csv("three", {"Y": ANCHOR_CURVES["Y"][:3]}),
+    # Cb 100 dB above the anchor's: the two Cb curves share no PSNR span.
+    "cb-apart": rd_csv("apart", {"Y": ANCHOR_CURVES["Y"], "Cb": scaled(ANCHOR_CURVES, psnr=100.0)["Cb"]}),
+    # Y starts at the anchor's top PSNR: the curves share one point, an empty span.
+    "y-touching": rd_csv("touch", {"Y": scaled(ANCHOR_CURVES, psnr=6.5)["Y"]}),
+    # Rates 600 decades apart overflow the BD-Rate ratio.
+    "y-low": rd_csv("low", scaled({"Y": ANCHOR_CURVES["Y"]}, 1e-300)),
+    "y-high": rd_csv("high", scaled({"Y": ANCHOR_CURVES["Y"]}, 1e300)),
+    "two-labels": rd_csv("a", ANCHOR_CURVES) + rd_csv("b", ANCHOR_CURVES).split(b"\n", 1)[1],
+    "truncated": rd_csv("anchor", ANCHOR_CURVES)[:100],
+}
+
+
+def build_corpus(corpus: Path) -> None:
+    corpus.mkdir()
+    for seed, clip in enumerate(CLIPS):
+        (corpus / f"{clip.name}.yuv").write_bytes(clip_bytes(clip, clip_samples(clip, FRAMES, seed)))
+    (corpus / f"{OTHER.name}.yuv").write_bytes(clip_bytes(OTHER, clip_samples(OTHER, FRAMES, 100)))
+    illegal = clip_samples(ILLEGAL, FRAMES, 101)
+    illegal[-1] = 1024
+    (corpus / f"{ILLEGAL.name}.yuv").write_bytes(clip_bytes(ILLEGAL, illegal))
+    (corpus / f"{ONE.name}.yuv").write_bytes(clip_bytes(ONE, clip_samples(ONE, 1, 102)))
+    ragged = clip_bytes(RAGGED, clip_samples(RAGGED, FRAMES, 103))
+    (corpus / f"{RAGGED.name}.yuv").write_bytes(ragged[: len(ragged) * 5 // 6])
+    for name, data in RD_FILES.items():
+        (corpus / f"{name}.csv").write_bytes(data)
+
+
+class Case(NamedTuple):
+    name: str
+    argv: list[str]
+    closed_stdout: bool = False
+
+    @property
+    def label(self) -> str:
+        return " ".join([self.name, *self.argv])
+
+
+def analyze(clip: Clip, *flags: str, cu: int = 16) -> list[str]:
+    return ["analyze", *clip.flags, "--cu-size", str(cu), "--qp", "32", "--mode", "cbaq",
+            "--output", "map.csv", *flags]  # fmt: skip
+
+
+def compare(clip: Clip, *flags: str, cu: int = 16) -> list[str]:
+    return ["compare", *clip.flags, "--cu-size", str(cu), "--qp", "32", "--mode-a", "adaptiveqp",
+            "--mode-b", "cbaq", "--output", "cmp.csv", *flags]  # fmt: skip
+
+
+def dump(clip: Clip, *flags: str, cu: int = 16) -> list[str]:
+    return ["dump-activity", *clip.flags, "--cu-size", str(cu), "--output", "act.csv", *flags]
+
+
+def bdrate(anchor: str, test: str) -> list[str]:
+    return ["bdrate", "--anchor", anchor, "--test", test]
+
+
+def rd(name: str) -> str:
+    return f"{CORPUS}/{name}.csv"
+
+
+# One flag set per knob of analyze, run on a small and a large clip.
+ANALYZE_VARIANTS = {
+    "adaptiveqp": ["--mode", "adaptiveqp"],
+    "json": ["--format", "json", "--output", "map.json"],
+    "json-sidecar": ["--format", "json", "--output", "map.json", "--dump-activity", "act.csv"],
+    "ceiling": ["--rounding", "ceiling"],
+    "t-luma": ["--t-mode", "luma"],
+    "range0": ["--qp-range", "0"],
+    "range51": ["--qp-range", "51"],
+    "qp0": ["--qp", "0"],
+    "qp51": ["--qp", "51"],
+    "skip1-frames1": ["--skip", "1", "--frames", "1"],
+    "skip2": ["--skip", "2"],
+    "frames2": ["--frames", "2"],
+    "stdout": ["--output", "/dev/stdout"],
+    "stdout-sidecar": ["--output", "/dev/stdout", "--dump-activity", "act.csv"],
+}
+
+# The fault rows of the README's precedence table, as tests/test_cli.py's
+# PRECEDENCE has them: each argv holds its row's fault and the next row's.
+# ILLEGAL holds the last row's fault.
+PRECEDENCE = {
+    "usage": analyze(ILLEGAL, "--format", "xml", "--width", "15"),
+    "geometry": analyze(ILLEGAL, "--width", "15", "--qp", "99"),
+    "geometry-compare": compare(ILLEGAL, "--width", "15", "--qp", "99"),
+    "qp-rule": analyze(ILLEGAL, "--qp", "99", "--output", f"{CORPUS}/{ILLEGAL.name}.yuv"),
+    "output-is-input": analyze(
+        ILLEGAL, "--output", f"{CORPUS}/{ILLEGAL.name}.yuv", "--dump-activity", "dir"
+    ),
+    "output-is-dash": analyze(ILLEGAL, "--output", "-", "--dump-activity", "dir"),
+    "dump-is-dash": analyze(ILLEGAL, "--dump-activity", "-", "--output", "dir"),
+    "outputs-are-stdout-and-stderr": analyze(
+        ILLEGAL, "--output", "/dev/stdout", "--dump-activity", "/dev/stderr", "--input", ABSENT
+    ),
+    "outputs-are-stderr-and-stdout": analyze(
+        ILLEGAL, "--output", "/dev/stderr", "--dump-activity", "/dev/stdout", "--input", ABSENT
+    ),
+    "output-unopenable": analyze(ILLEGAL, "--output", "dir", "--input", ABSENT),
+    "input-unopenable": analyze(ILLEGAL, "--input", ABSENT, "--skip", "-1"),
+    "input-size": analyze(ILLEGAL, "--input", f"{CORPUS}/{RAGGED.name}.yuv", "--skip", "-1"),
+    "frame-range": analyze(ILLEGAL, "--frames", str(FRAMES + 1)),
+    "frame-count": compare(ILLEGAL, "--input-b", f"{CORPUS}/{ONE.name}.yuv"),
+    "sample-range": analyze(ILLEGAL),
+    "bdrate-usage": bdrate(ABSENT, rd("anchor")) + ["--qp", "32"],
+    "bdrate-anchor-unopenable": bdrate(ABSENT, rd("anchor")),
+    "bdrate-anchor-rd-csv": bdrate(rd("three"), ABSENT),
+    "bdrate-channel-order": bdrate(rd("y-low"), rd("y-high")),
+}
+
+BDRATE_PAIRS = {
+    "valid": ("anchor", "test"),
+    "reversed": ("test", "anchor"),
+    "same": ("anchor", "anchor"),
+    "y-shared": ("anchor", "y-only"),
+    "no-common": ("y-only", "cb-only"),
+    "three-points": ("anchor", "three"),
+    "cb-apart": ("anchor", "cb-apart"),
+    "cb-apart-reversed": ("cb-apart", "anchor"),
+    "y-touching": ("anchor", "y-touching"),
+    "overflow": ("y-low", "y-high"),
+    "two-labels": ("two-labels", "anchor"),
+    "truncated": ("anchor", "truncated"),
+}
+
+
+def matrix() -> list[Case]:
+    cases = [
+        Case(f"analyze-{clip.name}-cu{cu}", analyze(clip, "--dump-activity", "act.csv", cu=cu))
+        for clip in CLIPS
+        for cu in (16, 32, 64)
+    ]
+    cases += [
+        Case(f"analyze-{clip.name}-{variant}", analyze(clip, *flags))
+        for clip in (SMALL, LARGE)
+        for variant, flags in ANALYZE_VARIANTS.items()
+    ]
+    cases += [Case(f"compare-{clip.name}-cu32", compare(clip, cu=32)) for clip in CLIPS[6:]]
+    cases += [
+        Case(f"compare-{SMALL.name}-input-b", compare(SMALL, "--input-b", f"{CORPUS}/{OTHER.name}.yuv")),
+        Case(f"compare-{SMALL.name}-rules", compare(
+            SMALL, "--mode-a", "cbaq", "--rounding-a", "ceiling", "--t-mode-b", "luma", cu=64)),
+        Case(f"compare-{SMALL.name}-range12-qp40", compare(SMALL, "--qp-range", "12", "--qp", "40")),
+        Case(f"compare-{SMALL.name}-skip1", compare(SMALL, "--skip", "1")),
+    ]  # fmt: skip
+    cases += [Case(f"dump-{clip.name}-cu16", dump(clip)) for clip in CLIPS]
+    cases += [
+        Case(f"dump-{LARGE.name}-skip1-frames2-cu64", dump(LARGE, "--skip", "1", "--frames", "2", cu=64))
+    ]
+    cases += [Case(f"bdrate-{name}", bdrate(rd(a), rd(b))) for name, (a, b) in BDRATE_PAIRS.items()]
+    cases += [
+        Case(f"help-{command}", [command, "--help"] if command else ["--help"])
+        for command in ("", "analyze", "compare", "bdrate", "dump-activity")
+    ]
+    # A fault in the last frame, with both outputs already present.
+    cases += [
+        Case("late-fault-analyze", analyze(ILLEGAL, "--output", "old.csv", "--dump-activity", "act.csv")),
+        Case("late-fault-compare", compare(ILLEGAL, "--output", "old.csv")),
+        Case("late-fault-dump", dump(ILLEGAL, "--output", "old.csv")),
+    ]
+    cases += [Case(f"fault-{name}", argv) for name, argv in PRECEDENCE.items()]
+    # As `perceptqp ... >&-`: fd 1 closed when the child starts.
+    cases += [
+        Case("closed-stdout-analyze", analyze(SMALL, "--output", "old.csv"), closed_stdout=True),
+        Case("closed-stdout-compare", compare(SMALL, "--output", "old.csv"), closed_stdout=True),
+        Case("closed-stdout-dump", dump(SMALL, "--output", "old.csv"), closed_stdout=True),
+        Case("closed-stdout-bdrate", bdrate(rd("anchor"), rd("test")), closed_stdout=True),
+        Case("closed-stdout-help", ["--help"], closed_stdout=True),
+    ]
+    return cases
+
+
+class Outcome(NamedTuple):
+    code: int
+    stdout: bytes | None
+    stderr: bytes
+    files: dict[str, bytes | None]  # None for a directory
+
+
+def run(tree: Path, case: Case, directory: Path) -> Outcome:
+    """Run case through tree's CLI in a fresh directory, and what it left there."""
+    shutil.rmtree(directory, ignore_errors=True)
+    directory.mkdir()
+    (directory / "old.csv").write_bytes(OLD_OUTPUT)
+    (directory / "dir").mkdir()
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONHASHSEED="0", COLUMNS="80")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")])
+    )
+    if case.closed_stdout:
+        stdout = {"stdout": None, "preexec_fn": functools.partial(os.close, 1)}
+    else:
+        stdout = {"stdout": subprocess.PIPE}
+    done = subprocess.run(
+        [sys.executable, "-m", "perceptqp.cli", *case.argv],
+        cwd=directory,
+        env=env,
+        stdin=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        timeout=300,
+        **stdout,
+    )
+    files = {
+        str(path.relative_to(directory)): None if path.is_dir() else path.read_bytes()
+        for path in sorted(directory.rglob("*"))
+    }
+    return Outcome(done.returncode, done.stdout, done.stderr, files)
+
+
+def first_difference(a: bytes, b: bytes) -> str:
+    """The first line, split at newlines, where a and b differ, each side cut to 100 bytes."""
+    pairs = enumerate(zip_longest(a.split(b"\n"), b.split(b"\n")), 1)
+    number, sides = next((number, sides) for number, sides in pairs if sides[0] != sides[1])
+    shown = ("<end>" if side is None else repr(side[:100]) for side in sides)
+    return f"line {number}: " + " -> ".join(shown)
+
+
+def differences(parent: Outcome, child: Outcome) -> list[str]:
+    found = []
+    if parent.code != child.code:
+        found.append(f"exit {parent.code} -> {child.code}")
+    for stream in ("stdout", "stderr"):
+        a, b = getattr(parent, stream), getattr(child, stream)
+        if a != b:
+            found.append(f"{stream} {first_difference(a, b)}")
+    for name in sorted(parent.files.keys() ^ child.files.keys()):
+        found.append(f"{name} {'gone' if name in parent.files else 'new'}")
+    for name in sorted(parent.files.keys() & child.files.keys()):
+        a, b = parent.files[name], child.files[name]
+        if a != b:
+            found.append(f"{name} {'file <-> directory' if None in (a, b) else first_difference(a, b)}")
+    return found
+
+
+def tree_with_package(parser: argparse.ArgumentParser, path: Path) -> Path:
+    if not (path / "src" / "perceptqp" / "cli.py").is_file():
+        parser.error(f"{path} holds no src/perceptqp/cli.py")
+    return path
+
+
+def export(parser: argparse.ArgumentParser, rev: str, dest: Path) -> Path:
+    """REV of this repository, extracted into dest by git archive."""
+    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, capture_output=True)
+    if archive.returncode:
+        parser.error(f"git archive {rev}: {archive.stderr.decode(errors='replace').strip()}")
+    dest.mkdir()
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
+    return tree_with_package(parser, dest)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--parent", metavar="REV", help="revision of this repository to compare against")
+    source.add_argument("--parent-tree", type=Path, metavar="PATH", help="directory holding src/perceptqp")
+    parser.add_argument("--expect-diff", action="append", default=[], metavar="PATTERN",
+                        help="regex for the argv whose difference is intended; repeatable")
+    parser.add_argument("--only", metavar="PATTERN", help="run only the argv that match this regex")
+    args = parser.parse_args(argv)
+    expected = [re.compile(pattern) for pattern in args.expect_diff]
+    cases = [case for case in matrix() if args.only is None or re.search(args.only, case.label)]
+    with tempfile.TemporaryDirectory(prefix="ab_cli.") as scratch:
+        work = Path(scratch)
+        if args.parent is not None:
+            parent = export(parser, args.parent, work / "parent")
+        else:
+            parent = tree_with_package(parser, args.parent_tree.resolve())
+        build_corpus(work / "corpus")
+        intended = unintended = 0
+        codes: Counter[int] = Counter()
+        for case in cases:
+            before, after = run(parent, case, work / "run"), run(ROOT, case, work / "run")
+            codes[after.code] += 1
+            found = differences(before, after)
+            if not found:
+                continue
+            is_expected = any(pattern.search(case.label) for pattern in expected)
+            intended += is_expected
+            unintended += not is_expected
+            mark = "expected" if is_expected else "DIFF"
+            print(f"{mark} {case.name} [{' '.join(case.argv)}]: {'; '.join(found)}", flush=True)
+    # The working tree's exit codes show how many runs got past their checks.
+    exits = ", ".join(f"{code}: {count}" for code, count in sorted(codes.items()))
+    print(
+        f"{len(cases)} argv (exit {exits}), {2 * len(cases)} runs: {intended + unintended} differ"
+        f" ({intended} expected, {unintended} unexpected)"
+    )
+    return 1 if unintended else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

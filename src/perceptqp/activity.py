@@ -8,13 +8,13 @@ luma-only mean and the mean of the summed three-channel activity.
 
 Sample sums and squared-sample sums are accumulated as exact integers
 (one float division at the end), so results are bit-reproducible
-regardless of block traversal order. activity_arrays computes them for a
-whole CU row of a plane at once and returns one (rows, cols) array per
-channel, which frame_activity returns too; stream_activity does the same
-for a frame read from a stream one CU row at a time. Both must match
-partition.cu_activity, the per-CU reference, bit for bit. The frame
-means fold the activities strictly left to right in raster order, as
-Python's sum() did up to 3.11.
+regardless of block traversal order. frame_activity, the first of the
+library's two passes, computes them for a whole CU row of a decoded
+frame's plane at once and returns one (rows, cols) array per channel;
+stream_activity does the same for a frame read from a stream one CU row
+at a time. Both must match partition.cu_activity, the per-CU reference,
+bit for bit. The frame means fold the activities strictly left to right
+in raster order, as Python's sum() did up to 3.11.
 """
 
 from __future__ import annotations
@@ -208,12 +208,15 @@ def _frame_arrays(
     return ActivityArrays(luma, cb, cr, _raster_mean(luma), _raster_mean(luma + cb + cr))
 
 
-def activity_arrays(frame: Frame, cu_size: int, chroma: bool = True) -> ActivityArrays:
-    """Activity of every CU as (rows, cols) arrays, plus the frame means.
+def frame_activity(
+    frame: Frame, cu_size: int, max_workers: int | None = None, *, chroma: bool = True
+) -> ActivityArrays:
+    """Activity of every CU as (rows, cols) arrays, plus the frame means: the first pass of qp_map.
 
     Each element is bit-identical to partition.cu_activity of that CU. With
     chroma false only the luma plane is analysed, and cb, cr and t_cross are
-    None.
+    None. max_workers is accepted and ignored; it is kept only because the
+    benchmark replay still passes it.
     """
     planes = {Channel.Y: frame.y, Channel.CB: frame.cb, Channel.CR: frame.cr}
 
@@ -228,10 +231,10 @@ def activity_arrays(frame: Frame, cu_size: int, chroma: bool = True) -> Activity
 def stream_activity(
     stream: BinaryIO, fmt: VideoFormat, cu_size: int, chroma: bool = True
 ) -> ActivityArrays:
-    """activity_arrays of the frame at the stream's position, read one CU row at a time.
+    """frame_activity of the frame at the stream's position, read one CU row at a time.
 
-    Bit-identical to activity_arrays(read_frame(...), cu_size, chroma), and
-    raises the errors read_frame and Frame raise, but holds one CU row of
+    Bit-identical to frame_activity(read_frame(...), cu_size, chroma=chroma),
+    and raises the errors read_frame and Frame raise, but holds one CU row of
     samples per plane, never the frame. Every plane is read and
     range-checked whatever chroma is, so the stream is left at the next
     frame.
@@ -239,12 +242,3 @@ def stream_activity(
     return _frame_arrays(
         lambda channel, heights: read_strips(stream, fmt, channel, heights), fmt, cu_size, chroma
     )
-
-
-def frame_activity(frame: Frame, cu_size: int, max_workers: int | None = None) -> ActivityArrays:
-    """activity_arrays of every channel: the first pass of qp_map_from_activity.
-
-    max_workers is accepted and ignored; it is kept only because the
-    benchmark replay still passes it.
-    """
-    return activity_arrays(frame, cu_size)

@@ -143,16 +143,13 @@ def _std_fd(path: Path) -> int | None:
     return None
 
 
-def _flush(stream: TextIO | None) -> None:
+def _flush(stream: TextIO) -> None:
     """Flush stream; if that fails, point its fd at os.devnull and re-raise.
 
     A later flush of the same stream, such as the interpreter's at exit after
     an in-process main(), then cannot fail again; that failure would print a
-    traceback and exit 120 after the run's own error line. None, which Python
-    makes sys.stdout when fd 1 is closed at start, fails as a closed fd does.
+    traceback and exit 120 after the run's own error line.
     """
-    if stream is None:
-        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
     try:
         stream.flush()
     except OSError:
@@ -170,8 +167,8 @@ def _atomic_outputs(paths: list[Path], inputs: list[Path]) -> Iterator[tuple[Tex
     stderr, raise ValueError. A path that is this process's stdout or stderr,
     even a regular file a shell redirected it to, is written through that
     descriptor; the summary then goes to stderr, so it never joins the rows,
-    and otherwise to stdout, and a stdout closed at start raises _flush's
-    OSError before anything is opened. Any other existing path that is not a
+    and otherwise to stdout, and a stdout closed at start raises OSError
+    (EBADF) before anything is opened. Any other existing path that is not a
     regular file, such as /dev/null or a FIFO, is opened and written directly,
     since a device or a pipe must not be replaced by a file. A missing or
     regular-file path is written to a hidden partial file beside it, named by
@@ -204,8 +201,9 @@ def _atomic_outputs(paths: list[Path], inputs: list[Path]) -> Iterator[tuple[Tex
         both = " and ".join(map(str, paths))
         raise ValueError(f"outputs {both} take both stdout and stderr; the summary would join one of them")
     report = sys.stderr if 1 in std_fds else sys.stdout
+    # Python makes sys.stdout None when fd 1 is closed at start; fail as a closed fd does.
     if report is None:
-        _flush(report)
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
     summary = StringIO()
     sinks: list[TextIO] = []
     staged: list[tuple[Path, Path]] = []

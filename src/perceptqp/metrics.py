@@ -100,9 +100,14 @@ def psnr(reference: Plane, test: Plane, bit_depth: int) -> float:
     return 10.0 * math.log10(peak * peak * count / sse)
 
 
-def _overlap(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    lo = max(float(a.min()), float(b.min()))
-    hi = min(float(a.max()), float(b.max()))
+def _overlap(anchor: np.ndarray, test: np.ndarray) -> tuple[float, float]:
+    """The span both curves' abscissae cover, their PSNRs or their log10 rates."""
+    (a_lo, a_hi), (t_lo, t_hi) = ((float(x.min()), float(x.max())) for x in (anchor, test))
+    lo, hi = max(a_lo, t_lo), min(a_hi, t_hi)
+    if hi < lo:
+        raise CurveOverlapError(
+            f"curves do not overlap: the anchor spans [{a_lo}, {a_hi}], the test [{t_lo}, {t_hi}]"
+        )
     if hi - lo < MIN_OVERLAP:
         raise CurveOverlapError(f"curves overlap on [{lo}, {hi}], narrower than {MIN_OVERLAP}")
     return lo, hi

@@ -7,10 +7,10 @@ sub-blocks. Frame-boundary CUs are clipped; clipping may leave some
 quadrants empty.
 
 This is the one module that works per CU in Python objects. The array
-path (activity.activity_arrays and qp.qp_grid) must match cu_activity
-and cu_qp bit for bit, and the tests compare it against them. Nothing
-in activity, qp, yuv or cli imports this module, so a CLI run never
-loads it.
+path (activity.frame_activity, activity.stream_activity and qp.qp_grid)
+must match cu_activity and cu_qp bit for bit, and the tests compare it
+against them. Nothing in activity, qp, yuv or cli imports this module,
+so a CLI run never loads it.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .activity import ActivityArrays, activity_arrays
+from .activity import ActivityArrays, frame_activity
 from .yuv import Frame, VideoFormat
 
 QP_MIN = 0
@@ -186,11 +186,7 @@ def qp_map_from_activity(
     return QpMap(frame_index=frame_index, cols=cols, rows=rows, qps=qps, config=config)
 
 
-def qp_map(frame: Frame, config: QpConfig, frame_index: int = 0) -> QpMap:
-    """Compute one QP per CU of a frame.
-
-    Pass 1 gathers frame-level activity statistics, pass 2 converts each
-    CU's activity into a QP.
-    """
-    act = activity_arrays(frame, config.cu_size, chroma=config.mode is Mode.CBAQ)
-    return qp_map_from_activity(frame.format, act, config, frame_index)
+def qp_map(frame: Frame, config: QpConfig) -> QpMap:
+    """One QP per CU of a frame, as frame 0: frame_activity, then qp_map_from_activity."""
+    act = frame_activity(frame, config.cu_size, chroma=config.mode is Mode.CBAQ)
+    return qp_map_from_activity(frame.format, act, config)

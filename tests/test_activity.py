@@ -30,7 +30,7 @@ from perceptqp import (
     read_frame,
     write_frame,
 )
-from perceptqp.activity import _plane_plan, _raster_mean, activity_arrays, stream_activity
+from perceptqp.activity import _plane_plan, _raster_mean, stream_activity
 from strategies import (
     assert_equals_reference,
     checkerboard,
@@ -352,7 +352,7 @@ class TestFrameActivityIsBitExact:
         frame = random_frame(fmt, seed=4)
         tracemalloc.start()
         try:
-            activity_arrays(frame, 16)
+            frame_activity(frame, 16)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -392,8 +392,8 @@ class TestLumaOnly:
     @settings(max_examples=40, deadline=None)
     @given(frames(max_dim=80), st.sampled_from([16, 32, 64]))
     def test_luma_and_its_mean_match_the_full_pass(self, frame, cu_size):
-        full = activity_arrays(frame, cu_size)
-        luma_only = activity_arrays(frame, cu_size, chroma=False)
+        full = frame_activity(frame, cu_size)
+        luma_only = frame_activity(frame, cu_size, chroma=False)
         assert luma_only.luma.tolist() == full.luma.tolist()
         assert luma_only.t_luma == full.t_luma
         assert (luma_only.cb, luma_only.cr, luma_only.t_cross) == (None, None, None)
@@ -439,7 +439,7 @@ class TestStreamActivity:
         for index in range(skip, len(clip) // frame_bytes(fmt)):
             streamed = stream_activity(stream, fmt, cu_size, chroma)
             assert stream.tell() == (index + 1) * frame_bytes(fmt)
-            expected = activity_arrays(read_frame(decoded, fmt, index), cu_size, chroma)
+            expected = frame_activity(read_frame(decoded, fmt, index), cu_size, chroma=chroma)
             assert bits(streamed) == bits(expected), index
 
     def test_short_stream_names_the_frame(self):

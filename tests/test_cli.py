@@ -622,7 +622,7 @@ class TestBdrateCommand:
         assert main(bdrate_args(anchor, test)) == EXIT_VALIDATION
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("error: curves overlap on [") and err.count("\n") == 1
+        assert err.startswith("error: curves do not overlap: the anchor spans [") and err.count("\n") == 1
 
     def test_oversized_field_is_validation_error(self, tmp_path, capfd):
         label = "x" * (csv.field_size_limit() + 1)
@@ -710,8 +710,8 @@ class TestStreaming:
         (tmp_path / "fresh").mkdir()
         fresh = tmp_path / "fresh" / "m.csv"
         assert main(analyze_args(clip, fresh, dump_activity=fresh.with_name("a.csv"))) == EXIT_OK
-        # What a run killed by SIGKILL leaves behind, under a PID this run now holds.
-        stale = [tmp_path / f".perceptqp.{os.getpid()}.{k}.partial" for k in (0, 1)]
+        # What a run killed by SIGKILL leaves behind.
+        stale = [tmp_path / f".perceptqp.{k:016x}.partial" for k in (0, 1)]
         for path in stale:
             path.write_text("left by a killed run\n")
         before = [path.stat() for path in stale]
@@ -725,6 +725,23 @@ class TestStreaming:
             assert path.stat().st_mtime_ns == stat_before.st_mtime_ns
         partials = sorted(p.name for p in tmp_path.iterdir() if p.name.endswith(".partial"))
         assert partials == sorted(path.name for path in stale)
+
+    @pytest.mark.parametrize("collides", ["output", "dump-activity"])
+    def test_partial_name_collision_is_io_error(self, tmp_path, capsys, monkeypatch, collides):
+        clip = constant_clip(tmp_path / "in.yuv")
+        out, side = tmp_path / "map.csv", tmp_path / "act.csv"
+        out.write_text("old output\n")
+        stale = tmp_path / f".perceptqp.{'ab' * 8}.partial"
+        stale.write_text("left by a killed run\n")
+        # The output's partial name is drawn first, the sidecar's second.
+        draws = iter(["ab" * 8] if collides == "output" else ["01" * 8, "ab" * 8])
+        monkeypatch.setattr(os, "urandom", lambda n: bytes.fromhex(next(draws)))
+        assert main(analyze_args(clip, out, dump_activity=side)) == EXIT_IO
+        exists = f"i/o error: [Errno {errno.EEXIST}] {os.strerror(errno.EEXIST)}: '{stale}'\n"
+        assert capsys.readouterr() == ("", exists)
+        assert stale.read_text() == "left by a killed run\n"
+        assert out.read_text() == "old output\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [stale.name, "in.yuv", "map.csv"]
 
     @pytest.mark.parametrize("loop_at", ["output", "dump-activity"])
     def test_symlink_loop_output_is_io_error(self, tmp_path, capsys, loop_at):
@@ -1074,7 +1091,7 @@ def test_every_argv_ends_in_a_documented_exit_code(run):
         for name, data in files.items():
             with open(paths[name], "wb") as sink:
                 sink.write(data)
-        stale = os.path.join(scratch, f".perceptqp.{os.getpid()}.0.partial")
+        stale = os.path.join(scratch, ".perceptqp.0123456789abcdef.partial")
         if kind == "symlink-loop":
             os.symlink("out", paths["out"])
         elif kind == "directory":

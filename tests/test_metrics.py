@@ -144,8 +144,16 @@ class TestBdRate:
     def test_disjoint_psnr_ranges_rejected(self):
         low = curve([1000.0, 2000.0, 4000.0, 8000.0], [20.0, 22.0, 24.0, 26.0])
         high = curve([1000.0, 2000.0, 4000.0, 8000.0], [30.0, 32.0, 34.0, 36.0])
-        with pytest.raises(CurveOverlapError):
+        spans = r"curves do not overlap: the anchor spans \[20.0, 26.0\], the test \[30.0, 36.0\]$"
+        with pytest.raises(CurveOverlapError, match=spans):
             bd_rate(low, high)
+
+    def test_touching_psnr_ranges_rejected_as_narrow(self):
+        # One shared PSNR is an overlap, if an empty one to integrate over.
+        high = curve([1000.0, 2000.0, 4000.0, 8000.0], [36.5, 37.0, 38.0, 39.0])
+        narrow = r"curves overlap on \[36.5, 36.5\], narrower than 1e-06$"
+        with pytest.raises(CurveOverlapError, match=narrow):
+            bd_rate(ANCHOR, high)
 
     def test_overflowing_rate_ratio_rejected(self):
         # log10 rates 600 decades apart: the ratio 10**600 overflows a float

@@ -32,7 +32,7 @@ from perceptqp import (
     round_half_away_from_zero,
     scaling_factor,
 )
-from perceptqp.activity import ActivityArrays, activity_arrays
+from perceptqp.activity import ActivityArrays
 from perceptqp.qp import _delta_qps, qp_grid
 from strategies import chroma_contrast_frame, frames, random_frame, reference_frame_activity, tiled_frame
 
@@ -344,7 +344,7 @@ class TestQpGrid:
     @settings(max_examples=150, deadline=None)
     @given(frames(max_dim=80), configs)
     def test_equals_cu_qp_on_frames(self, frame, config):
-        qps = qp_grid(config, activity_arrays(frame, config.cu_size))
+        qps = qp_grid(config, frame_activity(frame, config.cu_size))
         assert qps.shape == grid_dims(frame.format, config.cu_size)[::-1]
         assert qps.ravel().tolist() == scalar_qps(config, frame)
 
@@ -361,7 +361,7 @@ class TestQpGrid:
     )
     def test_clipped_edges_equal_cu_qp(self, fmt, cu_size):
         frame = random_frame(fmt, seed=fmt.width + cu_size)
-        arrays = activity_arrays(frame, cu_size)
+        arrays = frame_activity(frame, cu_size)
         # The CLI renders the activity after mapping it, so qp_grid must only read it.
         for array in arrays[:3]:
             array.flags.writeable = False
@@ -374,7 +374,7 @@ class TestQpGrid:
 
     @pytest.mark.parametrize("t_mode", list(TMode))
     def test_cbaq_rule_refuses_luma_only_arrays(self, t_mode):
-        arrays = activity_arrays(random_frame(VideoFormat(64, 32), seed=6), 16, chroma=False)
+        arrays = frame_activity(random_frame(VideoFormat(64, 32), seed=6), 16, chroma=False)
         with pytest.raises(ValueError, match="cbaq rule reads chroma activity"):
             qp_grid(QpConfig(32, Mode.CBAQ, cu_size=16, t_mode=t_mode), arrays)
 
@@ -382,8 +382,8 @@ class TestQpGrid:
     @given(frames(max_dim=80), configs)
     def test_luma_only_arrays_give_the_same_adaptiveqp_map(self, frame, config):
         config = dataclasses.replace(config, mode=Mode.ADAPTIVE_QP)
-        qps = qp_grid(config, activity_arrays(frame, config.cu_size, chroma=False))
-        assert qps.tolist() == qp_grid(config, activity_arrays(frame, config.cu_size)).tolist()
+        qps = qp_grid(config, frame_activity(frame, config.cu_size, chroma=False))
+        assert qps.tolist() == qp_grid(config, frame_activity(frame, config.cu_size)).tolist()
         assert qp_map(frame, config).flat() == qps.ravel().tolist() == scalar_qps(config, frame)
 
     @settings(max_examples=200, deadline=None)
