@@ -67,6 +67,10 @@ CLIPS = [
     for chroma in ("420", "422", "444")
     for depth in (8, 10)
 ]
+# 66x34 4:2:0: the last CU column is 2 luma samples wide at every CU size and the
+# last CU row 2 tall at CU 16 and 32, so their chroma blocks are 1 sample across,
+# with an empty right or bottom quadrant half.
+NARROW = [Clip(f"c420-{depth}-66x34", 66, 34, "420", depth) for depth in (8, 10)]
 SMALL = CLIPS[0]  # 4:2:0, 8-bit, 72x40
 LARGE = CLIPS[9]  # 4:2:2, 10-bit, 200x130
 OTHER = SMALL._replace(name="other-420-8-72x40")  # a second clip of SMALL's geometry
@@ -154,7 +158,7 @@ RD_FILES = {
 
 def build_corpus(corpus: Path) -> None:
     corpus.mkdir()
-    for seed, clip in enumerate(CLIPS):
+    for seed, clip in enumerate(CLIPS + NARROW):
         (corpus / f"{clip.name}.yuv").write_bytes(clip_bytes(clip, clip_samples(clip, FRAMES, seed)))
     (corpus / f"{OTHER.name}.yuv").write_bytes(clip_bytes(OTHER, clip_samples(OTHER, FRAMES, 100)))
     illegal = clip_samples(ILLEGAL, FRAMES, 101)
@@ -267,7 +271,7 @@ BDRATE_PAIRS = {
 def matrix() -> list[Case]:
     cases = [
         Case(f"analyze-{clip.name}-cu{cu}", analyze(clip, "--dump-activity", "act.csv", cu=cu))
-        for clip in CLIPS
+        for clip in CLIPS + NARROW
         for cu in (16, 32, 64)
     ]
     cases += [
@@ -276,6 +280,9 @@ def matrix() -> list[Case]:
         for variant, flags in ANALYZE_VARIANTS.items()
     ]
     cases += [Case(f"compare-{clip.name}-cu32", compare(clip, cu=32)) for clip in CLIPS[6:]]
+    cases += [
+        Case(f"compare-{clip.name}-cu{cu}", compare(clip, cu=cu)) for clip in NARROW for cu in (16, 32, 64)
+    ]
     cases += [
         Case(f"compare-{SMALL.name}-input-b", compare(SMALL, "--input-b", f"{CORPUS}/{OTHER.name}.yuv")),
         Case(f"compare-{SMALL.name}-rules", compare(

@@ -50,95 +50,48 @@ class ActivityArrays(NamedTuple):
         return cross
 
 
-def _quadrant_halves(length: int, cu_size: int, sub: int) -> tuple[np.ndarray, np.ndarray]:
-    """Plane start and size of both quadrant halves of every CU along one axis.
+def _halves(length: int, cu_size: int, sub: int) -> list[tuple[int, int]]:
+    """Sizes of both quadrant halves of every CU's block along one axis, in plane samples.
 
-    Mirrors cb_rect and sub_blocks: a CU at luma offset p with clipped
-    extent e covers ceil(e / sub) plane samples from p // sub, split into
-    a ceiling first half and the (possibly empty) rest. Returns two
-    int64 arrays of length 2 * CUs, first and second half interleaved.
+    Mirrors cb_rect and sub_blocks: a CU with clipped luma extent e covers
+    ceil(e / sub) plane samples, split into a ceiling first half and the
+    (possibly empty) rest. Every CU but a clipped last one is cu_size wide,
+    so a CU's block starts where the halves before it end.
     """
-    origins = np.arange(0, length, cu_size)
-    extents = -(-np.minimum(cu_size, length - origins) // sub)
-    first = (extents + 1) // 2
-    starts = np.stack((origins // sub, origins // sub + first), axis=1).ravel()
-    sizes = np.stack((first, extents - first), axis=1).ravel()
-    return starts, sizes
+    extents = (-(-min(cu_size, length - origin) // sub) for origin in range(0, length, cu_size))
+    return [((extent + 1) // 2, extent // 2) for extent in extents]
 
 
-class _RowTerms(NamedTuple):
-    """What a CU row's variances need besides its sums, each (top/bottom, column half)."""
+def _plane_activity(
+    strips: Iterable[np.ndarray],
+    width: int,
+    x_halves: Sequence[tuple[int, int]],
+    y_halves: Sequence[tuple[int, int]],
+) -> np.ndarray:
+    """One plus the minimum quadrant variance of every CU's block in one plane, as (rows, cols).
 
-    top: int
-    counts: np.ndarray
-    nonempty: np.ndarray
-    denominator: np.ndarray
-
-
-class _PlanePlan(NamedTuple):
-    """The geometry of one plane's CU rows: strip heights, reduceat starts and per-row terms."""
-
-    heights: tuple[int, ...]
-    starts: np.ndarray
-    width: int
-    cols: int
-    tallest_half: int
-    rows: tuple[_RowTerms, ...]
-
-
-def _row_terms(top: int, bottom: int, widths: np.ndarray) -> _RowTerms:
-    counts = np.array([[top], [bottom]]) * widths
-    return _RowTerms(top, counts, counts > 0, np.maximum(counts * counts, 1))
-
-
-def _plane_plan(fmt: VideoFormat, cu_size: int, sub_x: int, sub_y: int) -> _PlanePlan:
-    """The strips, reduceat starts and per-row variance terms of one plane of a frame.
-
-    The strips tile the plane exactly: where chroma is subsampled vertically
-    the height is even, so the CU rows' chroma extents add up to half of it.
-    Every CU row but a clipped last one has the same halves, so they share
-    one _RowTerms. A frame builds its own plans, one for luma and one that
-    Cb and Cr share, so nothing outlives the frame.
+    strips are the plane's CU-row strips, top to bottom, each as tall as its
+    y_halves pair; each is used only until the next is drawn, so they
+    may share one buffer. Temporaries stay the size of one strip, never of
+    the plane, and the int32 copy the size of one quadrant half. Each of the
+    strip's top and bottom quadrant halves is copied into int32 once and
+    summed down the columns, then squared in place and summed again;
+    np.add.reduceat then sums every quadrant's columns into int64. An empty
+    half counts as infinite variance, as sub_blocks' empty quadrants are skipped.
     """
-    x_starts, widths = _quadrant_halves(fmt.width, cu_size, sub_x)
-    _, heights = _quadrant_halves(fmt.height, cu_size, sub_y)
-    halves = list(map(tuple, heights.reshape(-1, 2).tolist()))
-    width = fmt.width // sub_x
+    cols = len(x_halves)
+    widths = np.array(x_halves).ravel()
     # A half is empty only where a CU's extent is one sample, which only the
     # last CU can have; its right half then starts one past the plane's edge,
     # where reduceat cannot start. Clamped to the last column, that start keeps
     # the one-column left half exact, and the empty half's zero count
     # discards its own sum.
-    starts = np.minimum(x_starts, width - 1)
-    regular = _row_terms(*halves[0], widths)
-    rows = tuple(
-        regular if (top, bottom) == halves[0] else _row_terms(top, bottom, widths)
-        for top, bottom in halves
-    )
-    return _PlanePlan(
-        heights=tuple(map(sum, halves)),
-        starts=starts,
-        width=width,
-        cols=widths.size // 2,
-        tallest_half=int(heights.max()),
-        rows=rows,
-    )
-
-
-def _plane_activity(strips: Iterable[np.ndarray], plan: _PlanePlan) -> np.ndarray:
-    """One plus the minimum quadrant variance of every CU's block in one plane, as (rows, cols).
-
-    strips are the plane's CU-row strips, top to bottom, with plan.heights
-    rows; each is used only until the next is drawn, so they may share one
-    buffer. Temporaries stay the size of one strip, never of the plane, and
-    the int32 copy the size of one quadrant half. Each of the strip's top
-    and bottom quadrant halves is copied into int32 once and summed down the
-    columns, then squared in place and summed again; np.add.reduceat then
-    sums every quadrant's columns into int64. An empty half counts as
-    infinite variance, as sub_blocks' empty quadrants are skipped.
-    """
-    width = plan.width
-    activity = np.empty((len(plan.rows), plan.cols))
+    starts = np.minimum(np.cumsum(widths) - widths, width - 1)
+    # Every CU row but a clipped last one has the same halves, so they share
+    # one set of counts, nonempty mask and denominators.
+    row_counts = ((pair, np.array(pair)[:, None] * widths) for pair in set(y_halves))
+    terms = {pair: (n, n > 0, np.maximum(n * n, 1)) for pair, n in row_counts}
+    activity = np.empty((len(y_halves), cols))
     # Frame caps samples at 1023 and the largest quadrant is 32x32 (CU 64 luma,
     # or 4:4:4 chroma), so every quadrant's sum(s^2) <= 1024 * 1023^2 =
     # 1,071,645,696 fits int32 (< 2^31 - 1), and so does each column sum.
@@ -147,29 +100,28 @@ def _plane_activity(strips: Iterable[np.ndarray], plan: _PlanePlan) -> np.ndarra
     # (sum/squared sum, top/bottom, column) of the current CU row
     columns = np.empty((2, 2, width), dtype=np.int32)
     # (sum/squared sum, top/bottom, column half); int64 so that s1 * s1 fits
-    sums = np.empty((2, 2, 2 * plan.cols), dtype=np.int64)
+    sums = np.empty((2, 2, 2 * cols), dtype=np.int64)
     # One int32 buffer for every half, top and bottom in turn, so it is half a
     # strip: a fresh one each time would be mapped and unmapped once it is
     # larger than malloc's mmap threshold. Summing and squaring an int32 copy
     # skips the buffered casting loops that sum(dtype=) and square(dtype=) run
     # on uint8 and uint16 samples.
-    buffer = np.empty((plan.tallest_half, width), dtype=np.int32)
+    buffer = np.empty((max(top for top, _ in y_halves), width), dtype=np.int32)
     # strict: zip draws once past the last strip, which lets a reader finish
     # its range check, and it refuses a strip count that is not rows.
-    for row, (terms, strip) in enumerate(zip(plan.rows, strips, strict=True)):
-        for half, values in enumerate((strip[: terms.top], strip[terms.top :])):
+    for row, (pair, strip) in enumerate(zip(y_halves, strips, strict=True)):
+        for half, values in enumerate((strip[: pair[0]], strip[pair[0] :])):
             samples = buffer[: len(values)]
             np.copyto(samples, values, casting="unsafe")
             samples.sum(axis=0, out=columns[0, half])
             np.multiply(samples, samples, out=samples)
             samples.sum(axis=0, out=columns[1, half])
-        np.add.reduceat(columns.reshape(4, width), plan.starts, axis=1, out=sums.reshape(4, -1))
+        np.add.reduceat(columns.reshape(4, width), starts, axis=1, out=sums.reshape(4, -1))
         s1, s2 = sums
+        counts, nonempty, denominator = terms[pair]
         # Exact in float64: n * sum(s^2) <= 1024 * 1024 * 1023^2 < 2^53.
-        variances = np.where(
-            terms.nonempty, (terms.counts * s2 - s1 * s1) / terms.denominator, np.inf
-        )
-        activity[row] = variances.reshape(2, plan.cols, 2).min(axis=(0, 2))
+        variances = np.where(nonempty, (counts * s2 - s1 * s1) / denominator, np.inf)
+        activity[row] = variances.reshape(2, cols, 2).min(axis=(0, 2))
     activity += 1.0
     return activity
 
@@ -195,16 +147,23 @@ def _frame_arrays(
     range-check them, but not analysed.
     """
     cf = fmt.chroma_format
-    luma_plan = _plane_plan(fmt, cu_size, 1, 1)
-    luma = _plane_activity(strips(Channel.Y, luma_plan.heights), luma_plan)
-    chroma_plan = _plane_plan(fmt, cu_size, cf.sub_x, cf.sub_y)
+    luma_x = _halves(fmt.width, cu_size, 1)
+    luma_y = _halves(fmt.height, cu_size, 1)
+    luma = _plane_activity(strips(Channel.Y, list(map(sum, luma_y))), fmt.width, luma_x, luma_y)
+    # Cb and Cr share their halves. The strips tile each plane exactly: where
+    # chroma is subsampled vertically the height is even, so the CU rows'
+    # chroma extents add up to half of it.
+    chroma_x = _halves(fmt.width, cu_size, cf.sub_x)
+    chroma_y = _halves(fmt.height, cu_size, cf.sub_y)
+    heights = list(map(sum, chroma_y))
     if not chroma:
         for channel in (Channel.CB, Channel.CR):
-            for _ in strips(channel, chroma_plan.heights):
+            for _ in strips(channel, heights):
                 pass
         return ActivityArrays(luma, None, None, _raster_mean(luma), None)
-    cb = _plane_activity(strips(Channel.CB, chroma_plan.heights), chroma_plan)
-    cr = _plane_activity(strips(Channel.CR, chroma_plan.heights), chroma_plan)
+    width = fmt.width // cf.sub_x
+    cb = _plane_activity(strips(Channel.CB, heights), width, chroma_x, chroma_y)
+    cr = _plane_activity(strips(Channel.CR, heights), width, chroma_x, chroma_y)
     return ActivityArrays(luma, cb, cr, _raster_mean(luma), _raster_mean(luma + cb + cr))
 
 

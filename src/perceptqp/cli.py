@@ -495,9 +495,18 @@ def _add_qp_args(parser: argparse.ArgumentParser, suffix: str = "") -> None:
     parser.add_argument(f"--rounding{suffix}", choices=("nearest", "ceiling"), default="nearest")
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file: TextIO | None = None) -> None:
+        # argparse sends help to stderr when sys.stdout is None (fd 1 closed at
+        # start); fail instead, as a closed fd and every command do.
+        if file is None and sys.stdout is None:
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        super().print_help(file)
+
+
 def build_parser() -> argparse.ArgumentParser:
     # argparse lists the subcommands itself, and would reflow the docstring's list.
-    parser = argparse.ArgumentParser(prog="perceptqp", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="perceptqp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     analyze = sub.add_parser("analyze", help="emit a per-CU QP map for each frame")
@@ -531,8 +540,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ValueError as exc:  # includes YuvError and the metric errors
         print(f"error: {exc}", file=sys.stderr)

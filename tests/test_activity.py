@@ -8,6 +8,7 @@ import io
 import operator
 import tracemalloc
 from functools import lru_cache, reduce
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -23,20 +24,23 @@ from perceptqp import (
     TruncatedInputError,
     VideoFormat,
     block_variance,
+    cb_rect,
     cu_activity,
     cu_grid,
     frame_activity,
     frame_bytes,
     read_frame,
+    sub_blocks,
     write_frame,
 )
-from perceptqp.activity import _plane_plan, _raster_mean, stream_activity
+from perceptqp.activity import _halves, _raster_mean, stream_activity
 from strategies import (
     assert_equals_reference,
     checkerboard,
     frames,
     random_frame,
     reference_frame_activity,
+    video_formats,
 )
 
 
@@ -374,18 +378,35 @@ class TestFrameActivityIsBitExact:
         assert peak < 700_000
 
 
-class TestPlanePlan:
-    def test_regular_rows_share_one_set_of_terms(self):
-        plan = _plane_plan(VideoFormat(1928, 1090, 8, ChromaFormat.YUV420), 16, 2, 2)
-        first, *middle, last = plan.rows
-        assert all(terms is first for terms in middle)
+class TestHalves:
+    def test_clipped_chroma_axis_ends_in_an_empty_half(self):
         # the last CU row covers 2 luma rows, so 1 chroma row: an empty bottom half
-        assert (len(plan.rows), sum(plan.heights), last.top) == (69, 545, 1)
-        assert last.nonempty[0].all() and not last.nonempty[1].any()
+        halves = _halves(1090, 16, 2)
+        assert (len(halves), sum(map(sum, halves))) == (69, 545)
+        assert halves[:-1] == [(4, 4)] * 68 and halves[-1] == (1, 0)
 
-    def test_unclipped_plane_has_one_set_of_terms(self):
-        plan = _plane_plan(VideoFormat(1920, 1088, 8, ChromaFormat.YUV420), 16, 1, 1)
-        assert len(set(map(id, plan.rows))) == 1
+    def test_unclipped_axis_has_one_pair(self):
+        assert _halves(1920, 16, 1) == [(8, 8)] * 120
+
+    @settings(max_examples=60, deadline=None)
+    @given(video_formats(max_dim=140), st.sampled_from([16, 32, 64]))
+    def test_matches_cb_rect_and_sub_blocks(self, fmt, cu_size):
+        cf = fmt.chroma_format
+        for channel, sub_x, sub_y in ((Channel.Y, 1, 1), (Channel.CB, cf.sub_x, cf.sub_y)):
+            x_halves = _halves(fmt.width, cu_size, sub_x)
+            y_halves = _halves(fmt.height, cu_size, sub_y)
+            x_starts = list(accumulate(map(sum, x_halves), initial=0))
+            y_starts = list(accumulate(map(sum, y_halves), initial=0))
+            for cu in cu_grid(fmt, cu_size):
+                col, row = cu.x // cu_size, cu.y // cu_size
+                (left, right), (top, bottom) = x_halves[col], y_halves[row]
+                x, y = x_starts[col], y_starts[row]
+                assert sub_blocks(cb_rect(cu, channel, cf)) == (
+                    CbRect(channel, x, y, left, top),
+                    CbRect(channel, x + left, y, right, top),
+                    CbRect(channel, x, y + top, left, bottom),
+                    CbRect(channel, x + left, y + top, right, bottom),
+                )
 
 
 class TestLumaOnly:

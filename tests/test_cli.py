@@ -339,7 +339,7 @@ def count_plane_passes(monkeypatch):
 
 
 class TestPlanePlan:
-    """Each frame plans its own planes, one plan for luma and one both chroma planes share."""
+    """Each frame works out its own halves: x and y for luma, and x and y both chroma planes share."""
 
     @pytest.mark.parametrize(
         "command, inputs",
@@ -353,15 +353,15 @@ class TestPlanePlan:
     def test_plans_are_built_per_frame(self, tmp_path, capsys, monkeypatch, command, inputs):
         clip = write_clip(tmp_path / "in.yuv", [random_frame(FMT, seed) for seed in range(6)])
         calls = []
-        real = activity._PlanePlan
-        monkeypatch.setattr(activity, "_PlanePlan", lambda **fields: calls.append(fields) or real(**fields))
+        real = activity._halves
+        monkeypatch.setattr(activity, "_halves", lambda *args: calls.append(args) or real(*args))
         builds = []
         for frames in (1, 6):
             calls.clear()
             assert main(command(clip, tmp_path / "out.csv", frames)) == EXIT_OK
             builds.append(len(calls))
         capsys.readouterr()
-        assert builds == [2 * inputs, 12 * inputs]
+        assert builds == [4 * inputs, 24 * inputs]
 
 
 # Plane passes per frame: chroma is analysed only where an output reads it.
@@ -1393,7 +1393,7 @@ def test_unwritable_summary_is_one_io_error_and_replaces_nothing(tmp_path, comma
     assert sorted(tmp_path.iterdir()) == before
 
 
-@pytest.mark.parametrize("command", ["analyze", "compare", "dump-activity", "bdrate"])
+@pytest.mark.parametrize("command", ["analyze", "compare", "dump-activity", "bdrate", "help", "analyze-help"])
 def test_closed_stdout_is_one_io_error_and_replaces_nothing(tmp_path, command):
     argv, out = stdout_command(tmp_path, command)
     before = sorted(tmp_path.iterdir())
@@ -1421,6 +1421,14 @@ def test_closed_stdout_fails_before_any_input_is_read(tmp_path, command):
     assert (child.returncode, err) == (EXIT_IO, b"i/o error: [Errno 9] Bad file descriptor\n")
     assert out.read_text() == "old output\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.yuv", "out.csv"]
+
+
+@pytest.mark.parametrize("argv", [[], ["analyze"]], ids=["bare", "analyze"])
+def test_closed_stdout_usage_error_is_still_exit_2(argv):
+    child = cli_child(argv, stdout=None, preexec_fn=functools.partial(os.close, 1))
+    _, err = child.communicate(timeout=60)
+    assert child.returncode == EXIT_USAGE
+    assert err.startswith(b"usage: perceptqp") and b"error: the following arguments are required" in err
 
 
 def test_help_keeps_one_line_description(capsys, monkeypatch):
