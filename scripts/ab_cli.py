@@ -23,6 +23,7 @@ here measures speed.
 from __future__ import annotations
 
 import argparse
+import codecs
 import functools
 import os
 import re
@@ -153,6 +154,8 @@ RD_FILES = {
     "y-high": rd_csv("high", scaled({"Y": ANCHOR_CURVES["Y"]}, 1e300)),
     "two-labels": rd_csv("a", ANCHOR_CURVES) + rd_csv("b", ANCHOR_CURVES).split(b"\n", 1)[1],
     "truncated": rd_csv("anchor", ANCHOR_CURVES)[:100],
+    # As a spreadsheet's "CSV UTF-8" export writes it.
+    "anchor-bom": codecs.BOM_UTF8 + rd_csv("anchor", ANCHOR_CURVES),
 }
 
 
@@ -265,6 +268,7 @@ BDRATE_PAIRS = {
     "overflow": ("y-low", "y-high"),
     "two-labels": ("two-labels", "anchor"),
     "truncated": ("anchor", "truncated"),
+    "bom": ("anchor-bom", "test"),
 }
 
 
@@ -283,6 +287,14 @@ def matrix() -> list[Case]:
     cases += [
         Case(f"compare-{clip.name}-cu{cu}", compare(clip, cu=cu)) for clip in NARROW for cu in (16, 32, 64)
     ]
+    # Both rules cbaq: two QP maps from one activity pass, so a rule that wrote
+    # into the shared cross sum would change the other's map on the clipped edges.
+    cases += [
+        Case(f"compare-{clip.name}-cbaq-cu{cu}", compare(
+            clip, "--mode-a", "cbaq", "--t-mode-a", "luma", "--rounding-b", "ceiling", cu=cu))
+        for clip in NARROW
+        for cu in (16, 32, 64)
+    ]  # fmt: skip
     cases += [
         Case(f"compare-{SMALL.name}-input-b", compare(SMALL, "--input-b", f"{CORPUS}/{OTHER.name}.yuv")),
         Case(f"compare-{SMALL.name}-rules", compare(

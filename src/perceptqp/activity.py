@@ -28,9 +28,10 @@ from .yuv import Channel, Frame, VideoFormat, read_strips
 
 
 class ActivityArrays(NamedTuple):
-    """Per-channel activity of a frame's CUs, each (rows, cols), plus the frame means.
+    """Per-channel activity of a frame's CUs, each (rows, cols), their sum and the frame means.
 
-    cb, cr and t_cross are None when only luma was computed.
+    cross adds l + b + d as partition.ActivityRecord.cross does. cb, cr,
+    t_cross and cross are None when only luma was computed.
     """
 
     luma: np.ndarray
@@ -38,16 +39,7 @@ class ActivityArrays(NamedTuple):
     cr: np.ndarray | None
     t_luma: float
     t_cross: float | None
-
-    @property
-    def cross(self) -> np.ndarray:
-        """Combined activity over all three channels, added as partition.ActivityRecord.cross does.
-
-        A new array each call, so the caller may write to it.
-        """
-        cross = self.luma + self.cb
-        cross += self.cr
-        return cross
+    cross: np.ndarray | None
 
 
 def _halves(length: int, cu_size: int, sub: int) -> list[tuple[int, int]]:
@@ -160,11 +152,13 @@ def _frame_arrays(
         for channel in (Channel.CB, Channel.CR):
             for _ in strips(channel, heights):
                 pass
-        return ActivityArrays(luma, None, None, _raster_mean(luma), None)
+        return ActivityArrays(luma, None, None, _raster_mean(luma), None, None)
     width = fmt.width // cf.sub_x
     cb = _plane_activity(strips(Channel.CB, heights), width, chroma_x, chroma_y)
     cr = _plane_activity(strips(Channel.CR, heights), width, chroma_x, chroma_y)
-    return ActivityArrays(luma, cb, cr, _raster_mean(luma), _raster_mean(luma + cb + cr))
+    cross = luma + cb
+    cross += cr
+    return ActivityArrays(luma, cb, cr, _raster_mean(luma), _raster_mean(cross), cross)
 
 
 def frame_activity(
@@ -173,9 +167,9 @@ def frame_activity(
     """Activity of every CU as (rows, cols) arrays, plus the frame means: the first pass of qp_map.
 
     Each element is bit-identical to partition.cu_activity of that CU. With
-    chroma false only the luma plane is analysed, and cb, cr and t_cross are
-    None. max_workers is accepted and ignored; it is kept only because the
-    benchmark replay still passes it.
+    chroma false only the luma plane is analysed, and cb, cr, t_cross and
+    cross are None. max_workers is accepted and ignored; it is kept only
+    because the benchmark replay still passes it.
     """
     planes = {Channel.Y: frame.y, Channel.CB: frame.cb, Channel.CR: frame.cr}
 

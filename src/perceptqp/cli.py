@@ -543,6 +543,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse's usage error (2) and --help (0), SIGTERM (143)
+        return exc.code
     except ValueError as exc:  # includes YuvError and the metric errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -579,14 +581,12 @@ def entry() -> NoReturn:
 
     SIGTERM raises inside the run, so staged outputs are removed as on any
     failure, and exits 143; SIGINT does the same and exits 130 after one
-    "interrupted" line on stderr. Every exit, argparse's included, goes
-    through _exit; an unexpected exception propagates with its traceback.
+    "interrupted" line on stderr. Every exit goes through _exit; an
+    unexpected exception propagates with its traceback.
     """
     signal.signal(signal.SIGTERM, _terminate)
     try:
         code = main()
-    except SystemExit as exc:  # argparse's usage error (2) and --help (0), SIGTERM (143)
-        code = exc.code
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         code = EXIT_INTERRUPTED

@@ -203,7 +203,8 @@ def rd_csv_bytes(runs: Sequence[tuple[str, CurvesByChannel]]) -> bytes:
 def parse_rd_csv(data: bytes) -> dict[str, dict[str, list[tuple[int, RdPoint]]]]:
     """Inverse of rd_csv_bytes: {label: {channel: [(qp, RdPoint), ...]}}."""
     try:
-        rows = list(csv.reader(io.StringIO(data.decode())))
+        # utf-8-sig skips the byte-order mark that a spreadsheet's "CSV UTF-8" export starts with.
+        rows = list(csv.reader(io.StringIO(data.decode("utf-8-sig"))))
     except csv.Error as exc:  # such as a field over csv.field_size_limit()
         raise ValueError(f"bad RD CSV: {exc}") from exc
     header = rows[0] if rows else None

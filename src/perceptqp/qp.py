@@ -96,7 +96,7 @@ def scaling_factor(qp_range: int) -> float:
 
 
 def _delta_qps(n: np.ndarray, rounding: Rounding) -> np.ndarray:
-    """delta_qp of every element of n, as floats holding integers, written over n (1-D or 2-D).
+    """delta_qp of each element of the (rows, cols) grid n, written over n as floats holding integers.
 
     np.log2 can differ from math.log2 in the last bit, which can move a
     value across a rounding boundary, so math.log2 is mapped over n one row
@@ -106,7 +106,7 @@ def _delta_qps(n: np.ndarray, rounding: Rounding) -> np.ndarray:
     IEEE rounding is symmetric in sign, so for x < 0 floor(|x| + 0.5) is
     exactly -ceil(x - 0.5), the branch round_half_away_from_zero takes there.
     """
-    for row in np.atleast_2d(n):
+    for row in n:
         row[:] = list(map(math.log2, row.tolist()))
     n *= 6.0
     if rounding is Rounding.CEILING:
@@ -121,25 +121,20 @@ def qp_grid(config: QpConfig, act: ActivityArrays) -> np.ndarray:
     """cu_qp of every CU at once, as a (rows, cols) int64 array.
 
     Each step is the IEEE operation cu_qp performs, in the same order, so
-    every element equals cu_qp exactly. The steps write into buffers of the
-    grid's size that this call owns, act.cross among them; act's own arrays
-    are only read, since the caller may still render them.
+    every element equals cu_qp exactly. The steps write only into buffers
+    this call makes; act is only read.
     """
     f = scaling_factor(config.qp_range)
     if config.mode is Mode.ADAPTIVE_QP:
         s, t = act.luma, act.t_luma
-    elif act.cb is None:
+    elif act.cross is None:
         raise ValueError(f"the {config.mode.value} rule reads chroma activity; none was computed")
     else:
         s = act.cross
         t = act.t_cross if config.t_mode is TMode.CROSS else act.t_luma
     n = np.multiply(f, s)
     n += t
-    if config.mode is Mode.ADAPTIVE_QP:
-        n /= s + f * t  # a temporary, since act.luma is the caller's
-    else:
-        s += f * t  # act.cross is this call's own array
-        n /= s
+    n /= s + f * t
     np.clip(n, 1.0 / f, f, out=n)
     qps = _delta_qps(n, config.rounding)
     qps += config.slice_qp
@@ -151,8 +146,6 @@ class QpMap:
     """Per-frame grid of CU QPs plus the configuration that produced it."""
 
     frame_index: int
-    cols: int
-    rows: int
     qps: tuple[tuple[int, ...], ...]
     config: QpConfig
 
@@ -183,7 +176,7 @@ def qp_map_from_activity(
             f" of CU {config.cu_size}"
         )
     qps = tuple(map(tuple, qp_grid(config, activity).tolist()))
-    return QpMap(frame_index=frame_index, cols=cols, rows=rows, qps=qps, config=config)
+    return QpMap(frame_index=frame_index, qps=qps, config=config)
 
 
 def qp_map(frame: Frame, config: QpConfig) -> QpMap:

@@ -91,10 +91,11 @@ def reference_frame_activity(frame, cu_size):
 def assert_equals_reference(act, reference):
     """Assert that ActivityArrays act equals a reference FrameActivity exactly.
 
-    Each channel's array, in raster order, must hold the records' values, and
-    both frame means must be the reference's, compared as floats with ==.
+    Each channel's array and the cross sum, in raster order, must hold the
+    records' values, and both frame means must be the reference's, compared
+    as floats with ==.
     """
-    for channel in ("luma", "cb", "cr"):
+    for channel in ("luma", "cb", "cr", "cross"):
         values = getattr(act, channel).ravel().tolist()
         assert values == [getattr(r, channel) for r in reference.records], channel
     assert (act.t_luma, act.t_cross) == (reference.t_luma, reference.t_cross)

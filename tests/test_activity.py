@@ -417,7 +417,7 @@ class TestLumaOnly:
         luma_only = frame_activity(frame, cu_size, chroma=False)
         assert luma_only.luma.tolist() == full.luma.tolist()
         assert luma_only.t_luma == full.t_luma
-        assert (luma_only.cb, luma_only.cr, luma_only.t_cross) == (None, None, None)
+        assert (luma_only.cb, luma_only.cr, luma_only.t_cross, luma_only.cross) == (None,) * 4
 
 
 STREAM_FORMATS = [
@@ -438,7 +438,7 @@ def distinct_frames_clip(fmt, count=3):
 
 def bits(act):
     """Everything of an ActivityArrays, arrays as their bytes, to compare bit for bit."""
-    return [None if x is None else x.tobytes() for x in (act.luma, act.cb, act.cr)] + [
+    return [None if x is None else x.tobytes() for x in (act.luma, act.cb, act.cr, act.cross)] + [
         act.t_luma,
         act.t_cross,
     ]

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: every subcommand through cli.main."""
 
+import codecs
 import csv
 import errno
 import functools
@@ -155,9 +156,7 @@ class TestAnalyze:
         capsys.readouterr()
 
     def test_missing_required_flag_is_usage_error(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["analyze", "--input", "x.yuv"])
-        assert exc.value.code == 2
+        assert main(["analyze", "--input", "x.yuv"]) == EXIT_USAGE
         capsys.readouterr()
 
     def test_huge_qp_range_is_validation_error(self, tmp_path, capsys):
@@ -522,11 +521,7 @@ def test_first_fault_in_precedence_order_wins(tmp_path, monkeypatch, capsys, mak
     for name, curves in PRECEDENCE_RD_RUNS.items():
         f[name] = rd_file(tmp_path, name, curves)
     before = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
-    try:
-        got = main(make_args(f))
-    except SystemExit as exc:  # argparse's usage errors
-        got = exc.code
-    assert got == code
+    assert main(make_args(f)) == code
     out, err = capsys.readouterr()
     assert (out, err.count("error:")) == ("", 1)
     assert names in err
@@ -579,6 +574,16 @@ class TestBdrateCommand:
             _, rate, quality = line.split(",")
             assert float(rate) == pytest.approx(0.0, abs=1e-6)
             assert float(quality) == pytest.approx(0.0, abs=1e-6)
+
+    def test_byte_order_mark_gives_the_same_table(self, tmp_path, capsys):
+        anchor = rd_file(tmp_path, "anchor", SAMPLE_CURVES)
+        test = rd_file(tmp_path, "test", scaled_points(SAMPLE_CURVES, 1.10))
+        assert main(bdrate_args(anchor, test)) == EXIT_OK
+        plain = capsys.readouterr()
+        bom = tmp_path / "anchor-bom.csv"
+        bom.write_bytes(codecs.BOM_UTF8 + anchor.read_bytes())
+        assert main(bdrate_args(bom, test)) == EXIT_OK
+        assert capsys.readouterr() == plain
 
     def test_ten_percent_rate_increase(self, tmp_path, capsys):
         anchor = rd_file(tmp_path, "anchor", {"Y": SAMPLE_CURVES["Y"]})
@@ -689,7 +694,8 @@ class TestStreaming:
         payload = {
             "config": dict(cli._echo_items(FMT, config)),
             "frames": [
-                {"frame": m.frame_index, "cols": m.cols, "rows": m.rows, "qp": list(map(list, m.qps))}
+                {"frame": m.frame_index, "cols": len(m.qps[0]), "rows": len(m.qps),
+                 "qp": list(map(list, m.qps))}
                 for m in maps
             ],
         }
@@ -1100,11 +1106,8 @@ def test_every_argv_ends_in_a_documented_exit_code(run):
             with open(stale, "w") as sink:
                 sink.write("left by a killed run\n")
         stdout = io.StringIO()
-        try:
-            with redirect_stdout(stdout):
-                code = main([arg.format(**paths) for arg in argv])
-        except SystemExit as exc:  # argparse's usage errors
-            code = exc.code
+        with redirect_stdout(stdout):
+            code = main([arg.format(**paths) for arg in argv])
         # No output here is stdout, so a run that fails writes nothing to it: no summary, no table row.
         assert code == EXIT_OK or stdout.getvalue() == ""
         # Whatever the outcome, no partial file is left but one the run did not make.
@@ -1227,7 +1230,7 @@ class TestLazyExports:
             "frame = read_frame(io.BytesIO(bytes(range(256)) * (frame_bytes(fmt) // 256)), fmt)\n"
             "config = QpConfig(slice_qp=32, mode=Mode.CBAQ, cu_size=32)\n"
             "qps = qp_map_from_activity(fmt, frame_activity(frame, 32), config)\n"
-            "print((qps.cols, qps.rows), 'perceptqp.partition' in sys.modules)\n"
+            "print((len(qps.qps[0]), len(qps.qps)), 'perceptqp.partition' in sys.modules)\n"
         )
         assert fresh_interpreter(code) == "(3, 2) False"
 
@@ -1434,8 +1437,7 @@ def test_closed_stdout_usage_error_is_still_exit_2(argv):
 def test_help_keeps_one_line_description(capsys, monkeypatch):
     # argparse lists the subcommands itself; a reflowed list broke "dump-activity" in two.
     monkeypatch.setenv("COLUMNS", "80")
-    with pytest.raises(SystemExit):
-        main(["--help"])
+    assert main(["--help"]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
     description = lines[lines.index("") + 1 : lines.index("positional arguments:") - 1]
     assert description == [cli.__doc__.splitlines()[0]]
@@ -1458,10 +1460,7 @@ def test_console_script_exit_loses_no_byte(tmp_path, capsys, monkeypatch, case, 
         "validation": analyze_args(clip, tmp_path / "out.csv", qp_range=52),
         "io": analyze_args(tmp_path / "missing.yuv", tmp_path / "out.csv"),
     }[case]
-    try:
-        assert main(argv) == code
-    except SystemExit as exc:  # argparse's exits
-        assert exc.code == code
+    assert main(argv) == code
     expected = (code, *capsys.readouterr())
     child = cli_child(argv)
     out, err = child.communicate(timeout=60)

@@ -1,5 +1,6 @@
 """PSNR and Bjontegaard deltas against closed forms and a trapezoid oracle."""
 
+import codecs
 import csv
 import math
 
@@ -272,6 +273,18 @@ class TestRdCsv:
         head, *rows = data.decode().splitlines(keepends=True)
         spaced = (head + "\n" + "\n".join(rows) + "\n\n").encode()
         assert parse_rd_csv(spaced) == parse_rd_csv(data)
+
+    def test_parse_skips_leading_byte_order_mark(self):
+        # Spreadsheets' "CSV UTF-8" export starts the file with one.
+        data = rd_csv_bytes([("anchor", SAMPLE_CURVES)])
+        assert not data.startswith(codecs.BOM_UTF8)
+        assert parse_rd_csv(codecs.BOM_UTF8 + data) == parse_rd_csv(data)
+
+    def test_parse_names_the_byte_that_is_not_utf8(self):
+        # Decoding as utf-8-sig keeps the wording of a plain UTF-8 decode.
+        message = "^'utf-8' codec can't decode byte 0xff in position 0: invalid start byte$"
+        with pytest.raises(ValueError, match=message):
+            parse_rd_csv(b"\xff")
 
     def test_parse_rejects_wrong_header(self):
         with pytest.raises(ValueError):
