@@ -80,6 +80,7 @@ OTHER = SMALL._replace(name="other-420-8-72x40")  # a second clip of SMALL's geo
 ILLEGAL = Clip("illegal-420-10-72x40", 72, 40, "420", 10)
 ONE = ILLEGAL._replace(name="one-420-10-72x40")
 RAGGED = ILLEGAL._replace(name="ragged-420-10-72x40")
+EMPTY = SMALL._replace(name="empty-420-8-72x40")  # no bytes at all
 ABSENT = f"{CORPUS}/absent.yuv"
 
 
@@ -135,8 +136,11 @@ def rd_csv(label: str, curves: dict) -> bytes:
     return ("\n".join(rows) + "\n").encode()
 
 
+ANCHOR_ROWS = rd_csv("anchor", ANCHOR_CURVES).splitlines(keepends=True)
 RD_FILES = {
     "anchor": rd_csv("anchor", ANCHOR_CURVES),
+    # The header, then anchor's rows in an order sorted by neither QP nor bitrate.
+    "anchor-shuffled": b"".join(ANCHOR_ROWS[:1] + ANCHOR_ROWS[2::2] + ANCHOR_ROWS[1::2]),
     "test": rd_csv("test", {
         "Y": scaled(ANCHOR_CURVES, 1.1)["Y"],
         "Cb": scaled(ANCHOR_CURVES, 0.9, 0.2)["Cb"],
@@ -170,6 +174,7 @@ def build_corpus(corpus: Path) -> None:
     (corpus / f"{ONE.name}.yuv").write_bytes(clip_bytes(ONE, clip_samples(ONE, 1, 102)))
     ragged = clip_bytes(RAGGED, clip_samples(RAGGED, FRAMES, 103))
     (corpus / f"{RAGGED.name}.yuv").write_bytes(ragged[: len(ragged) * 5 // 6])
+    (corpus / f"{EMPTY.name}.yuv").write_bytes(b"")
     for name, data in RD_FILES.items():
         (corpus / f"{name}.csv").write_bytes(data)
 
@@ -269,6 +274,7 @@ BDRATE_PAIRS = {
     "two-labels": ("two-labels", "anchor"),
     "truncated": ("anchor", "truncated"),
     "bom": ("anchor-bom", "test"),
+    "shuffled": ("anchor-shuffled", "test"),
 }
 
 
@@ -318,6 +324,13 @@ def matrix() -> list[Case]:
         Case("late-fault-dump", dump(ILLEGAL, "--output", "old.csv")),
     ]
     cases += [Case(f"fault-{name}", argv) for name, argv in PRECEDENCE.items()]
+    # The frame-range faults that no precedence row reaches, on a readable input.
+    cases += [
+        Case("fault-skip-negative", analyze(SMALL, "--skip", "-1")),
+        Case("fault-frames-zero", analyze(SMALL, "--frames", "0")),
+        Case("fault-skip-beyond", analyze(SMALL, "--skip", str(FRAMES))),
+        Case("fault-no-frames", analyze(EMPTY)),
+    ]
     # As `perceptqp ... >&-`: fd 1 closed when the child starts.
     cases += [
         Case("closed-stdout-analyze", analyze(SMALL, "--output", "old.csv"), closed_stdout=True),

@@ -10,6 +10,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import enum
 import errno
 import os
 import signal
@@ -20,7 +21,7 @@ from contextlib import ExitStack, contextmanager, suppress
 from io import StringIO
 from itertools import chain, combinations
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, NoReturn, TextIO
+from typing import Iterator, NoReturn, TextIO
 
 import numpy as np
 
@@ -35,9 +36,6 @@ from .yuv import (
     probe_frame_count,
     read_frame,
 )
-
-if TYPE_CHECKING:
-    from .metrics import RdCurve
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -90,7 +88,7 @@ def load_frames(path: Path, fmt: VideoFormat, skip: int, frames: int | None) -> 
     """(index, frame) for every selected frame, all decoded at once.
 
     The CLI itself streams through frame_activities; this whole-clip form
-    serves library callers and tests.
+    is kept because the benchmark replay still calls it, as does one test.
     """
     with open(path, "rb") as stream:
         selected = _frame_range(probe_frame_count(stream, fmt), skip, frames)
@@ -431,28 +429,21 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _channel_curves(path: Path) -> dict[str, RdCurve]:
-    from .metrics import RdCurve, parse_rd_csv
-
-    parsed = parse_rd_csv(path.read_bytes())
-    if len(parsed) != 1:
-        raise ValueError(f"{path}: expected a single label, found {sorted(parsed)}")
-    (_, per_channel), = parsed.items()
-    curves = {}
-    for channel, entries in per_channel.items():
-        pairs = sorted((p.bitrate_kbps, p.psnr_db) for _, p in entries)
-        curves[channel] = RdCurve.from_pairs(pairs)
-    return curves
-
-
 def cmd_bdrate(args: argparse.Namespace) -> int:
     # Only this command reads RD curves, so only it loads metrics (and csv).
-    from .metrics import _channel_sort_key, bd_psnr, bd_rate
+    from .metrics import RdCurve, _channel_sort_key, bd_psnr, bd_rate, parse_rd_csv
 
     # No output file: the table is the summary, written only if every channel succeeds.
     with _atomic_outputs([], [args.anchor, args.test]) as (summary, _):
-        anchor = _channel_curves(args.anchor)
-        test = _channel_curves(args.test)
+        anchor: dict[str, RdCurve] = {}
+        test: dict[str, RdCurve] = {}
+        for path, curves in ((args.anchor, anchor), (args.test, test)):
+            parsed = parse_rd_csv(path.read_bytes())
+            if len(parsed) != 1:
+                raise ValueError(f"{path}: expected a single label, found {sorted(parsed)}")
+            (per_channel,) = parsed.values()
+            for channel, entries in per_channel.items():
+                curves[channel] = RdCurve(tuple(sorted(point for _, point in entries)))
         shared = sorted(set(anchor) & set(test), key=_channel_sort_key)
         if not shared:
             raise ValueError(f"no common channels: anchor has {sorted(anchor)}, test has {sorted(test)}")
@@ -477,22 +468,27 @@ def cmd_dump_activity(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _values(members: type[enum.Enum]) -> list[str]:
+    """An enum's values in definition order: the CLI words for its members."""
+    return [member.value for member in members]
+
+
 def _add_clip_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", type=Path, required=True, help="raw planar YCbCr file")
     parser.add_argument("--width", type=int, required=True)
     parser.add_argument("--height", type=int, required=True)
-    parser.add_argument("--bit-depth", type=int, choices=(8, 10), default=8)
-    parser.add_argument("--chroma", choices=("444", "422", "420"), default="420")
+    parser.add_argument("--bit-depth", type=int, choices=(8, 10), default=VideoFormat.bit_depth)
+    parser.add_argument("--chroma", choices=_values(ChromaFormat), default=VideoFormat.chroma_format.value)
     parser.add_argument("--frames", type=int, default=None, help="frames to process (default: all)")
     parser.add_argument("--skip", type=int, default=0, help="frames to skip from the start")
-    parser.add_argument("--cu-size", type=int, choices=CU_SIZES, default=64)
+    parser.add_argument("--cu-size", type=int, choices=CU_SIZES, default=QpConfig.cu_size)
     parser.add_argument("--output", type=Path, required=True)
 
 
 def _add_qp_args(parser: argparse.ArgumentParser, suffix: str = "") -> None:
-    parser.add_argument(f"--mode{suffix}", choices=("adaptiveqp", "cbaq"), required=True)
-    parser.add_argument(f"--t-mode{suffix}", choices=("luma", "cross"), default="cross")
-    parser.add_argument(f"--rounding{suffix}", choices=("nearest", "ceiling"), default="nearest")
+    parser.add_argument(f"--mode{suffix}", choices=_values(Mode), required=True)
+    parser.add_argument(f"--t-mode{suffix}", choices=_values(TMode), default=QpConfig.t_mode.value)
+    parser.add_argument(f"--rounding{suffix}", choices=_values(Rounding), default=QpConfig.rounding.value)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -512,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="emit a per-CU QP map for each frame")
     _add_clip_args(analyze)
     analyze.add_argument("--qp", type=int, required=True, help="slice QP the deltas adapt around")
-    analyze.add_argument("--qp-range", type=int, default=6)
+    analyze.add_argument("--qp-range", type=int, default=QpConfig.qp_range)
     _add_qp_args(analyze)
     analyze.add_argument("--format", choices=("csv", "json"), default="csv")
     analyze.add_argument("--dump-activity", type=Path, default=None, metavar="PATH")
@@ -522,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_clip_args(compare)
     compare.add_argument("--input-b", type=Path, default=None, help="second clip (default: --input)")
     compare.add_argument("--qp", type=int, required=True)
-    compare.add_argument("--qp-range", type=int, default=6)
+    compare.add_argument("--qp-range", type=int, default=QpConfig.qp_range)
     _add_qp_args(compare, "-a")
     _add_qp_args(compare, "-b")
     compare.set_defaults(func=cmd_compare)

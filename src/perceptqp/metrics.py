@@ -18,9 +18,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .yuv import Plane
+from .yuv import Channel, Plane
 
-CHANNEL_ORDER = ("Y", "Cb", "Cr")
+CHANNEL_ORDER = tuple(channel.value for channel in Channel)
 RD_CSV_HEADER = ("label", "channel", "qp", "bitrate_kbps", "psnr_db")
 
 # PSNR overlaps narrower than this are useless for integration.
@@ -35,9 +35,9 @@ class DegenerateCurveError(ValueError):
     """Curve points do not form a strictly monotone rate-quality sweep."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class RdPoint:
-    """One rate-distortion measurement."""
+    """One rate-distortion measurement, ordered by bitrate, then PSNR."""
 
     bitrate_kbps: float
     psnr_db: float

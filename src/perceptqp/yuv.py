@@ -137,7 +137,7 @@ class Plane:
         )
 
 
-@dataclass(eq=False)
+@dataclass
 class Frame:
     """A decoded frame: three planes plus the format they were declared with."""
 
@@ -153,16 +153,6 @@ class Frame:
             if got != expect:
                 raise YuvError(f"{channel.value} plane is {got}, format implies {expect}")
             _check_range(channel, self.format, int(plane.data.min()), int(plane.data.max()))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Frame):
-            return NotImplemented
-        return (
-            self.format == other.format
-            and self.y == other.y
-            and self.cb == other.cb
-            and self.cr == other.cr
-        )
 
 
 def _check_range(channel: Channel, fmt: VideoFormat, lo: int, hi: int) -> None:

@@ -150,10 +150,22 @@ class TestAnalyze:
         assert lines[1] == "frame,cu_x,cu_y,l,b,d,t_luma,t_cross"
         assert lines[2] == "0,0,0,1.0,1.0,1.0,1.0,3.0"
 
-    def test_skip_beyond_input_is_validation_error(self, tmp_path, capsys):
-        clip = constant_clip(tmp_path / "in.yuv", count=2)
-        assert main(analyze_args(clip, tmp_path / "o.csv", skip=2)) == EXIT_VALIDATION
-        capsys.readouterr()
+    @pytest.mark.parametrize(
+        "count, flags, line",
+        [
+            (3, {"skip": -1}, "error: --skip must be >= 0, got -1"),
+            (3, {"frames": 0}, "error: --frames must be >= 1, got 0"),
+            (3, {"skip": 3}, "error: --skip 3 is beyond the 3-frame input"),
+            (3, {"skip": 1, "frames": 3}, "error: requested frames 1..3 but input has only 3"),
+            (0, {}, "error: input holds no complete frames"),
+        ],
+        ids=["skip-negative", "frames-zero", "skip-beyond", "range-beyond", "no-frames"],
+    )
+    def test_frame_range_fault_is_one_error_line(self, tmp_path, capsys, count, flags, line):
+        clip = constant_clip(tmp_path / "in.yuv", count=count)
+        assert main(analyze_args(clip, tmp_path / "o.csv", **flags)) == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", line + "\n")
+        assert [path.name for path in tmp_path.iterdir()] == ["in.yuv"]
 
     def test_missing_required_flag_is_usage_error(self, tmp_path, capsys):
         assert main(["analyze", "--input", "x.yuv"]) == EXIT_USAGE
@@ -337,7 +349,7 @@ def count_plane_passes(monkeypatch):
     return calls
 
 
-class TestPlanePlan:
+class TestHalvesPerFrame:
     """Each frame works out its own halves: x and y for luma, and x and y both chroma planes share."""
 
     @pytest.mark.parametrize(
@@ -552,6 +564,14 @@ CB_APART = {
     "Y": SAMPLE_CURVES["Y"],
     "Cb": [(qp, RdPoint(p.bitrate_kbps, p.psnr_db + 100.0)) for qp, p in SAMPLE_CURVES["Cb"]],
 }
+# Rewrites of an RD CSV's (header, rows) that keep its table: rd_csv_bytes writes rows by QP.
+ANCHOR_REWRITES = {
+    # As a spreadsheet's "CSV UTF-8" export writes it.
+    "bom": lambda header, rows: [codecs.BOM_UTF8 + header, *rows],
+    # Sorted by neither QP nor bitrate.
+    "shuffled": lambda header, rows: [header, *rows[1::2], *rows[::2]],
+    "rising-bitrate": lambda header, rows: [header, *sorted(rows, key=lambda row: float(row.split(b",")[3]))],
+}
 # The RD CSVs test_first_fault_in_precedence_order_wins writes. Y rates 600
 # decades apart overflow the BD-Rate ratio and leave Y's BD-PSNR, computed
 # next, no shared rate span; Cb, computed after Y, has no shared PSNR span.
@@ -575,14 +595,17 @@ class TestBdrateCommand:
             assert float(rate) == pytest.approx(0.0, abs=1e-6)
             assert float(quality) == pytest.approx(0.0, abs=1e-6)
 
-    def test_byte_order_mark_gives_the_same_table(self, tmp_path, capsys):
+    @pytest.mark.parametrize("rewrite", ANCHOR_REWRITES.values(), ids=ANCHOR_REWRITES)
+    def test_rewritten_anchor_gives_the_same_table(self, tmp_path, capsys, rewrite):
         anchor = rd_file(tmp_path, "anchor", SAMPLE_CURVES)
         test = rd_file(tmp_path, "test", scaled_points(SAMPLE_CURVES, 1.10))
         assert main(bdrate_args(anchor, test)) == EXIT_OK
         plain = capsys.readouterr()
-        bom = tmp_path / "anchor-bom.csv"
-        bom.write_bytes(codecs.BOM_UTF8 + anchor.read_bytes())
-        assert main(bdrate_args(bom, test)) == EXIT_OK
+        header, *rows = anchor.read_bytes().splitlines(keepends=True)
+        rewritten = tmp_path / "rewritten.csv"
+        rewritten.write_bytes(b"".join(rewrite(header, rows)))
+        assert rewritten.read_bytes() != anchor.read_bytes()
+        assert main(bdrate_args(rewritten, test)) == EXIT_OK
         assert capsys.readouterr() == plain
 
     def test_ten_percent_rate_increase(self, tmp_path, capsys):

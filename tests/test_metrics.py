@@ -116,6 +116,12 @@ class TestCurveValidation:
         assert ANCHOR.rates.tolist() == [1000.0, 2000.0, 4000.0, 8000.0]
         assert ANCHOR.psnrs.tolist() == [30.0, 33.0, 35.0, 36.5]
 
+    def test_points_sort_by_bitrate_then_psnr(self):
+        points = [RdPoint(2000.0, 33.0), RdPoint(1000.0, 35.0), RdPoint(2000.0, 31.0), RdPoint(1000.0, 30.0)]
+        assert sorted(points) == [
+            RdPoint(1000.0, 30.0), RdPoint(1000.0, 35.0), RdPoint(2000.0, 31.0), RdPoint(2000.0, 33.0)
+        ]
+
 
 class TestBdRate:
     def test_self_comparison_is_zero(self):

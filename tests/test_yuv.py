@@ -366,3 +366,30 @@ class TestFrameValidation:
         bad = Plane(np.full((2, 2), -1, dtype=np.int32))
         with pytest.raises(SampleRangeError):
             Frame(good, good, bad, fmt)
+
+
+class TestFrameEquality:
+    """Frames compare by their planes' samples and their format, and are unhashable."""
+
+    FMT = VideoFormat(2, 2, 8, ChromaFormat.YUV444)
+
+    def test_one_changed_cr_sample_is_unequal(self):
+        frame = random_frame(self.FMT, seed=3)
+        cr = frame.cr.data.copy()
+        cr[1, 1] ^= 1
+        assert frame != Frame(frame.y, frame.cb, Plane(cr), self.FMT)
+
+    def test_same_planes_under_another_format_are_unequal(self):
+        frame = random_frame(self.FMT, seed=3)
+        ten_bit = Frame(frame.y, frame.cb, frame.cr, VideoFormat(2, 2, 10, ChromaFormat.YUV444))
+        assert frame != ten_bit
+        assert frame == Frame(frame.y, frame.cb, frame.cr, self.FMT)
+
+    @pytest.mark.parametrize("other", [1, None, "frame"])
+    def test_never_equals_a_non_frame(self, other):
+        frame = random_frame(self.FMT, seed=3)
+        assert frame != other and not frame == other
+
+    def test_frame_is_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(random_frame(self.FMT, seed=3))
