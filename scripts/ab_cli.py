@@ -76,8 +76,12 @@ SMALL = CLIPS[0]  # 4:2:0, 8-bit, 72x40
 LARGE = CLIPS[9]  # 4:2:2, 10-bit, 200x130
 OTHER = SMALL._replace(name="other-420-8-72x40")  # a second clip of SMALL's geometry
 # 10-bit 4:2:0 72x40: ILLEGAL's last Cr sample of its last frame is 1024;
+# MIN_EARLIER's first frame has a luma plane running from 0 in its first sample
+# to 1024 in its last, and NO_LEGAL's first frame a Cr plane of 1024s only;
 # ONE holds one frame; RAGGED ends half way through its third frame.
 ILLEGAL = Clip("illegal-420-10-72x40", 72, 40, "420", 10)
+MIN_EARLIER = ILLEGAL._replace(name="min-earlier-420-10-72x40")
+NO_LEGAL = ILLEGAL._replace(name="no-legal-420-10-72x40")
 ONE = ILLEGAL._replace(name="one-420-10-72x40")
 RAGGED = ILLEGAL._replace(name="ragged-420-10-72x40")
 EMPTY = SMALL._replace(name="empty-420-8-72x40")  # no bytes at all
@@ -171,6 +175,13 @@ def build_corpus(corpus: Path) -> None:
     illegal = clip_samples(ILLEGAL, FRAMES, 101)
     illegal[-1] = 1024
     (corpus / f"{ILLEGAL.name}.yuv").write_bytes(clip_bytes(ILLEGAL, illegal))
+    luma, chroma = (rows * cols for rows, cols in plane_shapes(ILLEGAL)[:2])
+    min_earlier = clip_samples(MIN_EARLIER, FRAMES, 104)
+    min_earlier[[0, luma - 1]] = 0, 1024
+    (corpus / f"{MIN_EARLIER.name}.yuv").write_bytes(clip_bytes(MIN_EARLIER, min_earlier))
+    no_legal = clip_samples(NO_LEGAL, FRAMES, 105)
+    no_legal[luma + chroma : luma + 2 * chroma] = 1024
+    (corpus / f"{NO_LEGAL.name}.yuv").write_bytes(clip_bytes(NO_LEGAL, no_legal))
     (corpus / f"{ONE.name}.yuv").write_bytes(clip_bytes(ONE, clip_samples(ONE, 1, 102)))
     ragged = clip_bytes(RAGGED, clip_samples(RAGGED, FRAMES, 103))
     (corpus / f"{RAGGED.name}.yuv").write_bytes(ragged[: len(ragged) * 5 // 6])
@@ -330,6 +341,11 @@ def matrix() -> list[Case]:
         Case("fault-frames-zero", analyze(SMALL, "--frames", "0")),
         Case("fault-skip-beyond", analyze(SMALL, "--skip", str(FRAMES))),
         Case("fault-no-frames", analyze(EMPTY)),
+    ]
+    # The range error's min from an earlier strip than its max, and from a plane with no legal sample.
+    cases += [
+        Case("fault-sample-min-earlier", analyze(MIN_EARLIER)),
+        Case("fault-sample-no-legal", analyze(NO_LEGAL)),
     ]
     # As `perceptqp ... >&-`: fd 1 closed when the child starts.
     cases += [

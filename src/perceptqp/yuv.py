@@ -195,20 +195,17 @@ def read_strips(
     heights must sum to the plane's height. Each strip is a (rows, width)
     view of one reused buffer of the native dtype, sized for the tallest
     strip, so a strip is valid only until the next one is requested; copy
-    it to keep it. A short read raises TruncatedInputError naming the frame.
-    Each 10-bit strip is checked by its max alone, the only extreme that can
-    be illegal. Once the plane is read, an illegal max raises
-    SampleRangeError with Frame's message; its min, which only words that
-    message, comes from seeking back over the plane and re-reading it into
-    the same buffer. So the stream must be seekable, as the tell() that
-    names a truncated frame already requires. The stream is left at the end
-    of the plane unless an error is raised.
+    it to keep it. A short read raises TruncatedInputError naming the frame
+    from tell(), so the stream must be seekable. Each 10-bit strip's min and
+    max are kept, and after the last strip an illegal one raises
+    SampleRangeError with Frame's message. The stream is left at the plane's
+    end unless a short read raises.
     """
     width, _ = plane_dims(fmt, channel)
     stored = np.empty(max(heights) * width, dtype=_storage_dtype(fmt))
     # Only a dtype wider than the bit depth can hold an illegal sample; a uint8 one cannot.
     checked = np.iinfo(fmt.dtype).max > fmt.max_sample
-    hi = 0
+    lo, hi = np.iinfo(fmt.dtype).max, 0
     done = 0
     for rows in heights:
         part = stored[: rows * width]
@@ -224,15 +221,9 @@ def read_strips(
         # a big-endian host, where the stored little-endian words must be swapped.
         strip = part.astype(fmt.dtype, copy=False).reshape(rows, width)
         if checked:
-            hi = max(hi, int(strip.max()))
+            lo, hi = min(lo, int(strip.min())), max(hi, int(strip.max()))
         yield strip
-    if hi > fmt.max_sample:
-        source.seek(-done, io.SEEK_CUR)
-        lo = hi
-        for rows in heights:
-            part = stored[: rows * width]
-            source.readinto(part.view(np.uint8))
-            lo = min(lo, int(part.min()))
+    if checked:
         _check_range(channel, fmt, lo, hi)
 
 

@@ -166,43 +166,65 @@ class SeekCounter(io.BytesIO):
         return super().seek(*args)
 
 
+class Unseekable(io.BytesIO):
+    """A stream that cannot seek, as a pipe cannot; tell() still counts the bytes read."""
+
+    seeks = 0
+
+    def seekable(self):
+        return False
+
+    def seek(self, *args):
+        raise io.UnsupportedOperation("seek")
+
+
 class TestReadStrips:
-    """A 10-bit plane is checked by its max; its min is re-read only to word an error."""
+    """A 10-bit plane is read once, forward only: each strip's min and max are kept, then checked."""
 
     FMT = VideoFormat(4, 6, 10, ChromaFormat.YUV444)
 
-    def read(self, words):
-        """The strips of a 4x6 Y plane of the given words, copied, and the stream they came from."""
-        stream = SeekCounter(np.asarray(words, dtype="<u2").tobytes() + b"tail")
-        return [strip.copy() for strip in read_strips(stream, self.FMT, Channel.Y, [2, 2, 2])], stream
+    @staticmethod
+    def stream(source, words):
+        """A source holding a 4x6 Y plane of the given words, then a tail the read must not touch."""
+        return source(np.asarray(words, dtype="<u2").tobytes() + b"tail")
 
-    def test_min_in_an_earlier_strip_than_the_illegal_sample(self):
+    def read(self, stream):
+        return [strip.copy() for strip in read_strips(stream, self.FMT, Channel.Y, [2, 2, 2])]
+
+    def assert_illegal(self, source, words, saw):
+        stream = self.stream(source, words)
+        with pytest.raises(SampleRangeError) as raised:
+            self.read(stream)
+        assert str(raised.value) == f"Y sample out of range 0..1023 (saw {saw})"
+        assert (stream.seeks, stream.tell()) == (0, 48)
+
+    @pytest.mark.parametrize("source", [SeekCounter, Unseekable])
+    def test_min_in_an_earlier_strip_than_the_illegal_sample(self, source):
         words = np.full(24, 512)
         words[1] = 3  # first strip
         words[-1] = 1024  # last strip
-        with pytest.raises(SampleRangeError) as raised:
-            self.read(words)
-        assert str(raised.value) == "Y sample out of range 0..1023 (saw 3..1024)"
+        self.assert_illegal(source, words, "3..1024")
 
-    def test_strips_are_yielded_before_the_error(self):
+    @pytest.mark.parametrize("source", [SeekCounter, Unseekable])
+    def test_strips_are_yielded_before_the_error(self, source):
         words = np.arange(24) + 1001
-        stream = io.BytesIO(words.astype("<u2").tobytes())
+        stream = self.stream(source, words)
         strips = read_strips(stream, self.FMT, Channel.Y, [2, 2, 2])
         drawn = [next(strips).tolist() for _ in range(3)]
         assert drawn == words.reshape(3, 2, 4).tolist()
-        with pytest.raises(SampleRangeError, match=r"\(saw 1001\.\.1024\)"):
+        with pytest.raises(SampleRangeError, match=r"\(saw 1001\.\.1024\)$"):
             next(strips)
+        assert (stream.seeks, stream.tell()) == (0, 48)
 
-    def test_plane_without_a_legal_sample_words_its_own_min(self):
-        with pytest.raises(SampleRangeError) as raised:
-            self.read(np.full(24, 1024))
-        assert str(raised.value) == "Y sample out of range 0..1023 (saw 1024..1024)"
+    @pytest.mark.parametrize("source", [SeekCounter, Unseekable])
+    def test_plane_without_a_legal_sample_words_its_own_min(self, source):
+        self.assert_illegal(source, np.full(24, 1024), "1024..1024")
 
     def test_legal_plane_is_read_once_and_left_at_its_end(self):
         words = np.full(24, 512)
         words[[1, -1]] = 0, 1023
-        strips, stream = self.read(words)
-        assert np.concatenate(strips).ravel().tolist() == words.tolist()
+        stream = self.stream(SeekCounter, words)
+        assert np.concatenate(self.read(stream)).ravel().tolist() == words.tolist()
         assert (stream.seeks, stream.tell()) == (0, 48)
 
 
