@@ -164,6 +164,10 @@ RD_FILES = {
     "truncated": rd_csv("anchor", ANCHOR_CURVES)[:100],
     # As a spreadsheet's "CSV UTF-8" export writes it.
     "anchor-bom": codecs.BOM_UTF8 + rd_csv("anchor", ANCHOR_CURVES),
+    # The anchor with its first bitrate not a number.
+    "bad-rate": rd_csv("anchor", ANCHOR_CURVES).replace(b",8000.0,", b",x,"),
+    # Y's top-rate point below the others' PSNR.
+    "y-not-monotone": rd_csv("bumpy", {"Y": ANCHOR_CURVES["Y"][1:] + [(22, 8000.0, 29.0)]}),
 }
 
 
@@ -286,6 +290,8 @@ BDRATE_PAIRS = {
     "truncated": ("anchor", "truncated"),
     "bom": ("anchor-bom", "test"),
     "shuffled": ("anchor-shuffled", "test"),
+    "bad-rate": ("bad-rate", "test"),
+    "y-not-monotone": ("anchor", "y-not-monotone"),
 }
 
 

@@ -53,8 +53,8 @@ def main():
     parser.add_argument("--output", type=Path, required=True)
     parser.add_argument("--width", type=int, default=176)
     parser.add_argument("--height", type=int, default=144)
-    parser.add_argument("--bit-depth", type=int, choices=(8, 10), default=8)
-    parser.add_argument("--chroma", choices=("444", "422", "420"), default="420")
+    parser.add_argument("--bit-depth", type=int, choices=(8, 10), default=VideoFormat.bit_depth)
+    parser.add_argument("--chroma", choices=[c.value for c in ChromaFormat], default=VideoFormat.chroma_format.value)
     parser.add_argument("--frames", type=int, default=10)
     parser.add_argument("--pattern", choices=sorted(PATTERNS), default="mixed")
     parser.add_argument("--seed", type=int, default=0)

@@ -19,7 +19,7 @@ import sys
 from collections import Counter
 from contextlib import ExitStack, contextmanager, suppress
 from io import StringIO
-from itertools import chain, combinations
+from itertools import chain, combinations, count, repeat
 from pathlib import Path
 from typing import Iterator, NoReturn, TextIO
 
@@ -259,29 +259,32 @@ def _echo_comment(tag: str, items: list[tuple[str, object]]) -> str:
 # tail; the commands write the pieces as frames arrive, and the whole-clip
 # renderers below join the same pieces. A piece is one chunk of text per CU
 # row, rendered from that row of the frame's (rows, cols) arrays, so no
-# frame's text, and no frame's values as Python objects, is held at once. A
-# CSV row starts with "frame,cu_x,cu_y,": the frame's column heads
-# "frame,cu_x," are built once per frame, and each row adds its "cu_y,".
+# frame's text, and no frame's values as Python objects, is held at once.
 
 
-def _row_heads(index: int, shape: tuple[int, int], cu_size: int) -> tuple[list[str], list[str]]:
-    """The "frame,cu_x," of every CU column of a frame, and the "cu_y," of every CU row, in luma samples.
+def _csv_head(tag: str, items: list[tuple[str, object]], columns: str) -> str:
+    return f"{_echo_comment(tag, items)}\nframe,cu_x,cu_y,{columns}\n"
 
-    Built from an analysed frame's grid, never from the flags alone, so a
+
+def _csv_frame(index: int, cu_size: int, grids: list[np.ndarray], tail: str = "\n") -> Iterator[str]:
+    """One chunk per CU row: each CU's "frame,cu_x,cu_y,", the repr of its value in each grid, then tail.
+
+    The grids are (rows, cols) arrays of one shape. Every CSV data row the
+    CLI writes comes from here. The "frame,cu_x," heads are built once per
+    frame from the analysed grid's shape, never from the flags, so a
     geometry the input does not hold is refused before it costs memory.
     """
-    rows, cols = shape
-    return [f"{index},{x * cu_size}," for x in range(cols)], [f"{y * cu_size}," for y in range(rows)]
+    heads = [f"{index},{x * cu_size}," for x in range(grids[0].shape[1])]
+    for y, *rows in zip(count(0, cu_size), *grids):
+        fields = [heads, repeat(f"{y},")]
+        for row in rows:
+            fields += [map(repr, row.tolist()), repeat(",")]
+        fields[-1] = repeat(tail)
+        yield "".join(chain.from_iterable(zip(*fields)))
 
 
 def _qp_csv_head(fmt: VideoFormat, config: QpConfig) -> str:
-    return _echo_comment("qp-map", _echo_items(fmt, config)) + "\nframe,cu_x,cu_y,qp\n"
-
-
-def _qp_csv_frame(index: int, qps: np.ndarray, cu_size: int) -> Iterator[str]:
-    heads, ys = _row_heads(index, qps.shape, cu_size)
-    for y, row in zip(ys, qps):
-        yield "".join([f"{h}{y}{qp}\n" for h, qp in zip(heads, row.tolist())])
+    return _csv_head("qp-map", _echo_items(fmt, config), "qp")
 
 
 # Pieces of json.dumps({"config": ..., "frames": [...]}, indent=2) + "\n",
@@ -314,36 +317,12 @@ def _qp_json_frame(index: int, qps: np.ndarray) -> Iterator[str]:
 
 
 def _activity_csv_head(fmt: VideoFormat, cu_size: int) -> str:
-    echo = _echo_comment("activity", _echo_items(fmt, None) + [("cu_size", cu_size)])
-    return echo + "\nframe,cu_x,cu_y,l,b,d,t_luma,t_cross\n"
+    items = _echo_items(fmt, None) + [("cu_size", cu_size)]
+    return _csv_head("activity", items, "l,b,d,t_luma,t_cross")
 
 
 def _activity_csv_frame(index: int, act: ActivityArrays, cu_size: int) -> Iterator[str]:
-    tail = f",{act.t_luma!r},{act.t_cross!r}\n"
-    heads, ys = _row_heads(index, act.luma.shape, cu_size)
-    for y, *rows in zip(ys, act.luma, act.cb, act.cr):
-        values = zip(heads, *(row.tolist() for row in rows))
-        yield "".join([f"{h}{y}{l!r},{b!r},{d!r}{tail}" for h, l, b, d in values])
-
-
-def _compare_head(fmt: VideoFormat, config_a: QpConfig, config_b: QpConfig) -> str:
-    items = _echo_items(fmt, None) + [
-        ("cu_size", config_a.cu_size),
-        ("qp", config_a.slice_qp),
-        ("qp_range", config_a.qp_range),
-        ("mode_a", config_a.mode.value),
-        ("mode_b", config_b.mode.value),
-    ]
-    return _echo_comment("compare", items) + "\nframe,cu_x,cu_y,qp_a,qp_b,delta\n"
-
-
-def _compare_frame(
-    index: int, qps_a: np.ndarray, qps_b: np.ndarray, cu_size: int
-) -> Iterator[str]:
-    heads, ys = _row_heads(index, qps_a.shape, cu_size)
-    for y, row_a, row_b in zip(ys, qps_a, qps_b):
-        values = zip(heads, row_a.tolist(), row_b.tolist())
-        yield "".join([f"{h}{y}{a},{b},{b - a}\n" for h, a, b in values])
+    return _csv_frame(index, cu_size, [act.luma, act.cb, act.cr], f",{act.t_luma!r},{act.t_cross!r}\n")
 
 
 # The whole-clip renderers take what the library's two passes return and
@@ -352,7 +331,7 @@ def _compare_frame(
 
 def qp_maps_csv(maps: list[QpMap], fmt: VideoFormat) -> str:
     size = maps[0].config.cu_size
-    chunks = chain.from_iterable(_qp_csv_frame(m.frame_index, np.array(m.qps), size) for m in maps)
+    chunks = chain.from_iterable(_csv_frame(m.frame_index, size, [np.array(m.qps)]) for m in maps)
     return _qp_csv_head(fmt, maps[0].config) + "".join(chunks)
 
 
@@ -391,7 +370,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             qps = qp_grid(config, act)
             if frames:
                 out.write(sep)
-            out.writelines(_qp_json_frame(index, qps) if as_json else _qp_csv_frame(index, qps, size))
+            out.writelines(_qp_json_frame(index, qps) if as_json else _csv_frame(index, size, [qps]))
             if dump is not None:
                 dump.writelines(_activity_csv_frame(index, act, size))
             frames += 1
@@ -418,15 +397,32 @@ def cmd_compare(args: argparse.Namespace) -> int:
     with _atomic_outputs([args.output], inputs) as (summary, (out,)):
         # The QP rules are pure functions of the activity, so one input needs one pass.
         chroma = Mode.CBAQ in (config_a.mode, config_b.mode)
-        out.write(_compare_head(fmt, config_a, config_b))
+        items = _echo_items(fmt, None) + [
+            ("cu_size", config_a.cu_size),
+            ("qp", config_a.slice_qp),
+            ("qp_range", config_a.qp_range),
+            ("mode_a", config_a.mode.value),
+            ("mode_b", config_b.mode.value),
+        ]
+        out.write(_csv_head("compare", items, "qp_a,qp_b,delta"))
         for index, acts in frame_activities(inputs, fmt, args, chroma):
             qps_a, qps_b = qp_grid(config_a, acts[0]), qp_grid(config_b, acts[-1])
-            out.writelines(_compare_frame(index, qps_a, qps_b, args.cu_size))
-            deltas, counts = np.unique(qps_b - qps_a, return_counts=True)
-            histogram.update(dict(zip(deltas.tolist(), counts.tolist())))
+            deltas = qps_b - qps_a
+            out.writelines(_csv_frame(index, args.cu_size, [qps_a, qps_b, deltas]))
+            values, counts = np.unique(deltas, return_counts=True)
+            histogram.update(dict(zip(values.tolist(), counts.tolist())))
         for delta in sorted(histogram):
             print(f"delta={delta:+d} count={histogram[delta]}", file=summary)
     return EXIT_OK
+
+
+@contextmanager
+def _named(name: str) -> Iterator[None]:
+    """Put "name: " before the message of any ValueError the block raises."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def cmd_bdrate(args: argparse.Namespace) -> int:
@@ -438,19 +434,22 @@ def cmd_bdrate(args: argparse.Namespace) -> int:
         anchor: dict[str, RdCurve] = {}
         test: dict[str, RdCurve] = {}
         for path, curves in ((args.anchor, anchor), (args.test, test)):
-            parsed = parse_rd_csv(path.read_bytes())
-            if len(parsed) != 1:
-                raise ValueError(f"{path}: expected a single label, found {sorted(parsed)}")
-            (per_channel,) = parsed.values()
-            for channel, entries in per_channel.items():
-                curves[channel] = RdCurve(tuple(sorted(point for _, point in entries)))
+            with _named(str(path)):
+                parsed = parse_rd_csv(path.read_bytes())
+                if len(parsed) != 1:
+                    raise ValueError(f"expected a single label, found {sorted(parsed)}")
+                (per_channel,) = parsed.values()
+                for channel, entries in per_channel.items():
+                    with _named(f"channel {channel}"):
+                        curves[channel] = RdCurve(tuple(sorted(point for _, point in entries)))
         shared = sorted(set(anchor) & set(test), key=_channel_sort_key)
         if not shared:
             raise ValueError(f"no common channels: anchor has {sorted(anchor)}, test has {sorted(test)}")
         print("channel,bd_rate_pct,bd_psnr_db", file=summary)
         for channel in shared:
-            rate = bd_rate(anchor[channel], test[channel])
-            quality = bd_psnr(anchor[channel], test[channel])
+            with _named(f"channel {channel}"):
+                rate = bd_rate(anchor[channel], test[channel])
+                quality = bd_psnr(anchor[channel], test[channel])
             print(f"{channel},{rate:.6f},{quality:.6f}", file=summary)
     return EXIT_OK
 

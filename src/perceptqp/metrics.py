@@ -217,6 +217,9 @@ def parse_rd_csv(data: bytes) -> dict[str, dict[str, list[tuple[int, RdPoint]]]]
         if len(row) != len(RD_CSV_HEADER):
             raise ValueError(f"bad RD CSV row {row}")
         label, channel, qp, rate, quality = row
-        entries = parsed.setdefault(label, {}).setdefault(channel, [])
-        entries.append((int(qp), RdPoint(float(rate), float(quality))))
+        try:
+            entry = (int(qp), RdPoint(float(rate), float(quality)))
+        except ValueError as exc:
+            raise ValueError(f"bad RD CSV row {row}: {exc}") from None
+        parsed.setdefault(label, {}).setdefault(channel, []).append(entry)
     return parsed

@@ -34,7 +34,7 @@ def test_one_byte_in_a_renderer_is_reported(tmp_path):
     shutil.copytree(os.path.join(ROOT, "src", "perceptqp"), copy, ignore=shutil.ignore_patterns("__pycache__"))
     cli = copy / "cli.py"
     source = cli.read_text()
-    row = 'yield "".join([f"{h}{y}{qp}\\n" for h, qp in zip(heads, row.tolist())])'
+    row = 'tail: str = "\\n"'
     assert source.count(row) == 1
     # Each QP CSV row ends in \r, not \n, in the copy.
     cli.write_text(source.replace(row, row.replace("\\n", "\\r")))

@@ -24,6 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perceptqp import (
+    CU_SIZES,
     QP_MAX,
     QP_MIN,
     Channel,
@@ -510,9 +511,9 @@ PRECEDENCE = [
     ("bdrate-anchor-unopenable", lambda f: bdrate_args(f["absent"], f["clip"]),
      EXIT_IO, f"i/o error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}"),
     ("bdrate-anchor-rd-csv", lambda f: bdrate_args(f["three-points"], f["absent"]),
-     EXIT_VALIDATION, "error: need at least 4 points"),
+     EXIT_VALIDATION, "three-points.csv: channel Y: need at least 4 points"),
     ("bdrate-channel-order", lambda f: bdrate_args(f["y-low"], f["y-high"]),
-     EXIT_VALIDATION, "error: BD-Rate is inf"),
+     EXIT_VALIDATION, "error: channel Y: BD-Rate is inf"),
 ]
 
 
@@ -581,6 +582,23 @@ PRECEDENCE_RD_RUNS = {
     "y-high": {**scaled_points({"Y": SAMPLE_CURVES["Y"]}, 1e300), "Cb": CB_APART["Cb"]},
 }
 
+# Faults inside one RD CSV of SAMPLE_CURVES: the file that holds it, a rewrite
+# of its bytes, and the error line's message after the file's path.
+RD_FILE_FAULTS = {
+    "bitrate-x": ("anchor", lambda data: data.replace(b",8000.0,", b",x,"),
+                  "bad RD CSV row ['anchor', 'Y', '22', 'x', '36.5']:"
+                  " could not convert string to float: 'x'"),
+    "qp-not-int": ("anchor", lambda data: data.replace(b",22,8000.0,", b",2.5,8000.0,"),
+                   "bad RD CSV row ['anchor', 'Y', '2.5', '8000.0', '36.5']:"
+                   " invalid literal for int() with base 10: '2.5'"),
+    # The top-rate point drops below the others' PSNR.
+    "y-not-monotone": ("anchor", lambda data: data.replace(b",8000.0,36.5", b",8000.0,29.0"),
+                       "channel Y: points must increase strictly in both bitrate and PSNR"),
+    # The last row, Cb at QP 37, dropped.
+    "cb-three-points": ("test", lambda data: b"".join(data.splitlines(keepends=True)[:-1]),
+                        "channel Cb: need at least 4 points for a cubic fit, got 3"),
+}
+
 
 class TestBdrateCommand:
     def test_identical_curves_report_zero(self, tmp_path, capsys):
@@ -628,7 +646,7 @@ class TestBdrateCommand:
         )
         args = bdrate_args(anchor, test)
         assert main(args) == EXIT_VALIDATION
-        assert capsys.readouterr().err.startswith("error: BD-Rate")
+        assert capsys.readouterr().err.startswith("error: channel Y: BD-Rate")
 
     def test_huge_psnrs_are_validation_error_without_lapack_noise(self, tmp_path, capfd):
         anchor, test = (
@@ -650,7 +668,8 @@ class TestBdrateCommand:
         assert main(bdrate_args(anchor, test)) == EXIT_VALIDATION
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("error: curves do not overlap: the anchor spans [") and err.count("\n") == 1
+        assert err.startswith("error: channel Cb: curves do not overlap: the anchor spans [")
+        assert err.count("\n") == 1
 
     def test_oversized_field_is_validation_error(self, tmp_path, capfd):
         label = "x" * (csv.field_size_limit() + 1)
@@ -659,7 +678,14 @@ class TestBdrateCommand:
         assert main(bdrate_args(anchor, anchor)) == EXIT_VALIDATION
         out, err = capfd.readouterr()
         assert out == ""
-        assert err.startswith("error: bad RD CSV") and err.count("\n") == 1
+        assert err.startswith(f"error: {anchor}: bad RD CSV") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("role, rewrite, message", RD_FILE_FAULTS.values(), ids=RD_FILE_FAULTS)
+    def test_fault_in_one_file_names_it(self, tmp_path, capsys, role, rewrite, message):
+        paths = {name: rd_file(tmp_path, name, SAMPLE_CURVES) for name in ("anchor", "test")}
+        paths[role].write_bytes(rewrite(paths[role].read_bytes()))
+        assert main(bdrate_args(paths["anchor"], paths["test"])) == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", f"error: {paths[role]}: {message}\n")
 
     def test_no_common_channel_is_validation_error(self, tmp_path, capsys):
         anchor = rd_file(tmp_path, "anchor", {"Y": SAMPLE_CURVES["Y"]})
@@ -1315,6 +1341,43 @@ def test_json_frame_equals_json_dumps(index, qps):
     rows, cols = qps.shape
     frame = {"frame": index, "cols": cols, "rows": rows, "qp": qps.tolist()}
     assert "".join(cli._qp_json_frame(index, qps)) == json.dumps(frame, indent=2).replace("\n", "\n    ")
+
+
+# Floats >= 1, as activities are, with some whose repr needs all 17 digits or an exponent.
+CSV_FLOATS = st.floats(min_value=1.0, allow_infinity=False) | st.sampled_from([1 + 0.1 + 0.2, 1e300])
+
+
+@st.composite
+def csv_grids(draw):
+    """One to three grids of one shape, as qp_grids draws it: ints (QPs or their deltas), or floats."""
+    rows, cols = draw(qp_grids()).shape
+    grids = []
+    for _ in range(draw(st.integers(1, 3))):
+        kinds = [(st.integers(-QP_MAX, QP_MAX), np.int64), (CSV_FLOATS, np.float64)]
+        values, dtype = draw(st.sampled_from(kinds))
+        cells = draw(st.lists(values, min_size=rows * cols, max_size=rows * cols))
+        grids.append(np.array(cells, dtype=dtype).reshape(rows, cols))
+    return grids
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from(CU_SIZES),
+    csv_grids(),
+    st.none() | st.tuples(CSV_FLOATS, CSV_FLOATS),
+)
+def test_csv_frame_equals_csv_writer(index, cu_size, grids, tail):
+    """Every CSV data row the CLI writes is the stdlib's row of its CU's values, in raster order."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    rows, cols = grids[0].shape
+    for y in range(rows):
+        for x in range(cols):
+            values = [grid[y, x].item() for grid in grids]
+            writer.writerow([index, x * cu_size, y * cu_size, *values, *(tail or ())])
+    tails = () if tail is None else (f",{tail[0]!r},{tail[1]!r}\n",)
+    assert "".join(cli._csv_frame(index, cu_size, grids, *tails)) == out.getvalue()
 
 
 def cli_child(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **popen):
