@@ -19,12 +19,26 @@ in raster order, as Python's sum() did up to 3.11.
 
 from __future__ import annotations
 
+import numbers
 from itertools import accumulate
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .yuv import Channel, Frame, VideoFormat, read_strips
+
+# The CU sizes the QP maps support. qp imports this module, so the tuple lives
+# here and qp re-exports it.
+CU_SIZES = (16, 32, 64)
+
+
+def check_cu_size(cu_size: int) -> None:
+    """Raise ValueError unless cu_size is one of CU_SIZES, as an integer.
+
+    16.0 == 16, but a float size cannot slice a plane.
+    """
+    if not isinstance(cu_size, numbers.Integral) or cu_size not in CU_SIZES:
+        raise ValueError(f"cu_size {cu_size} unsupported; choose one of {CU_SIZES}")
 
 
 class ActivityArrays(NamedTuple):
@@ -136,8 +150,11 @@ def _frame_arrays(
     """Activity of one frame whose planes strips(channel, heights) yields in Y, Cb, Cr order.
 
     With chroma false the chroma strips are still drawn, so a reader can
-    range-check them, but not analysed.
+    range-check them, but not analysed. A cu_size outside CU_SIZES is
+    refused before any strip is drawn: the int32 sums are exact only up to
+    32x32 quadrants.
     """
+    check_cu_size(cu_size)
     cf = fmt.chroma_format
     luma_x = _halves(fmt.width, cu_size, 1)
     luma_y = _halves(fmt.height, cu_size, 1)

@@ -88,7 +88,7 @@ def load_frames(path: Path, fmt: VideoFormat, skip: int, frames: int | None) -> 
     """(index, frame) for every selected frame, all decoded at once.
 
     The CLI itself streams through frame_activities; this whole-clip form
-    is kept because the benchmark replay still calls it, as does one test.
+    is kept because the benchmark replay still calls it.
     """
     with open(path, "rb") as stream:
         selected = _frame_range(probe_frame_count(stream, fmt), skip, frames)

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qp import CU_SIZES, QP_MAX, QP_MIN, Mode, QpConfig, Rounding, TMode, scaling_factor
+from .activity import check_cu_size
+from .qp import QP_MAX, QP_MIN, Mode, QpConfig, Rounding, TMode, scaling_factor
 from .yuv import Channel, ChromaFormat, Frame, Plane, VideoFormat
 
 
@@ -88,8 +89,7 @@ def cu_grid(fmt: VideoFormat, cu_size: int) -> list[CuRect]:
     dimensions are not multiples of it; together the clipped rectangles
     cover every luma sample exactly once.
     """
-    if cu_size not in CU_SIZES:
-        raise ValueError(f"cu_size {cu_size} unsupported; choose one of {CU_SIZES}")
+    check_cu_size(cu_size)
     grid = []
     for y in range(0, fmt.height, cu_size):
         for x in range(0, fmt.width, cu_size):

@@ -22,13 +22,12 @@ from typing import Iterator
 
 import numpy as np
 
-from .activity import ActivityArrays, frame_activity
+# CU_SIZES is defined with the activity pass that checks it, and re-exported here.
+from .activity import CU_SIZES, ActivityArrays, check_cu_size, frame_activity
 from .yuv import Frame, VideoFormat
 
 QP_MIN = 0
 QP_MAX = 51
-# The CU sizes the QP maps support.
-CU_SIZES = (16, 32, 64)
 
 
 def grid_dims(fmt: VideoFormat, cu_size: int) -> tuple[int, int]:
@@ -78,8 +77,7 @@ class QpConfig:
         # scaling_factor far from float overflow.
         if not 0 <= self.qp_range <= QP_MAX - QP_MIN:
             raise ValueError(f"qp_range {self.qp_range} outside [0, {QP_MAX - QP_MIN}]")
-        if self.cu_size not in CU_SIZES:
-            raise ValueError(f"cu_size {self.cu_size} unsupported; choose one of {CU_SIZES}")
+        check_cu_size(self.cu_size)
         # The rules compare by identity, so a string such as "ceiling" would
         # silently select the other branch.
         for name, kind in (("mode", Mode), ("t_mode", TMode), ("rounding", Rounding)):

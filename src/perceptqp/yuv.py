@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import io
+import numbers
 from dataclasses import dataclass
 from typing import BinaryIO, Iterator, Sequence
 
@@ -68,6 +69,15 @@ class VideoFormat:
     chroma_format: ChromaFormat = ChromaFormat.YUV420
 
     def __post_init__(self) -> None:
+        # A float size or depth passes the checks below but cannot size a
+        # plane, and a string has no subsampling factors. A numpy integer is
+        # kept as an int: 1 << np.uint8(10) wraps to 0.
+        for name in ("width", "height", "bit_depth"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise YuvError(f"{name} {getattr(self, name)!r} is not an integer")
+            object.__setattr__(self, name, int(getattr(self, name)))
+        if not isinstance(self.chroma_format, ChromaFormat):
+            raise YuvError(f"chroma_format {self.chroma_format!r} is not a ChromaFormat")
         if self.width < 1 or self.height < 1:
             raise YuvError(f"frame size {self.width}x{self.height} must be positive")
         if self.bit_depth not in (8, 10):

@@ -52,6 +52,52 @@ def frames(draw, fmt=None, max_dim=48):
     return random_frame(fmt, seed)
 
 
+# The largest clip the CLI strategies draw: partial CU rows and columns at every CU size.
+MAX_WIDTH, MAX_HEIGHT = 200, 130
+
+
+def textured_plane(rng, height, width, max_sample):
+    """Samples in a band [base, base + span] narrower than the legal range, so a shift has room.
+
+    Noise is scaled by a gain drawn per 4x4 block and cubed, so quadrants
+    run from flat to busy and the CUs' activities, and so their QPs, differ.
+    """
+    span = int(rng.integers(0, max_sample))
+    base = int(rng.integers(0, max_sample - span + 1))
+    gain = rng.random((-(-height // 4), -(-width // 4))) ** 3
+    gain = gain.repeat(4, axis=0).repeat(4, axis=1)[:height, :width]
+    noise = (rng.random((height, width)) * gain * (span + 1)).astype(np.int64)
+    return base + np.minimum(noise, span)
+
+
+def textured_frames(rng, fmt, count):
+    """count frames of fmt, each a list of textured Y, Cb and Cr int64 planes."""
+    cf = fmt.chroma_format
+    shapes = [(fmt.height, fmt.width)] + 2 * [(fmt.height // cf.sub_y, fmt.width // cf.sub_x)]
+    return [[textured_plane(rng, h, w, fmt.max_sample) for h, w in shapes] for _ in range(count)]
+
+
+@st.composite
+def clips(draw, chroma=tuple(ChromaFormat), bit_depths=(8, 10), frames=(1, 3)):
+    """(fmt, cu_size, frames): each frame is a list of Y, Cb and Cr int64 planes."""
+    cf = draw(st.sampled_from(chroma))
+    width = cf.sub_x * draw(st.integers(1, MAX_WIDTH // cf.sub_x))
+    height = cf.sub_y * draw(st.integers(1, MAX_HEIGHT // cf.sub_y))
+    fmt = VideoFormat(width, height, draw(st.sampled_from(bit_depths)), cf)
+    cu_size = draw(st.sampled_from([16, 32, 64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return fmt, cu_size, textured_frames(rng, fmt, draw(st.integers(*frames)))
+
+
+def write_clip(path, fmt, frames):
+    """Store frames of sample planes as a raw clip of fmt, with numpy alone."""
+    dtype = "<u2" if fmt.bit_depth == 10 else np.uint8
+    with open(path, "wb") as sink:
+        for planes in frames:
+            for plane in planes:
+                sink.write(plane.astype(dtype).tobytes())
+
+
 def checkerboard(h, w, lo, hi, dtype=np.uint8):
     grid = np.add.outer(np.arange(h), np.arange(w)) % 2
     return np.where(grid.astype(bool), hi, lo).astype(dtype)

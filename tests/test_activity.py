@@ -1,11 +1,13 @@
 """Spatial activity: sub-block variances and the per-frame means.
 
-The oracle here recomputes everything from scratch with naive two-pass
-float arithmetic and its own quadrant geometry, so agreement is meaningful.
+block_variance is checked against a naive two-pass float variance. Per-CU
+activity and the frame means are checked, exactly, against cli_oracle's
+summed-area tables, which share no code or geometry with perceptqp.
 """
 
 import io
 import operator
+import re
 import tracemalloc
 from functools import lru_cache, reduce
 from itertools import accumulate
@@ -34,6 +36,7 @@ from perceptqp import (
     write_frame,
 )
 from perceptqp.activity import _halves, _raster_mean, stream_activity
+import cli_oracle
 from strategies import (
     assert_equals_reference,
     checkerboard,
@@ -54,36 +57,9 @@ def oracle_variance(samples):
     return sum((v - mu) ** 2 for v in values) / len(values)
 
 
-def oracle_channel_activity(plane, x, y, w, h):
-    """Quadrant geometry done by hand: ceil split, skip empty."""
-    half_w = (w + 1) // 2
-    half_h = (h + 1) // 2
-    spans = [
-        (x, y, half_w, half_h),
-        (x + half_w, y, w - half_w, half_h),
-        (x, y + half_h, half_w, h - half_h),
-        (x + half_w, y + half_h, w - half_w, h - half_h),
-    ]
-    variances = []
-    for qx, qy, qw, qh in spans:
-        if qw == 0 or qh == 0:
-            continue
-        block = plane[qy : qy + qh, qx : qx + qw]
-        variances.append(oracle_variance(block.ravel().tolist()))
-    return 1.0 + min(variances)
-
-
-def oracle_cu_activity(frame, cu):
-    cf = frame.format.chroma_format
-    luma = oracle_channel_activity(
-        frame.y.data, cu.x, cu.y, cu.clipped_w, cu.clipped_h
-    )
-    sx, sy = cf.sub_x, cf.sub_y
-    cw = -(-cu.clipped_w // sx)
-    ch = -(-cu.clipped_h // sy)
-    cb = oracle_channel_activity(frame.cb.data, cu.x // sx, cu.y // sy, cw, ch)
-    cr = oracle_channel_activity(frame.cr.data, cu.x // sx, cu.y // sy, cw, ch)
-    return luma, cb, cr
+def oracle_activity(frame, cu_size):
+    planes = (frame.y.data, frame.cb.data, frame.cr.data)
+    return cli_oracle.frame_activity(planes, frame.format.chroma_format.value, cu_size)
 
 
 class TestBlockVariance:
@@ -159,12 +135,10 @@ class TestCuActivity:
     @settings(max_examples=40, deadline=None)
     @given(frames(max_dim=80))
     def test_matches_geometry_oracle(self, frame):
-        for cu in cu_grid(frame.format, 16):
-            rec = cu_activity(frame, cu)
-            l, b, d = oracle_cu_activity(frame, cu)
-            assert rec.luma == pytest.approx(l, rel=1e-9)
-            assert rec.cb == pytest.approx(b, rel=1e-9)
-            assert rec.cr == pytest.approx(d, rel=1e-9)
+        records = [cu_activity(frame, cu) for cu in cu_grid(frame.format, 16)]
+        oracle = oracle_activity(frame, 16)
+        for channel in ("luma", "cb", "cr"):
+            assert [getattr(r, channel) for r in records] == getattr(oracle, channel).ravel().tolist()
 
     @settings(max_examples=40, deadline=None)
     @given(frames(max_dim=64))
@@ -205,8 +179,8 @@ class TestFrameActivity:
         assert fa.luma.shape == (1, 2)
         want_l = (fa.luma[0, 0] + fa.luma[0, 1]) / 2
         want_c = (fa.cross[0, 0] + fa.cross[0, 1]) / 2
-        assert fa.t_luma == pytest.approx(want_l, rel=1e-12)
-        assert fa.t_cross == pytest.approx(want_c, rel=1e-12)
+        assert fa.t_luma == want_l
+        assert fa.t_cross == want_c
 
     def test_records_in_raster_order(self):
         # 96x64 at CU 32: three columns, two rows, so a transposed grid cannot pass
@@ -224,17 +198,10 @@ class TestFrameActivity:
     @given(frames(max_dim=72), st.sampled_from([16, 32, 64]))
     def test_matches_oracle_end_to_end(self, frame, cu_size):
         fa = frame_activity(frame, cu_size)
-        oracle = [oracle_cu_activity(frame, cu) for cu in cu_grid(frame.format, cu_size)]
-        got = zip(fa.luma.ravel().tolist(), fa.cb.ravel().tolist(), fa.cr.ravel().tolist())
-        assert fa.luma.size == len(oracle)
-        for (luma, cb, cr), (l, b, d) in zip(got, oracle):
-            assert luma == pytest.approx(l, rel=1e-9)
-            assert cb == pytest.approx(b, rel=1e-9)
-            assert cr == pytest.approx(d, rel=1e-9)
-        want_t = sum(l for l, _, _ in oracle) / len(oracle)
-        want_tc = sum(l + b + d for l, b, d in oracle) / len(oracle)
-        assert fa.t_luma == pytest.approx(want_t, rel=1e-9)
-        assert fa.t_cross == pytest.approx(want_tc, rel=1e-9)
+        oracle = oracle_activity(frame, cu_size)
+        for channel in ("luma", "cb", "cr", "cross"):
+            assert getattr(fa, channel).tolist() == getattr(oracle, channel).tolist(), channel
+        assert (fa.t_luma, fa.t_cross) == (oracle.t_luma, oracle.t_cross)
 
     def test_worker_count_does_not_change_results(self):
         fmt = VideoFormat(176, 144, 8, ChromaFormat.YUV420)
@@ -242,6 +209,24 @@ class TestFrameActivity:
         reference = reference_frame_activity(frame, 16)
         assert_equals_reference(frame_activity(frame, 16, max_workers=1), reference)
         assert_equals_reference(frame_activity(frame, 16, max_workers=4), reference)
+
+
+class TestCuSizeIsChecked:
+    @pytest.mark.parametrize("cu_size", [0, 8, 128, 8192, 16.0, 32.0])
+    def test_both_passes_refuse_it_with_cu_grids_message(self, cu_size):
+        # At CU 8192 the int32 column sums of this frame wrapped: its luma activity read -1048575.0.
+        # A float size equal to a supported one passed all three checks, then failed in range().
+        fmt = VideoFormat(16, 8192, 10, ChromaFormat.YUV444)
+        frame = Frame(*(Plane(np.full((8192, 16), 1023, fmt.dtype)) for _ in Channel), format=fmt)
+        with pytest.raises(ValueError) as refused:
+            cu_grid(fmt, cu_size)
+        message = f"^{re.escape(str(refused.value))}$"
+        with pytest.raises(ValueError, match=message):
+            frame_activity(frame, cu_size)
+        stream = io.BytesIO(bytes(frame_bytes(fmt)))
+        with pytest.raises(ValueError, match=message):
+            stream_activity(stream, fmt, cu_size)
+        assert stream.tell() == 0
 
 
 class TestRasterMean:

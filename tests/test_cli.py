@@ -5,7 +5,6 @@ import csv
 import errno
 import functools
 import io
-import itertools
 import json
 import os
 import signal
@@ -17,37 +16,19 @@ import threading
 import time
 import tracemalloc
 from contextlib import redirect_stdout, suppress
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from perceptqp import (
-    CU_SIZES,
-    QP_MAX,
-    QP_MIN,
-    Channel,
-    ChromaFormat,
-    Frame,
-    Mode,
-    Plane,
-    QpConfig,
-    RdPoint,
-    Rounding,
-    TMode,
-    VideoFormat,
-    frame_activity,
-    frame_bytes,
-    plane_dims,
-    qp_map,
-    qp_map_from_activity,
-    write_frame,
-)
+from perceptqp import CU_SIZES, QP_MAX, QP_MIN, ChromaFormat, RdPoint, VideoFormat, frame_bytes, write_frame
 import perceptqp
 from perceptqp import activity, cli
 from perceptqp.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from perceptqp.metrics import rd_csv_bytes
+import cli_oracle
 from strategies import SAMPLE_CURVES, chroma_contrast_frame, random_frame, tiled_frame, video_formats
 
 FMT = VideoFormat(128, 64, 8, ChromaFormat.YUV420)
@@ -97,60 +78,6 @@ dump_args = functools.partial(cli_args, "dump-activity")
 
 
 class TestAnalyze:
-    def test_constant_clip_keeps_slice_qp(self, tmp_path, capsys):
-        clip = constant_clip(tmp_path / "in.yuv")
-        out = tmp_path / "map.csv"
-        assert main(analyze_args(clip, out)) == EXIT_OK
-        lines = out.read_text().splitlines()
-        assert lines[0].startswith("# perceptqp qp-map ")
-        assert "mode=cbaq" in lines[0] and "qp=32" in lines[0]
-        assert lines[1] == "frame,cu_x,cu_y,qp"
-        rows = [line.split(",") for line in lines[2:]]
-        assert len(rows) == 4  # 2 frames x 2 CUs
-        assert all(row[3] == "32" for row in rows)
-        assert [row[0] for row in rows] == ["0", "0", "1", "1"]
-        summary = capsys.readouterr().out.strip()
-        assert summary == "frames=2 cus=4 mean_delta_qp=0.0000 min_qp=32 max_qp=32"
-
-    def test_reruns_are_byte_identical(self, tmp_path):
-        clip = write_clip(
-            tmp_path / "in.yuv", [random_frame(FMT, seed) for seed in (5, 6, 7)]
-        )
-        out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(analyze_args(clip, out_a)) == EXIT_OK
-        assert main(analyze_args(clip, out_b)) == EXIT_OK
-        assert out_a.read_bytes() == out_b.read_bytes()
-
-    def test_json_output_structure(self, tmp_path):
-        clip = constant_clip(tmp_path / "in.yuv", count=1)
-        out = tmp_path / "map.json"
-        assert main(analyze_args(clip, out, format="json")) == EXIT_OK
-        payload = json.loads(out.read_text())
-        assert payload["config"]["mode"] == "cbaq"
-        assert payload["config"]["width"] == 128
-        (frame,) = payload["frames"]
-        assert frame["frame"] == 0
-        assert (frame["cols"], frame["rows"]) == (2, 1)
-        assert frame["qp"] == [[32, 32]]
-        assert out.read_text() == json.dumps(payload, indent=2) + "\n"
-
-    def test_skip_and_frames_select_range(self, tmp_path):
-        clip = write_clip(tmp_path / "in.yuv", [random_frame(FMT, s) for s in range(4)])
-        out = tmp_path / "map.csv"
-        assert main(analyze_args(clip, out, skip=1, frames=2)) == EXIT_OK
-        frames = {line.split(",")[0] for line in out.read_text().splitlines()[2:]}
-        assert frames == {"1", "2"}
-
-    def test_dump_activity_sidecar(self, tmp_path):
-        clip = constant_clip(tmp_path / "in.yuv", count=1)
-        out = tmp_path / "map.csv"
-        side = tmp_path / "act.csv"
-        assert main(analyze_args(clip, out, dump_activity=side)) == EXIT_OK
-        lines = side.read_text().splitlines()
-        assert lines[0].startswith("# perceptqp activity ")
-        assert lines[1] == "frame,cu_x,cu_y,l,b,d,t_luma,t_cross"
-        assert lines[2] == "0,0,0,1.0,1.0,1.0,1.0,3.0"
-
     @pytest.mark.parametrize(
         "count, flags, line",
         [
@@ -192,15 +119,6 @@ def count_activity_calls(monkeypatch):
 
 
 class TestCompare:
-    def test_self_comparison_is_all_zero(self, tmp_path, capsys):
-        clip = write_clip(tmp_path / "in.yuv", [random_frame(FMT, s) for s in (1, 2)])
-        out = tmp_path / "diff.csv"
-        assert main(compare_args(clip, out)) == EXIT_OK
-        lines = out.read_text().splitlines()
-        assert lines[1] == "frame,cu_x,cu_y,qp_a,qp_b,delta"
-        assert all(line.endswith(",0") for line in lines[2:])
-        assert capsys.readouterr().out.strip() == "delta=+0 count=4"
-
     def test_modes_agree_on_tiled_clip(self, tmp_path, capsys):
         clip = write_clip(tmp_path / "in.yuv", [tiled_frame()])
         out = tmp_path / "diff.csv"
@@ -223,14 +141,6 @@ class TestCompare:
         # the quiet CUs gain some back
         assert max(deltas) > 0 > min(deltas)
         assert len(capsys.readouterr().out.strip().splitlines()) > 1
-
-    def test_second_input_may_differ(self, tmp_path, capsys):
-        clip_a = write_clip(tmp_path / "a.yuv", [random_frame(FMT, 9)])
-        clip_b = write_clip(tmp_path / "b.yuv", [random_frame(FMT, 9)])
-        out = tmp_path / "diff.csv"
-        args = compare_args(clip_a, out, input_b=clip_b)
-        assert main(args) == EXIT_OK
-        assert capsys.readouterr().out.strip() == "delta=+0 count=2"
 
     def test_single_input_is_analysed_once(self, tmp_path, monkeypatch, capsys):
         frames = 3
@@ -265,74 +175,6 @@ class TestCompare:
         assert main(compare_args(clip_a, tmp_path / "d.csv", input_b=clip_b)) == EXIT_OK
         assert probed == [str(clip_a), str(clip_b)]
         capsys.readouterr()
-
-
-RULE_FMT = VideoFormat(96, 64, 8, ChromaFormat.YUV422)
-# (mode, t-mode, rounding): every QP rule that analyze's flags can select.
-RULES = list(itertools.product(("adaptiveqp", "cbaq"), ("luma", "cross"), ("nearest", "ceiling")))
-
-
-def textured_frame(fmt, seed):
-    """Noise whose amplitude changes every 8x8 samples, drawn apart per plane, so CU activities differ."""
-    rng = np.random.default_rng(seed)
-    planes = []
-    for channel in Channel:
-        w, h = plane_dims(fmt, channel)
-        amp = rng.integers(1, fmt.max_sample + 1, size=(h // 8 + 1, w // 8 + 1))
-        amp = amp.repeat(8, axis=0).repeat(8, axis=1)[:h, :w]
-        planes.append(Plane((rng.random((h, w)) * amp).astype(fmt.dtype)))
-    return Frame(*planes, format=fmt)
-
-
-def per_frame_column(path, column, frames=2):
-    """One list per frame of a CSV output's integer column."""
-    rows = [line.split(",") for line in path.read_text().splitlines()[2:]]
-    return [[int(row[column]) for row in rows if row[0] == str(i)] for i in range(frames)]
-
-
-@pytest.fixture(scope="module")
-def rule_runs(tmp_path_factory):
-    """The two-frame clip at CU 16, its frames, and analyze's per-frame QPs under every rule."""
-    frames = [textured_frame(RULE_FMT, seed) for seed in (1, 2)]
-    directory = tmp_path_factory.mktemp("rules")
-    clip = write_clip(directory / "in.yuv", frames)
-    maps = {}
-    for mode, t_mode, rounding in RULES:
-        out = directory / f"{mode}-{t_mode}-{rounding}.csv"
-        args = analyze_args(
-            clip, out, fmt=RULE_FMT, cu_size=16, mode=mode, t_mode=t_mode, rounding=rounding
-        )
-        assert main(args) == EXIT_OK
-        maps[mode, t_mode, rounding] = per_frame_column(out, 3)
-    return clip, frames, maps
-
-
-class TestRuleFlags:
-    @pytest.mark.parametrize("rule", RULES, ids="-".join)
-    def test_analyze_maps_by_the_rule_flags(self, rule_runs, rule):
-        _, frames, maps = rule_runs
-        mode, t_mode, rounding = rule
-        config = QpConfig(
-            slice_qp=32, mode=Mode(mode), cu_size=16, t_mode=TMode(t_mode), rounding=Rounding(rounding)
-        )
-        assert maps[rule] == [qp_map(frame, config).flat() for frame in frames]
-
-    def test_rules_give_distinct_maps(self, rule_runs):
-        # adaptiveqp reads no --t-mode, so at most 6 of the 8 rules differ.
-        _, _, maps = rule_runs
-        assert len({repr(m) for m in maps.values()}) >= 6
-
-    def test_compare_maps_each_side_by_its_own_flags(self, rule_runs, tmp_path, capsys):
-        clip, _, maps = rule_runs
-        out = tmp_path / "diff.csv"
-        args = compare_args(
-            clip, out, fmt=RULE_FMT, cu_size=16,
-            t_mode_a="luma", rounding_a="ceiling", t_mode_b="cross", rounding_b="nearest",
-        )
-        assert main(args) == EXIT_OK
-        capsys.readouterr()
-        assert per_frame_column(out, 3) == maps["cbaq", "luma", "ceiling"]
-        assert per_frame_column(out, 4) == maps["cbaq", "cross", "nearest"]
 
 
 def count_plane_passes(monkeypatch):
@@ -705,50 +547,20 @@ class TestBdrateCommand:
         assert "single label" in capsys.readouterr().err
 
 
-class TestDumpActivity:
-    def test_constant_clip_activity(self, tmp_path, capsys):
-        clip = constant_clip(tmp_path / "in.yuv", count=1)
-        out = tmp_path / "act.csv"
-        assert main(dump_args(clip, out)) == EXIT_OK
-        assert capsys.readouterr().out.strip() == "frames=1 cus_per_frame=2"
-        lines = out.read_text().splitlines()
-        assert lines[1] == "frame,cu_x,cu_y,l,b,d,t_luma,t_cross"
-        assert lines[2:] == ["0,0,0,1.0,1.0,1.0,1.0,3.0", "0,64,0,1.0,1.0,1.0,1.0,3.0"]
-
-    def test_matches_analyze_sidecar(self, tmp_path):
-        clip = write_clip(tmp_path / "in.yuv", [random_frame(FMT, 31)])
-        direct = tmp_path / "direct.csv"
-        sidecar = tmp_path / "side.csv"
-        assert main(dump_args(clip, direct, cu_size=32)) == EXIT_OK
-        assert main(analyze_args(clip, tmp_path / "m.csv", cu_size=32, dump_activity=sidecar)) == EXIT_OK
-        assert direct.read_text() == sidecar.read_text()
-
-
 class TestStreaming:
     """One CU row of samples at a time, rows written as they come, outputs moved in at the end."""
 
-    def test_streamed_outputs_equal_whole_clip_renderers(self, tmp_path, capsys):
+    def test_streamed_outputs_equal_the_oracle(self, tmp_path, capsys):
         clip = write_clip(tmp_path / "in.yuv", [random_frame(FMT, s) for s in range(4)])
         csv_out, json_out, side = tmp_path / "m.csv", tmp_path / "m.json", tmp_path / "a.csv"
-        assert main(analyze_args(clip, csv_out, skip=1, cu_size=32, dump_activity=side)) == EXIT_OK
-        assert main(analyze_args(clip, json_out, skip=1, cu_size=32, format="json")) == EXIT_OK
-        capsys.readouterr()
-        config = QpConfig(slice_qp=32, mode=Mode.CBAQ, cu_size=32)
-        activities = [(i, frame_activity(f, 32)) for i, f in cli.load_frames(clip, FMT, 1, None)]
-        maps = [qp_map_from_activity(FMT, act, config, frame_index=i) for i, act in activities]
-        assert [m.frame_index for m in maps] == [1, 2, 3]
-        assert csv_out.read_text() == cli.qp_maps_csv(maps, FMT)
-        assert json_out.read_text() == cli.qp_maps_json(maps, FMT)
-        assert side.read_text() == cli.activity_csv(activities, FMT, 32)
-        payload = {
-            "config": dict(cli._echo_items(FMT, config)),
-            "frames": [
-                {"frame": m.frame_index, "cols": len(m.qps[0]), "rows": len(m.qps),
-                 "qp": list(map(list, m.qps))}
-                for m in maps
-            ],
-        }
-        assert json_out.read_text() == json.dumps(payload, indent=2) + "\n"
+        for args in (
+            analyze_args(clip, csv_out, skip=1, cu_size=32, dump_activity=side),
+            analyze_args(clip, json_out, skip=1, cu_size=32, format="json"),
+        ):
+            assert main(args) == EXIT_OK
+            summary, outputs = cli_oracle.run(args)
+            assert capsys.readouterr().out == summary
+            assert {path: Path(path).read_text() for path in outputs} == outputs
 
     def test_long_output_name_is_written(self, tmp_path, capsys):
         clip = write_clip(tmp_path / "in.yuv", [random_frame(FMT, s) for s in range(2)])
@@ -1325,61 +1137,6 @@ def test_synthetic_clip_script_writes_whole_frames_analyze_reads(tmp_path, capsy
     assert main(analyze_args(clip, tmp_path / "map.csv", fmt=fmt, bit_depth=10)) == EXIT_OK
 
 
-@st.composite
-def qp_grids(draw):
-    """A (rows, cols) int64 QP grid: 1x1, one row, one column or up to 17x30."""
-    rows, cols = draw(st.sampled_from([(1, 1), (1, None), (None, 1), (None, None)]))
-    rows = rows or draw(st.integers(1, 17))
-    cols = cols or draw(st.integers(1, 30))
-    qps = draw(st.lists(st.integers(QP_MIN, QP_MAX), min_size=rows * cols, max_size=rows * cols))
-    return np.array(qps, dtype=np.int64).reshape(rows, cols)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 10**6), qp_grids())
-def test_json_frame_equals_json_dumps(index, qps):
-    rows, cols = qps.shape
-    frame = {"frame": index, "cols": cols, "rows": rows, "qp": qps.tolist()}
-    assert "".join(cli._qp_json_frame(index, qps)) == json.dumps(frame, indent=2).replace("\n", "\n    ")
-
-
-# Floats >= 1, as activities are, with some whose repr needs all 17 digits or an exponent.
-CSV_FLOATS = st.floats(min_value=1.0, allow_infinity=False) | st.sampled_from([1 + 0.1 + 0.2, 1e300])
-
-
-@st.composite
-def csv_grids(draw):
-    """One to three grids of one shape, as qp_grids draws it: ints (QPs or their deltas), or floats."""
-    rows, cols = draw(qp_grids()).shape
-    grids = []
-    for _ in range(draw(st.integers(1, 3))):
-        kinds = [(st.integers(-QP_MAX, QP_MAX), np.int64), (CSV_FLOATS, np.float64)]
-        values, dtype = draw(st.sampled_from(kinds))
-        cells = draw(st.lists(values, min_size=rows * cols, max_size=rows * cols))
-        grids.append(np.array(cells, dtype=dtype).reshape(rows, cols))
-    return grids
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.integers(0, 10**6),
-    st.sampled_from(CU_SIZES),
-    csv_grids(),
-    st.none() | st.tuples(CSV_FLOATS, CSV_FLOATS),
-)
-def test_csv_frame_equals_csv_writer(index, cu_size, grids, tail):
-    """Every CSV data row the CLI writes is the stdlib's row of its CU's values, in raster order."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    rows, cols = grids[0].shape
-    for y in range(rows):
-        for x in range(cols):
-            values = [grid[y, x].item() for grid in grids]
-            writer.writerow([index, x * cu_size, y * cu_size, *values, *(tail or ())])
-    tails = () if tail is None else (f",{tail[0]!r},{tail[1]!r}\n",)
-    assert "".join(cli._csv_frame(index, cu_size, grids, *tails)) == out.getvalue()
-
-
 def cli_child(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **popen):
     """The console script's entry() on argv in a new process, by default with stdout and stderr piped.
 
@@ -1615,3 +1372,60 @@ def test_output_that_is_stdout_redirected_to_a_file_is_written_through(tmp_path,
     assert os.readlink(link) == "/proc/self/fd/1"
     assert redirected.read_bytes() == regular.read_bytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.yuv", "map.csv", "regular.csv", "stdout"]
+
+
+@st.composite
+def qp_grids(draw):
+    """A (rows, cols) int64 QP grid: 1x1, one row, one column or up to 17x30."""
+    rows, cols = draw(st.sampled_from([(1, 1), (1, None), (None, 1), (None, None)]))
+    rows = rows or draw(st.integers(1, 17))
+    cols = cols or draw(st.integers(1, 30))
+    qps = draw(st.lists(st.integers(QP_MIN, QP_MAX), min_size=rows * cols, max_size=rows * cols))
+    return np.array(qps, dtype=np.int64).reshape(rows, cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6), qp_grids())
+def test_json_frame_equals_json_dumps(index, qps):
+    rows, cols = qps.shape
+    frame = {"frame": index, "cols": cols, "rows": rows, "qp": qps.tolist()}
+    assert "".join(cli._qp_json_frame(index, qps)) == json.dumps(frame, indent=2).replace("\n", "\n    ")
+
+
+# Floats >= 1, as activities are, with some whose repr needs all 17 digits or an exponent.
+CSV_FLOATS = st.floats(min_value=1.0, allow_infinity=False) | st.sampled_from([1 + 0.1 + 0.2, 1e300])
+
+
+@st.composite
+def csv_grids(draw):
+    """One to three grids of one shape, as qp_grids draws it: ints (QPs or their deltas), or floats."""
+    rows, cols = draw(qp_grids()).shape
+    grids = []
+    for _ in range(draw(st.integers(1, 3))):
+        kinds = [(st.integers(-QP_MAX, QP_MAX), np.int64), (CSV_FLOATS, np.float64)]
+        values, dtype = draw(st.sampled_from(kinds))
+        cells = draw(st.lists(values, min_size=rows * cols, max_size=rows * cols))
+        grids.append(np.array(cells, dtype=dtype).reshape(rows, cols))
+    return grids
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from(CU_SIZES),
+    csv_grids(),
+    st.none() | st.tuples(CSV_FLOATS, CSV_FLOATS),
+)
+def test_csv_frame_equals_csv_writer(index, cu_size, grids, tail):
+    """Every CSV data row the CLI writes is the stdlib's row of its CU's values, in raster order."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    rows, cols = grids[0].shape
+    for y in range(rows):
+        for x in range(cols):
+            values = [grid[y, x].item() for grid in grids]
+            writer.writerow([index, x * cu_size, y * cu_size, *values, *(tail or ())])
+    tails = () if tail is None else (f",{tail[0]!r},{tail[1]!r}\n",)
+    assert "".join(cli._csv_frame(index, cu_size, grids, *tails)) == out.getvalue()
+
+

@@ -21,46 +21,9 @@ from hypothesis import strategies as st
 
 from perceptqp import ChromaFormat, VideoFormat, grid_dims
 from perceptqp.cli import EXIT_OK, main
+from strategies import clips, textured_plane, write_clip
 
-MAX_WIDTH, MAX_HEIGHT = 200, 130
 RELATION = settings(max_examples=10, deadline=None)
-
-
-def textured_plane(rng, height, width, max_sample):
-    """Samples in a band [base, base + span] narrower than the legal range, so a shift has room.
-
-    Noise is scaled by a gain drawn per 4x4 block and cubed, so quadrants
-    run from flat to busy and the CUs' activities, and so their QPs, differ.
-    """
-    span = int(rng.integers(0, max_sample))
-    base = int(rng.integers(0, max_sample - span + 1))
-    gain = rng.random((-(-height // 4), -(-width // 4))) ** 3
-    gain = gain.repeat(4, axis=0).repeat(4, axis=1)[:height, :width]
-    noise = (rng.random((height, width)) * gain * (span + 1)).astype(np.int64)
-    return base + np.minimum(noise, span)
-
-
-@st.composite
-def clips(draw, chroma=tuple(ChromaFormat), bit_depths=(8, 10), frames=(1, 3)):
-    """(fmt, cu_size, frames): each frame is a list of Y, Cb and Cr int64 planes."""
-    cf = draw(st.sampled_from(chroma))
-    width = cf.sub_x * draw(st.integers(1, MAX_WIDTH // cf.sub_x))
-    height = cf.sub_y * draw(st.integers(1, MAX_HEIGHT // cf.sub_y))
-    fmt = VideoFormat(width, height, draw(st.sampled_from(bit_depths)), cf)
-    cu_size = draw(st.sampled_from([16, 32, 64]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    shapes = [(height, width)] + 2 * [(height // cf.sub_y, width // cf.sub_x)]
-    count = draw(st.integers(*frames))
-    planes = [[textured_plane(rng, h, w, fmt.max_sample) for h, w in shapes] for _ in range(count)]
-    return fmt, cu_size, planes
-
-
-def write_clip(path, fmt, frames):
-    dtype = "<u2" if fmt.bit_depth == 10 else np.uint8
-    with open(path, "wb") as sink:
-        for planes in frames:
-            for plane in planes:
-                sink.write(plane.astype(dtype).tobytes())
 
 
 # {dir} is the run's scratch directory; each run of a relation writes the same names there.

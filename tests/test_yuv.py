@@ -68,6 +68,31 @@ class TestVideoFormatValidation:
         with pytest.raises(YuvError):
             VideoFormat(4, 4, 12, ChromaFormat.YUV444)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ((16.0, 16), "width 16.0 is not an integer"),
+            ((16, 16.0), "height 16.0 is not an integer"),
+            ((16, 16, 10.0), "bit_depth 10.0 is not an integer"),
+            ((16, 16, 8, "420"), "chroma_format '420' is not a ChromaFormat"),
+        ],
+        ids=["width", "height", "bit-depth", "chroma-format"],
+    )
+    def test_field_of_another_type_rejected(self, fields, message):
+        # each was accepted; read_frame then raised TypeError, or the chroma check AttributeError
+        with pytest.raises(YuvError, match=f"^{message}$"):
+            VideoFormat(*fields)
+
+    def test_numpy_integer_fields_accepted(self):
+        # the check is for integral values, not for Python's int alone; they are
+        # kept as ints, since max_sample of a np.uint8 bit depth of 10 overflowed
+        fmt = VideoFormat(np.int64(16), np.int32(8), np.uint8(10), ChromaFormat.YUV422)
+        assert [type(v) for v in (fmt.width, fmt.height, fmt.bit_depth)] == [int, int, int]
+        frame = random_frame(VideoFormat(16, 8, 10, ChromaFormat.YUV422), seed=3)
+        sink = io.BytesIO()
+        write_frame(sink, frame)
+        assert read_frame(io.BytesIO(sink.getvalue()), fmt) == frame
+
 
 class TestFrameBytes:
     def test_8bit_420(self):
