@@ -11,12 +11,7 @@ imports itself. _SUBMODULE is the one list of public names; the
 submodules keep no __all__.
 """
 
-import os
 from importlib import import_module
-
-# numpy's OpenBLAS starts a spinning worker per extra core at import; the
-# analysis never calls BLAS, so one thread saves that CPU. An explicit value wins.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 

@@ -23,6 +23,10 @@ from itertools import chain, combinations, count, repeat
 from pathlib import Path
 from typing import Iterator, NoReturn, TextIO
 
+# numpy's OpenBLAS starts a spinning worker per extra core at import; the
+# analysis never calls BLAS, so one thread saves that CPU. An explicit value wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from .activity import ActivityArrays, stream_activity
@@ -409,8 +413,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             qps_a, qps_b = qp_grid(config_a, acts[0]), qp_grid(config_b, acts[-1])
             deltas = qps_b - qps_a
             out.writelines(_csv_frame(index, args.cu_size, [qps_a, qps_b, deltas]))
-            values, counts = np.unique(deltas, return_counts=True)
-            histogram.update(dict(zip(values.tolist(), counts.tolist())))
+            histogram.update(deltas.ravel().tolist())
         for delta in sorted(histogram):
             print(f"delta={delta:+d} count={histogram[delta]}", file=summary)
     return EXIT_OK

@@ -94,7 +94,7 @@ class VideoFormat:
 
     @property
     def bytes_per_sample(self) -> int:
-        return 1 if self.bit_depth == 8 else 2
+        return self.dtype.itemsize
 
     @property
     def dtype(self) -> np.dtype:
@@ -175,7 +175,7 @@ def _check_range(channel: Channel, fmt: VideoFormat, lo: int, hi: int) -> None:
 
 def _storage_dtype(fmt: VideoFormat) -> np.dtype:
     # 10-bit samples are stored as explicit little-endian 16-bit words.
-    return np.dtype("<u2" if fmt.bit_depth == 10 else np.uint8)
+    return fmt.dtype.newbyteorder("<")
 
 
 def read_frame(source: BinaryIO, fmt: VideoFormat, index: int = 0) -> Frame:

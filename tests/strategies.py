@@ -89,13 +89,17 @@ def clips(draw, chroma=tuple(ChromaFormat), bit_depths=(8, 10), frames=(1, 3)):
     return fmt, cu_size, textured_frames(rng, fmt, draw(st.integers(*frames)))
 
 
+def stored(samples, fmt):
+    """The bytes of samples as a raw clip of fmt holds them: 10-bit as little-endian words."""
+    return samples.astype("<u2" if fmt.bit_depth == 10 else np.uint8).tobytes()
+
+
 def write_clip(path, fmt, frames):
     """Store frames of sample planes as a raw clip of fmt, with numpy alone."""
-    dtype = "<u2" if fmt.bit_depth == 10 else np.uint8
     with open(path, "wb") as sink:
         for planes in frames:
             for plane in planes:
-                sink.write(plane.astype(dtype).tobytes())
+                sink.write(stored(plane, fmt))
 
 
 def checkerboard(h, w, lo, hi, dtype=np.uint8):

@@ -43,6 +43,7 @@ from strategies import (
     frames,
     random_frame,
     reference_frame_activity,
+    stored,
     video_formats,
 )
 
@@ -418,7 +419,7 @@ def distinct_frames_clip(fmt, count=3):
     """count frames of fresh random samples, stored as read_frame reads them."""
     rng = np.random.default_rng(fmt.width + fmt.bit_depth)
     samples = rng.integers(0, fmt.max_sample + 1, size=count * frame_bytes(fmt) // fmt.bytes_per_sample)
-    return samples.astype("<u2" if fmt.bit_depth == 10 else np.uint8).tobytes()
+    return stored(samples, fmt)
 
 
 def bits(act):

@@ -29,7 +29,14 @@ from perceptqp import activity, cli
 from perceptqp.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from perceptqp.metrics import rd_csv_bytes
 import cli_oracle
-from strategies import SAMPLE_CURVES, chroma_contrast_frame, random_frame, tiled_frame, video_formats
+from strategies import (
+    SAMPLE_CURVES,
+    chroma_contrast_frame,
+    random_frame,
+    stored,
+    tiled_frame,
+    video_formats,
+)
 
 FMT = VideoFormat(128, 64, 8, ChromaFormat.YUV420)
 
@@ -812,8 +819,7 @@ def hd_clips(tmp_path_factory):
     rng = np.random.default_rng(11)
     for name, fmt in HD.items():
         samples = rng.integers(0, fmt.max_sample + 1, size=2 * frame_bytes(fmt) // fmt.bytes_per_sample)
-        stored = samples.astype("<u2" if fmt.bit_depth == 10 else np.uint8)
-        (folder / f"{name}.yuv").write_bytes(stored.tobytes())
+        (folder / f"{name}.yuv").write_bytes(stored(samples, fmt))
     return folder
 
 
@@ -878,7 +884,7 @@ def tiny_clips(draw):
     count = draw(st.integers(0, 600 // frame_bytes(fmt)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     samples = rng.integers(0, fmt.max_sample + 1, size=count * frame_bytes(fmt) // fmt.bytes_per_sample)
-    data = bytearray(samples.astype("<u2" if fmt.bit_depth == 10 else np.uint8).tobytes())
+    data = bytearray(stored(samples, fmt))
     damage = draw(st.sampled_from(["none", "none", "truncated", "empty", "above-1023"]))
     if damage == "truncated" and data:
         del data[draw(st.integers(0, len(data) - 1)):]
@@ -1016,7 +1022,14 @@ def fresh_interpreter(code, **env):
 
 
 class TestOpenblasDefault:
-    """Importing perceptqp pins numpy's OpenBLAS to one thread unless the caller chose."""
+    """The CLI pins numpy's OpenBLAS to one thread unless the caller chose; the library leaves it."""
+
+    def test_library_import_leaves_the_variable_unset(self):
+        code = (
+            "import os, perceptqp, perceptqp.activity, perceptqp.qp, perceptqp.yuv, perceptqp.metrics;"
+            " print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+        )
+        assert fresh_interpreter(code) == "None"
 
     def test_import_sets_one_thread(self):
         code = "import os, perceptqp.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
@@ -1050,6 +1063,22 @@ EXPORTS = [
 ]
 
 
+# What start-up may load besides perceptqp: numpy, the stdlib modules the clip path imports,
+# and what building and using an argparse parser pulls in.
+STARTUP_BASELINE = (
+    "import __future__, argparse, collections, contextlib, dataclasses, enum, errno, io,"
+    " itertools, math, numbers, os, pathlib, signal, stat, sys, typing\n"
+    "import numpy\n"
+    "parser = argparse.ArgumentParser(prog='p')\n"
+    "run = parser.add_subparsers(dest='command', required=True).add_parser('run')\n"
+    "run.add_argument('--n', type=int, default=1)\n"
+    "run.add_argument('--path', type=pathlib.Path)\n"
+    "run.add_argument('--pick', choices=['a', 'b'], default='a')\n"
+    "parser.parse_args(['run', '--n', '2', '--path', 'x', '--pick', 'b'])\n"
+    "print(*sys.modules)\n"
+)
+
+
 class TestLazyExports:
     """perceptqp's names load their submodule on first use, so the CLI loads only its own path."""
 
@@ -1064,15 +1093,24 @@ class TestLazyExports:
         ids=["import", "analyze-dump-activity", "compare", "dump-activity"],
     )
     def test_cli_import_leaves_out_metrics_csv_and_json(self, tmp_path, command, flags):
-        """Neither the import nor a run of a clip command loads partition, metrics, csv or json."""
+        """Neither the import nor a run of a clip command loads partition, metrics, csv or json.
+
+        Nor does it load any other module that STARTUP_BASELINE does not. Both
+        sets are taken on the running Python, so its own stdlib internals never count.
+        """
         code = f"import os, sys, perceptqp.cli\nos.chdir({str(tmp_path)!r})\n"
         if command is not None:
             fmt = VideoFormat(64, 32, 8, ChromaFormat.YUV420)
             clip = constant_clip(tmp_path / "in.yuv", fmt=fmt)
             argv = cli_args(command, clip, "out.csv", fmt=fmt, **flags)
             code += f"assert perceptqp.cli.main({argv!r}) == {EXIT_OK}\n"
-        code += "print(sorted({'perceptqp.metrics', 'perceptqp.partition', 'csv', 'json'} & set(sys.modules)))"
-        assert fresh_interpreter(code).splitlines()[-1] == "[]"
+        code += "print(*sys.modules)"
+        loaded = set(fresh_interpreter(code).splitlines()[-1].split())
+        ours = {name for name in loaded if name.partition(".")[0] == "perceptqp"}
+        assert sorted({"csv", "json"} & loaded) == []
+        clip_path = {"perceptqp", "perceptqp.cli", "perceptqp.activity", "perceptqp.qp", "perceptqp.yuv"}
+        assert sorted(ours - clip_path) == []
+        assert sorted(loaded - ours - set(fresh_interpreter(STARTUP_BASELINE).split())) == []
 
     def test_json_analyze_loads_no_json_module(self, tmp_path):
         clip = constant_clip(tmp_path / "in.yuv")

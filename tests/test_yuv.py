@@ -24,7 +24,7 @@ from perceptqp import (
     read_frame,
     write_frame,
 )
-from perceptqp.yuv import read_strips
+from perceptqp.yuv import _storage_dtype, read_strips
 from strategies import frames, random_frame, video_formats
 
 
@@ -100,6 +100,26 @@ class TestFrameBytes:
 
     def test_10bit_444(self):
         assert frame_bytes(VideoFormat(2, 2, 10, ChromaFormat.YUV444)) == 3 * 4 * 2
+
+
+@pytest.mark.parametrize("depth", [8, 10])
+class TestSampleType:
+    """VideoFormat.dtype alone names the sample type; storage and sizes derive from it."""
+
+    def test_storage_is_never_big_endian(self, depth):
+        assert _storage_dtype(VideoFormat(2, 2, depth)).str[0] in "<|"
+
+    def test_storage_has_the_kind_and_size_of_the_native_type(self, depth):
+        fmt = VideoFormat(2, 2, depth)
+        stored = _storage_dtype(fmt)
+        assert (stored.kind, stored.itemsize) == (fmt.dtype.kind, fmt.dtype.itemsize)
+        assert fmt.bytes_per_sample == {8: 1, 10: 2}[depth]
+
+    @pytest.mark.parametrize("cf", list(ChromaFormat))
+    def test_frame_bytes_is_samples_times_sample_size(self, depth, cf):
+        fmt = VideoFormat(6, 4, depth, cf)
+        samples = sum(w * h for w, h in (plane_dims(fmt, channel) for channel in Channel))
+        assert frame_bytes(fmt) == samples * fmt.bytes_per_sample
 
 
 class TestReadFrame:
