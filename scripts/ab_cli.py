@@ -140,6 +140,8 @@ def rd_csv(label: str, curves: dict) -> bytes:
     return ("\n".join(rows) + "\n").encode()
 
 
+# Cb 100 dB above the anchor's: the two Cb curves share no PSNR span.
+CB_APART = scaled(ANCHOR_CURVES, psnr=100.0)["Cb"]
 ANCHOR_ROWS = rd_csv("anchor", ANCHOR_CURVES).splitlines(keepends=True)
 RD_FILES = {
     "anchor": rd_csv("anchor", ANCHOR_CURVES),
@@ -153,19 +155,21 @@ RD_FILES = {
     "y-only": rd_csv("y", {"Y": ANCHOR_CURVES["Y"]}),
     "cb-only": rd_csv("cb", {"Cb": ANCHOR_CURVES["Cb"]}),
     "three": rd_csv("three", {"Y": ANCHOR_CURVES["Y"][:3]}),
-    # Cb 100 dB above the anchor's: the two Cb curves share no PSNR span.
-    "cb-apart": rd_csv("apart", {"Y": ANCHOR_CURVES["Y"], "Cb": scaled(ANCHOR_CURVES, psnr=100.0)["Cb"]}),
+    "cb-apart": rd_csv("apart", {"Y": ANCHOR_CURVES["Y"], "Cb": CB_APART}),
     # Y starts at the anchor's top PSNR: the curves share one point, an empty span.
     "y-touching": rd_csv("touch", {"Y": scaled(ANCHOR_CURVES, psnr=6.5)["Y"]}),
-    # Rates 600 decades apart overflow the BD-Rate ratio.
-    "y-low": rd_csv("low", scaled({"Y": ANCHOR_CURVES["Y"]}, 1e-300)),
-    "y-high": rd_csv("high", scaled({"Y": ANCHOR_CURVES["Y"]}, 1e300)),
+    # Y rates 600 decades apart overflow the BD-Rate ratio and leave Y's BD-PSNR,
+    # computed next, no shared rate span; Cb, computed after Y, has no shared PSNR span.
+    "y-low": rd_csv("low", {**scaled({"Y": ANCHOR_CURVES["Y"]}, 1e-300), "Cb": ANCHOR_CURVES["Cb"]}),
+    "y-high": rd_csv("high", {**scaled({"Y": ANCHOR_CURVES["Y"]}, 1e300), "Cb": CB_APART}),
     "two-labels": rd_csv("a", ANCHOR_CURVES) + rd_csv("b", ANCHOR_CURVES).split(b"\n", 1)[1],
     "truncated": rd_csv("anchor", ANCHOR_CURVES)[:100],
     # As a spreadsheet's "CSV UTF-8" export writes it.
     "anchor-bom": codecs.BOM_UTF8 + rd_csv("anchor", ANCHOR_CURVES),
     # The anchor with its first bitrate not a number.
     "bad-rate": rd_csv("anchor", ANCHOR_CURVES).replace(b",8000.0,", b",x,"),
+    # The anchor with its first QP not an integer.
+    "qp-not-int": rd_csv("anchor", ANCHOR_CURVES).replace(b",22,8000.0,", b",2.5,8000.0,"),
     # Y's top-rate point below the others' PSNR.
     "y-not-monotone": rd_csv("bumpy", {"Y": ANCHOR_CURVES["Y"][1:] + [(22, 8000.0, 29.0)]}),
 }
@@ -244,9 +248,9 @@ ANALYZE_VARIANTS = {
     "stdout-sidecar": ["--output", "/dev/stdout", "--dump-activity", "act.csv"],
 }
 
-# The fault rows of the README's precedence table, as tests/test_cli.py's
-# PRECEDENCE has them: each argv holds its row's fault and the next row's.
-# ILLEGAL holds the last row's fault.
+# The fault rows of the README's precedence table: each argv holds its row's
+# fault and the next row's, and ILLEGAL holds the last row's fault.
+# tests/test_ab_cli.py pins the outcome of every fault and bdrate argv.
 PRECEDENCE = {
     "usage": analyze(ILLEGAL, "--format", "xml", "--width", "15"),
     "geometry": analyze(ILLEGAL, "--width", "15", "--qp", "99"),
@@ -266,7 +270,7 @@ PRECEDENCE = {
     "output-unopenable": analyze(ILLEGAL, "--output", "dir", "--input", ABSENT),
     "input-unopenable": analyze(ILLEGAL, "--input", ABSENT, "--skip", "-1"),
     "input-size": analyze(ILLEGAL, "--input", f"{CORPUS}/{RAGGED.name}.yuv", "--skip", "-1"),
-    "frame-range": analyze(ILLEGAL, "--frames", str(FRAMES + 1)),
+    "frame-range": analyze(ILLEGAL, "--skip", "1", "--frames", str(FRAMES)),
     "frame-count": compare(ILLEGAL, "--input-b", f"{CORPUS}/{ONE.name}.yuv"),
     "sample-range": analyze(ILLEGAL),
     "bdrate-usage": bdrate(ABSENT, rd("anchor")) + ["--qp", "32"],
@@ -291,6 +295,7 @@ BDRATE_PAIRS = {
     "bom": ("anchor-bom", "test"),
     "shuffled": ("anchor-shuffled", "test"),
     "bad-rate": ("bad-rate", "test"),
+    "qp-not-int": ("qp-not-int", "test"),
     "y-not-monotone": ("anchor", "y-not-monotone"),
 }
 
@@ -371,12 +376,25 @@ class Outcome(NamedTuple):
     files: dict[str, bytes | None]  # None for a directory
 
 
-def run(tree: Path, case: Case, directory: Path) -> Outcome:
-    """Run case through tree's CLI in a fresh directory, and what it left there."""
+def fresh_run_directory(directory: Path) -> None:
+    """Make directory anew, holding only an existing output old.csv and an empty directory dir."""
     shutil.rmtree(directory, ignore_errors=True)
     directory.mkdir()
     (directory / "old.csv").write_bytes(OLD_OUTPUT)
     (directory / "dir").mkdir()
+
+
+def contents(directory: Path) -> dict[str, bytes | None]:
+    """The bytes of every file under directory by relative name, None for a directory."""
+    return {
+        str(path.relative_to(directory)): None if path.is_dir() else path.read_bytes()
+        for path in sorted(directory.rglob("*"))
+    }
+
+
+def run(tree: Path, case: Case, directory: Path) -> Outcome:
+    """Run case through tree's CLI in a fresh run directory, and what it left there."""
+    fresh_run_directory(directory)
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONHASHSEED="0", COLUMNS="80")
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")])
@@ -394,11 +412,7 @@ def run(tree: Path, case: Case, directory: Path) -> Outcome:
         timeout=300,
         **stdout,
     )
-    files = {
-        str(path.relative_to(directory)): None if path.is_dir() else path.read_bytes()
-        for path in sorted(directory.rglob("*"))
-    }
-    return Outcome(done.returncode, done.stdout, done.stderr, files)
+    return Outcome(done.returncode, done.stdout, done.stderr, contents(directory))
 
 
 def first_difference(a: bytes, b: bytes) -> str:

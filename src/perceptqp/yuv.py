@@ -186,8 +186,10 @@ def read_frame(source: BinaryIO, fmt: VideoFormat, index: int = 0) -> Frame:
     holds fewer than index+1 whole frames, and SampleRangeError if a 10-bit
     sample is >= 1024. Each plane is a writable array of the native dtype
     backed by a buffer of exactly its decoded size, so a frame occupies its
-    decoded size once.
+    decoded size once. A negative index raises YuvError before the stream moves.
     """
+    if index < 0:
+        raise YuvError(f"frame index {index} is negative")
     source.seek(index * frame_bytes(fmt))
     planes = []
     for channel in Channel:

@@ -37,6 +37,7 @@ from strategies import (
     tiled_frame,
     video_formats,
 )
+from test_ab_cli import ab
 
 FMT = VideoFormat(128, 64, 8, ChromaFormat.YUV420)
 
@@ -85,23 +86,6 @@ dump_args = functools.partial(cli_args, "dump-activity")
 
 
 class TestAnalyze:
-    @pytest.mark.parametrize(
-        "count, flags, line",
-        [
-            (3, {"skip": -1}, "error: --skip must be >= 0, got -1"),
-            (3, {"frames": 0}, "error: --frames must be >= 1, got 0"),
-            (3, {"skip": 3}, "error: --skip 3 is beyond the 3-frame input"),
-            (3, {"skip": 1, "frames": 3}, "error: requested frames 1..3 but input has only 3"),
-            (0, {}, "error: input holds no complete frames"),
-        ],
-        ids=["skip-negative", "frames-zero", "skip-beyond", "range-beyond", "no-frames"],
-    )
-    def test_frame_range_fault_is_one_error_line(self, tmp_path, capsys, count, flags, line):
-        clip = constant_clip(tmp_path / "in.yuv", count=count)
-        assert main(analyze_args(clip, tmp_path / "o.csv", **flags)) == EXIT_VALIDATION
-        assert capsys.readouterr() == ("", line + "\n")
-        assert [path.name for path in tmp_path.iterdir()] == ["in.yuv"]
-
     def test_missing_required_flag_is_usage_error(self, tmp_path, capsys):
         assert main(["analyze", "--input", "x.yuv"]) == EXIT_USAGE
         capsys.readouterr()
@@ -303,94 +287,6 @@ def test_shared_output_and_dump_activity_is_refused(tmp_path, capsys, exists):
             assert not out.exists()
 
 
-TEN_BIT = VideoFormat(128, 64, 10, ChromaFormat.YUV420)
-
-
-def ten_bit_clip(path, count, bad_frame=None, tail=b""):
-    """count mid-grey 10-bit frames, a 1024 sample leading bad_frame, tail appended."""
-    words = np.full((count, frame_bytes(TEN_BIT) // 2), 512, dtype="<u2")
-    if bad_frame is not None:
-        words[bad_frame, 0] = 1024
-    path.write_bytes(words.tobytes() + tail)
-    return path
-
-
-def ten_bit_analyze(f, **flags):
-    return analyze_args(f["clip"], f["out"], fmt=TEN_BIT, bit_depth=10, **flags)
-
-
-# One case per row of the README's precedence table: the row's fault plus the
-# next row's, and what the error must name. The clip itself holds the last
-# row's fault, a 10-bit sample of 1024 in frame 0. A closed stdout needs a
-# child process: test_closed_stdout_fails_before_any_input_is_read; a FIFO
-# input needs a writer thread: test_fifo_input_is_refused_as_not_seekable.
-PRECEDENCE = [
-    ("usage", lambda f: ten_bit_analyze(f, format="xml", width=15), EXIT_USAGE, "invalid choice"),
-    ("geometry", lambda f: ten_bit_analyze(f, width=15, qp=99), EXIT_VALIDATION, "error: width 15"),
-    ("geometry-compare", lambda f: compare_args(
-        f["clip"], f["out"], fmt=TEN_BIT, bit_depth=10, width=15, qp=99),
-     EXIT_VALIDATION, "width 15"),
-    ("qp-rule", lambda f: ten_bit_analyze(f, qp=99, output=f["clip"]), EXIT_VALIDATION, "slice_qp 99"),
-    ("output-is-input", lambda f: ten_bit_analyze(f, output=f["clip"], dump_activity=f["dir"]),
-     EXIT_VALIDATION, "refusing"),
-    ("output-is-dash", lambda f: ten_bit_analyze(f, output="-", dump_activity=f["dir"]),
-     EXIT_VALIDATION, "/dev/stdout"),
-    ("dump-is-dash", lambda f: ten_bit_analyze(f, dump_activity="-", output=f["dir"]),
-     EXIT_VALIDATION, "/dev/stdout"),
-    ("outputs-are-stdout-and-stderr", lambda f: ten_bit_analyze(
-        f, output="/dev/stdout", dump_activity="/dev/stderr", input=f["absent"]),
-     EXIT_VALIDATION, "outputs /dev/stdout and /dev/stderr"),
-    ("outputs-are-stderr-and-stdout", lambda f: ten_bit_analyze(
-        f, output="/dev/stderr", dump_activity="/dev/stdout", input=f["absent"]),
-     EXIT_VALIDATION, "outputs /dev/stderr and /dev/stdout"),
-    ("output-unopenable", lambda f: ten_bit_analyze(f, output=f["dir"], input=f["absent"]),
-     EXIT_IO, os.strerror(errno.EISDIR)),
-    ("input-unopenable", lambda f: ten_bit_analyze(f, input=f["absent"], skip=-1),
-     EXIT_IO, f"i/o error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}"),
-    ("input-size", lambda f: ten_bit_analyze(f, input=f["ragged"], skip=-1),
-     EXIT_VALIDATION, "not a multiple of the 24576-byte frame size; declared geometry is wrong"),
-    ("frame-range", lambda f: ten_bit_analyze(f, frames=3), EXIT_VALIDATION, "input has only 2"),
-    ("frame-count", lambda f: compare_args(
-        f["clip"], f["out"], fmt=TEN_BIT, bit_depth=10, input_b=f["one"]),
-     EXIT_VALIDATION, "differ in frame count"),
-    ("sample-range", lambda f: ten_bit_analyze(f), EXIT_VALIDATION, "out of range"),
-    # bdrate: usage, then --anchor and then --test each opened and wholly checked, then the channels.
-    ("bdrate-usage", lambda f: bdrate_args(f["absent"], f["clip"]) + ["--qp", "32"],
-     EXIT_USAGE, "unrecognized arguments: --qp 32"),
-    ("bdrate-anchor-unopenable", lambda f: bdrate_args(f["absent"], f["clip"]),
-     EXIT_IO, f"i/o error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}"),
-    ("bdrate-anchor-rd-csv", lambda f: bdrate_args(f["three-points"], f["absent"]),
-     EXIT_VALIDATION, "three-points.csv: channel Y: need at least 4 points"),
-    ("bdrate-channel-order", lambda f: bdrate_args(f["y-low"], f["y-high"]),
-     EXIT_VALIDATION, "error: channel Y: BD-Rate is inf"),
-]
-
-
-@pytest.mark.parametrize(
-    "make_args, code, names", [case[1:] for case in PRECEDENCE], ids=[case[0] for case in PRECEDENCE]
-)
-def test_first_fault_in_precedence_order_wins(tmp_path, monkeypatch, capsys, make_args, code, names):
-    monkeypatch.chdir(tmp_path)  # so a relative output such as "-" would land in tmp_path
-    f = {
-        "clip": ten_bit_clip(tmp_path / "in.yuv", 2, bad_frame=0),
-        "one": ten_bit_clip(tmp_path / "one.yuv", 1),
-        "ragged": ten_bit_clip(tmp_path / "ragged.yuv", 2, tail=b"\0"),
-        "absent": tmp_path / "absent.yuv",
-        "dir": tmp_path / "dir",
-        "out": tmp_path / "out.csv",
-    }
-    f["dir"].mkdir()
-    for name, curves in PRECEDENCE_RD_RUNS.items():
-        f[name] = rd_file(tmp_path, name, curves)
-    before = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
-    assert main(make_args(f)) == code
-    out, err = capsys.readouterr()
-    assert (out, err.count("error:")) == ("", 1)
-    assert names in err
-    assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
-    assert sorted(tmp_path.rglob("*")) == sorted([*before, f["dir"]])
-
-
 def rd_file(directory, label, curves):
     """Write one labelled run's RD CSV to directory/label.csv and return its path."""
     path = directory / f"{label}.csv"
@@ -421,31 +317,6 @@ ANCHOR_REWRITES = {
     # Sorted by neither QP nor bitrate.
     "shuffled": lambda header, rows: [header, *rows[1::2], *rows[::2]],
     "rising-bitrate": lambda header, rows: [header, *sorted(rows, key=lambda row: float(row.split(b",")[3]))],
-}
-# The RD CSVs test_first_fault_in_precedence_order_wins writes. Y rates 600
-# decades apart overflow the BD-Rate ratio and leave Y's BD-PSNR, computed
-# next, no shared rate span; Cb, computed after Y, has no shared PSNR span.
-PRECEDENCE_RD_RUNS = {
-    "three-points": {"Y": SAMPLE_CURVES["Y"][:3]},
-    "y-low": {**scaled_points({"Y": SAMPLE_CURVES["Y"]}, 1e-300), "Cb": SAMPLE_CURVES["Cb"]},
-    "y-high": {**scaled_points({"Y": SAMPLE_CURVES["Y"]}, 1e300), "Cb": CB_APART["Cb"]},
-}
-
-# Faults inside one RD CSV of SAMPLE_CURVES: the file that holds it, a rewrite
-# of its bytes, and the error line's message after the file's path.
-RD_FILE_FAULTS = {
-    "bitrate-x": ("anchor", lambda data: data.replace(b",8000.0,", b",x,"),
-                  "bad RD CSV row ['anchor', 'Y', '22', 'x', '36.5']:"
-                  " could not convert string to float: 'x'"),
-    "qp-not-int": ("anchor", lambda data: data.replace(b",22,8000.0,", b",2.5,8000.0,"),
-                   "bad RD CSV row ['anchor', 'Y', '2.5', '8000.0', '36.5']:"
-                   " invalid literal for int() with base 10: '2.5'"),
-    # The top-rate point drops below the others' PSNR.
-    "y-not-monotone": ("anchor", lambda data: data.replace(b",8000.0,36.5", b",8000.0,29.0"),
-                       "channel Y: points must increase strictly in both bitrate and PSNR"),
-    # The last row, Cb at QP 37, dropped.
-    "cb-three-points": ("test", lambda data: b"".join(data.splitlines(keepends=True)[:-1]),
-                        "channel Cb: need at least 4 points for a cubic fit, got 3"),
 }
 
 
@@ -485,18 +356,6 @@ class TestBdrateCommand:
         assert float(rate) == pytest.approx(10.0, abs=1e-4)
         assert float(quality) < 0.0  # more bits for the same quality
 
-    def test_overflowing_bd_rate_is_validation_error(self, tmp_path, capsys):
-        # rates 600 decades apart: the BD-Rate ratio 10**600 overflows a float
-        anchor, test = (
-            rd_file(tmp_path, name, {
-                "Y": [(42 - 5 * k, RdPoint(k * scale, 29.0 + k)) for k in range(1, 5)]
-            })
-            for name, scale in (("anchor", 1e-300), ("test", 1e300))
-        )
-        args = bdrate_args(anchor, test)
-        assert main(args) == EXIT_VALIDATION
-        assert capsys.readouterr().err.startswith("error: channel Y: BD-Rate")
-
     def test_huge_psnrs_are_validation_error_without_lapack_noise(self, tmp_path, capfd):
         anchor, test = (
             rd_file(tmp_path, name, {
@@ -510,16 +369,6 @@ class TestBdrateCommand:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_failed_later_channel_prints_no_table(self, tmp_path, capsys):
-        # Y fits, so a table printed row by row would already hold its header and Y row.
-        anchor = rd_file(tmp_path, "anchor", SAMPLE_CURVES)
-        test = rd_file(tmp_path, "test", CB_APART)
-        assert main(bdrate_args(anchor, test)) == EXIT_VALIDATION
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("error: channel Cb: curves do not overlap: the anchor spans [")
-        assert err.count("\n") == 1
-
     def test_oversized_field_is_validation_error(self, tmp_path, capfd):
         label = "x" * (csv.field_size_limit() + 1)
         anchor = tmp_path / "anchor.csv"
@@ -528,30 +377,6 @@ class TestBdrateCommand:
         out, err = capfd.readouterr()
         assert out == ""
         assert err.startswith(f"error: {anchor}: bad RD CSV") and err.count("\n") == 1
-
-    @pytest.mark.parametrize("role, rewrite, message", RD_FILE_FAULTS.values(), ids=RD_FILE_FAULTS)
-    def test_fault_in_one_file_names_it(self, tmp_path, capsys, role, rewrite, message):
-        paths = {name: rd_file(tmp_path, name, SAMPLE_CURVES) for name in ("anchor", "test")}
-        paths[role].write_bytes(rewrite(paths[role].read_bytes()))
-        assert main(bdrate_args(paths["anchor"], paths["test"])) == EXIT_VALIDATION
-        assert capsys.readouterr() == ("", f"error: {paths[role]}: {message}\n")
-
-    def test_no_common_channel_is_validation_error(self, tmp_path, capsys):
-        anchor = rd_file(tmp_path, "anchor", {"Y": SAMPLE_CURVES["Y"]})
-        test = rd_file(tmp_path, "test", {"Cb": SAMPLE_CURVES["Cb"]})
-        assert main(bdrate_args(anchor, test)) == EXIT_VALIDATION
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert "no common channels" in err
-
-    def test_multi_label_file_is_validation_error(self, tmp_path, capsys):
-        both = rd_csv_bytes(
-            [("a", {"Y": SAMPLE_CURVES["Y"]}), ("b", {"Y": SAMPLE_CURVES["Y"]})]
-        )
-        anchor = tmp_path / "anchor.csv"
-        anchor.write_bytes(both)
-        assert main(bdrate_args(anchor, anchor)) == EXIT_VALIDATION
-        assert "single label" in capsys.readouterr().err
 
 
 class TestStreaming:
@@ -1291,20 +1116,34 @@ def test_closed_stdout_is_one_io_error_and_replaces_nothing(tmp_path, command):
 
 @pytest.mark.parametrize("command", ["analyze", "compare", "dump-activity", "bdrate"])
 def test_closed_stdout_fails_before_any_input_is_read(tmp_path, command):
-    # The clip's first sample is a 10-bit 1024, a fault that reading frame 0
-    # would report; as an --anchor, it is no RD CSV, which reading it would report.
-    clip = ten_bit_clip(tmp_path / "in.yuv", 2, bad_frame=0)
-    out = tmp_path / "out.csv"
-    out.write_text("old output\n")
-    if command == "bdrate":
-        argv = bdrate_args(clip, clip)
-    else:
-        argv = cli_args(command, clip, out, fmt=TEN_BIT, bit_depth=10)
-    child = cli_child(argv, stdout=None, preexec_fn=functools.partial(os.close, 1))
+    # The clip's frame 0 holds a 10-bit Y sample of 1024, a fault that reading
+    # it would report; as an --anchor, it is no RD CSV, which reading it would report.
+    ab.build_corpus(tmp_path / "corpus")
+    run = tmp_path / "run"
+    ab.fresh_run_directory(run)
+    clip = ab.MIN_EARLIER
+    argv = {
+        "analyze": ab.analyze(clip, "--output", "old.csv"),
+        "compare": ab.compare(clip, "--output", "old.csv"),
+        "dump-activity": ab.dump(clip, "--output", "old.csv"),
+        "bdrate": ab.bdrate(*[f"{ab.CORPUS}/{clip.name}.yuv"] * 2),
+    }[command]
+    child = cli_child(argv, stdout=None, cwd=run, preexec_fn=functools.partial(os.close, 1))
     _, err = child.communicate(timeout=60)
     assert (child.returncode, err) == (EXIT_IO, b"i/o error: [Errno 9] Bad file descriptor\n")
-    assert out.read_text() == "old output\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.yuv", "out.csv"]
+    assert ab.contents(run) == {"dir": None, "old.csv": ab.OLD_OUTPUT}
+
+
+def test_outputs_on_one_file_as_stdout_and_stderr_are_refused(tmp_path):
+    # As `analyze --output /dev/stdout --dump-activity /dev/stderr 2>&1`: the two
+    # outputs name one file, which is refused before the input is opened.
+    argv = analyze_args(tmp_path / "absent.yuv", "/dev/stdout", dump_activity="/dev/stderr")
+    child = cli_child(argv, stderr=subprocess.STDOUT)
+    out, _ = child.communicate(timeout=60)
+    assert (child.returncode, out) == (
+        EXIT_VALIDATION,
+        b"error: outputs /dev/stdout and /dev/stderr are the same file; one would overwrite the other\n",
+    )
 
 
 @pytest.mark.parametrize("argv", [[], ["analyze"]], ids=["bare", "analyze"])

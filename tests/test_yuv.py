@@ -136,6 +136,18 @@ class TestReadFrame:
         with pytest.raises(TruncatedInputError):
             read_frame(stream, fmt, index=1)
 
+    @pytest.mark.parametrize("kind", ["bytes", "file"])
+    def test_negative_index_is_refused_before_any_seek(self, tmp_path, kind):
+        # Seeking would raise ValueError on a BytesIO and OSError on a file, which the CLI reports as exit 4.
+        fmt = VideoFormat(2, 2, 8, ChromaFormat.YUV444)
+        path = tmp_path / "one.yuv"
+        path.write_bytes(bytes(frame_bytes(fmt)))
+        with path.open("rb") if kind == "file" else io.BytesIO(path.read_bytes()) as stream:
+            stream.seek(1)
+            with pytest.raises(YuvError, match="^frame index -1 is negative$"):
+                read_frame(stream, fmt, -1)
+            assert stream.tell() == 1
+
     def test_short_frame_is_truncation(self):
         fmt = VideoFormat(4, 4, 8, ChromaFormat.YUV420)
         stream = io.BytesIO(b"\x00" * (frame_bytes(fmt) - 1))
