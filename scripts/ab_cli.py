@@ -15,9 +15,9 @@ every file the directory holds afterwards.
 
 It prints one line per argv that differs and a total. A difference whose
 argv matches an --expect-diff pattern (a regular expression searched in
-"NAME ARGV...") is marked expected; --only runs only the matching argv. The
-exit status is 0 when every difference is expected and 1 otherwise. Nothing
-here measures speed.
+"NAME ARGV...") is marked expected; --only runs only the matching argv, and
+one that matches none is a usage error. The exit status is 0 when every
+difference is expected and 1 otherwise. Nothing here measures speed.
 """
 
 from __future__ import annotations
@@ -78,9 +78,12 @@ OTHER = SMALL._replace(name="other-420-8-72x40")  # a second clip of SMALL's geo
 # 10-bit 4:2:0 72x40: ILLEGAL's last Cr sample of its last frame is 1024;
 # MIN_EARLIER's first frame has a luma plane running from 0 in its first sample
 # to 1024 in its last, and NO_LEGAL's first frame a Cr plane of 1024s only;
-# ONE holds one frame; RAGGED ends half way through its third frame.
+# FIRST_STRIP's last frame has a 1024 in its first luma strip, so the error
+# waits for the plane's last strip; ONE holds one frame; RAGGED ends half way
+# through its third frame.
 ILLEGAL = Clip("illegal-420-10-72x40", 72, 40, "420", 10)
 MIN_EARLIER = ILLEGAL._replace(name="min-earlier-420-10-72x40")
+FIRST_STRIP = ILLEGAL._replace(name="first-strip-420-10-72x40")
 NO_LEGAL = ILLEGAL._replace(name="no-legal-420-10-72x40")
 ONE = ILLEGAL._replace(name="one-420-10-72x40")
 RAGGED = ILLEGAL._replace(name="ragged-420-10-72x40")
@@ -142,6 +145,8 @@ def rd_csv(label: str, curves: dict) -> bytes:
 
 # Cb 100 dB above the anchor's: the two Cb curves share no PSNR span.
 CB_APART = scaled(ANCHOR_CURVES, psnr=100.0)["Cb"]
+# Y PSNRs of 1e300 to 4e300, rising with the bitrate.
+HUGE_PSNR = {"Y": [(42 - 5 * k, 100.0 * k, k * 1e300) for k in range(1, 5)]}
 ANCHOR_ROWS = rd_csv("anchor", ANCHOR_CURVES).splitlines(keepends=True)
 RD_FILES = {
     "anchor": rd_csv("anchor", ANCHOR_CURVES),
@@ -172,6 +177,15 @@ RD_FILES = {
     "qp-not-int": rd_csv("anchor", ANCHOR_CURVES).replace(b",22,8000.0,", b",2.5,8000.0,"),
     # Y's top-rate point below the others' PSNR.
     "y-not-monotone": rd_csv("bumpy", {"Y": ANCHOR_CURVES["Y"][1:] + [(22, 8000.0, 29.0)]}),
+    # The anchor's rows by rising bitrate, the channels interleaved.
+    "anchor-rising": b"".join(
+        ANCHOR_ROWS[:1] + sorted(ANCHOR_ROWS[1:], key=lambda row: float(row.split(b",")[3]))
+    ),
+    # A label one character longer than the csv module's default field limit of 131072.
+    "oversized-label": rd_csv("x" * 131073, {"Y": ANCHOR_CURVES["Y"]}),
+    # PSNRs near 1e300: the cubic fit of either curve overflows.
+    "huge-psnr-anchor": rd_csv("anchor", HUGE_PSNR),
+    "huge-psnr-test": rd_csv("test", scaled(HUGE_PSNR, psnr=5e299)),
 }
 
 
@@ -190,6 +204,9 @@ def build_corpus(corpus: Path) -> None:
     no_legal = clip_samples(NO_LEGAL, FRAMES, 105)
     no_legal[luma + chroma : luma + 2 * chroma] = 1024
     (corpus / f"{NO_LEGAL.name}.yuv").write_bytes(clip_bytes(NO_LEGAL, no_legal))
+    first_strip = clip_samples(FIRST_STRIP, FRAMES, 106)
+    first_strip[(FRAMES - 1) * (luma + 2 * chroma) + 5] = 1024
+    (corpus / f"{FIRST_STRIP.name}.yuv").write_bytes(clip_bytes(FIRST_STRIP, first_strip))
     (corpus / f"{ONE.name}.yuv").write_bytes(clip_bytes(ONE, clip_samples(ONE, 1, 102)))
     ragged = clip_bytes(RAGGED, clip_samples(RAGGED, FRAMES, 103))
     (corpus / f"{RAGGED.name}.yuv").write_bytes(ragged[: len(ragged) * 5 // 6])
@@ -250,7 +267,8 @@ ANALYZE_VARIANTS = {
 
 # The fault rows of the README's precedence table: each argv holds its row's
 # fault and the next row's, and ILLEGAL holds the last row's fault.
-# tests/test_ab_cli.py pins the outcome of every fault and bdrate argv.
+# tests/test_ab_cli.py pins the outcome of every fault, late-fault, bdrate
+# and closed-stdout argv.
 PRECEDENCE = {
     "usage": analyze(ILLEGAL, "--format", "xml", "--width", "15"),
     "geometry": analyze(ILLEGAL, "--width", "15", "--qp", "99"),
@@ -297,6 +315,9 @@ BDRATE_PAIRS = {
     "bad-rate": ("bad-rate", "test"),
     "qp-not-int": ("qp-not-int", "test"),
     "y-not-monotone": ("anchor", "y-not-monotone"),
+    "rising": ("anchor-rising", "test"),
+    "oversized-label": ("oversized-label", "anchor"),
+    "huge-psnr": ("huge-psnr-anchor", "huge-psnr-test"),
 }
 
 
@@ -339,33 +360,67 @@ def matrix() -> list[Case]:
         Case(f"help-{command}", [command, "--help"] if command else ["--help"])
         for command in ("", "analyze", "compare", "bdrate", "dump-activity")
     ]
-    # A fault in the last frame, with both outputs already present.
+    # A fault in the last frame, with an output already present. The
+    # adaptiveqp runs analyse no chroma, but still read and range-check it.
+    old, sidecar = ["--output", "old.csv"], ["--dump-activity", "act.csv"]
+    luma_only = ["--mode", "adaptiveqp"]
     cases += [
-        Case("late-fault-analyze", analyze(ILLEGAL, "--output", "old.csv", "--dump-activity", "act.csv")),
-        Case("late-fault-compare", compare(ILLEGAL, "--output", "old.csv")),
-        Case("late-fault-dump", dump(ILLEGAL, "--output", "old.csv")),
+        Case("late-fault-analyze", analyze(ILLEGAL, *old, *sidecar)),
+        Case("late-fault-analyze-adaptiveqp", analyze(ILLEGAL, *old, *luma_only)),
+        Case("late-fault-compare", compare(ILLEGAL, *old)),
+        Case("late-fault-compare-adaptiveqp", compare(ILLEGAL, *old, "--mode-b", "adaptiveqp")),
+        Case("late-fault-dump", dump(ILLEGAL, *old)),
+        Case("late-fault-first-strip", analyze(FIRST_STRIP, *old, *sidecar)),
+        Case("late-fault-first-strip-adaptiveqp", analyze(FIRST_STRIP, *old, *luma_only)),
     ]
     cases += [Case(f"fault-{name}", argv) for name, argv in PRECEDENCE.items()]
-    # The frame-range faults that no precedence row reaches, on a readable input.
+    small = f"{CORPUS}/{SMALL.name}.yuv"
+    commands = {"": analyze, "-compare": compare, "-dump": dump}
+    # Faults that no precedence row reaches, on a readable input.
     cases += [
+        Case("fault-missing-flags", ["analyze", "--input", small]),
+        Case("fault-qp-range", analyze(SMALL, "--qp-range", "10000")),
+        Case("fault-dump-activity-is-input", analyze(SMALL, "--dump-activity", small)),
+        Case("fault-output-is-input-compare", compare(SMALL, "--output", small)),
+        Case("fault-output-is-input-b", compare(OTHER, "--input-b", small, "--output", small)),
+        Case("fault-output-is-input-dump", dump(SMALL, "--output", small)),
+        # One file named two ways, existing and new.
+        Case("fault-outputs-shared-existing", analyze(SMALL, *old, "--dump-activity", "dir/../old.csv")),
+        Case("fault-outputs-shared-new", analyze(
+            SMALL, "--output", "new.csv", "--dump-activity", "dir/../new.csv")),
+        Case("fault-output-directory-sidecar", analyze(
+            SMALL, "--output", "dir", "--dump-activity", "old.csv")),
         Case("fault-skip-negative", analyze(SMALL, "--skip", "-1")),
         Case("fault-frames-zero", analyze(SMALL, "--frames", "0")),
         Case("fault-skip-beyond", analyze(SMALL, "--skip", str(FRAMES))),
         Case("fault-no-frames", analyze(EMPTY)),
+    ]  # fmt: skip
+    # A geometry of 2**80 samples a plane, which a grid built from the flags would not fit in memory.
+    cases += [
+        Case(f"fault-geometry-huge{suffix}", command(SMALL, "--width", str(2**40), "--height", str(2**40)))
+        for suffix, command in commands.items()
     ]
     # The range error's min from an earlier strip than its max, and from a plane with no legal sample.
     cases += [
-        Case("fault-sample-min-earlier", analyze(MIN_EARLIER)),
-        Case("fault-sample-no-legal", analyze(NO_LEGAL)),
+        Case(f"fault-sample-{name}{suffix}", command(clip))
+        for name, clip in (("min-earlier", MIN_EARLIER), ("no-legal", NO_LEGAL))
+        for suffix, command in commands.items()
     ]
-    # As `perceptqp ... >&-`: fd 1 closed when the child starts.
-    cases += [
-        Case("closed-stdout-analyze", analyze(SMALL, "--output", "old.csv"), closed_stdout=True),
-        Case("closed-stdout-compare", compare(SMALL, "--output", "old.csv"), closed_stdout=True),
-        Case("closed-stdout-dump", dump(SMALL, "--output", "old.csv"), closed_stdout=True),
-        Case("closed-stdout-bdrate", bdrate(rd("anchor"), rd("test")), closed_stdout=True),
-        Case("closed-stdout-help", ["--help"], closed_stdout=True),
-    ]
+    # As `perceptqp ... >&-`: fd 1 closed when the child starts. MIN_EARLIER's
+    # first frame, and the same clip as an RD CSV, hold faults that a run
+    # which read its input would report instead.
+    min_earlier = f"{CORPUS}/{MIN_EARLIER.name}.yuv"
+    closed = {
+        "analyze": analyze(MIN_EARLIER, *old),
+        "compare": compare(MIN_EARLIER, *old),
+        "dump": dump(MIN_EARLIER, *old),
+        "bdrate": bdrate(min_earlier, min_earlier),
+        "help": ["--help"],
+        "analyze-help": ["analyze", "--help"],
+        "usage": [],
+        "analyze-usage": ["analyze"],
+    }
+    cases += [Case(f"closed-stdout-{name}", argv, closed_stdout=True) for name, argv in closed.items()]
     return cases
 
 
@@ -467,6 +522,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     expected = [re.compile(pattern) for pattern in args.expect_diff]
     cases = [case for case in matrix() if args.only is None or re.search(args.only, case.label)]
+    if not cases:
+        parser.error(f"--only {args.only!r} selects no argv")
     with tempfile.TemporaryDirectory(prefix="ab_cli.") as scratch:
         work = Path(scratch)
         if args.parent is not None:

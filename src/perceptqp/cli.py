@@ -80,12 +80,12 @@ def _frame_range(total: int, skip: int, frames: int | None) -> range:
         raise YuvError("input holds no complete frames")
     if skip >= total:
         raise YuvError(f"--skip {skip} is beyond the {total}-frame input")
-    count = total - skip if frames is None else frames
-    if skip + count > total:
+    length = total - skip if frames is None else frames
+    if skip + length > total:
         raise YuvError(
-            f"requested frames {skip}..{skip + count - 1} but input has only {total}"
+            f"requested frames {skip}..{skip + length - 1} but input has only {total}"
         )
-    return range(skip, skip + count)
+    return range(skip, skip + length)
 
 
 def load_frames(path: Path, fmt: VideoFormat, skip: int, frames: int | None) -> list[tuple[int, Frame]]:

@@ -17,13 +17,12 @@ _spec = importlib.util.spec_from_file_location("ab_cli", SCRIPT)
 ab = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ab)
 
-# Every fault and bdrate argv of the matrix that runs with stdout open. The
-# precedence table's closed stdout and FIFO input need a child process or a
-# writer thread, so tests/test_cli.py tests them.
-FAULTS = [
-    case for case in ab.matrix()
-    if re.match(r"(fault|late-fault|bdrate)-", case.name) and not case.closed_stdout
-]  # fmt: skip
+# Every fault, late-fault, bdrate and closed-stdout argv of the matrix: each
+# fault an argv can show is stated there once and pinned here. A closed
+# stdout runs in a child, as the A/B harness starts it; the rest run in
+# process. The FIFO input of the precedence table needs a writer thread, so
+# tests/test_cli.py tests it.
+FAULTS = [case for case in ab.matrix() if re.match(r"(fault|late-fault|bdrate|closed-stdout)-", case.name)]
 
 
 def error(line, code=EXIT_VALIDATION):
@@ -33,14 +32,26 @@ def error(line, code=EXIT_VALIDATION):
 
 TABLE = "channel,bd_rate_pct,bd_psnr_db\nY,10.000000,-0.295669\nCb,-15.757149,0.517451\nCr,5.479301,-0.158877\n"
 NO_FILE = f"i/o error: [Errno 2] No such file or directory: '{ab.ABSENT}'"
+# A run with stdout closed that is not a usage error.
+CLOSED = (EXIT_IO, None, "i/o error: [Errno 9] Bad file descriptor\n")
 CR_1024 = "error: Cr sample out of range 0..1023 (saw 31..1024)"
+Y_15_1024 = "error: Y sample out of range 0..1023 (saw 15..1024)"
+Y_0_1024 = "error: Y sample out of range 0..1023 (saw 0..1024)"
+CR_1024_1024 = "error: Cr sample out of range 0..1023 (saw 1024..1024)"
+IS_INPUT = "error: output ../corpus/c420-8-72x40.yuv is the input ../corpus/c420-8-72x40.yuv; refusing to overwrite it"
+SAME_FILE = "error: outputs {0} and dir/../{0} are the same file; one would overwrite the other"
+HUGE = (
+    "error: stream size 12960 is not a multiple of the 1813388729421943762059264-byte frame size;"
+    " declared geometry is wrong"
+)
 NOT_OVERLAPPING = "error: channel Cb: curves do not overlap: the anchor spans [{}], the test [{}]"
 INF = "error: channel Y: BD-Rate is inf: the curves lie too far apart or too high to compare"
 DASH = "error: output '-' would be a file named '-'; use /dev/stdout to write to stdout"
 BOTH_STD = "error: outputs {} take both stdout and stderr; the summary would join one of them"
-# (exit code, stdout, stderr) of each argv in FAULTS. A usage error's stderr
-# is argparse's usage text, which wraps with the terminal's width, so its
-# entry holds only what the last line, argparse's error, must contain.
+# (exit code, stdout, stderr) of each argv in FAULTS; stdout is None when it
+# is closed. A usage error's stderr is argparse's usage text, which wraps
+# with the terminal's width, so its entry holds only what the last line,
+# argparse's error, must contain.
 OUTCOMES = {
     "bdrate-valid": (EXIT_OK, TABLE, ""),
     "bdrate-reversed": (EXIT_OK, (
@@ -73,9 +84,19 @@ OUTCOMES = {
     "bdrate-y-not-monotone": error(
         "error: ../corpus/y-not-monotone.csv: channel Y: points must increase strictly in both bitrate and PSNR"
     ),
+    "bdrate-rising": (EXIT_OK, TABLE, ""),
+    "bdrate-oversized-label": error(
+        "error: ../corpus/oversized-label.csv: bad RD CSV: field larger than field limit (131072)"
+    ),
+    # capfd holds whatever LAPACK would print on fd 2: only the error line.
+    "bdrate-huge-psnr": error("error: channel Y: the cubic fit overflows: the curves lie too high to compare"),
     "late-fault-analyze": error(CR_1024),
+    "late-fault-analyze-adaptiveqp": error(CR_1024),
     "late-fault-compare": error(CR_1024),
+    "late-fault-compare-adaptiveqp": error(CR_1024),
     "late-fault-dump": error(CR_1024),
+    "late-fault-first-strip": error(Y_15_1024),
+    "late-fault-first-strip-adaptiveqp": error(Y_15_1024),
     "fault-usage": (EXIT_USAGE, "", "argument --format: invalid choice: 'xml'"),
     "fault-geometry": error("error: width 15 must be even for 420 subsampling"),
     "fault-geometry-compare": error("error: width 15 must be even for 420 subsampling"),
@@ -104,12 +125,40 @@ OUTCOMES = {
         "error: ../corpus/three.csv: channel Y: need at least 4 points for a cubic fit, got 3"
     ),
     "fault-bdrate-channel-order": error(INF),
+    "fault-missing-flags": (
+        EXIT_USAGE, "", "the following arguments are required: --width, --height, --output, --qp, --mode"
+    ),
+    "fault-qp-range": error("error: qp_range 10000 outside [0, 51]"),
+    "fault-dump-activity-is-input": error(IS_INPUT),
+    "fault-output-is-input-compare": error(IS_INPUT),
+    "fault-output-is-input-b": error(IS_INPUT),
+    "fault-output-is-input-dump": error(IS_INPUT),
+    "fault-outputs-shared-existing": error(SAME_FILE.format("old.csv")),
+    "fault-outputs-shared-new": error(SAME_FILE.format("new.csv")),
+    "fault-output-directory-sidecar": error("i/o error: [Errno 21] Is a directory: 'dir'", EXIT_IO),
     "fault-skip-negative": error("error: --skip must be >= 0, got -1"),
     "fault-frames-zero": error("error: --frames must be >= 1, got 0"),
     "fault-skip-beyond": error("error: --skip 3 is beyond the 3-frame input"),
     "fault-no-frames": error("error: input holds no complete frames"),
-    "fault-sample-min-earlier": error("error: Y sample out of range 0..1023 (saw 0..1024)"),
-    "fault-sample-no-legal": error("error: Cr sample out of range 0..1023 (saw 1024..1024)"),
+    "fault-geometry-huge": error(HUGE),
+    "fault-geometry-huge-compare": error(HUGE),
+    "fault-geometry-huge-dump": error(HUGE),
+    "fault-sample-min-earlier": error(Y_0_1024),
+    "fault-sample-min-earlier-compare": error(Y_0_1024),
+    "fault-sample-min-earlier-dump": error(Y_0_1024),
+    "fault-sample-no-legal": error(CR_1024_1024),
+    "fault-sample-no-legal-compare": error(CR_1024_1024),
+    "fault-sample-no-legal-dump": error(CR_1024_1024),
+    "closed-stdout-analyze": CLOSED,
+    "closed-stdout-compare": CLOSED,
+    "closed-stdout-dump": CLOSED,
+    "closed-stdout-bdrate": CLOSED,
+    "closed-stdout-help": CLOSED,
+    "closed-stdout-analyze-help": CLOSED,
+    "closed-stdout-usage": (EXIT_USAGE, None, "the following arguments are required: command"),
+    "closed-stdout-analyze-usage": (
+        EXIT_USAGE, None, "the following arguments are required: --input, --width, --height, --output, --qp, --mode"
+    ),
 }
 
 
@@ -127,14 +176,18 @@ def test_every_fault_argv_has_one_outcome():
 
 @pytest.mark.parametrize("case", FAULTS, ids=[case.name for case in FAULTS])
 def test_fault_argv_ends_in_its_outcome(corpus, monkeypatch, capfd, case):
-    # capfd gives fd 1 and fd 2 a file each whatever the capture mode, so the
-    # outputs /dev/stdout and /dev/stderr are two files, as with 2> err.txt.
     before = ab.contents(corpus)
     run = corpus.parent / "run"
-    ab.fresh_run_directory(run)
-    monkeypatch.chdir(run)
-    code = main(case.argv)
-    out, err = capfd.readouterr()
+    if case.closed_stdout:
+        done = ab.run(ab.ROOT, case, run)
+        code, out, err = done.code, done.stdout, done.stderr.decode()
+    else:
+        # capfd gives fd 1 and fd 2 a file each whatever the capture mode, so the
+        # outputs /dev/stdout and /dev/stderr are two files, as with 2> err.txt.
+        ab.fresh_run_directory(run)
+        monkeypatch.chdir(run)
+        code = main(case.argv)
+        out, err = capfd.readouterr()
     want_code, want_out, want_err = OUTCOMES[case.name]
     if want_code == EXIT_USAGE:
         assert (code, out, err.startswith("usage: perceptqp")) == (want_code, want_out, True)
@@ -150,6 +203,13 @@ REDUCED = (
     r"^(analyze-c420-8-72x40-(cu16|json)|compare-c420-8-72x40-input-b|dump-c420-8-72x40-cu16"
     r"|bdrate-valid|fault-sample-range|closed-stdout-analyze) "
 )
+
+
+def test_only_that_selects_no_argv_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit:
+        ab.main(["--parent-tree", ROOT, "--only", "^no-such-argv "])
+    assert exit.value.code == 2
+    assert capsys.readouterr().err.endswith("error: --only '^no-such-argv ' selects no argv\n")
 
 
 def ab_cli(*args):
