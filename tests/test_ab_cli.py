@@ -1,6 +1,7 @@
-"""scripts/ab_cli.py: its corpus and matrix pin the CLI's faults, and its A/B runs on reduced matrices."""
+"""scripts/ab_cli.py: its matrix pins the CLI's faults and meets the oracle, and its A/B runs on reduced matrices."""
 
 import importlib.util
+import itertools
 import os
 import re
 import shutil
@@ -9,6 +10,7 @@ import sys
 
 import pytest
 
+import cli_oracle
 from perceptqp.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -23,6 +25,8 @@ _spec.loader.exec_module(ab)
 # process. The FIFO input of the precedence table needs a writer thread, so
 # tests/test_cli.py tests it.
 FAULTS = [case for case in ab.matrix() if re.match(r"(fault|late-fault|bdrate|closed-stdout)-", case.name)]
+# Every analyze, compare and dump-activity argv of the matrix that succeeds.
+CLIP_RUNS = [case for case in ab.matrix() if re.match(r"(analyze|compare|dump)-", case.name)]
 
 
 def error(line, code=EXIT_VALIDATION):
@@ -195,6 +199,27 @@ def test_fault_argv_ends_in_its_outcome(corpus, monkeypatch, capfd, case):
     else:
         assert (code, out, err) == (want_code, want_out, want_err)
     assert ab.contents(run) == {"dir": None, "old.csv": ab.OLD_OUTPUT}
+    assert ab.contents(corpus) == before
+
+
+@pytest.mark.parametrize("case", CLIP_RUNS, ids=[case.name for case in CLIP_RUNS])
+def test_clip_argv_equals_the_oracle(corpus, monkeypatch, capfd, case):
+    before = ab.contents(corpus)
+    run = corpus.parent / "run"
+    ab.fresh_run_directory(run)
+    monkeypatch.chdir(run)
+    code = main(case.argv)
+    out, err = capfd.readouterr()
+    # A repeated flag takes its last value, as argparse gives it.
+    flags = dict(zip(case.argv[1::2], case.argv[2::2]))
+    assert all(flag.startswith("--") for flag in flags)
+    summary, outputs = cli_oracle.run([case.argv[0], *itertools.chain.from_iterable(flags.items())])
+    want_out, want_err = summary, ""
+    if "/dev/stdout" in outputs:  # the summary then goes to stderr
+        want_out, want_err = outputs.pop("/dev/stdout"), summary
+    assert (code, out, err) == (EXIT_OK, want_out, want_err)
+    want = {"dir": None, "old.csv": ab.OLD_OUTPUT} | {name: text.encode() for name, text in outputs.items()}
+    assert ab.contents(run) == want
     assert ab.contents(corpus) == before
 
 
