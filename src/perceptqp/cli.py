@@ -175,7 +175,9 @@ def _atomic_outputs(paths: list[Path], inputs: list[Path]) -> Iterator[tuple[Tex
     since a device or a pipe must not be replaced by a file. A missing or
     regular-file path is written to a hidden partial file beside it, named by
     64 random bits, so its name neither grows with the path's nor matches one
-    that an earlier, killed run left behind. After the block, every sink is closed, the summary is written and flushed, so it
+    that an earlier, killed run left behind; an OSError in creating it names
+    the path, unless the partial name was taken (EEXIST). After the block,
+    every sink is closed, the summary is written and flushed, so it
     follows the rows on a shared stream, and each partial file is moved into
     place, in argument order. On any exception, a summary that cannot be
     written included, the partial files are deleted, so existing files keep
@@ -215,7 +217,12 @@ def _atomic_outputs(paths: list[Path], inputs: list[Path]) -> Iterator[tuple[Tex
                 sinks.append(open(fd, "w", closefd=False))
             elif _replaceable(path):
                 partial = path.with_name(f".perceptqp.{os.urandom(8).hex()}.partial")
-                sinks.append(open(partial, "x"))
+                try:
+                    sinks.append(open(partial, "x"))
+                except OSError as exc:
+                    if exc.errno == errno.EEXIST:
+                        raise
+                    raise OSError(exc.errno, exc.strerror, str(path)) from None
                 staged.append((partial, path))
             else:
                 sinks.append(open(path, "w"))

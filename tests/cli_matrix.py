@@ -1,46 +1,30 @@
-#!/usr/bin/env python3
-"""Byte-identity A/B of the CLI: a parent tree against this working tree.
+"""The CLI's argv matrix: a fixed, seeded corpus of raw clips and RD CSVs, and the argv run on it.
 
-    python scripts/ab_cli.py --parent REV [--expect-diff PATTERN ...] [--only PATTERN]
-    python scripts/ab_cli.py --parent-tree PATH [--expect-diff PATTERN ...] [--only PATTERN]
-
---parent exports REV of this repository with `git archive` into a
-temporary directory; --parent-tree names a directory that holds
-src/perceptqp. The script builds a fixed, seeded corpus of raw clips and RD
-CSVs, then runs a fixed argv matrix through each tree's
-`python -m perceptqp.cli`, one child at a time. Every run starts in the same
-fresh directory, which holds an existing output `old.csv` and a directory
-`dir`. It compares the exit code, stdout, stderr, and the name and bytes of
-every file the directory holds afterwards.
-
-It prints one line per argv that differs and a total. A difference whose
-argv matches an --expect-diff pattern (a regular expression searched in
-"NAME ARGV...") is marked expected; --only runs only the matching argv, and
-one that matches none is a usage error. The exit status is 0 when every
-difference is expected and 1 otherwise. Nothing here measures speed.
+Every run starts in the same fresh directory, which holds an existing
+output `old.csv` and a directory `dir`, with the corpus beside it in
+`../corpus`. tests/test_cli_matrix.py pins each argv once: a clip
+command that succeeds against tests/cli_oracle.py, any other by its row
+of OUTCOMES. `run` runs a closed-stdout argv in a child, as
+`python -m perceptqp.cli` with this checkout's src first on PYTHONPATH,
+since a run in process cannot start with fd 1 closed.
 """
 
 from __future__ import annotations
 
-import argparse
 import codecs
 import functools
 import os
-import re
 import shutil
 import subprocess
 import sys
-import tempfile
-from collections import Counter
-from itertools import zip_longest
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-# Paths in the argv are relative to the run directory, so messages that name them are
-# the same for both trees.
+# Paths in the argv are relative to the run directory, so messages that name them do
+# not depend on where the corpus is built.
 CORPUS = "../corpus"
 OLD_OUTPUT = b"old output\n"
 FRAMES = 3
@@ -220,10 +204,6 @@ class Case(NamedTuple):
     argv: list[str]
     closed_stdout: bool = False
 
-    @property
-    def label(self) -> str:
-        return " ".join([self.name, *self.argv])
-
 
 def analyze(clip: Clip, *flags: str, cu: int = 16) -> list[str]:
     return ["analyze", *clip.flags, "--cu-size", str(cu), "--qp", "32", "--mode", "cbaq",
@@ -267,8 +247,6 @@ ANALYZE_VARIANTS = {
 
 # The fault rows of the README's precedence table: each argv holds its row's
 # fault and the next row's, and ILLEGAL holds the last row's fault.
-# tests/test_ab_cli.py pins the outcome of every fault, late-fault, bdrate
-# and closed-stdout argv.
 PRECEDENCE = {
     "usage": analyze(ILLEGAL, "--format", "xml", "--width", "15"),
     "geometry": analyze(ILLEGAL, "--width", "15", "--qp", "99"),
@@ -390,6 +368,9 @@ def matrix() -> list[Case]:
             SMALL, "--output", "new.csv", "--dump-activity", "dir/../new.csv")),
         Case("fault-output-directory-sidecar", analyze(
             SMALL, "--output", "dir", "--dump-activity", "old.csv")),
+        # An output, then a sidecar, in a directory that does not exist.
+        Case("fault-output-dir-missing", analyze(SMALL, "--output", "absent/m.csv")),
+        Case("fault-dump-dir-missing", analyze(SMALL, *old, "--dump-activity", "absent/act.csv")),
         Case("fault-skip-negative", analyze(SMALL, "--skip", "-1")),
         Case("fault-frames-zero", analyze(SMALL, "--frames", "0")),
         Case("fault-skip-beyond", analyze(SMALL, "--skip", str(FRAMES))),
@@ -424,13 +405,6 @@ def matrix() -> list[Case]:
     return cases
 
 
-class Outcome(NamedTuple):
-    code: int
-    stdout: bytes | None
-    stderr: bytes
-    files: dict[str, bytes | None]  # None for a directory
-
-
 def fresh_run_directory(directory: Path) -> None:
     """Make directory anew, holding only an existing output old.csv and an empty directory dir."""
     shutil.rmtree(directory, ignore_errors=True)
@@ -447,111 +421,22 @@ def contents(directory: Path) -> dict[str, bytes | None]:
     }
 
 
-def run(tree: Path, case: Case, directory: Path) -> Outcome:
-    """Run case through tree's CLI in a fresh run directory, and what it left there."""
+def run(case: Case, directory: Path) -> subprocess.CompletedProcess:
+    """Run case through this checkout's CLI in a child with fd 1 closed, as `perceptqp ... >&-`.
+
+    The child starts in a fresh run directory, with stderr captured.
+    """
     fresh_run_directory(directory)
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONHASHSEED="0", COLUMNS="80")
     env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")])
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
     )
-    if case.closed_stdout:
-        stdout = {"stdout": None, "preexec_fn": functools.partial(os.close, 1)}
-    else:
-        stdout = {"stdout": subprocess.PIPE}
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "perceptqp.cli", *case.argv],
         cwd=directory,
         env=env,
         stdin=subprocess.DEVNULL,
         stderr=subprocess.PIPE,
+        preexec_fn=functools.partial(os.close, 1),
         timeout=300,
-        **stdout,
     )
-    return Outcome(done.returncode, done.stdout, done.stderr, contents(directory))
-
-
-def first_difference(a: bytes, b: bytes) -> str:
-    """The first line, split at newlines, where a and b differ, each side cut to 100 bytes."""
-    pairs = enumerate(zip_longest(a.split(b"\n"), b.split(b"\n")), 1)
-    number, sides = next((number, sides) for number, sides in pairs if sides[0] != sides[1])
-    shown = ("<end>" if side is None else repr(side[:100]) for side in sides)
-    return f"line {number}: " + " -> ".join(shown)
-
-
-def differences(parent: Outcome, child: Outcome) -> list[str]:
-    found = []
-    if parent.code != child.code:
-        found.append(f"exit {parent.code} -> {child.code}")
-    for stream in ("stdout", "stderr"):
-        a, b = getattr(parent, stream), getattr(child, stream)
-        if a != b:
-            found.append(f"{stream} {first_difference(a, b)}")
-    for name in sorted(parent.files.keys() ^ child.files.keys()):
-        found.append(f"{name} {'gone' if name in parent.files else 'new'}")
-    for name in sorted(parent.files.keys() & child.files.keys()):
-        a, b = parent.files[name], child.files[name]
-        if a != b:
-            found.append(f"{name} {'file <-> directory' if None in (a, b) else first_difference(a, b)}")
-    return found
-
-
-def tree_with_package(parser: argparse.ArgumentParser, path: Path) -> Path:
-    if not (path / "src" / "perceptqp" / "cli.py").is_file():
-        parser.error(f"{path} holds no src/perceptqp/cli.py")
-    return path
-
-
-def export(parser: argparse.ArgumentParser, rev: str, dest: Path) -> Path:
-    """REV of this repository, extracted into dest by git archive."""
-    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, capture_output=True)
-    if archive.returncode:
-        parser.error(f"git archive {rev}: {archive.stderr.decode(errors='replace').strip()}")
-    dest.mkdir()
-    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
-    return tree_with_package(parser, dest)
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument("--parent", metavar="REV", help="revision of this repository to compare against")
-    source.add_argument("--parent-tree", type=Path, metavar="PATH", help="directory holding src/perceptqp")
-    parser.add_argument("--expect-diff", action="append", default=[], metavar="PATTERN",
-                        help="regex for the argv whose difference is intended; repeatable")
-    parser.add_argument("--only", metavar="PATTERN", help="run only the argv that match this regex")
-    args = parser.parse_args(argv)
-    expected = [re.compile(pattern) for pattern in args.expect_diff]
-    cases = [case for case in matrix() if args.only is None or re.search(args.only, case.label)]
-    if not cases:
-        parser.error(f"--only {args.only!r} selects no argv")
-    with tempfile.TemporaryDirectory(prefix="ab_cli.") as scratch:
-        work = Path(scratch)
-        if args.parent is not None:
-            parent = export(parser, args.parent, work / "parent")
-        else:
-            parent = tree_with_package(parser, args.parent_tree.resolve())
-        build_corpus(work / "corpus")
-        intended = unintended = 0
-        codes: Counter[int] = Counter()
-        for case in cases:
-            before, after = run(parent, case, work / "run"), run(ROOT, case, work / "run")
-            codes[after.code] += 1
-            found = differences(before, after)
-            if not found:
-                continue
-            is_expected = any(pattern.search(case.label) for pattern in expected)
-            intended += is_expected
-            unintended += not is_expected
-            mark = "expected" if is_expected else "DIFF"
-            print(f"{mark} {case.name} [{' '.join(case.argv)}]: {'; '.join(found)}", flush=True)
-    # The working tree's exit codes show how many runs got past their checks.
-    exits = ", ".join(f"{code}: {count}" for code, count in sorted(codes.items()))
-    print(
-        f"{len(cases)} argv (exit {exits}), {2 * len(cases)} runs: {intended + unintended} differ"
-        f" ({intended} expected, {unintended} unexpected)"
-    )
-    return 1 if unintended else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

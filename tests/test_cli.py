@@ -25,6 +25,7 @@ from perceptqp import CU_SIZES, QP_MAX, QP_MIN, ChromaFormat, VideoFormat, frame
 import perceptqp
 from perceptqp import activity, cli
 from perceptqp.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
+import cli_matrix
 from strategies import (
     chroma_contrast_frame,
     random_frame,
@@ -32,7 +33,6 @@ from strategies import (
     tiled_frame,
     video_formats,
 )
-from test_ab_cli import ab, corpus  # noqa: F401 (a fixture)
 
 FMT = VideoFormat(128, 64, 8, ChromaFormat.YUV420)
 
@@ -306,16 +306,6 @@ class TestStreaming:
         capsys.readouterr()
         assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~0o027
 
-    def test_unwritable_sidecar_leaves_output_untouched(self, tmp_path, capsys):
-        clip = constant_clip(tmp_path / "in.yuv")
-        out = tmp_path / "map.csv"
-        out.write_text("old output\n")
-        args = analyze_args(clip, out, dump_activity=tmp_path / "absent" / "act.csv")
-        assert main(args) == EXIT_IO
-        assert "i/o error" in capsys.readouterr().err
-        assert out.read_text() == "old output\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.yuv", "map.csv"]
-
     def test_fifo_output_is_written_through(self, tmp_path, capsys):
         clip = write_clip(tmp_path / "in.yuv", [random_frame(FMT, s) for s in range(2)])
         regular, fifo = tmp_path / "act.csv", tmp_path / "pipe"
@@ -487,10 +477,10 @@ def tiny_clips(draw):
 
 
 def rd_csv_files():
-    """The A/B corpus's RD CSVs, valid and faulty, a truncated anchor and arbitrary bytes."""
-    anchor = ab.RD_FILES["anchor"]
+    """The matrix corpus's RD CSVs, valid and faulty, a truncated anchor and arbitrary bytes."""
+    anchor = cli_matrix.RD_FILES["anchor"]
     return st.one_of(
-        st.sampled_from(sorted(ab.RD_FILES)).map(ab.RD_FILES.get),
+        st.sampled_from(sorted(cli_matrix.RD_FILES)).map(cli_matrix.RD_FILES.get),
         st.integers(0, len(anchor) - 1).map(lambda n: anchor[:n]),
         st.binary(max_size=600),
     )
@@ -543,7 +533,7 @@ def cli_runs(draw):
     "analyze", "--input", "{clip}", "--output", "{out}", "--dump-activity", "{side}",
     "--width", "8", "--height", "8", "--qp", "32", "--mode", "cbaq"]))
 @example((  # Y fits and Cb does not: a failure after the first table row
-    {"anchor": ab.RD_FILES["anchor"], "test": ab.RD_FILES["cb-apart"]},
+    {"anchor": cli_matrix.RD_FILES["anchor"], "test": cli_matrix.RD_FILES["cb-apart"]},
     "plain", ["bdrate", "--anchor", "{anchor}", "--test", "{test}"]))
 def test_every_argv_ends_in_a_documented_exit_code(run):
     files, kind, argv = run
@@ -819,12 +809,12 @@ def test_broken_pipe_is_one_io_error_line(long_clip):
     assert (child.returncode, err) == (EXIT_IO, b"i/o error: [Errno 32] Broken pipe\n")
 
 
-# A command of each kind that writes to stdout, on the A/B corpus's clip and RD CSVs, which read cleanly.
+# A command of each kind that writes to stdout, on the matrix corpus's clip and RD CSVs, which read cleanly.
 SUMMARY_ARGV = {
-    "analyze": ab.analyze(ab.SMALL, "--output", "old.csv"),
-    "compare": ab.compare(ab.SMALL, "--output", "old.csv"),
-    "dump-activity": ab.dump(ab.SMALL, "--output", "old.csv"),
-    "bdrate": ab.bdrate(ab.rd("anchor"), ab.rd("test")),
+    "analyze": cli_matrix.analyze(cli_matrix.SMALL, "--output", "old.csv"),
+    "compare": cli_matrix.compare(cli_matrix.SMALL, "--output", "old.csv"),
+    "dump-activity": cli_matrix.dump(cli_matrix.SMALL, "--output", "old.csv"),
+    "bdrate": cli_matrix.bdrate(cli_matrix.rd("anchor"), cli_matrix.rd("test")),
     "help": ["--help"],
     "analyze-help": ["analyze", "--help"],
 }
@@ -833,7 +823,7 @@ SUMMARY_ARGV = {
 @pytest.mark.parametrize("command", SUMMARY_ARGV)
 def test_unwritable_summary_is_one_io_error_and_replaces_nothing(corpus, command):
     run = corpus.parent / "run"
-    ab.fresh_run_directory(run)
+    cli_matrix.fresh_run_directory(run)
     # stdout is a pipe no one reads: the summary or help, buffered as in a shell, fails when flushed.
     read, write = os.pipe()
     os.close(read)
@@ -843,7 +833,7 @@ def test_unwritable_summary_is_one_io_error_and_replaces_nothing(corpus, command
         os.close(write)
     _, err = child.communicate(timeout=60)
     assert (child.returncode, err) == (EXIT_IO, b"i/o error: [Errno 32] Broken pipe\n")
-    assert ab.contents(run) == {"dir": None, "old.csv": ab.OLD_OUTPUT}
+    assert cli_matrix.contents(run) == {"dir": None, "old.csv": cli_matrix.OLD_OUTPUT}
 
 
 def test_outputs_on_one_file_as_stdout_and_stderr_are_refused(tmp_path):
@@ -858,16 +848,6 @@ def test_outputs_on_one_file_as_stdout_and_stderr_are_refused(tmp_path):
     )
 
 
-def test_help_keeps_one_line_description(capsys, monkeypatch):
-    # argparse lists the subcommands itself; a reflowed list broke "dump-activity" in two.
-    monkeypatch.setenv("COLUMNS", "80")
-    assert main(["--help"]) == EXIT_OK
-    lines = capsys.readouterr().out.splitlines()
-    description = lines[lines.index("") + 1 : lines.index("positional arguments:") - 1]
-    assert description == [cli.__doc__.splitlines()[0]]
-    assert not [line for line in lines if line.endswith("dump-")]
-
-
 @pytest.mark.parametrize(
     "case, code",
     [("bdrate", EXIT_OK), ("help", EXIT_OK), ("usage", EXIT_USAGE), ("validation", EXIT_VALIDATION), ("io", EXIT_IO)],
@@ -876,23 +856,21 @@ def test_console_script_exit_loses_no_byte(corpus, capsys, monkeypatch, case, co
     # The help's width follows COLUMNS, which the child inherits.
     monkeypatch.setenv("COLUMNS", "80")
     run = corpus.parent / "run"
-    ab.fresh_run_directory(run)
+    cli_matrix.fresh_run_directory(run)
     monkeypatch.chdir(run)
     argv = {
-        "bdrate": ab.bdrate(ab.rd("anchor"), ab.rd("test")),
+        "bdrate": cli_matrix.bdrate(cli_matrix.rd("anchor"), cli_matrix.rd("test")),
         "help": ["--help"],
-        "usage": ab.analyze(ab.SMALL, "--qp", "x"),
-        "validation": ab.analyze(ab.SMALL, "--qp-range", "52"),
-        "io": ab.analyze(ab.SMALL, "--input", ab.ABSENT),
+        "usage": cli_matrix.analyze(cli_matrix.SMALL, "--qp", "x"),
+        "validation": cli_matrix.analyze(cli_matrix.SMALL, "--qp-range", "52"),
+        "io": cli_matrix.analyze(cli_matrix.SMALL, "--input", cli_matrix.ABSENT),
     }[case]
     assert main(argv) == code
     expected = (code, *capsys.readouterr())
     child = cli_child(argv, cwd=run)
     out, err = child.communicate(timeout=60)
     assert (child.returncode, out.decode(), err.decode()) == expected
-    if case == "help":
-        assert out.decode() == cli.build_parser().format_help()
-    assert ab.contents(run) == {"dir": None, "old.csv": ab.OLD_OUTPUT}
+    assert cli_matrix.contents(run) == {"dir": None, "old.csv": cli_matrix.OLD_OUTPUT}
 
 
 def test_console_script_skips_atexit_handlers():

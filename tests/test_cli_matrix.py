@@ -1,32 +1,12 @@
-"""scripts/ab_cli.py: its matrix pins the CLI's faults and meets the oracle, and its A/B runs on reduced matrices."""
+"""tests/cli_matrix.py's argv: each is pinned once, by its OUTCOMES row or by the CLI oracle."""
 
-import importlib.util
 import itertools
-import os
-import re
-import shutil
-import subprocess
-import sys
 
 import pytest
 
+import cli_matrix
 import cli_oracle
 from perceptqp.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SCRIPT = os.path.join(ROOT, "scripts", "ab_cli.py")
-_spec = importlib.util.spec_from_file_location("ab_cli", SCRIPT)
-ab = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(ab)
-
-# Every fault, late-fault, bdrate and closed-stdout argv of the matrix: each
-# fault an argv can show is stated there once and pinned here. A closed
-# stdout runs in a child, as the A/B harness starts it; the rest run in
-# process. The FIFO input of the precedence table needs a writer thread, so
-# tests/test_cli.py tests it.
-FAULTS = [case for case in ab.matrix() if re.match(r"(fault|late-fault|bdrate|closed-stdout)-", case.name)]
-# Every analyze, compare and dump-activity argv of the matrix that succeeds.
-CLIP_RUNS = [case for case in ab.matrix() if re.match(r"(analyze|compare|dump)-", case.name)]
 
 
 def error(line, code=EXIT_VALIDATION):
@@ -35,7 +15,7 @@ def error(line, code=EXIT_VALIDATION):
 
 
 TABLE = "channel,bd_rate_pct,bd_psnr_db\nY,10.000000,-0.295669\nCb,-15.757149,0.517451\nCr,5.479301,-0.158877\n"
-NO_FILE = f"i/o error: [Errno 2] No such file or directory: '{ab.ABSENT}'"
+NO_FILE = f"i/o error: [Errno 2] No such file or directory: '{cli_matrix.ABSENT}'"
 # A run with stdout closed that is not a usage error.
 CLOSED = (EXIT_IO, None, "i/o error: [Errno 9] Bad file descriptor\n")
 CR_1024 = "error: Cr sample out of range 0..1023 (saw 31..1024)"
@@ -52,10 +32,11 @@ NOT_OVERLAPPING = "error: channel Cb: curves do not overlap: the anchor spans [{
 INF = "error: channel Y: BD-Rate is inf: the curves lie too far apart or too high to compare"
 DASH = "error: output '-' would be a file named '-'; use /dev/stdout to write to stdout"
 BOTH_STD = "error: outputs {} take both stdout and stderr; the summary would join one of them"
-# (exit code, stdout, stderr) of each argv in FAULTS; stdout is None when it
-# is closed. A usage error's stderr is argparse's usage text, which wraps
-# with the terminal's width, so its entry holds only what the last line,
-# argparse's error, must contain.
+# (exit code, stdout, stderr) of each argv that the oracle does not check;
+# stdout is None when it is closed. A usage error's stderr is argparse's
+# usage text, which wraps with the terminal's width, so its entry holds only
+# what the last line, argparse's error, must contain. A help's stdout wraps
+# too, so its entry holds the help with each run of whitespace made one space.
 OUTCOMES = {
     "bdrate-valid": (EXIT_OK, TABLE, ""),
     "bdrate-reversed": (EXIT_OK, (
@@ -140,6 +121,8 @@ OUTCOMES = {
     "fault-outputs-shared-existing": error(SAME_FILE.format("old.csv")),
     "fault-outputs-shared-new": error(SAME_FILE.format("new.csv")),
     "fault-output-directory-sidecar": error("i/o error: [Errno 21] Is a directory: 'dir'", EXIT_IO),
+    "fault-output-dir-missing": error("i/o error: [Errno 2] No such file or directory: 'absent/m.csv'", EXIT_IO),
+    "fault-dump-dir-missing": error("i/o error: [Errno 2] No such file or directory: 'absent/act.csv'", EXIT_IO),
     "fault-skip-negative": error("error: --skip must be >= 0, got -1"),
     "fault-frames-zero": error("error: --frames must be >= 1, got 0"),
     "fault-skip-beyond": error("error: --skip 3 is beyond the 3-frame input"),
@@ -153,6 +136,49 @@ OUTCOMES = {
     "fault-sample-no-legal": error(CR_1024_1024),
     "fault-sample-no-legal-compare": error(CR_1024_1024),
     "fault-sample-no-legal-dump": error(CR_1024_1024),
+    "help-": (EXIT_OK, (
+        "usage: perceptqp [-h] {analyze,compare,bdrate,dump-activity} ... Command-line front end: raw "
+        "clips in, QP maps and RD metrics out. positional arguments: "
+        "{analyze,compare,bdrate,dump-activity} analyze emit a per-CU QP map for each frame compare diff "
+        "the QP maps of two runs bdrate BD-Rate / BD-PSNR between two RD CSV files dump-activity emit "
+        "per-CU activity values options: -h, --help show this help message and exit"
+    ), ""),
+    "help-analyze": (EXIT_OK, (
+        "usage: perceptqp analyze [-h] --input INPUT --width WIDTH --height HEIGHT [--bit-depth {8,10}] "
+        "[--chroma {444,422,420}] [--frames FRAMES] [--skip SKIP] [--cu-size {16,32,64}] --output OUTPUT "
+        "--qp QP [--qp-range QP_RANGE] --mode {adaptiveqp,cbaq} [--t-mode {luma,cross}] [--rounding "
+        "{nearest,ceiling}] [--format {csv,json}] [--dump-activity PATH] options: -h, --help show this "
+        "help message and exit --input INPUT raw planar YCbCr file --width WIDTH --height HEIGHT "
+        "--bit-depth {8,10} --chroma {444,422,420} --frames FRAMES frames to process (default: all) "
+        "--skip SKIP frames to skip from the start --cu-size {16,32,64} --output OUTPUT --qp QP slice QP "
+        "the deltas adapt around --qp-range QP_RANGE --mode {adaptiveqp,cbaq} --t-mode {luma,cross} "
+        "--rounding {nearest,ceiling} --format {csv,json} --dump-activity PATH"
+    ), ""),
+    "help-compare": (EXIT_OK, (
+        "usage: perceptqp compare [-h] --input INPUT --width WIDTH --height HEIGHT [--bit-depth {8,10}] "
+        "[--chroma {444,422,420}] [--frames FRAMES] [--skip SKIP] [--cu-size {16,32,64}] --output OUTPUT "
+        "[--input-b INPUT_B] --qp QP [--qp-range QP_RANGE] --mode-a {adaptiveqp,cbaq} [--t-mode-a "
+        "{luma,cross}] [--rounding-a {nearest,ceiling}] --mode-b {adaptiveqp,cbaq} [--t-mode-b "
+        "{luma,cross}] [--rounding-b {nearest,ceiling}] options: -h, --help show this help message and "
+        "exit --input INPUT raw planar YCbCr file --width WIDTH --height HEIGHT --bit-depth {8,10} "
+        "--chroma {444,422,420} --frames FRAMES frames to process (default: all) --skip SKIP frames to "
+        "skip from the start --cu-size {16,32,64} --output OUTPUT --input-b INPUT_B second clip (default: "
+        "--input) --qp QP --qp-range QP_RANGE --mode-a {adaptiveqp,cbaq} --t-mode-a {luma,cross} "
+        "--rounding-a {nearest,ceiling} --mode-b {adaptiveqp,cbaq} --t-mode-b {luma,cross} --rounding-b "
+        "{nearest,ceiling}"
+    ), ""),
+    "help-bdrate": (EXIT_OK, (
+        "usage: perceptqp bdrate [-h] --anchor ANCHOR --test TEST options: -h, --help show this help "
+        "message and exit --anchor ANCHOR --test TEST"
+    ), ""),
+    "help-dump-activity": (EXIT_OK, (
+        "usage: perceptqp dump-activity [-h] --input INPUT --width WIDTH --height HEIGHT [--bit-depth "
+        "{8,10}] [--chroma {444,422,420}] [--frames FRAMES] [--skip SKIP] [--cu-size {16,32,64}] --output "
+        "OUTPUT options: -h, --help show this help message and exit --input INPUT raw planar YCbCr file "
+        "--width WIDTH --height HEIGHT --bit-depth {8,10} --chroma {444,422,420} --frames FRAMES frames "
+        "to process (default: all) --skip SKIP frames to skip from the start --cu-size {16,32,64} "
+        "--output OUTPUT"
+    ), ""),
     "closed-stdout-analyze": CLOSED,
     "closed-stdout-compare": CLOSED,
     "closed-stdout-dump": CLOSED,
@@ -166,47 +192,52 @@ OUTCOMES = {
 }
 
 
-@pytest.fixture(scope="module")
-def corpus(tmp_path_factory):
-    """The harness's corpus, built once per module."""
-    corpus = tmp_path_factory.mktemp("ab_cli") / "corpus"
-    ab.build_corpus(corpus)
-    return corpus
+MATRIX = cli_matrix.matrix()
+# Every analyze, compare and dump-activity argv of the matrix that succeeds.
+CLIP_RUNS = [case for case in MATRIX if case.name.startswith(("analyze-", "compare-", "dump-"))]
+# Every other argv, each by its row: a closed stdout in a child, the rest in
+# process. The precedence table's FIFO input needs a writer thread, so
+# tests/test_cli.py tests it.
+PINNED = [case for case in MATRIX if case.name in OUTCOMES]
 
 
-def test_every_fault_argv_has_one_outcome():
-    assert sorted(OUTCOMES) == sorted(case.name for case in FAULTS)
+def test_every_argv_is_pinned_once():
+    assert sorted(case.name for case in MATRIX) == sorted([*OUTCOMES, *(case.name for case in CLIP_RUNS)])
 
 
-@pytest.mark.parametrize("case", FAULTS, ids=[case.name for case in FAULTS])
-def test_fault_argv_ends_in_its_outcome(corpus, monkeypatch, capfd, case):
-    before = ab.contents(corpus)
+@pytest.mark.parametrize("case", PINNED, ids=[case.name for case in PINNED])
+def test_argv_ends_in_its_outcome(corpus, monkeypatch, capfd, case):
+    before = cli_matrix.contents(corpus)
     run = corpus.parent / "run"
     if case.closed_stdout:
-        done = ab.run(ab.ROOT, case, run)
-        code, out, err = done.code, done.stdout, done.stderr.decode()
+        done = cli_matrix.run(case, run)
+        code, out, err = done.returncode, None, done.stderr.decode()
     else:
         # capfd gives fd 1 and fd 2 a file each whatever the capture mode, so the
         # outputs /dev/stdout and /dev/stderr are two files, as with 2> err.txt.
-        ab.fresh_run_directory(run)
+        cli_matrix.fresh_run_directory(run)
         monkeypatch.chdir(run)
+        # As cli_matrix.run sets it: argparse wraps the help at COLUMNS, and may break a word at a hyphen.
+        monkeypatch.setenv("COLUMNS", "80")
         code = main(case.argv)
         out, err = capfd.readouterr()
     want_code, want_out, want_err = OUTCOMES[case.name]
     if want_code == EXIT_USAGE:
         assert (code, out, err.startswith("usage: perceptqp")) == (want_code, want_out, True)
         assert want_err in err.splitlines()[-1]
+    elif "--help" in case.argv and out is not None:
+        assert (code, " ".join(out.split()), err) == (want_code, want_out, want_err)
     else:
         assert (code, out, err) == (want_code, want_out, want_err)
-    assert ab.contents(run) == {"dir": None, "old.csv": ab.OLD_OUTPUT}
-    assert ab.contents(corpus) == before
+    assert cli_matrix.contents(run) == {"dir": None, "old.csv": cli_matrix.OLD_OUTPUT}
+    assert cli_matrix.contents(corpus) == before
 
 
 @pytest.mark.parametrize("case", CLIP_RUNS, ids=[case.name for case in CLIP_RUNS])
 def test_clip_argv_equals_the_oracle(corpus, monkeypatch, capfd, case):
-    before = ab.contents(corpus)
+    before = cli_matrix.contents(corpus)
     run = corpus.parent / "run"
-    ab.fresh_run_directory(run)
+    cli_matrix.fresh_run_directory(run)
     monkeypatch.chdir(run)
     code = main(case.argv)
     out, err = capfd.readouterr()
@@ -218,56 +249,6 @@ def test_clip_argv_equals_the_oracle(corpus, monkeypatch, capfd, case):
     if "/dev/stdout" in outputs:  # the summary then goes to stderr
         want_out, want_err = outputs.pop("/dev/stdout"), summary
     assert (code, out, err) == (EXIT_OK, want_out, want_err)
-    want = {"dir": None, "old.csv": ab.OLD_OUTPUT} | {name: text.encode() for name, text in outputs.items()}
-    assert ab.contents(run) == want
-    assert ab.contents(corpus) == before
-
-
-# One argv of each command, a fault and a closed stdout.
-REDUCED = (
-    r"^(analyze-c420-8-72x40-(cu16|json)|compare-c420-8-72x40-input-b|dump-c420-8-72x40-cu16"
-    r"|bdrate-valid|fault-sample-range|closed-stdout-analyze) "
-)
-
-
-def test_only_that_selects_no_argv_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as exit:
-        ab.main(["--parent-tree", ROOT, "--only", "^no-such-argv "])
-    assert exit.value.code == 2
-    assert capsys.readouterr().err.endswith("error: --only '^no-such-argv ' selects no argv\n")
-
-
-def ab_cli(*args):
-    done = subprocess.run(
-        [sys.executable, SCRIPT, *args], capture_output=True, text=True, timeout=120
-    )
-    assert done.stderr == ""
-    return done.returncode, done.stdout.splitlines()
-
-
-def test_same_tree_on_both_sides_differs_nowhere():
-    code, lines = ab_cli("--parent-tree", ROOT, "--only", REDUCED)
-    assert (code, lines) == (
-        0, ["7 argv (exit 0: 5, 3: 1, 4: 1), 14 runs: 0 differ (0 expected, 0 unexpected)"]
-    )
-
-
-def test_one_byte_in_a_renderer_is_reported(tmp_path):
-    copy = tmp_path / "src" / "perceptqp"
-    shutil.copytree(os.path.join(ROOT, "src", "perceptqp"), copy, ignore=shutil.ignore_patterns("__pycache__"))
-    cli = copy / "cli.py"
-    source = cli.read_text()
-    row = 'tail: str = "\\n"'
-    assert source.count(row) == 1
-    # Each QP CSV row ends in \r, not \n, in the copy.
-    cli.write_text(source.replace(row, row.replace("\\n", "\\r")))
-    code, lines = ab_cli(
-        "--parent-tree", str(tmp_path), "--only", r"^analyze-c420-8-72x40-(cu16|adaptiveqp|json) ",
-        "--expect-diff", "adaptiveqp",
-    )
-    assert code == 1
-    assert [line.split(" [")[0] for line in lines[:-1]] == [
-        "DIFF analyze-c420-8-72x40-cu16", "expected analyze-c420-8-72x40-adaptiveqp"
-    ]
-    assert lines[0].split("]: ")[1].startswith("map.csv line 3: b'0,0,0,26\\r0,16,0,26\\r")
-    assert lines[-1] == "3 argv (exit 0: 3), 6 runs: 2 differ (1 expected, 1 unexpected)"
+    want = {"dir": None, "old.csv": cli_matrix.OLD_OUTPUT} | {name: text.encode() for name, text in outputs.items()}
+    assert cli_matrix.contents(run) == want
+    assert cli_matrix.contents(corpus) == before
