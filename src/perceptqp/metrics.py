@@ -217,6 +217,9 @@ def parse_rd_csv(data: bytes) -> dict[str, dict[str, list[tuple[int, RdPoint]]]]
         if len(row) != len(RD_CSV_HEADER):
             raise ValueError(f"bad RD CSV row {row}")
         label, channel, qp, rate, quality = row
+        # The bdrate table and its error lines print the channel as it is.
+        if "," in channel or '"' in channel or "".join(channel.splitlines()) != channel:
+            raise ValueError(f"bad RD CSV row {row}: a channel cannot hold a comma, a quote or a line break")
         try:
             entry = (int(qp), RdPoint(float(rate), float(quality)))
         except ValueError as exc:

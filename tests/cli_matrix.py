@@ -4,9 +4,11 @@ Every run starts in the same fresh directory, which holds an existing
 output `old.csv` and a directory `dir`, with the corpus beside it in
 `../corpus`. tests/test_cli_matrix.py pins each argv once: a clip
 command that succeeds against tests/cli_oracle.py, any other by its row
-of OUTCOMES. `run` runs a closed-stdout argv in a child, as
-`python -m perceptqp.cli` with this checkout's src first on PYTHONPATH,
-since a run in process cannot start with fd 1 closed.
+of OUTCOMES. The clip commands are the suite's only fixed clip cases,
+and between them they give every option and choice. `run` runs a
+closed-stdout argv in a child, as `python -m perceptqp.cli` with this
+checkout's src first on PYTHONPATH, since a run in process cannot start
+with fd 1 closed.
 """
 
 from __future__ import annotations
@@ -59,6 +61,9 @@ NARROW = [Clip(f"c420-{depth}-66x34", 66, 34, "420", depth) for depth in (8, 10)
 SMALL = CLIPS[0]  # 4:2:0, 8-bit, 72x40
 LARGE = CLIPS[9]  # 4:2:2, 10-bit, 200x130
 OTHER = SMALL._replace(name="other-420-8-72x40")  # a second clip of SMALL's geometry
+# At CU 16 the last CU column is 14 wide, so its 7x8 quadrants have variances
+# that are not dyadic, and the frame means depend on the order of their fold.
+FOLD = Clip("fold-444-10-190x122", 190, 122, "444", 10)
 # 10-bit 4:2:0 72x40: ILLEGAL's last Cr sample of its last frame is 1024;
 # MIN_EARLIER's first frame has a luma plane running from 0 in its first sample
 # to 1024 in its last, and NO_LEGAL's first frame a Cr plane of 1024s only;
@@ -170,6 +175,9 @@ RD_FILES = {
     # PSNRs near 1e300: the cubic fit of either curve overflows.
     "huge-psnr-anchor": rd_csv("anchor", HUGE_PSNR),
     "huge-psnr-test": rd_csv("test", scaled(HUGE_PSNR, psnr=5e299)),
+    # Channel names that would break the bdrate table's one line of three fields.
+    "channel-comma": rd_csv("comma", {'"Y,Z"': ANCHOR_CURVES["Y"]}),
+    "channel-line-break": rd_csv("break", {'"Y\nZ"': ANCHOR_CURVES["Y"][:3]}),
 }
 
 
@@ -195,6 +203,7 @@ def build_corpus(corpus: Path) -> None:
     ragged = clip_bytes(RAGGED, clip_samples(RAGGED, FRAMES, 103))
     (corpus / f"{RAGGED.name}.yuv").write_bytes(ragged[: len(ragged) * 5 // 6])
     (corpus / f"{EMPTY.name}.yuv").write_bytes(b"")
+    (corpus / f"{FOLD.name}.yuv").write_bytes(clip_bytes(FOLD, clip_samples(FOLD, FRAMES, 107)))
     for name, data in RD_FILES.items():
         (corpus / f"{name}.csv").write_bytes(data)
 
@@ -232,6 +241,11 @@ ANALYZE_VARIANTS = {
     "adaptiveqp": ["--mode", "adaptiveqp"],
     "json": ["--format", "json", "--output", "map.json"],
     "json-sidecar": ["--format", "json", "--output", "map.json", "--dump-activity", "act.csv"],
+    # The sidecar makes the run analyse chroma, which the adaptiveqp map must not read.
+    "adaptiveqp-sidecar": ["--mode", "adaptiveqp", "--dump-activity", "act.csv"],
+    "adaptiveqp-json-sidecar": [
+        "--mode", "adaptiveqp", "--format", "json", "--output", "map.json", "--dump-activity", "act.csv"
+    ],  # fmt: skip
     "ceiling": ["--rounding", "ceiling"],
     "t-luma": ["--t-mode", "luma"],
     "range0": ["--qp-range", "0"],
@@ -296,6 +310,8 @@ BDRATE_PAIRS = {
     "rising": ("anchor-rising", "test"),
     "oversized-label": ("oversized-label", "anchor"),
     "huge-psnr": ("huge-psnr-anchor", "huge-psnr-test"),
+    "channel-comma": ("channel-comma", "channel-comma"),
+    "channel-line-break": ("channel-line-break", "anchor"),
 }
 
 
@@ -329,10 +345,29 @@ def matrix() -> list[Case]:
         Case(f"compare-{SMALL.name}-range12-qp40", compare(SMALL, "--qp-range", "12", "--qp", "40")),
         Case(f"compare-{SMALL.name}-skip1", compare(SMALL, "--skip", "1")),
     ]  # fmt: skip
-    cases += [Case(f"dump-{clip.name}-cu16", dump(clip)) for clip in CLIPS]
+    cases += [Case(f"dump-{clip.name}-cu16", dump(clip)) for clip in CLIPS + [FOLD]]
     cases += [
-        Case(f"dump-{LARGE.name}-skip1-frames2-cu64", dump(LARGE, "--skip", "1", "--frames", "2", cu=64))
+        Case(f"dump-{LARGE.name}-skip1-frames2-cu64", dump(LARGE, "--skip", "1", "--frames", "2", cu=64)),
+        Case(f"dump-{NARROW[1].name}-cu32", dump(NARROW[1], cu=32)),
     ]
+    # Flag combinations that no loop above gives. The JSON frames keep their
+    # clip's index under --skip, and output names of 250 characters, near the
+    # file system's limit of 255, are written, as their partial names are short.
+    cases += [
+        Case(f"analyze-{CLIPS[6].name}-json-skip1-frames1", analyze(
+            CLIPS[6], "--skip", "1", "--frames", "1", "--qp", "0", "--qp-range", "51", "--t-mode", "luma",
+            "--rounding", "ceiling", "--format", "json", "--output", "map.json")),
+        Case(f"analyze-{CLIPS[3].name}-cu32-qp51-range0-sidecar", analyze(
+            CLIPS[3], "--qp", "51", "--qp-range", "0", "--t-mode", "cross", "--rounding", "nearest",
+            "--dump-activity", "act.csv", cu=32)),
+        Case(f"analyze-{SMALL.name}-long-names", analyze(
+            SMALL, "--output", "m" * 246 + ".csv", "--dump-activity", "a" * 250)),
+        Case(f"compare-{SMALL.name}-input-b-qp51-range51", compare(
+            SMALL, "--input-b", f"{CORPUS}/{OTHER.name}.yuv", "--qp", "51", "--qp-range", "51",
+            "--t-mode-b", "luma", "--rounding-b", "ceiling")),
+        Case(f"compare-{LARGE.name}-frames2-cbaq-adaptiveqp", compare(
+            LARGE, "--frames", "2", "--mode-a", "cbaq", "--mode-b", "adaptiveqp")),
+    ]  # fmt: skip
     cases += [Case(f"bdrate-{name}", bdrate(rd(a), rd(b))) for name, (a, b) in BDRATE_PAIRS.items()]
     cases += [
         Case(f"help-{command}", [command, "--help"] if command else ["--help"])

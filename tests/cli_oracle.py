@@ -1,7 +1,8 @@
 """A model of the CLI's analyze, compare and dump-activity runs that imports nothing from perceptqp.
 
 run(argv) reads the raw clips argv names with numpy and returns what
-perceptqp.cli.main(argv) must print on stdout and write to each output.
+perceptqp.cli.main(argv) must print on stdout and stderr and write to
+each output.
 Per-CU activity comes from perfbench/oracle.py's summed-area tables, loaded
 by path, so tests and benchmark share one activity model. The frame means
 fold left to right with functools.reduce; the QP rule and layouts are README's.
@@ -76,13 +77,22 @@ def csv_text(tag, items, columns, frames):
     return "\n".join(lines) + "\n"
 
 
-def run(argv):
-    """(what main(argv) prints on stdout, {output path as in argv: its text}) for a clip command.
+def routed(summary, outputs):
+    """(stdout, stderr, files) of a run that prints summary and writes outputs."""
+    if "/dev/stdout" in outputs:
+        return outputs.pop("/dev/stdout"), summary, outputs
+    return summary, "", outputs
 
-    Every flag in argv takes a value, and no output is stdout or stderr.
+
+def run(argv):
+    """(stdout, stderr, {output path as in argv: its text}) of main(argv) for a clip command.
+
+    Every flag in argv takes a value, and a repeated flag takes its last
+    one, as argparse gives it. An output of /dev/stdout is stdout, and
+    the summary then goes to stderr.
     """
     command, flags = argv[0], dict(zip(argv[1::2], argv[2::2]))
-    assert len(argv) % 2 and len(flags) == len(argv) // 2, argv
+    assert len(argv) % 2 and all(flag.startswith("--") for flag in flags), argv
 
     def flag(name, default=None, kind=int):
         return kind(flags.get(name, default))
@@ -110,7 +120,8 @@ def run(argv):
     activity_rows = [(i, cu_size, a[:3], a[4:]) for i, a in zip(indices, acts[0])]
     activity = csv_text("activity", items, "l,b,d,t_luma,t_cross", activity_rows)
     if command == "dump-activity":
-        return f"frames={len(indices)} cus_per_frame={acts[0][0].luma.size}\n", {flags["--output"]: activity}
+        summary = f"frames={len(indices)} cus_per_frame={acts[0][0].luma.size}\n"
+        return routed(summary, {flags["--output"]: activity})
     if command == "compare":
         pairs = [(qp_grid(a, "-a"), qp_grid(b, "-b")) for a, b in zip(acts[0], acts[-1])]
         items += [("qp", slice_qp), ("qp_range", qp_range)]
@@ -118,7 +129,7 @@ def run(argv):
         rows = [(i, cu_size, [a, b, b - a], []) for i, (a, b) in zip(indices, pairs)]
         histogram = Counter(np.concatenate([(b - a).ravel() for a, b in pairs]).tolist())
         summary = "".join(f"delta={d:+d} count={histogram[d]}\n" for d in sorted(histogram))
-        return summary, {flags["--output"]: csv_text("compare", items, "qp_a,qp_b,delta", rows)}
+        return routed(summary, {flags["--output"]: csv_text("compare", items, "qp_a,qp_b,delta", rows)})
     assert command == "analyze", command
     maps = [qp_grid(a) for a in acts[0]]
     items += [("mode", flags["--mode"]), ("qp", slice_qp), ("qp_range", qp_range)]
@@ -136,4 +147,4 @@ def run(argv):
     every = np.concatenate([m.ravel() for m in maps]).tolist()
     mean_delta = (sum(every) - slice_qp * len(every)) / len(every)
     summary = f"frames={len(maps)} cus={len(every)} mean_delta_qp={mean_delta:.4f}"
-    return f"{summary} min_qp={min(every)} max_qp={max(every)}\n", outputs
+    return routed(f"{summary} min_qp={min(every)} max_qp={max(every)}\n", outputs)

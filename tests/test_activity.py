@@ -1,8 +1,9 @@
 """Spatial activity: sub-block variances and the per-frame means.
 
-block_variance is checked against a naive two-pass float variance. Per-CU
-activity and the frame means are checked, exactly, against cli_oracle's
-summed-area tables, which share no code or geometry with perceptqp.
+Gate c4 checks block_variance against a two-pass float variance; here it
+is checked on fixed blocks, edge cases and bad rects. Per-CU activity and
+the frame means are checked, exactly, against cli_oracle's summed-area
+tables, which share no code or geometry with perceptqp.
 """
 
 import io
@@ -52,12 +53,6 @@ def rect(x, y, w, h):
     return CbRect(Channel.Y, x, y, w, h)
 
 
-def oracle_variance(samples):
-    values = [float(v) for v in samples]
-    mu = sum(values) / len(values)
-    return sum((v - mu) ** 2 for v in values) / len(values)
-
-
 def oracle_activity(frame, cu_size):
     planes = (frame.y.data, frame.cb.data, frame.cr.data)
     return cli_oracle.frame_activity(planes, frame.format.chroma_format.value, cu_size)
@@ -93,19 +88,6 @@ class TestBlockVariance:
         plane = Plane(np.ones((4, 4), dtype=np.uint8))
         with pytest.raises(ValueError, match="4x4 plane"):
             block_variance(plane, rect(x, y, w, h))
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.integers(0, 2**32 - 1),
-        st.integers(1, 40),
-        st.integers(1, 40),
-    )
-    def test_matches_two_pass_oracle(self, seed, w, h):
-        rng = np.random.default_rng(seed)
-        data = rng.integers(0, 1024, size=(h, w), dtype=np.uint16)
-        got = block_variance(Plane(data), rect(0, 0, w, h))
-        want = oracle_variance(data.ravel().tolist())
-        assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
     def test_shift_invariance_is_exact(self):
         rng = np.random.default_rng(5)

@@ -1,12 +1,12 @@
 """tests/cli_matrix.py's argv: each is pinned once, by its OUTCOMES row or by the CLI oracle."""
 
-import itertools
+import argparse
 
 import pytest
 
 import cli_matrix
 import cli_oracle
-from perceptqp.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
+from perceptqp.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, build_parser, main
 
 
 def error(line, code=EXIT_VALIDATION):
@@ -31,6 +31,7 @@ HUGE = (
 NOT_OVERLAPPING = "error: channel Cb: curves do not overlap: the anchor spans [{}], the test [{}]"
 INF = "error: channel Y: BD-Rate is inf: the curves lie too far apart or too high to compare"
 DASH = "error: output '-' would be a file named '-'; use /dev/stdout to write to stdout"
+CHANNEL = "a channel cannot hold a comma, a quote or a line break"
 BOTH_STD = "error: outputs {} take both stdout and stderr; the summary would join one of them"
 # (exit code, stdout, stderr) of each argv that the oracle does not check;
 # stdout is None when it is closed. A usage error's stderr is argparse's
@@ -75,6 +76,13 @@ OUTCOMES = {
     ),
     # capfd holds whatever LAPACK would print on fd 2: only the error line.
     "bdrate-huge-psnr": error("error: channel Y: the cubic fit overflows: the curves lie too high to compare"),
+    "bdrate-channel-comma": error(
+        "error: ../corpus/channel-comma.csv: bad RD CSV row ['comma', 'Y,Z', '22', '8000.0', '36.5']: " + CHANNEL
+    ),
+    "bdrate-channel-line-break": error(
+        "error: ../corpus/channel-line-break.csv: bad RD CSV row ['break', 'Y\\nZ', '22', '8000.0', '36.5']: "
+        + CHANNEL
+    ),
     "late-fault-analyze": error(CR_1024),
     "late-fault-analyze-adaptiveqp": error(CR_1024),
     "late-fault-compare": error(CR_1024),
@@ -205,6 +213,25 @@ def test_every_argv_is_pinned_once():
     assert sorted(case.name for case in MATRIX) == sorted([*OUTCOMES, *(case.name for case in CLIP_RUNS)])
 
 
+@pytest.mark.parametrize("command", ["analyze", "compare", "dump-activity"])
+def test_every_option_and_choice_reaches_the_oracle(command):
+    """Some clip argv gives each option of command, and each choice is the last value given or the default."""
+    (commands,) = (a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parser = commands[command]
+    argvs = [case.argv[1:] for case in CLIP_RUNS if case.argv[0] == command]
+    parsed = [parser.parse_args(argv) for argv in argvs]
+    missing = []
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        (flag,) = action.option_strings
+        given = {vars(args)[action.dest] for args, argv in zip(parsed, argvs) if flag in argv}
+        if not given:
+            missing.append(flag)
+        missing += [f"{flag} {value}" for value in action.choices or () if value not in {*given, action.default}]
+    assert missing == []
+
+
 @pytest.mark.parametrize("case", PINNED, ids=[case.name for case in PINNED])
 def test_argv_ends_in_its_outcome(corpus, monkeypatch, capfd, case):
     before = cli_matrix.contents(corpus)
@@ -241,13 +268,7 @@ def test_clip_argv_equals_the_oracle(corpus, monkeypatch, capfd, case):
     monkeypatch.chdir(run)
     code = main(case.argv)
     out, err = capfd.readouterr()
-    # A repeated flag takes its last value, as argparse gives it.
-    flags = dict(zip(case.argv[1::2], case.argv[2::2]))
-    assert all(flag.startswith("--") for flag in flags)
-    summary, outputs = cli_oracle.run([case.argv[0], *itertools.chain.from_iterable(flags.items())])
-    want_out, want_err = summary, ""
-    if "/dev/stdout" in outputs:  # the summary then goes to stderr
-        want_out, want_err = outputs.pop("/dev/stdout"), summary
+    want_out, want_err, outputs = cli_oracle.run(case.argv)
     assert (code, out, err) == (EXIT_OK, want_out, want_err)
     want = {"dir": None, "old.csv": cli_matrix.OLD_OUTPUT} | {name: text.encode() for name, text in outputs.items()}
     assert cli_matrix.contents(run) == want

@@ -4,9 +4,11 @@ Hypothesis draws a clip, writes it with numpy, draws a command and its
 flags, and runs main() in process. The oracle shares no code with
 perceptqp, so a fault in the reader, the activity pass, the frame means,
 the QP rule, frame selection or a renderer shows as a difference. Each
-command gets its own draws, and fixed cases reach every flag that the
-random draws might miss. The oracle's QP rule is also checked against
-the library's per-CU reference, cu_qp, on any activities.
+command gets its own draws. The fixed clip cases are argv of
+tests/cli_matrix.py, which tests/test_cli_matrix.py checks against the
+same oracle, and which reach every option and choice between them. The
+oracle's QP rule is also checked against the library's per-CU
+reference, cu_qp, on any activities.
 """
 
 import os
@@ -24,14 +26,12 @@ from hypothesis import strategies as st
 import cli_oracle
 from perceptqp import (
     ActivityRecord,
-    ChromaFormat,
     CuRect,
     FrameActivity,
     Mode,
     QpConfig,
     Rounding,
     TMode,
-    VideoFormat,
     cu_qp,
 )
 from perceptqp.cli import EXIT_OK, main
@@ -79,16 +79,12 @@ def cli_cases(draw, command):
     return fmt, frames, frames_b, argv
 
 
-def case(fmt, count, flags):
-    """A cli_cases value with fixed textured frames, for --input-b too if the flags name it."""
-    rng = np.random.default_rng(fmt.width * fmt.height + count)
-    frames, frames_b = (textured_frames(rng, fmt, count) for _ in range(2))
-    return fmt, frames, frames_b if "--input-b" in flags else None, flags.split() + ["--output", "{dir}/out"]
-
-
-def check(cli_case):
-    """Run main() on a cli_cases value in a fresh directory; its stdout and files must be the oracle's."""
-    fmt, frames, frames_b, argv = cli_case
+@pytest.mark.parametrize("command", ["analyze", "compare", "dump-activity"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_cli_output_equals_the_oracle(command, data):
+    """main() on a drawn case in a fresh directory: its stdout, stderr and files must be the oracle's."""
+    fmt, frames, frames_b, argv = data.draw(cli_cases(command))
     with tempfile.TemporaryDirectory() as scratch:
         write_clip(os.path.join(scratch, "a.yuv"), fmt, frames)
         if frames_b is not None:
@@ -97,46 +93,13 @@ def check(cli_case):
         argv += ["--width", str(fmt.width), "--height", str(fmt.height)]
         with redirect_stdout(StringIO()) as stdout, redirect_stderr(StringIO()) as stderr:
             code = main(argv)
-        assert (code, stderr.getvalue()) == (EXIT_OK, "")
-        summary, outputs = cli_oracle.run(argv)
-        assert stdout.getvalue() == summary
+        want_out, want_err, outputs = cli_oracle.run(argv)
+        assert (code, stdout.getvalue(), stderr.getvalue()) == (EXIT_OK, want_out, want_err)
         inputs = {"a.yuv"} | ({"b.yuv"} if frames_b is not None else set())
         assert set(os.listdir(scratch)) == inputs | {os.path.basename(path) for path in outputs}
         for path, text in outputs.items():
             with open(path, "rb") as written:
                 assert written.read() == text.encode(), os.path.basename(path)
-
-
-@pytest.mark.parametrize("command", ["analyze", "compare", "dump-activity"])
-@settings(max_examples=20, deadline=None)
-@given(data=st.data())
-def test_cli_output_equals_the_oracle(command, data):
-    check(data.draw(cli_cases(command)))
-
-
-# Between them these reach every flag that the random draws might miss.
-FIXED_CASES = {
-    "analyze-json-skip-frames": case(
-        VideoFormat(200, 130, 8, ChromaFormat.YUV420), 3, "analyze --cu-size 16 --skip 1 --frames 1"
-        " --qp 0 --qp-range 51 --mode cbaq --t-mode luma --rounding ceiling --format json"),
-    "analyze-dump-activity": case(
-        VideoFormat(66, 40, 10, ChromaFormat.YUV422), 2, "analyze --bit-depth 10 --chroma 422"
-        " --cu-size 32 --qp 51 --qp-range 0 --mode cbaq --t-mode cross --rounding nearest"
-        " --dump-activity {dir}/act.csv"),
-    "compare-input-b": case(
-        VideoFormat(100, 70, 10, ChromaFormat.YUV444), 2, "compare --bit-depth 10 --chroma 444"
-        " --qp 51 --qp-range 51 --mode-a adaptiveqp --mode-b cbaq --t-mode-b luma --rounding-b ceiling"
-        " --input-b {dir}/b.yuv"),
-    # A last CU column 14 wide has quadrants of 7x8 samples, whose variances are
-    # not dyadic, so the frame means depend on the order of the fold.
-    "dump-activity-fold-order": case(
-        VideoFormat(190, 122, 10, ChromaFormat.YUV444), 1, "dump-activity --bit-depth 10 --chroma 444 --cu-size 16"),
-}
-
-
-@pytest.mark.parametrize("cli_case", FIXED_CASES.values(), ids=FIXED_CASES.keys())
-def test_fixed_case_equals_the_oracle(cli_case):
-    check(cli_case)
 
 
 positive = st.floats(min_value=1.0, max_value=1e9, allow_nan=False)
