@@ -184,17 +184,25 @@ def _channel_sort_key(channel: str) -> tuple[int, object]:
         return (1, channel)
 
 
+def _check_channel(channel: str) -> None:
+    """Raise ValueError unless the bdrate table and its error lines can print channel as it is."""
+    if "," in channel or '"' in channel or "".join(channel.splitlines()) != channel:
+        raise ValueError("a channel cannot hold a comma, a quote or a line break")
+
+
 def rd_csv_bytes(runs: Sequence[tuple[str, CurvesByChannel]]) -> bytes:
     """Serialize labeled per-channel RD measurements.
 
     Rows are grouped by label, channels in Y/Cb/Cr order, QP ascending
     within each channel. Floats use repr so a parse round-trips exactly.
+    A channel that parse_rd_csv would refuse raises its ValueError.
     """
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(RD_CSV_HEADER)
     for label, curves in runs:
         for channel in sorted(curves, key=_channel_sort_key):
+            _check_channel(channel)
             for qp, point in sorted(curves[channel], key=lambda entry: entry[0]):
                 writer.writerow([label, channel, qp, repr(point.bitrate_kbps), repr(point.psnr_db)])
     return out.getvalue().encode()
@@ -217,10 +225,8 @@ def parse_rd_csv(data: bytes) -> dict[str, dict[str, list[tuple[int, RdPoint]]]]
         if len(row) != len(RD_CSV_HEADER):
             raise ValueError(f"bad RD CSV row {row}")
         label, channel, qp, rate, quality = row
-        # The bdrate table and its error lines print the channel as it is.
-        if "," in channel or '"' in channel or "".join(channel.splitlines()) != channel:
-            raise ValueError(f"bad RD CSV row {row}: a channel cannot hold a comma, a quote or a line break")
         try:
+            _check_channel(channel)
             entry = (int(qp), RdPoint(float(rate), float(quality)))
         except ValueError as exc:
             raise ValueError(f"bad RD CSV row {row}: {exc}") from None

@@ -257,6 +257,8 @@ ANALYZE_VARIANTS = {
     "frames2": ["--frames", "2"],
     "stdout": ["--output", "/dev/stdout"],
     "stdout-sidecar": ["--output", "/dev/stdout", "--dump-activity", "act.csv"],
+    # The activity rows on stdout, the summary on stderr.
+    "sidecar-stdout": ["--dump-activity", "/dev/stdout"],
 }
 
 # The fault rows of the README's precedence table: each argv holds its row's
@@ -367,6 +369,15 @@ def matrix() -> list[Case]:
             "--t-mode-b", "luma", "--rounding-b", "ceiling")),
         Case(f"compare-{LARGE.name}-frames2-cbaq-adaptiveqp", compare(
             LARGE, "--frames", "2", "--mode-a", "cbaq", "--mode-b", "adaptiveqp")),
+    ]  # fmt: skip
+    # SMALL's bytes declared as 48x60, 144x20 and 24x120, as many samples a frame:
+    # at CU 64 a map of one CU, one row of three and one column of two.
+    kinds = {"json": ["--format", "json", "--output", "map.json"], "sidecar": ["--dump-activity", "act.csv"]}
+    cases += [
+        Case(f"analyze-{SMALL.name}-as-{width}x{height}-cu64-{kind}",
+             analyze(SMALL._replace(width=width, height=height), *flags, cu=64))
+        for width, height in ((48, 60), (144, 20), (24, 120))
+        for kind, flags in kinds.items()
     ]  # fmt: skip
     cases += [Case(f"bdrate-{name}", bdrate(rd(a), rd(b))) for name, (a, b) in BDRATE_PAIRS.items()]
     cases += [

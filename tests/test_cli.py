@@ -1,6 +1,5 @@
 """End-to-end CLI behaviour: every subcommand through cli.main."""
 
-import csv
 import errno
 import functools
 import io
@@ -21,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from perceptqp import CU_SIZES, QP_MAX, QP_MIN, ChromaFormat, VideoFormat, frame_bytes, write_frame
+from perceptqp import ChromaFormat, VideoFormat, frame_bytes, write_frame
 import perceptqp
 from perceptqp import activity, cli
 from perceptqp.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
@@ -882,60 +881,3 @@ def test_output_that_is_stdout_redirected_to_a_file_is_written_through(tmp_path,
     assert os.readlink(link) == "/proc/self/fd/1"
     assert redirected.read_bytes() == regular.read_bytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.yuv", "map.csv", "regular.csv", "stdout"]
-
-
-@st.composite
-def qp_grids(draw):
-    """A (rows, cols) int64 QP grid: 1x1, one row, one column or up to 17x30."""
-    rows, cols = draw(st.sampled_from([(1, 1), (1, None), (None, 1), (None, None)]))
-    rows = rows or draw(st.integers(1, 17))
-    cols = cols or draw(st.integers(1, 30))
-    qps = draw(st.lists(st.integers(QP_MIN, QP_MAX), min_size=rows * cols, max_size=rows * cols))
-    return np.array(qps, dtype=np.int64).reshape(rows, cols)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 10**6), qp_grids())
-def test_json_frame_equals_json_dumps(index, qps):
-    rows, cols = qps.shape
-    frame = {"frame": index, "cols": cols, "rows": rows, "qp": qps.tolist()}
-    assert "".join(cli._qp_json_frame(index, qps)) == json.dumps(frame, indent=2).replace("\n", "\n    ")
-
-
-# Floats >= 1, as activities are, with some whose repr needs all 17 digits or an exponent.
-CSV_FLOATS = st.floats(min_value=1.0, allow_infinity=False) | st.sampled_from([1 + 0.1 + 0.2, 1e300])
-
-
-@st.composite
-def csv_grids(draw):
-    """One to three grids of one shape, as qp_grids draws it: ints (QPs or their deltas), or floats."""
-    rows, cols = draw(qp_grids()).shape
-    grids = []
-    for _ in range(draw(st.integers(1, 3))):
-        kinds = [(st.integers(-QP_MAX, QP_MAX), np.int64), (CSV_FLOATS, np.float64)]
-        values, dtype = draw(st.sampled_from(kinds))
-        cells = draw(st.lists(values, min_size=rows * cols, max_size=rows * cols))
-        grids.append(np.array(cells, dtype=dtype).reshape(rows, cols))
-    return grids
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.integers(0, 10**6),
-    st.sampled_from(CU_SIZES),
-    csv_grids(),
-    st.none() | st.tuples(CSV_FLOATS, CSV_FLOATS),
-)
-def test_csv_frame_equals_csv_writer(index, cu_size, grids, tail):
-    """Every CSV data row the CLI writes is the stdlib's row of its CU's values, in raster order."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    rows, cols = grids[0].shape
-    for y in range(rows):
-        for x in range(cols):
-            values = [grid[y, x].item() for grid in grids]
-            writer.writerow([index, x * cu_size, y * cu_size, *values, *(tail or ())])
-    tails = () if tail is None else (f",{tail[0]!r},{tail[1]!r}\n",)
-    assert "".join(cli._csv_frame(index, cu_size, grids, *tails)) == out.getvalue()
-
-

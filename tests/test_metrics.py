@@ -1,7 +1,6 @@
 """PSNR and Bjontegaard deltas against closed forms and a trapezoid oracle."""
 
 import codecs
-import csv
 import math
 
 import numpy as np
@@ -99,17 +98,9 @@ class TestCurveValidation:
         with pytest.raises(DegenerateCurveError):
             RdPoint(rate, 30.0)
 
-    def test_too_few_points_rejected(self):
-        with pytest.raises(DegenerateCurveError):
-            curve([1000.0, 2000.0, 4000.0], [30.0, 33.0, 35.0])
-
     def test_non_monotone_rate_rejected(self):
         with pytest.raises(DegenerateCurveError):
             curve([1000.0, 2000.0, 2000.0, 8000.0], [30.0, 33.0, 35.0, 36.5])
-
-    def test_non_monotone_psnr_rejected(self):
-        with pytest.raises(DegenerateCurveError):
-            curve([1000.0, 2000.0, 4000.0, 8000.0], [30.0, 35.0, 33.0, 36.5])
 
     def test_array_views(self):
         assert ANCHOR.rates.tolist() == [1000.0, 2000.0, 4000.0, 8000.0]
@@ -141,20 +132,6 @@ class TestBdRate:
         spans = r"curves do not overlap: the anchor spans \[20.0, 26.0\], the test \[30.0, 36.0\]$"
         with pytest.raises(CurveOverlapError, match=spans):
             bd_rate(low, high)
-
-    def test_touching_psnr_ranges_rejected_as_narrow(self):
-        # One shared PSNR is an overlap, if an empty one to integrate over.
-        high = curve([1000.0, 2000.0, 4000.0, 8000.0], [36.5, 37.0, 38.0, 39.0])
-        narrow = r"curves overlap on \[36.5, 36.5\], narrower than 1e-06$"
-        with pytest.raises(CurveOverlapError, match=narrow):
-            bd_rate(ANCHOR, high)
-
-    def test_overflowing_rate_ratio_rejected(self):
-        # log10 rates 600 decades apart: the ratio 10**600 overflows a float
-        tiny = curve([1e-300, 2e-300, 3e-300, 4e-300], [30.0, 31.0, 32.0, 33.0])
-        huge = curve([1e300, 2e300, 3e300, 4e300], [30.0, 31.0, 32.0, 33.0])
-        with pytest.raises(DegenerateCurveError):
-            bd_rate(tiny, huge)
 
     def test_huge_psnrs_rejected_before_lapack(self, capfd):
         # cubing PSNRs near 1e300 overflows the fit's Vandermonde matrix;
@@ -254,6 +231,7 @@ class TestRdCsv:
 
     def test_parse_round_trip(self):
         data = rd_csv_bytes([("anchor", SAMPLE_CURVES), ("test", {"Y": SAMPLE_CURVES["Y"]})])
+        assert not data.startswith(codecs.BOM_UTF8)
         parsed = parse_rd_csv(data)
         assert set(parsed) == {"anchor", "test"}
         want_y = sorted(SAMPLE_CURVES["Y"])
@@ -267,12 +245,6 @@ class TestRdCsv:
         spaced = (head + "\n" + "\n".join(rows) + "\n\n").encode()
         assert parse_rd_csv(spaced) == parse_rd_csv(data)
 
-    def test_parse_skips_leading_byte_order_mark(self):
-        # Spreadsheets' "CSV UTF-8" export starts the file with one.
-        data = rd_csv_bytes([("anchor", SAMPLE_CURVES)])
-        assert not data.startswith(codecs.BOM_UTF8)
-        assert parse_rd_csv(codecs.BOM_UTF8 + data) == parse_rd_csv(data)
-
     def test_parse_names_the_byte_that_is_not_utf8(self):
         # Decoding as utf-8-sig keeps the wording of a plain UTF-8 decode.
         message = "^'utf-8' codec can't decode byte 0xff in position 0: invalid start byte$"
@@ -283,17 +255,13 @@ class TestRdCsv:
         with pytest.raises(ValueError):
             parse_rd_csv(b"nope,channel,qp,bitrate_kbps,psnr_db\n")
 
-    def test_parse_rejects_oversized_field(self):
-        label = "x" * (csv.field_size_limit() + 1)
-        with pytest.raises(ValueError, match="bad RD CSV"):
-            parse_rd_csv(rd_csv_bytes([(label, {"Y": SAMPLE_CURVES["Y"]})]))
-
-    def test_parse_rejects_short_row(self):
-        good = rd_csv_bytes([("anchor", {"Y": SAMPLE_CURVES["Y"]})])
-        with pytest.raises(ValueError):
-            parse_rd_csv(good + b"anchor,Y,22\n")
-
     def test_parse_rejects_channel_with_a_quote(self):
         # The bdrate table prints the channel unquoted; the corpus covers a comma and a line break.
+        data = b'label,channel,qp,bitrate_kbps,psnr_db\nanchor,"Y""Z",22,8000.0,36.5\n'
         with pytest.raises(ValueError, match="a channel cannot hold a comma, a quote or a line break$"):
-            parse_rd_csv(rd_csv_bytes([("anchor", {'Y"Z': SAMPLE_CURVES["Y"]})]))
+            parse_rd_csv(data)
+
+    @pytest.mark.parametrize("channel", ['Y"Z', "Y,Z", "Y\nZ"], ids=["quote", "comma", "line-break"])
+    def test_writer_refuses_a_channel_the_parser_refuses(self, channel):
+        with pytest.raises(ValueError, match="^a channel cannot hold a comma, a quote or a line break$"):
+            rd_csv_bytes([("anchor", {"Y": SAMPLE_CURVES["Y"], channel: SAMPLE_CURVES["Y"]})])
