@@ -370,15 +370,21 @@ def matrix() -> list[Case]:
         Case(f"compare-{LARGE.name}-frames2-cbaq-adaptiveqp", compare(
             LARGE, "--frames", "2", "--mode-a", "cbaq", "--mode-b", "adaptiveqp")),
     ]  # fmt: skip
-    # SMALL's bytes declared as 48x60, 144x20 and 24x120, as many samples a frame:
-    # at CU 64 a map of one CU, one row of three and one column of two.
+    # A 72x40 clip's bytes declared as 48x60, 144x20 and 24x120, as many samples a
+    # frame: at CU 64 a map of one CU, one row of three and one column of two. One
+    # clip of each chroma format, analysed as JSON and as CSV with its sidecar, and compared.
+    declared = [
+        (clip, clip._replace(width=width, height=height), f"as-{width}x{height}-cu64")
+        for clip in (SMALL, CLIPS[3], CLIPS[5])
+        for width, height in ((48, 60), (144, 20), (24, 120))
+    ]
     kinds = {"json": ["--format", "json", "--output", "map.json"], "sidecar": ["--dump-activity", "act.csv"]}
     cases += [
-        Case(f"analyze-{SMALL.name}-as-{width}x{height}-cu64-{kind}",
-             analyze(SMALL._replace(width=width, height=height), *flags, cu=64))
-        for width, height in ((48, 60), (144, 20), (24, 120))
+        Case(f"analyze-{clip.name}-{tag}-{kind}", analyze(shape, *flags, cu=64))
+        for clip, shape, tag in declared
         for kind, flags in kinds.items()
-    ]  # fmt: skip
+    ]
+    cases += [Case(f"compare-{clip.name}-{tag}", compare(shape, cu=64)) for clip, shape, tag in declared]
     cases += [Case(f"bdrate-{name}", bdrate(rd(a), rd(b))) for name, (a, b) in BDRATE_PAIRS.items()]
     cases += [
         Case(f"help-{command}", [command, "--help"] if command else ["--help"])
