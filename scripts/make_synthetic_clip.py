@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from perceptqp import Channel, ChromaFormat, Frame, Plane, VideoFormat, plane_dims, write_frame
+from perceptqp.yuv import BIT_DEPTHS
 
 
 def constant(w, h, peak, rng, index):
@@ -53,7 +54,7 @@ def main():
     parser.add_argument("--output", type=Path, required=True)
     parser.add_argument("--width", type=int, default=176)
     parser.add_argument("--height", type=int, default=144)
-    parser.add_argument("--bit-depth", type=int, choices=(8, 10), default=VideoFormat.bit_depth)
+    parser.add_argument("--bit-depth", type=int, choices=BIT_DEPTHS, default=VideoFormat.bit_depth)
     parser.add_argument("--chroma", choices=[c.value for c in ChromaFormat], default=VideoFormat.chroma_format.value)
     parser.add_argument("--frames", type=int, default=10)
     parser.add_argument("--pattern", choices=sorted(PATTERNS), default="mixed")

@@ -25,7 +25,7 @@ from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .yuv import Channel, Frame, VideoFormat, read_strips
+from .yuv import Channel, Frame, VideoFormat, plane_dims, read_strips
 
 # The CU sizes the QP maps support. qp imports this module, so the tuple lives
 # here and qp re-exports it.
@@ -155,22 +155,21 @@ def _frame_arrays(
     32x32 quadrants.
     """
     check_cu_size(cu_size)
-    cf = fmt.chroma_format
     luma_x = _halves(fmt.width, cu_size, 1)
     luma_y = _halves(fmt.height, cu_size, 1)
     luma = _plane_activity(strips(Channel.Y, list(map(sum, luma_y))), fmt.width, luma_x, luma_y)
     # Cb and Cr share their halves. The strips tile each plane exactly: where
     # chroma is subsampled vertically the height is even, so the CU rows'
     # chroma extents add up to half of it.
-    chroma_x = _halves(fmt.width, cu_size, cf.sub_x)
-    chroma_y = _halves(fmt.height, cu_size, cf.sub_y)
+    chroma_x = _halves(fmt.width, cu_size, fmt.chroma_format.sub_x)
+    chroma_y = _halves(fmt.height, cu_size, fmt.chroma_format.sub_y)
     heights = list(map(sum, chroma_y))
     if not chroma:
         for channel in (Channel.CB, Channel.CR):
             for _ in strips(channel, heights):
                 pass
         return ActivityArrays(luma, None, None, _raster_mean(luma), None, None)
-    width = fmt.width // cf.sub_x
+    width, _ = plane_dims(fmt, Channel.CB)
     cb = _plane_activity(strips(Channel.CB, heights), width, chroma_x, chroma_y)
     cr = _plane_activity(strips(Channel.CR, heights), width, chroma_x, chroma_y)
     cross = luma + cb

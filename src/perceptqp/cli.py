@@ -32,6 +32,7 @@ import numpy as np
 from .activity import ActivityArrays, stream_activity
 from .qp import CU_SIZES, QP_MAX, QP_MIN, Mode, QpConfig, QpMap, Rounding, TMode, qp_grid
 from .yuv import (
+    BIT_DEPTHS,
     ChromaFormat,
     Frame,
     VideoFormat,
@@ -376,7 +377,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         out.write(head)
         if dump is not None:
             dump.write(_activity_csv_head(fmt, config.cu_size))
-        chroma = config.mode is Mode.CBAQ or dump is not None
+        chroma = config.mode.reads_chroma or dump is not None
         for index, (act,) in frame_activities([args.input], fmt, args, chroma):
             qps = qp_grid(config, act)
             if frames:
@@ -407,7 +408,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     # Entered first, so the outputs are checked before any input is probed.
     with _atomic_outputs([args.output], inputs) as (summary, (out,)):
         # The QP rules are pure functions of the activity, so one input needs one pass.
-        chroma = Mode.CBAQ in (config_a.mode, config_b.mode)
+        chroma = config_a.mode.reads_chroma or config_b.mode.reads_chroma
         items = _echo_items(fmt, None) + [
             ("cu_size", config_a.cu_size),
             ("qp", config_a.slice_qp),
@@ -486,7 +487,7 @@ def _add_clip_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", type=Path, required=True, help="raw planar YCbCr file")
     parser.add_argument("--width", type=int, required=True)
     parser.add_argument("--height", type=int, required=True)
-    parser.add_argument("--bit-depth", type=int, choices=(8, 10), default=VideoFormat.bit_depth)
+    parser.add_argument("--bit-depth", type=int, choices=BIT_DEPTHS, default=VideoFormat.bit_depth)
     parser.add_argument("--chroma", choices=_values(ChromaFormat), default=VideoFormat.chroma_format.value)
     parser.add_argument("--frames", type=int, default=None, help="frames to process (default: all)")
     parser.add_argument("--skip", type=int, default=0, help="frames to skip from the start")

@@ -41,6 +41,11 @@ class Mode(enum.Enum):
     ADAPTIVE_QP = "adaptiveqp"  # luma activity only
     CBAQ = "cbaq"  # summed luma + Cb + Cr activity
 
+    @property
+    def reads_chroma(self) -> bool:
+        """Whether the rule reads the Cb and Cr blocks, so its activity needs chroma=True."""
+        return self is Mode.CBAQ
+
 
 class TMode(enum.Enum):
     """Which frame mean normalizes the cross-channel activity."""
@@ -66,8 +71,8 @@ class QpConfig:
     rounding: Rounding = Rounding.NEAREST
 
     def __post_init__(self) -> None:
-        # A float slice_qp would make cu_qp return a float, and a float cu_size
-        # passes the CU_SIZES check but cannot slice a plane.
+        # A float slice_qp would make cu_qp return a float, and check_cu_size
+        # would call cu_size 16.0 unsupported, though 16.0 == 16.
         for name in ("slice_qp", "qp_range", "cu_size"):
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise ValueError(f"{name} {getattr(self, name)!r} is not an integer")
@@ -123,7 +128,7 @@ def qp_grid(config: QpConfig, act: ActivityArrays) -> np.ndarray:
     this call makes; act is only read.
     """
     f = scaling_factor(config.qp_range)
-    if config.mode is Mode.ADAPTIVE_QP:
+    if not config.mode.reads_chroma:
         s, t = act.luma, act.t_luma
     elif act.cross is None:
         raise ValueError(f"the {config.mode.value} rule reads chroma activity; none was computed")
@@ -179,5 +184,5 @@ def qp_map_from_activity(
 
 def qp_map(frame: Frame, config: QpConfig) -> QpMap:
     """One QP per CU of a frame, as frame 0: frame_activity, then qp_map_from_activity."""
-    act = frame_activity(frame, config.cu_size, chroma=config.mode is Mode.CBAQ)
+    act = frame_activity(frame, config.cu_size, chroma=config.mode.reads_chroma)
     return qp_map_from_activity(frame.format, act, config)

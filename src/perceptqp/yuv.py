@@ -18,6 +18,8 @@ from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
+BIT_DEPTHS = (8, 10)  # the sample bit depths VideoFormat accepts
+
 
 class YuvError(ValueError):
     """Invalid geometry or raw YCbCr data."""
@@ -80,7 +82,7 @@ class VideoFormat:
             raise YuvError(f"chroma_format {self.chroma_format!r} is not a ChromaFormat")
         if self.width < 1 or self.height < 1:
             raise YuvError(f"frame size {self.width}x{self.height} must be positive")
-        if self.bit_depth not in (8, 10):
+        if self.bit_depth not in BIT_DEPTHS:
             raise YuvError(f"bit depth {self.bit_depth} unsupported (use 8 or 10)")
         cf = self.chroma_format
         if cf.sub_x == 2 and self.width % 2:
@@ -142,9 +144,7 @@ class Plane:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Plane):
             return NotImplemented
-        return self.data.shape == other.data.shape and bool(
-            np.array_equal(self.data, other.data)
-        )
+        return bool(np.array_equal(self.data, other.data))
 
 
 @dataclass

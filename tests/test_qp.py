@@ -355,16 +355,18 @@ class TestQpGrid:
                         config = QpConfig(32, mode, qp_range, cu_size, t_mode, rounding)
                         assert qp_grid(config, arrays).ravel().tolist() == scalar_qps(config, frame)
 
+    @pytest.mark.parametrize("mode", [mode for mode in Mode if mode.reads_chroma])
     @pytest.mark.parametrize("t_mode", list(TMode))
-    def test_cbaq_rule_refuses_luma_only_arrays(self, t_mode):
+    def test_chroma_rule_refuses_luma_only_arrays(self, mode, t_mode):
         arrays = frame_activity(random_frame(VideoFormat(64, 32), seed=6), 16, chroma=False)
-        with pytest.raises(ValueError, match="cbaq rule reads chroma activity"):
-            qp_grid(QpConfig(32, Mode.CBAQ, cu_size=16, t_mode=t_mode), arrays)
+        with pytest.raises(ValueError, match=f"the {mode.value} rule reads chroma activity"):
+            qp_grid(QpConfig(32, mode, cu_size=16, t_mode=t_mode), arrays)
 
+    @pytest.mark.parametrize("mode", [mode for mode in Mode if not mode.reads_chroma])
     @settings(max_examples=60, deadline=None)
     @given(frames(max_dim=80), configs)
-    def test_luma_only_arrays_give_the_same_adaptiveqp_map(self, frame, config):
-        config = dataclasses.replace(config, mode=Mode.ADAPTIVE_QP)
+    def test_luma_only_arrays_give_the_same_map(self, mode, frame, config):
+        config = dataclasses.replace(config, mode=mode)
         qps = qp_grid(config, frame_activity(frame, config.cu_size, chroma=False))
         assert qps.tolist() == qp_grid(config, frame_activity(frame, config.cu_size)).tolist()
         assert qp_map(frame, config).flat() == qps.ravel().tolist() == scalar_qps(config, frame)
