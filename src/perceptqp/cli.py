@@ -110,6 +110,7 @@ def frame_activities(
     length. The inputs are then read forward only, in lockstep, one CU row of
     samples per plane at a time. Chroma activity is computed only when
     chroma is true; the chroma samples are read and range-checked either way.
+    A read's error is prefixed with "frame N: ", the frame's index in the input.
     """
     with ExitStack() as stack:
         streams, counts = [], []
@@ -126,7 +127,9 @@ def frame_activities(
         for stream in streams:
             stream.seek(selected.start * frame_bytes(fmt))
         for index in selected:
-            yield index, [stream_activity(stream, fmt, args.cu_size, chroma) for stream in streams]
+            with _named(f"frame {index}"):
+                acts = [stream_activity(stream, fmt, args.cu_size, chroma) for stream in streams]
+            yield index, acts
 
 
 def _replaceable(path: Path) -> bool:

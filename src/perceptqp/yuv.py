@@ -162,15 +162,14 @@ class Frame:
             got = (plane.width, plane.height)
             if got != expect:
                 raise YuvError(f"{channel.value} plane is {got}, format implies {expect}")
-            _check_range(channel, self.format, int(plane.data.min()), int(plane.data.max()))
+            lo, hi = int(plane.data.min()), int(plane.data.max())
+            _check_range(channel, self.format, lo if lo < 0 else hi)
 
 
-def _check_range(channel: Channel, fmt: VideoFormat, lo: int, hi: int) -> None:
-    """Raise SampleRangeError unless a plane whose samples span lo..hi is legal for fmt."""
-    if lo < 0 or hi > fmt.max_sample:
-        raise SampleRangeError(
-            f"{channel.value} sample out of range 0..{fmt.max_sample} (saw {lo}..{hi})"
-        )
+def _check_range(channel: Channel, fmt: VideoFormat, value: int) -> None:
+    """Raise SampleRangeError, quoting value, unless value is a legal sample for fmt."""
+    if not 0 <= value <= fmt.max_sample:
+        raise SampleRangeError(f"{channel.value} sample out of range 0..{fmt.max_sample} (saw {value})")
 
 
 def _storage_dtype(fmt: VideoFormat) -> np.dtype:
@@ -207,36 +206,34 @@ def read_strips(
     heights must sum to the plane's height. Each strip is a (rows, width)
     view of one reused buffer of the native dtype, sized for the tallest
     strip, so a strip is valid only until the next one is requested; copy
-    it to keep it. A short read raises TruncatedInputError naming the frame
-    from tell(), so the stream must be seekable. Each 10-bit strip's min and
-    max are kept, and after the last strip an illegal one raises
-    SampleRangeError with Frame's message. The stream is left at the plane's
-    end unless a short read raises.
+    it to keep it. The stream needs only readinto, so a pipe will do; a
+    short read raises TruncatedInputError, and the caller numbers the frame.
+    The largest 10-bit sample is kept, and after the last strip an illegal
+    one raises SampleRangeError with Frame's message. The stream is left at
+    the plane's end unless a short read raises.
     """
     width, _ = plane_dims(fmt, channel)
     stored = np.empty(max(heights) * width, dtype=_storage_dtype(fmt))
-    # Only a dtype wider than the bit depth can hold an illegal sample; a uint8 one cannot.
+    # Only a dtype wider than the bit depth can hold an illegal sample; being unsigned, only a large one.
     checked = np.iinfo(fmt.dtype).max > fmt.max_sample
-    lo, hi = np.iinfo(fmt.dtype).max, 0
-    done = 0
+    hi = done = 0
     for rows in heights:
         part = stored[: rows * width]
         got = source.readinto(part.view(np.uint8))
         done += got
         if got < part.nbytes:
-            index = (source.tell() - done) // frame_bytes(fmt)
             raise TruncatedInputError(
-                f"frame {index}: the {channel.value} plane needed"
-                f" {sum(heights) * width * fmt.bytes_per_sample} bytes, stream had {done}"
+                f"the {channel.value} plane needed {sum(heights) * width * fmt.bytes_per_sample} bytes,"
+                f" stream had {done}"
             )
         # readinto fills the buffer in place; the dtype change copies only on
         # a big-endian host, where the stored little-endian words must be swapped.
         strip = part.astype(fmt.dtype, copy=False).reshape(rows, width)
         if checked:
-            lo, hi = min(lo, int(strip.min())), max(hi, int(strip.max()))
+            hi = max(hi, int(strip.max()))
         yield strip
     if checked:
-        _check_range(channel, fmt, lo, hi)
+        _check_range(channel, fmt, hi)
 
 
 def write_frame(sink: BinaryIO, frame: Frame) -> int:

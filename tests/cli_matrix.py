@@ -65,13 +65,13 @@ OTHER = SMALL._replace(name="other-420-8-72x40")  # a second clip of SMALL's geo
 # that are not dyadic, and the frame means depend on the order of their fold.
 FOLD = Clip("fold-444-10-190x122", 190, 122, "444", 10)
 # 10-bit 4:2:0 72x40: ILLEGAL's last Cr sample of its last frame is 1024;
-# MIN_EARLIER's first frame has a luma plane running from 0 in its first sample
-# to 1024 in its last, and NO_LEGAL's first frame a Cr plane of 1024s only;
+# FIRST_FRAME's last luma sample of its first frame is 1024, so the range error
+# names frame 0, and NO_LEGAL's first frame has a Cr plane of 1024s only;
 # FIRST_STRIP's last frame has a 1024 in its first luma strip, so the error
 # waits for the plane's last strip; ONE holds one frame; RAGGED ends half way
 # through its third frame.
 ILLEGAL = Clip("illegal-420-10-72x40", 72, 40, "420", 10)
-MIN_EARLIER = ILLEGAL._replace(name="min-earlier-420-10-72x40")
+FIRST_FRAME = ILLEGAL._replace(name="first-frame-420-10-72x40")
 FIRST_STRIP = ILLEGAL._replace(name="first-strip-420-10-72x40")
 NO_LEGAL = ILLEGAL._replace(name="no-legal-420-10-72x40")
 ONE = ILLEGAL._replace(name="one-420-10-72x40")
@@ -190,9 +190,9 @@ def build_corpus(corpus: Path) -> None:
     illegal[-1] = 1024
     (corpus / f"{ILLEGAL.name}.yuv").write_bytes(clip_bytes(ILLEGAL, illegal))
     luma, chroma = (rows * cols for rows, cols in plane_shapes(ILLEGAL)[:2])
-    min_earlier = clip_samples(MIN_EARLIER, FRAMES, 104)
-    min_earlier[[0, luma - 1]] = 0, 1024
-    (corpus / f"{MIN_EARLIER.name}.yuv").write_bytes(clip_bytes(MIN_EARLIER, min_earlier))
+    first_frame = clip_samples(FIRST_FRAME, FRAMES, 104)
+    first_frame[luma - 1] = 1024
+    (corpus / f"{FIRST_FRAME.name}.yuv").write_bytes(clip_bytes(FIRST_FRAME, first_frame))
     no_legal = clip_samples(NO_LEGAL, FRAMES, 105)
     no_legal[luma + chroma : luma + 2 * chroma] = 1024
     (corpus / f"{NO_LEGAL.name}.yuv").write_bytes(clip_bytes(NO_LEGAL, no_legal))
@@ -433,21 +433,22 @@ def matrix() -> list[Case]:
         Case(f"fault-geometry-huge{suffix}", command(SMALL, "--width", str(2**40), "--height", str(2**40)))
         for suffix, command in commands.items()
     ]
-    # The range error's min from an earlier strip than its max, and from a plane with no legal sample.
+    # The range error names the frame that holds the sample: the first, in its luma
+    # plane's last strip, and the first again, in a Cr plane with no legal sample.
     cases += [
         Case(f"fault-sample-{name}{suffix}", command(clip))
-        for name, clip in (("min-earlier", MIN_EARLIER), ("no-legal", NO_LEGAL))
+        for name, clip in (("first-frame", FIRST_FRAME), ("no-legal", NO_LEGAL))
         for suffix, command in commands.items()
     ]
-    # As `perceptqp ... >&-`: fd 1 closed when the child starts. MIN_EARLIER's
+    # As `perceptqp ... >&-`: fd 1 closed when the child starts. FIRST_FRAME's
     # first frame, and the same clip as an RD CSV, hold faults that a run
     # which read its input would report instead.
-    min_earlier = f"{CORPUS}/{MIN_EARLIER.name}.yuv"
+    first_frame = f"{CORPUS}/{FIRST_FRAME.name}.yuv"
     closed = {
-        "analyze": analyze(MIN_EARLIER, *old),
-        "compare": compare(MIN_EARLIER, *old),
-        "dump": dump(MIN_EARLIER, *old),
-        "bdrate": bdrate(min_earlier, min_earlier),
+        "analyze": analyze(FIRST_FRAME, *old),
+        "compare": compare(FIRST_FRAME, *old),
+        "dump": dump(FIRST_FRAME, *old),
+        "bdrate": bdrate(first_frame, first_frame),
         "help": ["--help"],
         "analyze-help": ["analyze", "--help"],
         "usage": [],

@@ -5,6 +5,7 @@ which keeps example generation fast while shape and format still shrink.
 """
 
 import operator
+import os
 from functools import reduce
 
 import numpy as np
@@ -28,6 +29,18 @@ def video_formats(draw, max_dim=48, bit_depths=(8, 10), max_height=None):
     else:
         height = draw(st.integers(1, max_height))
     return VideoFormat(width, height, depth, cf)
+
+
+def pipe(data):
+    """The read end of an os.pipe() that holds data, then end of file: a stream that can neither seek nor tell.
+
+    data must fit the pipe's buffer (64 KiB on Linux): it is all written,
+    and the write end closed, before the read end is returned.
+    """
+    read_fd, write_fd = os.pipe()
+    with open(write_fd, "wb") as sink:
+        sink.write(data)
+    return open(read_fd, "rb")
 
 
 def random_plane(rng, width, height, fmt, lo=0, hi=None):

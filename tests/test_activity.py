@@ -44,6 +44,7 @@ from strategies import (
     assert_equals_reference,
     checkerboard,
     frames,
+    pipe,
     random_frame,
     reference_frame_activity,
     stored,
@@ -394,10 +395,21 @@ class TestStreamActivity:
             expected = frame_activity(read_frame(decoded, fmt, index), cu_size, chroma=chroma)
             assert bits(streamed) == bits(expected), index
 
-    def test_short_stream_names_the_frame(self):
+    @pytest.mark.parametrize("depth", [8, 10])
+    @pytest.mark.parametrize("cf", list(ChromaFormat), ids=lambda cf: cf.value)
+    def test_pipe_equals_decoded_frame(self, cf, depth):
+        fmt = VideoFormat(72, 40, depth, cf)  # a frame fits a pipe's buffer in every format
+        frame, sink = random_frame(fmt, seed=depth), io.BytesIO()
+        write_frame(sink, frame)
+        with pipe(sink.getvalue()) as stream:
+            streamed = stream_activity(stream, fmt, 16)
+            assert stream.read() == b""
+        assert bits(streamed) == bits(frame_activity(frame, 16))
+
+    def test_short_stream_names_the_plane(self):
         fmt = VideoFormat(200, 130, 10, ChromaFormat.YUV420)
         clip = distinct_frames_clip(fmt)
         stream = io.BytesIO(clip[: frame_bytes(fmt) + frame_bytes(fmt) // 2])
         stream_activity(stream, fmt, 32)
-        with pytest.raises(TruncatedInputError, match="frame 1: the Y plane"):
+        with pytest.raises(TruncatedInputError, match="^the Y plane needed 52000 bytes, stream had 39000$"):
             stream_activity(stream, fmt, 32)

@@ -270,6 +270,19 @@ class TestStreaming:
         assert stat.S_ISFIFO(fifo.lstat().st_mode)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["act.csv", "in.yuv", "pipe"]
 
+    def test_frame_missing_after_the_probe_is_named_by_the_frame_loop(self, tmp_path, capsys, monkeypatch):
+        # As when the input shrinks during a run: the reader names the plane, the frame loop the frame.
+        clip = constant_clip(tmp_path / "in.yuv", count=2)
+        out = tmp_path / "map.csv"
+        out.write_text("old output\n")
+        real = cli.probe_frame_count
+        monkeypatch.setattr(cli, "probe_frame_count", lambda stream, fmt: real(stream, fmt) + 1)
+        assert main(analyze_args(clip, out)) == EXIT_VALIDATION
+        luma = FMT.width * FMT.height
+        assert capsys.readouterr() == ("", f"error: frame 2: the Y plane needed {luma} bytes, stream had 0\n")
+        assert out.read_text() == "old output\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.yuv", "map.csv"]
+
     def test_fifo_input_is_refused_as_not_seekable(self, tmp_path, capsys):
         # The size probe seeks, which a pipe cannot, so the probe fails
         # before --skip is checked. The writer unblocks the run's open of the

@@ -18,10 +18,8 @@ TABLE = "channel,bd_rate_pct,bd_psnr_db\nY,10.000000,-0.295669\nCb,-15.757149,0.
 NO_FILE = f"i/o error: [Errno 2] No such file or directory: '{cli_matrix.ABSENT}'"
 # A run with stdout closed that is not a usage error.
 CLOSED = (EXIT_IO, None, "i/o error: [Errno 9] Bad file descriptor\n")
-CR_1024 = "error: Cr sample out of range 0..1023 (saw 31..1024)"
-Y_15_1024 = "error: Y sample out of range 0..1023 (saw 15..1024)"
-Y_0_1024 = "error: Y sample out of range 0..1023 (saw 0..1024)"
-CR_1024_1024 = "error: Cr sample out of range 0..1023 (saw 1024..1024)"
+# A 10-bit sample of 1024, by frame and plane.
+RANGE = "error: frame {}: {} sample out of range 0..1023 (saw 1024)"
 IS_INPUT = "error: output ../corpus/c420-8-72x40.yuv is the input ../corpus/c420-8-72x40.yuv; refusing to overwrite it"
 SAME_FILE = "error: outputs {0} and dir/../{0} are the same file; one would overwrite the other"
 HUGE = (
@@ -83,13 +81,13 @@ OUTCOMES = {
         "error: ../corpus/channel-line-break.csv: bad RD CSV row ['break', 'Y\\nZ', '22', '8000.0', '36.5']: "
         + CHANNEL
     ),
-    "late-fault-analyze": error(CR_1024),
-    "late-fault-analyze-adaptiveqp": error(CR_1024),
-    "late-fault-compare": error(CR_1024),
-    "late-fault-compare-adaptiveqp": error(CR_1024),
-    "late-fault-dump": error(CR_1024),
-    "late-fault-first-strip": error(Y_15_1024),
-    "late-fault-first-strip-adaptiveqp": error(Y_15_1024),
+    "late-fault-analyze": error(RANGE.format(2, "Cr")),
+    "late-fault-analyze-adaptiveqp": error(RANGE.format(2, "Cr")),
+    "late-fault-compare": error(RANGE.format(2, "Cr")),
+    "late-fault-compare-adaptiveqp": error(RANGE.format(2, "Cr")),
+    "late-fault-dump": error(RANGE.format(2, "Cr")),
+    "late-fault-first-strip": error(RANGE.format(2, "Y")),
+    "late-fault-first-strip-adaptiveqp": error(RANGE.format(2, "Y")),
     "fault-usage": (EXIT_USAGE, "", "argument --format: invalid choice: 'xml'"),
     "fault-geometry": error("error: width 15 must be even for 420 subsampling"),
     "fault-geometry-compare": error("error: width 15 must be even for 420 subsampling"),
@@ -111,7 +109,7 @@ OUTCOMES = {
     "fault-frame-count": error(
         "error: inputs differ in frame count (3 vs 1); pass --frames to pin a common range"
     ),
-    "fault-sample-range": error(CR_1024),
+    "fault-sample-range": error(RANGE.format(2, "Cr")),
     "fault-bdrate-usage": (EXIT_USAGE, "", "unrecognized arguments: --qp 32"),
     "fault-bdrate-anchor-unopenable": error(NO_FILE, EXIT_IO),
     "fault-bdrate-anchor-rd-csv": error(
@@ -138,12 +136,12 @@ OUTCOMES = {
     "fault-geometry-huge": error(HUGE),
     "fault-geometry-huge-compare": error(HUGE),
     "fault-geometry-huge-dump": error(HUGE),
-    "fault-sample-min-earlier": error(Y_0_1024),
-    "fault-sample-min-earlier-compare": error(Y_0_1024),
-    "fault-sample-min-earlier-dump": error(Y_0_1024),
-    "fault-sample-no-legal": error(CR_1024_1024),
-    "fault-sample-no-legal-compare": error(CR_1024_1024),
-    "fault-sample-no-legal-dump": error(CR_1024_1024),
+    "fault-sample-first-frame": error(RANGE.format(0, "Y")),
+    "fault-sample-first-frame-compare": error(RANGE.format(0, "Y")),
+    "fault-sample-first-frame-dump": error(RANGE.format(0, "Y")),
+    "fault-sample-no-legal": error(RANGE.format(0, "Cr")),
+    "fault-sample-no-legal-compare": error(RANGE.format(0, "Cr")),
+    "fault-sample-no-legal-dump": error(RANGE.format(0, "Cr")),
     "help-": (EXIT_OK, (
         "usage: perceptqp [-h] {analyze,compare,bdrate,dump-activity} ... Command-line front end: raw "
         "clips in, QP maps and RD metrics out. positional arguments: "

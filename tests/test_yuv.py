@@ -25,7 +25,7 @@ from perceptqp import (
     write_frame,
 )
 from perceptqp.yuv import _storage_dtype, read_strips
-from strategies import frames, random_frame, video_formats
+from strategies import frames, pipe, random_frame, video_formats
 
 
 class TestPlaneDims:
@@ -155,7 +155,7 @@ class TestReadFrame:
         w, h = plane_dims(fmt, Channel.CR)
         cr_bytes = w * h * fmt.bytes_per_sample
         short = io.BytesIO(stream.getvalue()[:-1])
-        message = f"frame 0: the Cr plane needed {cr_bytes} bytes, stream had {cr_bytes - 1}$"
+        message = f"^the Cr plane needed {cr_bytes} bytes, stream had {cr_bytes - 1}$"
         with pytest.raises(TruncatedInputError, match=message):
             read_frame(short, fmt)
         # So a frame occupies its decoded size once.
@@ -195,66 +195,49 @@ class SeekCounter(io.BytesIO):
         return super().seek(*args)
 
 
-class Unseekable(io.BytesIO):
-    """A stream that cannot seek, as a pipe cannot; tell() still counts the bytes read."""
-
-    seeks = 0
-
-    def seekable(self):
-        return False
-
-    def seek(self, *args):
-        raise io.UnsupportedOperation("seek")
-
-
+@pytest.mark.parametrize("source", [SeekCounter, pipe], ids=["seek-counter", "pipe"])
 class TestReadStrips:
-    """A 10-bit plane is read once, forward only: each strip's min and max are kept, then checked."""
+    """A 10-bit plane is read once, forward only, from a stream that need not seek or tell."""
 
     FMT = VideoFormat(4, 6, 10, ChromaFormat.YUV444)
 
     @staticmethod
-    def stream(source, words):
-        """A source holding a 4x6 Y plane of the given words, then a tail the read must not touch."""
-        return source(np.asarray(words, dtype="<u2").tobytes() + b"tail")
+    def payload(words):
+        """A 4x6 Y plane of the given words, then a tail the read must not touch."""
+        return np.asarray(words, dtype="<u2").tobytes() + b"tail"
 
     def read(self, stream):
         return [strip.copy() for strip in read_strips(stream, self.FMT, Channel.Y, [2, 2, 2])]
 
-    def assert_illegal(self, source, words, saw):
-        stream = self.stream(source, words)
-        with pytest.raises(SampleRangeError) as raised:
-            self.read(stream)
-        assert str(raised.value) == f"Y sample out of range 0..1023 (saw {saw})"
-        assert (stream.seeks, stream.tell()) == (0, 48)
+    @staticmethod
+    def assert_read_forward_to(stream, rest):
+        assert stream.read() == rest
+        assert getattr(stream, "seeks", 0) == 0
 
-    @pytest.mark.parametrize("source", [SeekCounter, Unseekable])
-    def test_min_in_an_earlier_strip_than_the_illegal_sample(self, source):
-        words = np.full(24, 512)
-        words[1] = 3  # first strip
-        words[-1] = 1024  # last strip
-        self.assert_illegal(source, words, "3..1024")
+    def test_short_plane_is_truncation(self, source):
+        with source(self.payload(np.zeros(24))[:47]) as stream:
+            with pytest.raises(TruncatedInputError, match=r"^the Y plane needed 48 bytes, stream had 47$"):
+                self.read(stream)
+            self.assert_read_forward_to(stream, b"")
 
-    @pytest.mark.parametrize("source", [SeekCounter, Unseekable])
-    def test_strips_are_yielded_before_the_error(self, source):
-        words = np.arange(24) + 1001
-        stream = self.stream(source, words)
-        strips = read_strips(stream, self.FMT, Channel.Y, [2, 2, 2])
-        drawn = [next(strips).tolist() for _ in range(3)]
-        assert drawn == words.reshape(3, 2, 4).tolist()
-        with pytest.raises(SampleRangeError, match=r"\(saw 1001\.\.1024\)$"):
-            next(strips)
-        assert (stream.seeks, stream.tell()) == (0, 48)
+    @pytest.mark.parametrize("at", [[5], [23], range(24)], ids=["first-strip", "last-strip", "every-word"])
+    def test_strips_are_yielded_before_the_error(self, source, at):
+        words = np.arange(24) + 1000
+        words[at] = 1024
+        with source(self.payload(words)) as stream:
+            strips = read_strips(stream, self.FMT, Channel.Y, [2, 2, 2])
+            drawn = [next(strips).tolist() for _ in range(3)]
+            assert drawn == words.reshape(3, 2, 4).tolist()
+            with pytest.raises(SampleRangeError, match=r"^Y sample out of range 0\.\.1023 \(saw 1024\)$"):
+                next(strips)
+            self.assert_read_forward_to(stream, b"tail")
 
-    @pytest.mark.parametrize("source", [SeekCounter, Unseekable])
-    def test_plane_without_a_legal_sample_words_its_own_min(self, source):
-        self.assert_illegal(source, np.full(24, 1024), "1024..1024")
-
-    def test_legal_plane_is_read_once_and_left_at_its_end(self):
+    def test_legal_plane_yields_its_strips(self, source):
         words = np.full(24, 512)
         words[[1, -1]] = 0, 1023
-        stream = self.stream(SeekCounter, words)
-        assert np.concatenate(self.read(stream)).ravel().tolist() == words.tolist()
-        assert (stream.seeks, stream.tell()) == (0, 48)
+        with source(self.payload(words)) as stream:
+            assert np.concatenate(self.read(stream)).ravel().tolist() == words.tolist()
+            self.assert_read_forward_to(stream, b"tail")
 
 
 def strip_planes(stream, fmt, index, heights):
@@ -353,14 +336,16 @@ class TestFrameValidation:
     @pytest.mark.parametrize(
         "dtype, depth, values, message",
         [
-            (np.int8, 8, (-1, 7), "Cr sample out of range 0..255 (saw -1..7)"),
-            (np.int16, 10, (-300, 5), "Cr sample out of range 0..1023 (saw -300..5)"),
-            (np.int64, 8, (3, 256), "Cr sample out of range 0..255 (saw 3..256)"),
-            (np.uint16, 10, (3, 1024), "Cr sample out of range 0..1023 (saw 3..1024)"),
-            (np.uint16, 8, (3, 256), "Cr sample out of range 0..255 (saw 3..256)"),
+            (np.int8, 8, (-1, 7), "Cr sample out of range 0..255 (saw -1)"),
+            (np.int16, 10, (-300, 5), "Cr sample out of range 0..1023 (saw -300)"),
+            (np.int64, 8, (3, 256), "Cr sample out of range 0..255 (saw 256)"),
+            (np.uint16, 10, (3, 1024), "Cr sample out of range 0..1023 (saw 1024)"),
+            (np.uint16, 8, (3, 256), "Cr sample out of range 0..255 (saw 256)"),
+            # Both ends illegal: the negative one is quoted.
+            (np.int16, 8, (-1, 256), "Cr sample out of range 0..255 (saw -1)"),
         ],
     )
-    def test_range_error_names_the_plane_extremes(self, dtype, depth, values, message):
+    def test_range_error_names_the_offending_sample(self, dtype, depth, values, message):
         fmt = VideoFormat(2, 2, depth, ChromaFormat.YUV444)
         good = Plane(np.full((2, 2), 4, dtype=dtype))
         bad = Plane(np.array([[values[0], 4], [4, values[1]]], dtype=dtype))
