@@ -19,26 +19,24 @@ in raster order, as Python's sum() did up to 3.11.
 
 from __future__ import annotations
 
-import numbers
 from itertools import accumulate
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .yuv import Channel, Frame, VideoFormat, plane_dims, read_strips
+from .yuv import Channel, Frame, VideoFormat, _integer, plane_dims, read_strips
 
 # The CU sizes the QP maps support. qp imports this module, so the tuple lives
 # here and qp re-exports it.
 CU_SIZES = (16, 32, 64)
 
 
-def check_cu_size(cu_size: int) -> None:
-    """Raise ValueError unless cu_size is one of CU_SIZES, as an integer.
-
-    16.0 == 16, but a float size cannot slice a plane.
-    """
-    if not isinstance(cu_size, numbers.Integral) or cu_size not in CU_SIZES:
+def check_cu_size(cu_size: int) -> int:
+    """cu_size as an int, or ValueError unless it is an integer in CU_SIZES."""
+    cu_size = _integer("cu_size", cu_size, ValueError)
+    if cu_size not in CU_SIZES:
         raise ValueError(f"cu_size {cu_size} unsupported; choose one of {CU_SIZES}")
+    return cu_size
 
 
 class ActivityArrays(NamedTuple):
@@ -154,7 +152,7 @@ def _frame_arrays(
     refused before any strip is drawn: the int32 sums are exact only up to
     32x32 quadrants.
     """
-    check_cu_size(cu_size)
+    cu_size = check_cu_size(cu_size)
     luma_x = _halves(fmt.width, cu_size, 1)
     luma_y = _halves(fmt.height, cu_size, 1)
     luma = _plane_activity(strips(Channel.Y, list(map(sum, luma_y))), fmt.width, luma_x, luma_y)

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .yuv import Channel, Plane
+from .yuv import Channel, Plane, _integer
 
 CHANNEL_ORDER = tuple(channel.value for channel in Channel)
 RD_CSV_HEADER = ("label", "channel", "qp", "bitrate_kbps", "psnr_db")
@@ -86,6 +86,7 @@ def psnr(reference: Plane, test: Plane, bit_depth: int) -> float:
     The squared-error sum is accumulated exactly in integers, so equal
     inputs report infinity rather than a large finite number.
     """
+    bit_depth = _integer("bit_depth", bit_depth, ValueError)
     if (reference.width, reference.height) != (test.width, test.height):
         raise ValueError(
             f"plane dimensions differ: {reference.width}x{reference.height}"

@@ -89,7 +89,7 @@ def cu_grid(fmt: VideoFormat, cu_size: int) -> list[CuRect]:
     dimensions are not multiples of it; together the clipped rectangles
     cover every luma sample exactly once.
     """
-    check_cu_size(cu_size)
+    cu_size = check_cu_size(cu_size)
     grid = []
     for y in range(0, fmt.height, cu_size):
         for x in range(0, fmt.width, cu_size):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -24,14 +23,15 @@ import numpy as np
 
 # CU_SIZES is defined with the activity pass that checks it, and re-exported here.
 from .activity import CU_SIZES, ActivityArrays, check_cu_size, frame_activity
-from .yuv import Frame, VideoFormat
+from .yuv import Frame, VideoFormat, _integer
 
 QP_MIN = 0
 QP_MAX = 51
 
 
 def grid_dims(fmt: VideoFormat, cu_size: int) -> tuple[int, int]:
-    """CU grid shape as (columns, rows)."""
+    """CU grid shape as (columns, rows); ValueError unless cu_size passes check_cu_size."""
+    cu_size = check_cu_size(cu_size)
     return -(-fmt.width // cu_size), -(-fmt.height // cu_size)
 
 
@@ -71,11 +71,8 @@ class QpConfig:
     rounding: Rounding = Rounding.NEAREST
 
     def __post_init__(self) -> None:
-        # A float slice_qp would make cu_qp return a float, and check_cu_size
-        # would call cu_size 16.0 unsupported, though 16.0 == 16.
         for name in ("slice_qp", "qp_range", "cu_size"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} {getattr(self, name)!r} is not an integer")
+            object.__setattr__(self, name, _integer(name, getattr(self, name), ValueError))
         if not QP_MIN <= self.slice_qp <= QP_MAX:
             raise ValueError(f"slice_qp {self.slice_qp} outside [{QP_MIN}, {QP_MAX}]")
         # No CU can move further than the whole QP span, and the bound keeps

@@ -33,6 +33,14 @@ class SampleRangeError(YuvError):
     """A sample value lies outside the legal range for the bit depth."""
 
 
+def _integer(name: str, value: object, error: type[ValueError] = YuvError) -> int:
+    """value as an int, or error naming it unless it is an integer: a float cannot size a plane."""
+    # A numpy integer keeps its width in arithmetic: 1 << np.uint8(10) wraps to 0.
+    if not isinstance(value, numbers.Integral):
+        raise error(f"{name} {value!r} is not an integer")
+    return int(value)
+
+
 class ChromaFormat(enum.Enum):
     """Chroma subsampling layout in the usual J:a:b shorthand."""
 
@@ -71,13 +79,8 @@ class VideoFormat:
     chroma_format: ChromaFormat = ChromaFormat.YUV420
 
     def __post_init__(self) -> None:
-        # A float size or depth passes the checks below but cannot size a
-        # plane, and a string has no subsampling factors. A numpy integer is
-        # kept as an int: 1 << np.uint8(10) wraps to 0.
         for name in ("width", "height", "bit_depth"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise YuvError(f"{name} {getattr(self, name)!r} is not an integer")
-            object.__setattr__(self, name, int(getattr(self, name)))
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if not isinstance(self.chroma_format, ChromaFormat):
             raise YuvError(f"chroma_format {self.chroma_format!r} is not a ChromaFormat")
         if self.width < 1 or self.height < 1:
@@ -162,8 +165,14 @@ class Frame:
             got = (plane.width, plane.height)
             if got != expect:
                 raise YuvError(f"{channel.value} plane is {got}, format implies {expect}")
-            lo, hi = int(plane.data.min()), int(plane.data.max())
-            _check_range(channel, self.format, lo if lo < 0 else hi)
+            _check_range(channel, self.format, _worst_sample(self.format, plane.data))
+
+
+def _worst_sample(fmt: VideoFormat, samples: np.ndarray) -> int:
+    """samples' min if negative, else max; 0 for an extreme their dtype keeps in fmt's range."""
+    info = np.iinfo(samples.dtype)
+    lo = int(samples.min()) if info.min < 0 else 0
+    return lo if lo < 0 or info.max <= fmt.max_sample else int(samples.max())
 
 
 def _check_range(channel: Channel, fmt: VideoFormat, value: int) -> None:
@@ -185,8 +194,9 @@ def read_frame(source: BinaryIO, fmt: VideoFormat, index: int = 0) -> Frame:
     holds fewer than index+1 whole frames, and SampleRangeError if a 10-bit
     sample is >= 1024. Each plane is a writable array of the native dtype
     backed by a buffer of exactly its decoded size, so a frame occupies its
-    decoded size once. A negative index raises YuvError before the stream moves.
+    decoded size once. A negative or non-integer index raises YuvError before the stream moves.
     """
+    index = _integer("frame index", index)
     if index < 0:
         raise YuvError(f"frame index {index} is negative")
     source.seek(index * frame_bytes(fmt))
@@ -214,8 +224,6 @@ def read_strips(
     """
     width, _ = plane_dims(fmt, channel)
     stored = np.empty(max(heights) * width, dtype=_storage_dtype(fmt))
-    # Only a dtype wider than the bit depth can hold an illegal sample; being unsigned, only a large one.
-    checked = np.iinfo(fmt.dtype).max > fmt.max_sample
     hi = done = 0
     for rows in heights:
         part = stored[: rows * width]
@@ -229,11 +237,9 @@ def read_strips(
         # readinto fills the buffer in place; the dtype change copies only on
         # a big-endian host, where the stored little-endian words must be swapped.
         strip = part.astype(fmt.dtype, copy=False).reshape(rows, width)
-        if checked:
-            hi = max(hi, int(strip.max()))
+        hi = max(hi, _worst_sample(fmt, strip))
         yield strip
-    if checked:
-        _check_range(channel, fmt, hi)
+    _check_range(channel, fmt, hi)
 
 
 def write_frame(sink: BinaryIO, frame: Frame) -> int:

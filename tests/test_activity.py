@@ -8,6 +8,7 @@ stream_activity, and their frame means, must equal that reference bit for
 bit, and the CLI matrix checks both passes against the oracle end to end.
 """
 
+import dataclasses
 import io
 import operator
 import re
@@ -25,7 +26,9 @@ from perceptqp import (
     Channel,
     ChromaFormat,
     Frame,
+    Mode,
     Plane,
+    QpConfig,
     TruncatedInputError,
     VideoFormat,
     block_variance,
@@ -34,6 +37,7 @@ from perceptqp import (
     cu_grid,
     frame_activity,
     frame_bytes,
+    grid_dims,
     read_frame,
     sub_blocks,
     write_frame,
@@ -163,17 +167,44 @@ class TestCuSizeIsChecked:
     def test_both_passes_refuse_it_with_cu_grids_message(self, cu_size):
         # At CU 8192 the int32 column sums of this frame wrapped: its luma activity read -1048575.0.
         # A float size equal to a supported one passed all three checks, then failed in range().
+        # grid_dims took any size, so it could shape a grid that cu_grid refuses.
         fmt = VideoFormat(16, 8192, 10, ChromaFormat.YUV444)
         frame = Frame(*(Plane(np.full((8192, 16), 1023, fmt.dtype)) for _ in Channel), format=fmt)
         with pytest.raises(ValueError) as refused:
             cu_grid(fmt, cu_size)
         message = f"^{re.escape(str(refused.value))}$"
         with pytest.raises(ValueError, match=message):
+            grid_dims(fmt, cu_size)
+        with pytest.raises(ValueError, match=message):
+            QpConfig(32, Mode.CBAQ, cu_size=cu_size)
+        with pytest.raises(ValueError, match=message):
             frame_activity(frame, cu_size)
         stream = io.BytesIO(bytes(frame_bytes(fmt)))
         with pytest.raises(ValueError, match=message):
             stream_activity(stream, fmt, cu_size)
         assert stream.tell() == 0
+
+    @pytest.mark.parametrize("cu_size", [16.0, 32.0])
+    def test_float_size_is_not_an_integer(self, cu_size):
+        # cu_grid and both passes called 16.0 unsupported where QpConfig called it not an integer;
+        # the test above holds all five edges to cu_grid's message.
+        with pytest.raises(ValueError, match=f"^cu_size {cu_size} is not an integer$"):
+            cu_grid(VideoFormat(64, 48), cu_size)
+
+    @pytest.mark.parametrize("cu_size", [np.uint8(16), np.int64(16)], ids=["uint8", "int64"])
+    def test_numpy_integer_size_is_taken_as_an_int(self, cu_size):
+        # np.uint8(16) overflowed in _halves and then failed a cast; grid_dims overflowed too
+        fmt = VideoFormat(72, 40, 10, ChromaFormat.YUV420)
+        frame, sink = random_frame(fmt, seed=9), io.BytesIO()
+        write_frame(sink, frame)
+        want = bits(frame_activity(frame, 16))
+        assert bits(frame_activity(frame, cu_size)) == want
+        assert bits(stream_activity(io.BytesIO(sink.getvalue()), fmt, cu_size)) == want
+        assert grid_dims(fmt, cu_size) == grid_dims(fmt, 16) == (5, 3)
+        assert list(map(type, grid_dims(fmt, cu_size))) == [int, int]
+        rects = cu_grid(fmt, cu_size)
+        assert rects == cu_grid(fmt, 16)
+        assert {type(value) for rect in rects for value in dataclasses.astuple(rect)} == {int}
 
 
 class TestRasterMean:

@@ -75,6 +75,19 @@ class TestPsnr:
         b = Plane(rng.integers(0, 256, size=(12, 12), dtype=np.uint8))
         assert psnr(a, b, 8) == psnr(b, a, 8)
 
+    @pytest.mark.parametrize(
+        "bit_depth", [np.uint8(10), np.int64(10), 10.0, "10"], ids=["uint8", "int64", "float", "str"]
+    )
+    def test_bit_depth_is_taken_as_an_int(self, bit_depth):
+        # np.uint8(10) made the peak wrap, and PSNR read -9.54 dB with two RuntimeWarnings
+        a = Plane(np.full((4, 4), 100, dtype=np.uint16))
+        b = Plane(np.full((4, 4), 103, dtype=np.uint16))
+        if isinstance(bit_depth, np.integer):
+            assert psnr(a, b, bit_depth) == psnr(a, b, 10) == pytest.approx(50.655, abs=1e-3)
+        else:
+            with pytest.raises(ValueError, match=f"^bit_depth {bit_depth!r} is not an integer$"):
+                psnr(a, b, bit_depth)
+
     def test_dimension_mismatch_rejected(self):
         a = Plane(np.zeros((4, 4), dtype=np.uint8))
         b = Plane(np.zeros((4, 5), dtype=np.uint8))

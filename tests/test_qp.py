@@ -225,6 +225,17 @@ class TestQpConfigValidation:
         with pytest.raises(ValueError, match=f"{field} {value} is not an integer"):
             QpConfig(**{"slice_qp": 32, "mode": Mode.CBAQ, field: value})
 
+    @pytest.mark.parametrize("kind", [np.uint8, np.int64])
+    def test_numpy_integer_fields_are_stored_as_ints(self, kind):
+        # np.uint8 fields made cu_qp overflow on a negative delta, while qp_map gave QPs
+        config = QpConfig(slice_qp=kind(3), mode=Mode.CBAQ, qp_range=kind(6), cu_size=kind(16))
+        assert [type(v) for v in (config.slice_qp, config.qp_range, config.cu_size)] == [int] * 3
+        assert config == QpConfig(3, Mode.CBAQ, 6, 16)
+        frame = random_frame(VideoFormat(64, 32), seed=5)
+        qps = scalar_qps(config, frame)
+        assert min(qps) < 3
+        assert qp_grid(config, frame_activity(frame, config.cu_size)).ravel().tolist() == qps
+
 
 class TestQpMap:
     def test_cells_enumerate_raster_coordinates(self):

@@ -133,6 +133,24 @@ class TestReadFrame:
                 read_frame(stream, fmt, -1)
             assert stream.tell() == 1
 
+    @pytest.mark.parametrize(
+        "index", [np.uint8(1), np.int64(1), 1.0, "1"], ids=["uint8", "int64", "float", "str"]
+    )
+    def test_index_is_taken_as_an_int(self, index):
+        # np.uint8(1) overflowed on the 4608-byte offset; 1.0 raised TypeError from seek
+        fmt = VideoFormat(64, 48, 8, ChromaFormat.YUV420)
+        clip = [random_frame(fmt, seed) for seed in (1, 2)]
+        sink = io.BytesIO()
+        for frame in clip:
+            write_frame(sink, frame)
+        stream = io.BytesIO(sink.getvalue())
+        if isinstance(index, np.integer):
+            assert read_frame(stream, fmt, index) == clip[1]
+        else:
+            with pytest.raises(YuvError, match=f"^frame index {index!r} is not an integer$"):
+                read_frame(stream, fmt, index)
+            assert stream.tell() == 0
+
     def test_short_frame_is_truncation(self):
         fmt = VideoFormat(4, 4, 8, ChromaFormat.YUV420)
         stream = io.BytesIO(b"\x00" * (frame_bytes(fmt) - 1))
@@ -352,6 +370,21 @@ class TestFrameValidation:
         with pytest.raises(SampleRangeError) as raised:
             Frame(good, good, bad, fmt)
         assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "dtype, depth, refused",
+        [(np.uint8, 8, ("min", "max")), (np.uint8, 10, ("min", "max")), (np.uint16, 10, ("min",))],
+        ids=["uint8-8bit", "uint8-10bit", "uint16-10bit"],
+    )
+    def test_only_extremes_the_dtype_can_make_illegal_are_taken(self, dtype, depth, refused):
+        # Every plane's min and max were taken, though a uint8 plane holds no illegal sample.
+        def refuse(*args, **kwargs):
+            raise AssertionError("an extreme the dtype keeps legal was taken")
+
+        unscanned = type("Unscanned", (np.ndarray,), dict.fromkeys(refused, refuse))
+        plane = Plane(np.full((2, 2), 4, dtype=dtype).view(unscanned))
+        fmt = VideoFormat(2, 2, depth, ChromaFormat.YUV444)
+        assert Frame(plane, plane, plane, fmt).format == fmt
 
 
 class TestFrameEquality:
