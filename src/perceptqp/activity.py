@@ -96,11 +96,10 @@ def _plane_activity(
     row_counts = ((pair, np.array(pair)[:, None] * widths) for pair in set(y_halves))
     terms = {pair: (n, n > 0, np.maximum(n * n, 1)) for pair, n in row_counts}
     activity = np.empty((len(y_halves), cols))
-    # Frame caps samples at 1023 and the largest quadrant is 32x32 (CU 64 luma,
-    # or 4:4:4 chroma), so every quadrant's sum(s^2) <= 1024 * 1023^2 =
-    # 1,071,645,696 fits int32 (< 2^31 - 1), and so does each column sum.
-    # read_strips checks a plane only after its last strip; sums that wrapped
-    # on an illegal sample before then are discarded with the error it raises.
+    # Frame and read_strips let no sample above 1023 through, and the largest
+    # quadrant is 32x32 (CU 64 luma, or 4:4:4 chroma), so every quadrant's
+    # sum(s^2) <= 1024 * 1023^2 = 1,071,645,696 fits int32 (< 2^31 - 1), and
+    # so does each column sum.
     # (sum/squared sum, top/bottom, column) of the current CU row
     columns = np.empty((2, 2, width), dtype=np.int32)
     # (sum/squared sum, top/bottom, column half); int64 so that s1 * s1 fits
@@ -111,8 +110,7 @@ def _plane_activity(
     # skips the buffered casting loops that sum(dtype=) and square(dtype=) run
     # on uint8 and uint16 samples.
     buffer = np.empty((max(top for top, _ in y_halves), width), dtype=np.int32)
-    # strict: zip draws once past the last strip, which lets a reader finish
-    # its range check, and it refuses a strip count that is not rows.
+    # strict: zip refuses a strip count that is not rows.
     for row, (pair, strip) in enumerate(zip(y_halves, strips, strict=True)):
         for half, values in enumerate((strip[: pair[0]], strip[pair[0] :])):
             samples = buffer[: len(values)]
@@ -147,8 +145,8 @@ def _frame_arrays(
 ) -> ActivityArrays:
     """Activity of one frame whose planes strips(channel, heights) yields in Y, Cb, Cr order.
 
-    With chroma false the chroma strips are still drawn, so a reader can
-    range-check them, but not analysed. A cu_size outside CU_SIZES is
+    With chroma false the chroma strips are still drawn, so a reader reads
+    and range-checks them, but not analysed. A cu_size outside CU_SIZES is
     refused before any strip is drawn: the int32 sums are exact only up to
     32x32 quadrants.
     """
@@ -201,10 +199,11 @@ def stream_activity(
     """frame_activity of the frame at the stream's position, read one CU row at a time.
 
     Bit-identical to frame_activity(read_frame(...), cu_size, chroma=chroma),
-    and raises the errors read_frame and Frame raise, but holds one CU row of
-    samples per plane, never the frame. Every plane is read and
-    range-checked whatever chroma is, so the stream is left at the next
-    frame.
+    but holds one CU row of samples per plane, never the frame. It raises
+    read_strips' errors at the first faulty strip, so where read_frame sees a
+    plane whole it may quote another illegal sample, or raise SampleRangeError
+    rather than TruncatedInputError. Every plane is read and range-checked
+    whatever chroma is, so the stream is left at the next frame.
     """
     return _frame_arrays(
         lambda channel, heights: read_strips(stream, fmt, channel, heights), fmt, cu_size, chroma

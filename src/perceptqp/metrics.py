@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .yuv import Channel, Plane, _integer
+from .yuv import BIT_DEPTHS, Channel, Plane, _integer
 
 CHANNEL_ORDER = tuple(channel.value for channel in Channel)
 RD_CSV_HEADER = ("label", "channel", "qp", "bitrate_kbps", "psnr_db")
@@ -87,13 +87,15 @@ def psnr(reference: Plane, test: Plane, bit_depth: int) -> float:
     inputs report infinity rather than a large finite number.
     """
     bit_depth = _integer("bit_depth", bit_depth, ValueError)
+    if bit_depth not in BIT_DEPTHS:
+        raise ValueError(f"bit depth {bit_depth} unsupported (use 8 or 10)")
     if (reference.width, reference.height) != (test.width, test.height):
         raise ValueError(
             f"plane dimensions differ: {reference.width}x{reference.height}"
             f" vs {test.width}x{test.height}"
         )
-    diff = reference.data.astype(np.int64) - test.data.astype(np.int64)
-    sse = int((diff * diff).sum())
+    diff = np.subtract(reference.data, test.data, dtype=np.int64, casting="unsafe").ravel()
+    sse = int(np.dot(diff, diff))
     if sse == 0:
         return math.inf
     count = reference.width * reference.height

@@ -165,20 +165,20 @@ class Frame:
             got = (plane.width, plane.height)
             if got != expect:
                 raise YuvError(f"{channel.value} plane is {got}, format implies {expect}")
-            _check_range(channel, self.format, _worst_sample(self.format, plane.data))
+            _check_samples(channel, self.format, plane.data)
 
 
-def _worst_sample(fmt: VideoFormat, samples: np.ndarray) -> int:
-    """samples' min if negative, else max; 0 for an extreme their dtype keeps in fmt's range."""
+def _check_samples(channel: Channel, fmt: VideoFormat, samples: np.ndarray) -> None:
+    """Raise SampleRangeError, quoting the worst of samples, unless each is legal for fmt.
+
+    Takes only the extremes samples' dtype can make illegal: the min of a
+    signed dtype, the max of one wider than fmt's bit depth.
+    """
     info = np.iinfo(samples.dtype)
     lo = int(samples.min()) if info.min < 0 else 0
-    return lo if lo < 0 or info.max <= fmt.max_sample else int(samples.max())
-
-
-def _check_range(channel: Channel, fmt: VideoFormat, value: int) -> None:
-    """Raise SampleRangeError, quoting value, unless value is a legal sample for fmt."""
-    if not 0 <= value <= fmt.max_sample:
-        raise SampleRangeError(f"{channel.value} sample out of range 0..{fmt.max_sample} (saw {value})")
+    worst = lo if lo < 0 or info.max <= fmt.max_sample else int(samples.max())
+    if not 0 <= worst <= fmt.max_sample:
+        raise SampleRangeError(f"{channel.value} sample out of range 0..{fmt.max_sample} (saw {worst})")
 
 
 def _storage_dtype(fmt: VideoFormat) -> np.dtype:
@@ -202,7 +202,6 @@ def read_frame(source: BinaryIO, fmt: VideoFormat, index: int = 0) -> Frame:
     source.seek(index * frame_bytes(fmt))
     planes = []
     for channel in Channel:
-        # Unpacking drains the generator, so its range check runs.
         (data,) = read_strips(source, fmt, channel, (plane_dims(fmt, channel)[1],))
         planes.append(Plane(data))
     return Frame(*planes, format=fmt)
@@ -218,13 +217,13 @@ def read_strips(
     strip, so a strip is valid only until the next one is requested; copy
     it to keep it. The stream needs only readinto, so a pipe will do; a
     short read raises TruncatedInputError, and the caller numbers the frame.
-    The largest 10-bit sample is kept, and after the last strip an illegal
-    one raises SampleRangeError with Frame's message. The stream is left at
-    the plane's end unless a short read raises.
+    A strip holding an illegal sample is not yielded but raises
+    SampleRangeError with Frame's message, quoting the strip's worst sample,
+    with the stream just past it; a legal plane leaves it at the plane's end.
     """
     width, _ = plane_dims(fmt, channel)
     stored = np.empty(max(heights) * width, dtype=_storage_dtype(fmt))
-    hi = done = 0
+    done = 0
     for rows in heights:
         part = stored[: rows * width]
         got = source.readinto(part.view(np.uint8))
@@ -237,9 +236,8 @@ def read_strips(
         # readinto fills the buffer in place; the dtype change copies only on
         # a big-endian host, where the stored little-endian words must be swapped.
         strip = part.astype(fmt.dtype, copy=False).reshape(rows, width)
-        hi = max(hi, _worst_sample(fmt, strip))
+        _check_samples(channel, fmt, strip)
         yield strip
-    _check_range(channel, fmt, hi)
 
 
 def write_frame(sink: BinaryIO, frame: Frame) -> int:

@@ -68,8 +68,8 @@ FOLD = Clip("fold-444-10-190x122", 190, 122, "444", 10)
 # FIRST_FRAME's last luma sample of its first frame is 1024, so the range error
 # names frame 0, and NO_LEGAL's first frame has a Cr plane of 1024s only;
 # FIRST_STRIP's last frame has a 1024 in its first luma strip, so the error
-# waits for the plane's last strip; ONE holds one frame; RAGGED ends half way
-# through its third frame.
+# is raised on that strip, before any is analysed; ONE holds one frame; RAGGED
+# ends half way through its third frame.
 ILLEGAL = Clip("illegal-420-10-72x40", 72, 40, "420", 10)
 FIRST_FRAME = ILLEGAL._replace(name="first-frame-420-10-72x40")
 FIRST_STRIP = ILLEGAL._replace(name="first-strip-420-10-72x40")

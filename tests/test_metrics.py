@@ -2,6 +2,8 @@
 
 import codecs
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,17 +78,48 @@ class TestPsnr:
         assert psnr(a, b, 8) == psnr(b, a, 8)
 
     @pytest.mark.parametrize(
-        "bit_depth", [np.uint8(10), np.int64(10), 10.0, "10"], ids=["uint8", "int64", "float", "str"]
+        "bit_depth, error",
+        [
+            (np.uint8(10), None),
+            (np.int64(10), None),
+            (10.0, "bit_depth 10.0 is not an integer"),
+            ("10", "bit_depth '10' is not an integer"),
+            (0, "bit depth 0 unsupported (use 8 or 10)"),
+            (-1, "bit depth -1 unsupported (use 8 or 10)"),
+            (9, "bit depth 9 unsupported (use 8 or 10)"),
+        ],
+        ids=["uint8", "int64", "float", "str", "0", "-1", "9"],
     )
-    def test_bit_depth_is_taken_as_an_int(self, bit_depth):
-        # np.uint8(10) made the peak wrap, and PSNR read -9.54 dB with two RuntimeWarnings
+    def test_bit_depth_is_taken_as_an_int(self, bit_depth, error):
+        # np.uint8(10) made the peak wrap, and PSNR read -9.54 dB with two RuntimeWarnings;
+        # 0 raised "math domain error", -1 "negative shift count", and 9 gave a 9-bit peak.
         a = Plane(np.full((4, 4), 100, dtype=np.uint16))
         b = Plane(np.full((4, 4), 103, dtype=np.uint16))
-        if isinstance(bit_depth, np.integer):
+        if error is None:
             assert psnr(a, b, bit_depth) == psnr(a, b, 10) == pytest.approx(50.655, abs=1e-3)
         else:
-            with pytest.raises(ValueError, match=f"^bit_depth {bit_depth!r} is not an integer$"):
+            with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
                 psnr(a, b, bit_depth)
+
+    @pytest.mark.parametrize(
+        "dtype", [np.uint8, np.int8, np.uint16, np.int16, np.uint32, np.int32, np.uint64, np.int64]
+    )
+    def test_every_integer_dtype_gives_the_exact_value(self, dtype):
+        a = Plane(np.array([[0, 100], [7, 3]], dtype=dtype))
+        b = Plane(np.array([[100, 0], [3, 7]], dtype=dtype))
+        assert psnr(a, b, 8) == 10.0 * math.log10(255**2 * 4 / (2 * 100**2 + 2 * 4**2))
+
+    def test_peak_is_one_int64_difference(self):
+        # Two int64 copies, their difference and its square peaked at 33 MB.
+        rng = np.random.default_rng(5)
+        a, b = (Plane(rng.integers(0, 1024, size=(1080, 1920), dtype=np.uint16)) for _ in range(2))
+        tracemalloc.start()
+        try:
+            psnr(a, b, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
     def test_dimension_mismatch_rejected(self):
         a = Plane(np.zeros((4, 4), dtype=np.uint8))

@@ -238,17 +238,30 @@ class TestReadStrips:
                 self.read(stream)
             self.assert_read_forward_to(stream, b"")
 
-    @pytest.mark.parametrize("at", [[5], [23], range(24)], ids=["first-strip", "last-strip", "every-word"])
-    def test_strips_are_yielded_before_the_error(self, source, at):
+    @pytest.mark.parametrize(
+        "illegal, drawn, size",
+        [
+            ({5: 1024}, 0, None),
+            ({23: 1024}, 2, None),
+            (dict.fromkeys(range(24), 1024), 0, None),
+            # The plane's worst sample, 1030, was quoted.
+            ({5: 1024, 21: 1030}, 0, None),
+            # The short read in the last strip raised TruncatedInputError.
+            ({5: 1024}, 0, 40),
+        ],
+        ids=["first-strip", "last-strip", "every-word", "worst-of-first-strip", "before-a-short-read"],
+    )
+    def test_no_strip_holding_an_illegal_sample_is_yielded(self, source, illegal, drawn, size):
+        # Every strip was yielded, and the error waited for the plane's last one.
         words = np.arange(24) + 1000
-        words[at] = 1024
-        with source(self.payload(words)) as stream:
+        words[list(illegal)] = list(illegal.values())
+        payload = self.payload(words)[:size]
+        with source(payload) as stream:
             strips = read_strips(stream, self.FMT, Channel.Y, [2, 2, 2])
-            drawn = [next(strips).tolist() for _ in range(3)]
-            assert drawn == words.reshape(3, 2, 4).tolist()
+            assert [next(strips).tolist() for _ in range(drawn)] == words.reshape(3, 2, 4)[:drawn].tolist()
             with pytest.raises(SampleRangeError, match=r"^Y sample out of range 0\.\.1023 \(saw 1024\)$"):
                 next(strips)
-            self.assert_read_forward_to(stream, b"tail")
+            self.assert_read_forward_to(stream, payload[16 * (drawn + 1) :])
 
     def test_legal_plane_yields_its_strips(self, source):
         words = np.full(24, 512)
