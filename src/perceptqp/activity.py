@@ -19,12 +19,11 @@ in raster order, as Python's sum() did up to 3.11.
 
 from __future__ import annotations
 
-from itertools import accumulate
-from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import BinaryIO, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .yuv import Channel, Frame, VideoFormat, _integer, plane_dims, read_strips
+from .yuv import Channel, Frame, VideoFormat, _integer, read_strips
 
 # The CU sizes the QP maps support. qp imports this module, so the tuple lives
 # here and qp re-exports it.
@@ -68,33 +67,33 @@ def _halves(length: int, cu_size: int, sub: int) -> list[tuple[int, int]]:
 
 def _plane_activity(
     strips: Iterable[np.ndarray],
-    width: int,
     x_halves: Sequence[tuple[int, int]],
     y_halves: Sequence[tuple[int, int]],
 ) -> np.ndarray:
     """One plus the minimum quadrant variance of every CU's block in one plane, as (rows, cols).
 
     strips are the plane's CU-row strips, top to bottom, each as tall as its
-    y_halves pair; each is used only until the next is drawn, so they
-    may share one buffer. Temporaries stay the size of one strip, never of
-    the plane, and the int32 copy the size of one quadrant half. Each of the
-    strip's top and bottom quadrant halves is copied into int32 once and
-    summed down the columns, then squared in place and summed again;
-    np.add.reduceat then sums every quadrant's columns into int64. An empty
-    half counts as infinite variance, as sub_blocks' empty quadrants are skipped.
+    y_halves pair, and the x_halves tile its width. Each strip is used only
+    until the next is drawn, so they may share one buffer. Temporaries stay
+    the size of one strip, never of the plane, and the int32 copy the size of
+    one quadrant half. Each of the strip's top and bottom quadrant halves is
+    copied into int32 once and summed down the columns, then squared in place
+    and summed again; np.add.reduceat then sums every quadrant's columns into
+    int64. A half is empty only where a CU's extent is one sample, which only
+    the last CU can have, and it is read as its first half again: its
+    quadrant repeats one that sub_blocks keeps where it skips the empty one,
+    so the minimum is the same.
     """
     cols = len(x_halves)
     widths = np.array(x_halves).ravel()
-    # A half is empty only where a CU's extent is one sample, which only the
-    # last CU can have; its right half then starts one past the plane's edge,
-    # where reduceat cannot start. Clamped to the last column, that start keeps
-    # the one-column left half exact, and the empty half's zero count
-    # discards its own sum.
+    width = int(widths.sum())
+    # An empty half starts one past the plane's edge, where reduceat cannot
+    # start; clamped to the last column, it sums that column again.
     starts = np.minimum(np.cumsum(widths) - widths, width - 1)
     # Every CU row but a clipped last one has the same halves, so they share
-    # one set of counts, nonempty mask and denominators.
-    row_counts = ((pair, np.array(pair)[:, None] * widths) for pair in set(y_halves))
-    terms = {pair: (n, n > 0, np.maximum(n * n, 1)) for pair, n in row_counts}
+    # one set of counts and denominators; an empty half counts as one sample.
+    row_counts = ((pair, np.maximum(pair, 1)[:, None] * np.maximum(widths, 1)) for pair in set(y_halves))
+    terms = {pair: (n, n * n) for pair, n in row_counts}
     activity = np.empty((len(y_halves), cols))
     # Frame and read_strips let no sample above 1023 through, and the largest
     # quadrant is 32x32 (CU 64 luma, or 4:4:4 chroma), so every quadrant's
@@ -111,8 +110,8 @@ def _plane_activity(
     # on uint8 and uint16 samples.
     buffer = np.empty((max(top for top, _ in y_halves), width), dtype=np.int32)
     # strict: zip refuses a strip count that is not rows.
-    for row, (pair, strip) in enumerate(zip(y_halves, strips, strict=True)):
-        for half, values in enumerate((strip[: pair[0]], strip[pair[0] :])):
+    for row, ((top, bottom), strip) in enumerate(zip(y_halves, strips, strict=True)):
+        for half, values in enumerate((strip[:top], strip[-max(bottom, 1) :])):
             samples = buffer[: len(values)]
             np.copyto(samples, values, casting="unsafe")
             samples.sum(axis=0, out=columns[0, half])
@@ -120,9 +119,9 @@ def _plane_activity(
             samples.sum(axis=0, out=columns[1, half])
         np.add.reduceat(columns.reshape(4, width), starts, axis=1, out=sums.reshape(4, -1))
         s1, s2 = sums
-        counts, nonempty, denominator = terms[pair]
+        counts, denominator = terms[top, bottom]
         # Exact in float64: n * sum(s^2) <= 1024 * 1024 * 1023^2 < 2^53.
-        variances = np.where(nonempty, (counts * s2 - s1 * s1) / denominator, np.inf)
+        variances = (counts * s2 - s1 * s1) / denominator
         activity[row] = variances.reshape(2, cols, 2).min(axis=(0, 2))
     activity += 1.0
     return activity
@@ -153,7 +152,7 @@ def _frame_arrays(
     cu_size = check_cu_size(cu_size)
     luma_x = _halves(fmt.width, cu_size, 1)
     luma_y = _halves(fmt.height, cu_size, 1)
-    luma = _plane_activity(strips(Channel.Y, list(map(sum, luma_y))), fmt.width, luma_x, luma_y)
+    luma = _plane_activity(strips(Channel.Y, list(map(sum, luma_y))), luma_x, luma_y)
     # Cb and Cr share their halves. The strips tile each plane exactly: where
     # chroma is subsampled vertically the height is even, so the CU rows'
     # chroma extents add up to half of it.
@@ -165,9 +164,8 @@ def _frame_arrays(
             for _ in strips(channel, heights):
                 pass
         return ActivityArrays(luma, None, None, _raster_mean(luma), None, None)
-    width, _ = plane_dims(fmt, Channel.CB)
-    cb = _plane_activity(strips(Channel.CB, heights), width, chroma_x, chroma_y)
-    cr = _plane_activity(strips(Channel.CR, heights), width, chroma_x, chroma_y)
+    cb = _plane_activity(strips(Channel.CB, heights), chroma_x, chroma_y)
+    cr = _plane_activity(strips(Channel.CR, heights), chroma_x, chroma_y)
     cross = luma + cb
     cross += cr
     return ActivityArrays(luma, cb, cr, _raster_mean(luma), _raster_mean(cross), cross)
@@ -184,13 +182,10 @@ def frame_activity(
     because the benchmark replay still passes it.
     """
     planes = {Channel.Y: frame.y, Channel.CB: frame.cb, Channel.CR: frame.cr}
-
-    def strips(channel: Channel, heights: Sequence[int]) -> Iterator[np.ndarray]:
-        data = planes[channel].data
-        for y, rows in zip(accumulate(heights, initial=0), heights):
-            yield data[y : y + rows]
-
-    return _frame_arrays(strips, frame.format, cu_size, chroma)
+    return _frame_arrays(
+        lambda channel, heights: np.split(planes[channel].data, np.cumsum(heights)[:-1]),
+        frame.format, cu_size, chroma,
+    )
 
 
 def stream_activity(

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .yuv import BIT_DEPTHS, Channel, Plane, _integer
+from .yuv import Channel, ChromaFormat, Plane, VideoFormat
 
 CHANNEL_ORDER = tuple(channel.value for channel in Channel)
 RD_CSV_HEADER = ("label", "channel", "qp", "bitrate_kbps", "psnr_db")
@@ -86,9 +86,8 @@ def psnr(reference: Plane, test: Plane, bit_depth: int) -> float:
     The squared-error sum is accumulated exactly in integers, so equal
     inputs report infinity rather than a large finite number.
     """
-    bit_depth = _integer("bit_depth", bit_depth, ValueError)
-    if bit_depth not in BIT_DEPTHS:
-        raise ValueError(f"bit depth {bit_depth} unsupported (use 8 or 10)")
+    # VideoFormat, taking the plane as one 4:4:4 channel, refuses it empty or at a depth not 8 or 10.
+    peak = VideoFormat(reference.width, reference.height, bit_depth, ChromaFormat.YUV444).max_sample
     if (reference.width, reference.height) != (test.width, test.height):
         raise ValueError(
             f"plane dimensions differ: {reference.width}x{reference.height}"
@@ -99,7 +98,6 @@ def psnr(reference: Plane, test: Plane, bit_depth: int) -> float:
     if sse == 0:
         return math.inf
     count = reference.width * reference.height
-    peak = (1 << bit_depth) - 1
     return 10.0 * math.log10(peak * peak * count / sse)
 
 

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: every subcommand through cli.main."""
 
+import ast
 import errno
 import functools
 import io
@@ -685,6 +686,30 @@ class TestLazyExports:
             " print(activity is sys.modules['perceptqp.activity'], cli is sys.modules['perceptqp.cli'])"
         )
         assert fresh_interpreter(code) == "True True"
+
+
+def test_every_import_is_used_or_re_exported():
+    """No module of the package or of scripts/ imports a name it never uses.
+
+    A name a module imports only so that _SUBMODULE can export it from there counts as used.
+    """
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    unused = []
+    for directory in ("src/perceptqp", "scripts"):
+        for name in sorted(os.listdir(os.path.join(root, directory))):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(root, directory, name), encoding="utf-8") as source:
+                tree = ast.parse(source.read())
+            module = name.removesuffix(".py")
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            used |= {n for n, m in perceptqp._SUBMODULE.items() if m == module}
+            imports = (node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom)))
+            for node in imports:
+                bound = (alias.asname or alias.name.partition(".")[0] for alias in node.names)
+                if getattr(node, "module", None) != "__future__":
+                    unused += [f"{directory}/{name}:{node.lineno} {b}" for b in bound if b not in used]
+    assert unused == []
 
 
 SYNTHETIC_CLIP_SCRIPT = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "make_synthetic_clip.py")

@@ -121,10 +121,18 @@ class TestPsnr:
             tracemalloc.stop()
         assert peak < 20e6
 
-    def test_dimension_mismatch_rejected(self):
-        a = Plane(np.zeros((4, 4), dtype=np.uint8))
-        b = Plane(np.zeros((4, 5), dtype=np.uint8))
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize(
+        "shapes, error",
+        [
+            (((4, 4), (4, 5)), "plane dimensions differ: 4x4 vs 5x4"),
+            # An empty plane returned inf, as if the planes were identical.
+            (((0, 4), (0, 4)), "frame size 4x0 must be positive"),
+        ],
+        ids=["differ", "empty"],
+    )
+    def test_bad_dimensions_rejected(self, shapes, error):
+        a, b = (Plane(np.zeros(shape, dtype=np.uint8)) for shape in shapes)
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
             psnr(a, b, 8)
 
 

@@ -417,8 +417,13 @@ class TestFrameEquality:
         assert frame != ten_bit
         assert frame == Frame(frame.y, frame.cb, frame.cr, self.FMT)
 
-    @pytest.mark.parametrize("other", [1, None, "frame"])
+    @pytest.mark.parametrize(
+        "other",
+        [1, None, "frame", Plane(np.zeros((2, 2), dtype=np.uint8))],
+        ids=["1", "None", "frame", "plane"],
+    )
     def test_never_equals_a_non_frame(self, other):
+        # A Plane is asked too, once the frame declines, and declines as well.
         frame = random_frame(self.FMT, seed=3)
         assert frame != other and not frame == other
 
