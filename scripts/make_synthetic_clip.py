@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from perceptqp import Channel, ChromaFormat, Frame, Plane, VideoFormat, plane_dims, write_frame
-from perceptqp.yuv import BIT_DEPTHS
+from perceptqp.config import BIT_DEPTHS
 
 
 def constant(w, h, peak, rng, index):

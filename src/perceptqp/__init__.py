@@ -6,9 +6,12 @@ cross-channel rule. Plus PSNR and Bjontegaard metrics for comparing the
 resulting RD curves.
 
 Every public name loads its submodule on first use (PEP 562), so
-importing one submodule, such as perceptqp.cli, loads only what it
-imports itself. _SUBMODULE is the one list of public names; the
-submodules keep no __all__.
+importing one submodule loads only what it imports itself. Importing
+perceptqp.cli and building its parser load only perceptqp.config, the
+numpy-free vocabulary of formats and QP rules; a clip command loads
+activity, qp and yuv, with numpy, when it runs. _SUBMODULE is the one
+list of public names; the submodules keep no __all__, and yuv and qp
+re-export the config names it lists as theirs.
 """
 
 from importlib import import_module

@@ -23,19 +23,8 @@ from typing import BinaryIO, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .yuv import Channel, Frame, VideoFormat, _integer, read_strips
-
-# The CU sizes the QP maps support. qp imports this module, so the tuple lives
-# here and qp re-exports it.
-CU_SIZES = (16, 32, 64)
-
-
-def check_cu_size(cu_size: int) -> int:
-    """cu_size as an int, or ValueError unless it is an integer in CU_SIZES."""
-    cu_size = _integer("cu_size", cu_size, ValueError)
-    if cu_size not in CU_SIZES:
-        raise ValueError(f"cu_size {cu_size} unsupported; choose one of {CU_SIZES}")
-    return cu_size
+from .config import check_cu_size
+from .yuv import Channel, Frame, VideoFormat, read_strips
 
 
 class ActivityArrays(NamedTuple):

@@ -21,26 +21,35 @@ from contextlib import ExitStack, contextmanager, suppress
 from io import StringIO
 from itertools import chain, combinations, count, repeat
 from pathlib import Path
-from typing import Iterator, NoReturn, TextIO
+from typing import TYPE_CHECKING, Iterator, NoReturn, TextIO
 
-# numpy's OpenBLAS starts a spinning worker per extra core at import; the
-# analysis never calls BLAS, so one thread saves that CPU. An explicit value wins.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import numpy as np
-
-from .activity import ActivityArrays, stream_activity
-from .qp import CU_SIZES, QP_MAX, QP_MIN, Mode, QpConfig, QpMap, Rounding, TMode, qp_grid
-from .yuv import (
+# Parsing argv needs only config, so a usage error or --help loads no numpy;
+# a clip command imports the numpy modules in the functions that call them.
+from .config import (
     BIT_DEPTHS,
+    CU_SIZES,
+    QP_MAX,
+    QP_MIN,
     ChromaFormat,
-    Frame,
+    Mode,
+    QpConfig,
+    Rounding,
+    TMode,
     VideoFormat,
     YuvError,
-    frame_bytes,
-    probe_frame_count,
-    read_frame,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .activity import ActivityArrays
+    from .qp import QpMap
+    from .yuv import Frame
+
+# numpy's OpenBLAS starts a spinning worker per extra core at import; the
+# analysis never calls BLAS, so one thread saves that CPU. An explicit value
+# wins. Set here, before any command can load numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -95,6 +104,8 @@ def load_frames(path: Path, fmt: VideoFormat, skip: int, frames: int | None) -> 
     The CLI itself streams through frame_activities; this whole-clip form
     is kept because the benchmark replay still calls it.
     """
+    from .yuv import probe_frame_count, read_frame
+
     with open(path, "rb") as stream:
         selected = _frame_range(probe_frame_count(stream, fmt), skip, frames)
         return [(index, read_frame(stream, fmt, index)) for index in selected]
@@ -112,6 +123,9 @@ def frame_activities(
     chroma is true; the chroma samples are read and range-checked either way.
     A read's error is prefixed with "frame N: ", the frame's index in the input.
     """
+    from .activity import stream_activity
+    from .yuv import frame_bytes, probe_frame_count
+
     with ExitStack() as stack:
         streams, counts = [], []
         for path in paths:
@@ -345,12 +359,16 @@ def _activity_csv_frame(index: int, act: ActivityArrays, cu_size: int) -> Iterat
 
 
 def qp_maps_csv(maps: list[QpMap], fmt: VideoFormat) -> str:
+    import numpy as np
+
     size = maps[0].config.cu_size
     chunks = chain.from_iterable(_csv_frame(m.frame_index, size, [np.array(m.qps)]) for m in maps)
     return _qp_csv_head(fmt, maps[0].config) + "".join(chunks)
 
 
 def qp_maps_json(maps: list[QpMap], fmt: VideoFormat) -> str:
+    import numpy as np
+
     frames = _JSON_FRAME_SEP.join("".join(_qp_json_frame(m.frame_index, np.array(m.qps))) for m in maps)
     return _qp_json_head(fmt, maps[0].config) + frames + _JSON_TAIL
 
@@ -363,6 +381,8 @@ def activity_csv(
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from .qp import qp_grid
+
     fmt = _format_from_args(args)
     config = _qp_config(args)
     as_json = args.format == "json"
@@ -403,6 +423,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from .qp import qp_grid
+
     fmt = _format_from_args(args)
     config_a = _qp_config(args, "_a")
     config_b = _qp_config(args, "_b")

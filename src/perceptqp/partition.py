@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activity import check_cu_size
+from .config import check_cu_size
 from .qp import QP_MAX, QP_MIN, Mode, QpConfig, Rounding, TMode, scaling_factor
 from .yuv import Channel, ChromaFormat, Frame, Plane, VideoFormat
 

@@ -14,77 +14,22 @@ qp_map_from_activity, the one QpMap builder, wraps its result.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-# CU_SIZES is defined with the activity pass that checks it, and re-exported here.
-from .activity import CU_SIZES, ActivityArrays, check_cu_size, frame_activity
-from .yuv import Frame, VideoFormat, _integer
-
-QP_MIN = 0
-QP_MAX = 51
+from .activity import ActivityArrays, frame_activity
+# The rule's vocabulary lives in config, which loads no numpy; it is re-exported here.
+from .config import CU_SIZES, QP_MAX, QP_MIN, Mode, QpConfig, Rounding, TMode, check_cu_size
+from .yuv import Frame, VideoFormat
 
 
 def grid_dims(fmt: VideoFormat, cu_size: int) -> tuple[int, int]:
     """CU grid shape as (columns, rows); ValueError unless cu_size passes check_cu_size."""
     cu_size = check_cu_size(cu_size)
     return -(-fmt.width // cu_size), -(-fmt.height // cu_size)
-
-
-class Mode(enum.Enum):
-    """Which activity drives the QP delta."""
-
-    ADAPTIVE_QP = "adaptiveqp"  # luma activity only
-    CBAQ = "cbaq"  # summed luma + Cb + Cr activity
-
-    @property
-    def reads_chroma(self) -> bool:
-        """Whether the rule reads the Cb and Cr blocks, so its activity needs chroma=True."""
-        return self is Mode.CBAQ
-
-
-class TMode(enum.Enum):
-    """Which frame mean normalizes the cross-channel activity."""
-
-    LUMA = "luma"
-    CROSS = "cross"
-
-
-class Rounding(enum.Enum):
-    NEAREST = "nearest"  # round half away from zero
-    CEILING = "ceiling"
-
-
-@dataclass(frozen=True)
-class QpConfig:
-    """Slice QP, adaptation mode and the knobs that shape the delta."""
-
-    slice_qp: int
-    mode: Mode
-    qp_range: int = 6
-    cu_size: int = 64
-    t_mode: TMode = TMode.CROSS
-    rounding: Rounding = Rounding.NEAREST
-
-    def __post_init__(self) -> None:
-        for name in ("slice_qp", "qp_range", "cu_size"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name), ValueError))
-        if not QP_MIN <= self.slice_qp <= QP_MAX:
-            raise ValueError(f"slice_qp {self.slice_qp} outside [{QP_MIN}, {QP_MAX}]")
-        # No CU can move further than the whole QP span, and the bound keeps
-        # scaling_factor far from float overflow.
-        if not 0 <= self.qp_range <= QP_MAX - QP_MIN:
-            raise ValueError(f"qp_range {self.qp_range} outside [0, {QP_MAX - QP_MIN}]")
-        check_cu_size(self.cu_size)
-        # The rules compare by identity, so a string such as "ceiling" would
-        # silently select the other branch.
-        for name, kind in (("mode", Mode), ("t_mode", TMode), ("rounding", Rounding)):
-            if not isinstance(getattr(self, name), kind):
-                raise ValueError(f"{name} {getattr(self, name)!r} is not a {kind.__name__}")
 
 
 def scaling_factor(qp_range: int) -> float:

@@ -10,101 +10,22 @@ plane from it in CU-row strips, and read_frame draws each as one strip.
 
 from __future__ import annotations
 
-import enum
 import io
-import numbers
 from dataclasses import dataclass
 from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
-BIT_DEPTHS = (8, 10)  # the sample bit depths VideoFormat accepts
-
-
-class YuvError(ValueError):
-    """Invalid geometry or raw YCbCr data."""
-
-
-class TruncatedInputError(YuvError):
-    """The stream ended before a whole frame could be read."""
-
-
-class SampleRangeError(YuvError):
-    """A sample value lies outside the legal range for the bit depth."""
-
-
-def _integer(name: str, value: object, error: type[ValueError] = YuvError) -> int:
-    """value as an int, or error naming it unless it is an integer: a float cannot size a plane."""
-    # A numpy integer keeps its width in arithmetic: 1 << np.uint8(10) wraps to 0.
-    if not isinstance(value, numbers.Integral):
-        raise error(f"{name} {value!r} is not an integer")
-    return int(value)
-
-
-class ChromaFormat(enum.Enum):
-    """Chroma subsampling layout in the usual J:a:b shorthand."""
-
-    YUV444 = "444"
-    YUV422 = "422"
-    YUV420 = "420"
-
-    @property
-    def sub_x(self) -> int:
-        """Horizontal luma-to-chroma subsampling factor."""
-        return 1 if self is ChromaFormat.YUV444 else 2
-
-    @property
-    def sub_y(self) -> int:
-        """Vertical luma-to-chroma subsampling factor."""
-        return 2 if self is ChromaFormat.YUV420 else 1
-
-
-class Channel(enum.Enum):
-    Y = "Y"
-    CB = "Cb"
-    CR = "Cr"
-
-
-@dataclass(frozen=True)
-class VideoFormat:
-    """Geometry and sample format of a raw clip.
-
-    Raw files carry no metadata, so all of this must be declared by the
-    caller and is validated up front.
-    """
-
-    width: int
-    height: int
-    bit_depth: int = 8
-    chroma_format: ChromaFormat = ChromaFormat.YUV420
-
-    def __post_init__(self) -> None:
-        for name in ("width", "height", "bit_depth"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        if not isinstance(self.chroma_format, ChromaFormat):
-            raise YuvError(f"chroma_format {self.chroma_format!r} is not a ChromaFormat")
-        if self.width < 1 or self.height < 1:
-            raise YuvError(f"frame size {self.width}x{self.height} must be positive")
-        if self.bit_depth not in BIT_DEPTHS:
-            raise YuvError(f"bit depth {self.bit_depth} unsupported (use 8 or 10)")
-        cf = self.chroma_format
-        if cf.sub_x == 2 and self.width % 2:
-            raise YuvError(f"width {self.width} must be even for {cf.value} subsampling")
-        if cf.sub_y == 2 and self.height % 2:
-            raise YuvError(f"height {self.height} must be even for {cf.value} subsampling")
-
-    @property
-    def max_sample(self) -> int:
-        return (1 << self.bit_depth) - 1
-
-    @property
-    def bytes_per_sample(self) -> int:
-        return self.dtype.itemsize
-
-    @property
-    def dtype(self) -> np.dtype:
-        """Native in-memory dtype for this bit depth."""
-        return np.dtype(np.uint8 if self.bit_depth == 8 else np.uint16)
+# The geometry and its errors live in config, which loads no numpy; they are re-exported here.
+from .config import (
+    Channel,
+    ChromaFormat,
+    SampleRangeError,
+    TruncatedInputError,
+    VideoFormat,
+    YuvError,
+    _integer,
+)
 
 
 def plane_dims(fmt: VideoFormat, channel: Channel) -> tuple[int, int]:

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from perceptqp import ChromaFormat, VideoFormat, frame_bytes, write_frame
 import perceptqp
-from perceptqp import activity, cli
+from perceptqp import activity, cli, yuv
 from perceptqp.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 import cli_matrix
 from strategies import random_frame, stored, video_formats
@@ -75,15 +75,15 @@ dump_args = functools.partial(cli_args, "dump-activity")
 
 
 def count_activity_calls(monkeypatch):
-    """Wrap cli.stream_activity so that each call appends its CU size to the returned list."""
+    """Wrap activity.stream_activity so that each call appends its CU size to the returned list."""
     calls = []
-    real = cli.stream_activity
+    real = activity.stream_activity
 
     def counting(stream, fmt, cu_size, chroma=True):
         calls.append(cu_size)
         return real(stream, fmt, cu_size, chroma)
 
-    monkeypatch.setattr(cli, "stream_activity", counting)
+    monkeypatch.setattr(activity, "stream_activity", counting)
     return calls
 
 
@@ -114,9 +114,9 @@ class TestCompare:
         clip_a = write_clip(tmp_path / "a.yuv", [random_frame(FMT, 1)] * 2)
         clip_b = write_clip(tmp_path / "b.yuv", [random_frame(FMT, 2)] * 2)
         probed = []
-        real = cli.probe_frame_count
+        real = yuv.probe_frame_count
         monkeypatch.setattr(
-            cli, "probe_frame_count", lambda stream, fmt: probed.append(stream.name) or real(stream, fmt)
+            yuv, "probe_frame_count", lambda stream, fmt: probed.append(stream.name) or real(stream, fmt)
         )
         assert main(compare_args(clip_a, tmp_path / "d.csv", input_b=clip_b)) == EXIT_OK
         assert probed == [str(clip_a), str(clip_b)]
@@ -276,8 +276,8 @@ class TestStreaming:
         clip = constant_clip(tmp_path / "in.yuv", count=2)
         out = tmp_path / "map.csv"
         out.write_text("old output\n")
-        real = cli.probe_frame_count
-        monkeypatch.setattr(cli, "probe_frame_count", lambda stream, fmt: real(stream, fmt) + 1)
+        real = yuv.probe_frame_count
+        monkeypatch.setattr(yuv, "probe_frame_count", lambda stream, fmt: real(stream, fmt) + 1)
         assert main(analyze_args(clip, out)) == EXIT_VALIDATION
         luma = FMT.width * FMT.height
         assert capsys.readouterr() == ("", f"error: frame 2: the Y plane needed {luma} bytes, stream had 0\n")
@@ -565,9 +565,15 @@ class TestOpenblasDefault:
         assert fresh_interpreter(code) == "1"
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
-    def test_process_runs_one_thread(self):
-        code = "import os, perceptqp.cli; print(len(os.listdir('/proc/self/task')))"
-        assert fresh_interpreter(code) == "1"
+    def test_process_runs_one_thread(self, tmp_path):
+        # Importing the CLI loads no numpy, so the threads are counted after a clip command loaded it.
+        clip = constant_clip(tmp_path / "in.yuv")
+        argv = analyze_args(clip, tmp_path / "map.csv")
+        code = (
+            f"import os, sys, perceptqp.cli; assert perceptqp.cli.main({argv!r}) == {EXIT_OK};"
+            " assert 'numpy' in sys.modules; print(len(os.listdir('/proc/self/task')))"
+        )
+        assert fresh_interpreter(code).splitlines()[-1] == "1"
 
     def test_explicit_value_wins(self):
         code = "import os, perceptqp.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
@@ -637,9 +643,29 @@ class TestLazyExports:
         loaded = set(fresh_interpreter(code).splitlines()[-1].split())
         ours = {name for name in loaded if name.partition(".")[0] == "perceptqp"}
         assert sorted({"csv", "json"} & loaded) == []
-        clip_path = {"perceptqp", "perceptqp.cli", "perceptqp.activity", "perceptqp.qp", "perceptqp.yuv"}
+        clip_path = {
+            "perceptqp", "perceptqp.cli", "perceptqp.config", "perceptqp.activity", "perceptqp.qp", "perceptqp.yuv"
+        }
         assert sorted(ours - clip_path) == []
         assert sorted(loaded - ours - set(fresh_interpreter(STARTUP_BASELINE).split())) == []
+
+    @pytest.mark.parametrize(
+        "call, result",
+        [
+            ("perceptqp.cli.build_parser().prog", "perceptqp"),
+            ("perceptqp.cli.main(['analyze'])", EXIT_USAGE),
+            ("perceptqp.cli.main(['--help'])", EXIT_OK),
+        ],
+        ids=["build-parser", "usage-error", "help"],
+    )
+    def test_parsing_argv_loads_no_numpy(self, call, result):
+        """Building the parser, a usage error and --help load no numpy, and of the clip path only config."""
+        code = (
+            f"import sys, perceptqp.cli\nresult = {call}\n"
+            "print(result, [m for m in ('numpy', 'perceptqp.activity', 'perceptqp.qp', 'perceptqp.yuv')"
+            " if m in sys.modules])"
+        )
+        assert fresh_interpreter(code).splitlines()[-1] == f"{result} []"
 
     def test_json_analyze_loads_no_json_module(self, tmp_path):
         clip = constant_clip(tmp_path / "in.yuv")
