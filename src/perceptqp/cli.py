@@ -17,7 +17,7 @@ import signal
 import stat
 import sys
 from collections import Counter
-from contextlib import ExitStack, contextmanager, suppress
+from contextlib import contextmanager, suppress
 from io import StringIO
 from itertools import chain, combinations, count, repeat
 from pathlib import Path
@@ -112,13 +112,12 @@ def load_frames(path: Path, fmt: VideoFormat, skip: int, frames: int | None) -> 
 
 
 def frame_activities(
-    paths: list[Path], fmt: VideoFormat, args: argparse.Namespace, chroma: bool
-) -> Iterator[tuple[int, list[ActivityArrays]]]:
-    """Yield (index, one activity per input) for every frame the flags select: the CLI's one frame loop.
+    path: Path, fmt: VideoFormat, args: argparse.Namespace, chroma: bool
+) -> Iterator[tuple[int, ActivityArrays]]:
+    """Yield (index, activity) for every frame the flags select: the CLI's one frame loop.
 
-    Each input is opened and probed once: in order, its size must match the
-    geometry and its range lie inside it; then the ranges must have one
-    length. The inputs are then read forward only, in lockstep, one CU row of
+    The input is opened and probed once: its size must match the geometry and
+    the range lie inside it. It is then read forward only, one CU row of
     samples per plane at a time. Chroma activity is computed only when
     chroma is true; the chroma samples are read and range-checked either way.
     A read's error is prefixed with "frame N: ", the frame's index in the input.
@@ -126,24 +125,13 @@ def frame_activities(
     from .activity import stream_activity
     from .yuv import frame_bytes, probe_frame_count
 
-    with ExitStack() as stack:
-        streams, counts = [], []
-        for path in paths:
-            streams.append(stack.enter_context(open(path, "rb")))
-            selected = _frame_range(probe_frame_count(streams[-1], fmt), args.skip, args.frames)
-            counts.append(len(selected))
-        if len(set(counts)) > 1:
-            raise YuvError(
-                f"inputs differ in frame count ({' vs '.join(map(str, counts))});"
-                " pass --frames to pin a common range"
-            )
-        # Every range starts at --skip, so ranges of one length are one range.
-        for stream in streams:
-            stream.seek(selected.start * frame_bytes(fmt))
+    with open(path, "rb") as stream:
+        selected = _frame_range(probe_frame_count(stream, fmt), args.skip, args.frames)
+        stream.seek(selected.start * frame_bytes(fmt))
         for index in selected:
             with _named(f"frame {index}"):
-                acts = [stream_activity(stream, fmt, args.cu_size, chroma) for stream in streams]
-            yield index, acts
+                act = stream_activity(stream, fmt, args.cu_size, chroma)
+            yield index, act
 
 
 def _replaceable(path: Path) -> bool:
@@ -401,7 +389,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if dump is not None:
             dump.write(_activity_csv_head(fmt, config.cu_size))
         chroma = config.mode.reads_chroma or dump is not None
-        for index, (act,) in frame_activities([args.input], fmt, args, chroma):
+        for index, act in frame_activities(args.input, fmt, args, chroma):
             qps = qp_grid(config, act)
             if frames:
                 out.write(sep)
@@ -429,10 +417,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     config_a = _qp_config(args, "_a")
     config_b = _qp_config(args, "_b")
     histogram: Counter[int] = Counter()
-    inputs = [args.input] if args.input_b is None else [args.input, args.input_b]
-    # Entered first, so the outputs are checked before any input is probed.
-    with _atomic_outputs([args.output], inputs) as (summary, (out,)):
-        # The QP rules are pure functions of the activity, so one input needs one pass.
+    # Entered first, so the output is checked before the input is probed.
+    with _atomic_outputs([args.output], [args.input]) as (summary, (out,)):
+        # The QP rules are pure functions of the activity, so both share one pass.
         chroma = config_a.mode.reads_chroma or config_b.mode.reads_chroma
         items = _echo_items(fmt, None) + [
             ("cu_size", config_a.cu_size),
@@ -442,8 +429,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
             ("mode_b", config_b.mode.value),
         ]
         out.write(_csv_head("compare", items, "qp_a,qp_b,delta"))
-        for index, acts in frame_activities(inputs, fmt, args, chroma):
-            qps_a, qps_b = qp_grid(config_a, acts[0]), qp_grid(config_b, acts[-1])
+        for index, act in frame_activities(args.input, fmt, args, chroma):
+            qps_a, qps_b = qp_grid(config_a, act), qp_grid(config_b, act)
             deltas = qps_b - qps_a
             out.writelines(_csv_frame(index, args.cu_size, [qps_a, qps_b, deltas]))
             histogram.update(deltas.ravel().tolist())
@@ -495,7 +482,7 @@ def cmd_dump_activity(args: argparse.Namespace) -> int:
     frames = cus_per_frame = 0
     with _atomic_outputs([args.output], [args.input]) as (summary, (out,)):
         out.write(_activity_csv_head(fmt, args.cu_size))
-        for index, (act,) in frame_activities([args.input], fmt, args, chroma=True):
+        for index, act in frame_activities(args.input, fmt, args, chroma=True):
             out.writelines(_activity_csv_frame(index, act, args.cu_size))
             frames += 1
             cus_per_frame = act.luma.size
@@ -551,7 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare = sub.add_parser("compare", help="diff the QP maps of two runs")
     _add_clip_args(compare)
-    compare.add_argument("--input-b", type=Path, default=None, help="second clip (default: --input)")
     compare.add_argument("--qp", type=int, required=True)
     compare.add_argument("--qp-range", type=int, default=QpConfig.qp_range)
     _add_qp_args(compare, "-a")

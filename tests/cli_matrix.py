@@ -60,7 +60,6 @@ CLIPS = [
 NARROW = [Clip(f"c420-{depth}-66x34", 66, 34, "420", depth) for depth in (8, 10)]
 SMALL = CLIPS[0]  # 4:2:0, 8-bit, 72x40
 LARGE = CLIPS[9]  # 4:2:2, 10-bit, 200x130
-OTHER = SMALL._replace(name="other-420-8-72x40")  # a second clip of SMALL's geometry
 # At CU 16 the last CU column is 14 wide, so its 7x8 quadrants have variances
 # that are not dyadic, and the frame means depend on the order of their fold.
 FOLD = Clip("fold-444-10-190x122", 190, 122, "444", 10)
@@ -68,13 +67,12 @@ FOLD = Clip("fold-444-10-190x122", 190, 122, "444", 10)
 # FIRST_FRAME's last luma sample of its first frame is 1024, so the range error
 # names frame 0, and NO_LEGAL's first frame has a Cr plane of 1024s only;
 # FIRST_STRIP's last frame has a 1024 in its first luma strip, so the error
-# is raised on that strip, before any is analysed; ONE holds one frame; RAGGED
-# ends half way through its third frame.
+# is raised on that strip, before any is analysed; RAGGED ends half way
+# through its third frame.
 ILLEGAL = Clip("illegal-420-10-72x40", 72, 40, "420", 10)
 FIRST_FRAME = ILLEGAL._replace(name="first-frame-420-10-72x40")
 FIRST_STRIP = ILLEGAL._replace(name="first-strip-420-10-72x40")
 NO_LEGAL = ILLEGAL._replace(name="no-legal-420-10-72x40")
-ONE = ILLEGAL._replace(name="one-420-10-72x40")
 RAGGED = ILLEGAL._replace(name="ragged-420-10-72x40")
 EMPTY = SMALL._replace(name="empty-420-8-72x40")  # no bytes at all
 ABSENT = f"{CORPUS}/absent.yuv"
@@ -185,7 +183,6 @@ def build_corpus(corpus: Path) -> None:
     corpus.mkdir()
     for seed, clip in enumerate(CLIPS + NARROW):
         (corpus / f"{clip.name}.yuv").write_bytes(clip_bytes(clip, clip_samples(clip, FRAMES, seed)))
-    (corpus / f"{OTHER.name}.yuv").write_bytes(clip_bytes(OTHER, clip_samples(OTHER, FRAMES, 100)))
     illegal = clip_samples(ILLEGAL, FRAMES, 101)
     illegal[-1] = 1024
     (corpus / f"{ILLEGAL.name}.yuv").write_bytes(clip_bytes(ILLEGAL, illegal))
@@ -199,7 +196,6 @@ def build_corpus(corpus: Path) -> None:
     first_strip = clip_samples(FIRST_STRIP, FRAMES, 106)
     first_strip[(FRAMES - 1) * (luma + 2 * chroma) + 5] = 1024
     (corpus / f"{FIRST_STRIP.name}.yuv").write_bytes(clip_bytes(FIRST_STRIP, first_strip))
-    (corpus / f"{ONE.name}.yuv").write_bytes(clip_bytes(ONE, clip_samples(ONE, 1, 102)))
     ragged = clip_bytes(RAGGED, clip_samples(RAGGED, FRAMES, 103))
     (corpus / f"{RAGGED.name}.yuv").write_bytes(ragged[: len(ragged) * 5 // 6])
     (corpus / f"{EMPTY.name}.yuv").write_bytes(b"")
@@ -283,7 +279,6 @@ PRECEDENCE = {
     "input-unopenable": analyze(ILLEGAL, "--input", ABSENT, "--skip", "-1"),
     "input-size": analyze(ILLEGAL, "--input", f"{CORPUS}/{RAGGED.name}.yuv", "--skip", "-1"),
     "frame-range": analyze(ILLEGAL, "--skip", "1", "--frames", str(FRAMES)),
-    "frame-count": compare(ILLEGAL, "--input-b", f"{CORPUS}/{ONE.name}.yuv"),
     "sample-range": analyze(ILLEGAL),
     "bdrate-usage": bdrate(ABSENT, rd("anchor")) + ["--qp", "32"],
     "bdrate-anchor-unopenable": bdrate(ABSENT, rd("anchor")),
@@ -341,7 +336,6 @@ def matrix() -> list[Case]:
         for cu in (16, 32, 64)
     ]  # fmt: skip
     cases += [
-        Case(f"compare-{SMALL.name}-input-b", compare(SMALL, "--input-b", f"{CORPUS}/{OTHER.name}.yuv")),
         Case(f"compare-{SMALL.name}-rules", compare(
             SMALL, "--mode-a", "cbaq", "--rounding-a", "ceiling", "--t-mode-b", "luma", cu=64)),
         Case(f"compare-{SMALL.name}-range12-qp40", compare(SMALL, "--qp-range", "12", "--qp", "40")),
@@ -364,9 +358,8 @@ def matrix() -> list[Case]:
             "--dump-activity", "act.csv", cu=32)),
         Case(f"analyze-{SMALL.name}-long-names", analyze(
             SMALL, "--output", "m" * 246 + ".csv", "--dump-activity", "a" * 250)),
-        Case(f"compare-{SMALL.name}-input-b-qp51-range51", compare(
-            SMALL, "--input-b", f"{CORPUS}/{OTHER.name}.yuv", "--qp", "51", "--qp-range", "51",
-            "--t-mode-b", "luma", "--rounding-b", "ceiling")),
+        Case(f"compare-{SMALL.name}-qp51-range51", compare(
+            SMALL, "--qp", "51", "--qp-range", "51", "--t-mode-b", "luma", "--rounding-b", "ceiling")),
         Case(f"compare-{LARGE.name}-frames2-cbaq-adaptiveqp", compare(
             LARGE, "--frames", "2", "--mode-a", "cbaq", "--mode-b", "adaptiveqp")),
     ]  # fmt: skip
@@ -390,6 +383,11 @@ def matrix() -> list[Case]:
         Case(f"help-{command}", [command, "--help"] if command else ["--help"])
         for command in ("", "analyze", "compare", "bdrate", "dump-activity")
     ]
+    # Every clip command takes one input; a second, as --input-b, is a usage error.
+    cases += [
+        Case(f"usage-{name}-input-b", command(SMALL, "--input-b", f"{CORPUS}/{SMALL.name}.yuv"))
+        for name, command in (("analyze", analyze), ("compare", compare), ("dump", dump))
+    ]
     # A fault in the last frame, with an output already present. The
     # adaptiveqp runs analyse no chroma, but still read and range-check it.
     old, sidecar = ["--output", "old.csv"], ["--dump-activity", "act.csv"]
@@ -412,7 +410,6 @@ def matrix() -> list[Case]:
         Case("fault-qp-range", analyze(SMALL, "--qp-range", "10000")),
         Case("fault-dump-activity-is-input", analyze(SMALL, "--dump-activity", small)),
         Case("fault-output-is-input-compare", compare(SMALL, "--output", small)),
-        Case("fault-output-is-input-b", compare(OTHER, "--input-b", small, "--output", small)),
         Case("fault-output-is-input-dump", dump(SMALL, "--output", small)),
         # One file named two ways, existing and new.
         Case("fault-outputs-shared-existing", analyze(SMALL, *old, "--dump-activity", "dir/../old.csv")),
@@ -426,6 +423,9 @@ def matrix() -> list[Case]:
         Case("fault-skip-negative", analyze(SMALL, "--skip", "-1")),
         Case("fault-frames-zero", analyze(SMALL, "--frames", "0")),
         Case("fault-skip-beyond", analyze(SMALL, "--skip", str(FRAMES))),
+        # compare and dump-activity check the range in analyze's one frame loop.
+        Case("fault-frame-range-compare", compare(SMALL, "--skip", "1", "--frames", str(FRAMES))),
+        Case("fault-frame-range-dump", dump(SMALL, "--skip", "1", "--frames", str(FRAMES))),
         Case("fault-no-frames", analyze(EMPTY)),
     ]  # fmt: skip
     # A geometry of 2**80 samples a plane, which a grid built from the flags would not fit in memory.

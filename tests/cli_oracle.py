@@ -99,12 +99,10 @@ def run(argv):
 
     width, height, cu_size, skip = flag("--width"), flag("--height"), flag("--cu-size", 64), flag("--skip", 0)
     bit_depth, chroma = flag("--bit-depth", 8), flag("--chroma", "420", str)
-    acts = []
-    for path in [flags["--input"]] + ([flags["--input-b"]] if "--input-b" in flags else []):
-        frames = read_clip(path, width, height, chroma, bit_depth)[skip:]
-        frames = frames[: flag("--frames", len(frames))]
-        acts.append([frame_activity(f, chroma, cu_size) for f in frames])
-    indices = range(skip, skip + len(acts[0]))
+    frames = read_clip(flags["--input"], width, height, chroma, bit_depth)[skip:]
+    frames = frames[: flag("--frames", len(frames))]
+    acts = [frame_activity(f, chroma, cu_size) for f in frames]
+    indices = range(skip, skip + len(acts))
     slice_qp, qp_range = flag("--qp", 0), flag("--qp-range", 6)
 
     def qp_grid(act, suffix=""):
@@ -117,13 +115,13 @@ def run(argv):
 
     items = [("width", width), ("height", height), ("bit_depth", bit_depth), ("chroma", chroma)]
     items += [("cu_size", cu_size)]
-    activity_rows = [(i, cu_size, a[:3], a[4:]) for i, a in zip(indices, acts[0])]
+    activity_rows = [(i, cu_size, a[:3], a[4:]) for i, a in zip(indices, acts)]
     activity = csv_text("activity", items, "l,b,d,t_luma,t_cross", activity_rows)
     if command == "dump-activity":
-        summary = f"frames={len(indices)} cus_per_frame={acts[0][0].luma.size}\n"
+        summary = f"frames={len(indices)} cus_per_frame={acts[0].luma.size}\n"
         return routed(summary, {flags["--output"]: activity})
     if command == "compare":
-        pairs = [(qp_grid(a, "-a"), qp_grid(b, "-b")) for a, b in zip(acts[0], acts[-1])]
+        pairs = [(qp_grid(a, "-a"), qp_grid(a, "-b")) for a in acts]
         items += [("qp", slice_qp), ("qp_range", qp_range)]
         items += [("mode_a", flags["--mode-a"]), ("mode_b", flags["--mode-b"])]
         rows = [(i, cu_size, [a, b, b - a], []) for i, (a, b) in zip(indices, pairs)]
@@ -131,7 +129,7 @@ def run(argv):
         summary = "".join(f"delta={d:+d} count={histogram[d]}\n" for d in sorted(histogram))
         return routed(summary, {flags["--output"]: csv_text("compare", items, "qp_a,qp_b,delta", rows)})
     assert command == "analyze", command
-    maps = [qp_grid(a) for a in acts[0]]
+    maps = [qp_grid(a) for a in acts]
     items += [("mode", flags["--mode"]), ("qp", slice_qp), ("qp_range", qp_range)]
     items += [("t_mode", flag("--t-mode", "cross", str)), ("rounding", flag("--rounding", "nearest", str))]
     if flag("--format", "csv", str) == "json":

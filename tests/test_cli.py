@@ -87,40 +87,39 @@ def count_activity_calls(monkeypatch):
     return calls
 
 
+def count_probes(monkeypatch):
+    """Wrap yuv.probe_frame_count so that each call appends the probed file's name to the returned list."""
+    probed = []
+    real = yuv.probe_frame_count
+    monkeypatch.setattr(
+        yuv, "probe_frame_count", lambda stream, fmt: probed.append(stream.name) or real(stream, fmt)
+    )
+    return probed
+
+
 class TestCompare:
     def test_single_input_is_analysed_once(self, tmp_path, monkeypatch, capsys):
         frames = 3
         clip = write_clip(tmp_path / "in.yuv", [random_frame(FMT, s) for s in range(frames)])
         calls = count_activity_calls(monkeypatch)
-        one, two = tmp_path / "one.csv", tmp_path / "two.csv"
-        assert main(compare_args(clip, one, mode_a="adaptiveqp", mode_b="cbaq")) == EXIT_OK
+        probed = count_probes(monkeypatch)
+        assert main(compare_args(clip, tmp_path / "d.csv", mode_a="adaptiveqp", mode_b="cbaq")) == EXIT_OK
+        assert probed == [str(clip)]
         assert len(calls) == frames
-        args = compare_args(clip, two, mode_a="adaptiveqp", mode_b="cbaq", input_b=clip)
-        assert main(args) == EXIT_OK
-        assert len(calls) == 3 * frames
-        assert one.read_bytes() == two.read_bytes()
         capsys.readouterr()
 
-    def test_frame_count_mismatch_is_validation_error(self, tmp_path, monkeypatch, capsys):
-        clip_a = write_clip(tmp_path / "a.yuv", [random_frame(FMT, 1)] * 2)
-        clip_b = write_clip(tmp_path / "b.yuv", [random_frame(FMT, 1)])
-        calls = count_activity_calls(monkeypatch)
-        args = compare_args(clip_a, tmp_path / "d.csv", input_b=clip_b)
-        assert main(args) == EXIT_VALIDATION
-        assert "frame count" in capsys.readouterr().err
-        assert calls == []  # refused before any frame was analysed
 
-    def test_each_input_is_opened_and_probed_once(self, tmp_path, monkeypatch, capsys):
-        clip_a = write_clip(tmp_path / "a.yuv", [random_frame(FMT, 1)] * 2)
-        clip_b = write_clip(tmp_path / "b.yuv", [random_frame(FMT, 2)] * 2)
-        probed = []
-        real = yuv.probe_frame_count
-        monkeypatch.setattr(
-            yuv, "probe_frame_count", lambda stream, fmt: probed.append(stream.name) or real(stream, fmt)
-        )
-        assert main(compare_args(clip_a, tmp_path / "d.csv", input_b=clip_b)) == EXIT_OK
-        assert probed == [str(clip_a), str(clip_b)]
-        capsys.readouterr()
+@pytest.mark.parametrize("command", [analyze_args, dump_args], ids=["analyze", "dump-activity"])
+def test_input_is_probed_once_and_analysed_once_per_frame(tmp_path, monkeypatch, capsys, command):
+    """analyze and dump-activity run compare's one frame loop: one probe, and one activity pass per frame."""
+    frames = 3
+    clip = write_clip(tmp_path / "in.yuv", [random_frame(FMT, s) for s in range(frames)])
+    calls = count_activity_calls(monkeypatch)
+    probed = count_probes(monkeypatch)
+    assert main(command(clip, tmp_path / "out.csv")) == EXIT_OK
+    assert probed == [str(clip)]
+    assert len(calls) == frames
+    capsys.readouterr()
 
 
 def count_plane_passes(monkeypatch):
@@ -142,15 +141,15 @@ class TestHalvesPerFrame:
     """Each frame works out its own halves: x and y for luma, and x and y both chroma planes share."""
 
     @pytest.mark.parametrize(
-        "command, inputs",
+        "command",
         [
-            (lambda clip, out, frames: analyze_args(clip, out, frames=frames), 1),
-            (lambda clip, out, frames: compare_args(clip, out, frames=frames, input_b=clip), 2),
-            (lambda clip, out, frames: dump_args(clip, out, frames=frames), 1),
+            lambda clip, out, frames: analyze_args(clip, out, frames=frames),
+            lambda clip, out, frames: compare_args(clip, out, frames=frames),
+            lambda clip, out, frames: dump_args(clip, out, frames=frames),
         ],
-        ids=["analyze", "compare-input-b", "dump-activity"],
+        ids=["analyze", "compare", "dump-activity"],
     )
-    def test_plans_are_built_per_frame(self, tmp_path, capsys, monkeypatch, command, inputs):
+    def test_plans_are_built_per_frame(self, tmp_path, capsys, monkeypatch, command):
         clip = write_clip(tmp_path / "in.yuv", [random_frame(FMT, seed) for seed in range(6)])
         calls = []
         real = activity._halves
@@ -161,7 +160,7 @@ class TestHalvesPerFrame:
             assert main(command(clip, tmp_path / "out.csv", frames)) == EXIT_OK
             builds.append(len(calls))
         capsys.readouterr()
-        assert builds == [4 * inputs, 24 * inputs]
+        assert builds == [4, 24]
 
 
 # Plane passes per frame: chroma is analysed only where an output reads it.
@@ -333,12 +332,9 @@ def traced_peak(args):
         lambda clip, out: compare_args(
             clip, out / "d.csv", fmt=LONG_FMT, mode_a="adaptiveqp", bit_depth=10, cu_size=16
         ),
-        lambda clip, out: compare_args(
-            clip, out / "d.csv", fmt=LONG_FMT, bit_depth=10, cu_size=16, input_b=clip
-        ),
         lambda clip, out: dump_args(clip, out / "a.csv", fmt=LONG_FMT, bit_depth=10, cu_size=16),
     ],
-    ids=["analyze", "compare", "compare-input-b", "dump-activity"],
+    ids=["analyze", "compare", "dump-activity"],
 )
 def test_peak_memory_does_not_grow_with_clip_length(tmp_path, capsys, long_clip, make_args):
     args = make_args(long_clip, tmp_path)
@@ -375,12 +371,9 @@ def hd_clips(tmp_path_factory):
             clip, out / "m.json", fmt=fmt, bit_depth=10, cu_size=64, format="json")),
         ("444", lambda clip, out, fmt: compare_args(
             clip, out / "d.csv", fmt=fmt, mode_a="adaptiveqp", cu_size=32)),
-        ("444", lambda clip, out, fmt: compare_args(
-            clip, out / "d.csv", fmt=fmt, mode_a="adaptiveqp", cu_size=32, input_b=clip)),
         ("420", lambda clip, out, fmt: dump_args(clip, out / "a.csv", fmt=fmt, cu_size=16)),
     ],
-    ids=["analyze-csv-cu16-dump-activity", "analyze-json-10bit-cu64", "compare", "compare-input-b",
-         "dump-activity"],
+    ids=["analyze-csv-cu16-dump-activity", "analyze-json-10bit-cu64", "compare", "dump-activity"],
 )
 def test_peak_memory_stays_below_half_a_frame(tmp_path, capsys, hd_clips, name, make_args):
     args = make_args(hd_clips / f"{name}.yuv", tmp_path, HD[name])
@@ -483,10 +476,6 @@ def cli_runs(draw):
             argv += ["--dump-activity", "{side}"]
     if command == "compare":
         argv += ["--mode-a", "adaptiveqp", "--mode-b", "cbaq"]
-        if draw(st.booleans()):
-            argv += ["--input-b", "{other}"]
-            if draw(st.booleans()):  # else a missing file
-                files["other"] = draw(tiny_clips())[1]
     return files, draw(st.sampled_from(OUTPUT_KINDS)), [str(arg) for arg in argv]
 
 
@@ -501,7 +490,7 @@ def cli_runs(draw):
 def test_every_argv_ends_in_a_documented_exit_code(run):
     files, kind, argv = run
     with tempfile.TemporaryDirectory() as scratch:
-        paths = {name: os.path.join(scratch, name) for name in ("out", "side", "other", *files)}
+        paths = {name: os.path.join(scratch, name) for name in ("out", "side", *files)}
         for name, data in files.items():
             with open(paths[name], "wb") as sink:
                 sink.write(data)

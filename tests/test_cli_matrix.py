@@ -106,9 +106,6 @@ OUTCOMES = {
         "error: stream size 21600 is not a multiple of the 8640-byte frame size; declared geometry is wrong"
     ),
     "fault-frame-range": error("error: requested frames 1..3 but input has only 3"),
-    "fault-frame-count": error(
-        "error: inputs differ in frame count (3 vs 1); pass --frames to pin a common range"
-    ),
     "fault-sample-range": error(RANGE.format(2, "Cr")),
     "fault-bdrate-usage": (EXIT_USAGE, "", "unrecognized arguments: --qp 32"),
     "fault-bdrate-anchor-unopenable": error(NO_FILE, EXIT_IO),
@@ -122,7 +119,6 @@ OUTCOMES = {
     "fault-qp-range": error("error: qp_range 10000 outside [0, 51]"),
     "fault-dump-activity-is-input": error(IS_INPUT),
     "fault-output-is-input-compare": error(IS_INPUT),
-    "fault-output-is-input-b": error(IS_INPUT),
     "fault-output-is-input-dump": error(IS_INPUT),
     "fault-outputs-shared-existing": error(SAME_FILE.format("old.csv")),
     "fault-outputs-shared-new": error(SAME_FILE.format("new.csv")),
@@ -132,6 +128,8 @@ OUTCOMES = {
     "fault-skip-negative": error("error: --skip must be >= 0, got -1"),
     "fault-frames-zero": error("error: --frames must be >= 1, got 0"),
     "fault-skip-beyond": error("error: --skip 3 is beyond the 3-frame input"),
+    "fault-frame-range-compare": error("error: requested frames 1..3 but input has only 3"),
+    "fault-frame-range-dump": error("error: requested frames 1..3 but input has only 3"),
     "fault-no-frames": error("error: input holds no complete frames"),
     "fault-geometry-huge": error(HUGE),
     "fault-geometry-huge-compare": error(HUGE),
@@ -163,15 +161,14 @@ OUTCOMES = {
     "help-compare": (EXIT_OK, (
         "usage: perceptqp compare [-h] --input INPUT --width WIDTH --height HEIGHT [--bit-depth {8,10}] "
         "[--chroma {444,422,420}] [--frames FRAMES] [--skip SKIP] [--cu-size {16,32,64}] --output OUTPUT "
-        "[--input-b INPUT_B] --qp QP [--qp-range QP_RANGE] --mode-a {adaptiveqp,cbaq} [--t-mode-a "
-        "{luma,cross}] [--rounding-a {nearest,ceiling}] --mode-b {adaptiveqp,cbaq} [--t-mode-b "
-        "{luma,cross}] [--rounding-b {nearest,ceiling}] options: -h, --help show this help message and "
-        "exit --input INPUT raw planar YCbCr file --width WIDTH --height HEIGHT --bit-depth {8,10} "
-        "--chroma {444,422,420} --frames FRAMES frames to process (default: all) --skip SKIP frames to "
-        "skip from the start --cu-size {16,32,64} --output OUTPUT --input-b INPUT_B second clip (default: "
-        "--input) --qp QP --qp-range QP_RANGE --mode-a {adaptiveqp,cbaq} --t-mode-a {luma,cross} "
-        "--rounding-a {nearest,ceiling} --mode-b {adaptiveqp,cbaq} --t-mode-b {luma,cross} --rounding-b "
-        "{nearest,ceiling}"
+        "--qp QP [--qp-range QP_RANGE] --mode-a {adaptiveqp,cbaq} [--t-mode-a {luma,cross}] [--rounding-a "
+        "{nearest,ceiling}] --mode-b {adaptiveqp,cbaq} [--t-mode-b {luma,cross}] [--rounding-b "
+        "{nearest,ceiling}] options: -h, --help show this help message and exit --input INPUT raw planar "
+        "YCbCr file --width WIDTH --height HEIGHT --bit-depth {8,10} --chroma {444,422,420} --frames "
+        "FRAMES frames to process (default: all) --skip SKIP frames to skip from the start --cu-size "
+        "{16,32,64} --output OUTPUT --qp QP --qp-range QP_RANGE --mode-a {adaptiveqp,cbaq} --t-mode-a "
+        "{luma,cross} --rounding-a {nearest,ceiling} --mode-b {adaptiveqp,cbaq} --t-mode-b {luma,cross} "
+        "--rounding-b {nearest,ceiling}"
     ), ""),
     "help-bdrate": (EXIT_OK, (
         "usage: perceptqp bdrate [-h] --anchor ANCHOR --test TEST options: -h, --help show this help "
@@ -185,6 +182,9 @@ OUTCOMES = {
         "to process (default: all) --skip SKIP frames to skip from the start --cu-size {16,32,64} "
         "--output OUTPUT"
     ), ""),
+    "usage-analyze-input-b": (EXIT_USAGE, "", "unrecognized arguments: --input-b ../corpus/c420-8-72x40.yuv"),
+    "usage-compare-input-b": (EXIT_USAGE, "", "unrecognized arguments: --input-b ../corpus/c420-8-72x40.yuv"),
+    "usage-dump-input-b": (EXIT_USAGE, "", "unrecognized arguments: --input-b ../corpus/c420-8-72x40.yuv"),
     "closed-stdout-analyze": CLOSED,
     "closed-stdout-compare": CLOSED,
     "closed-stdout-dump": CLOSED,

@@ -18,7 +18,6 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,7 +34,7 @@ from perceptqp import (
     cu_qp,
 )
 from perceptqp.cli import EXIT_OK, main
-from strategies import clips, textured_frames, write_clip
+from strategies import clips, write_clip
 
 
 def optional(draw, flag, values, default):
@@ -52,7 +51,7 @@ def rule_flags(draw, suffix=""):
 
 @st.composite
 def cli_cases(draw, command):
-    """(fmt, frames, frames of --input-b or None, argv) for command: argv puts its files in "{dir}",
+    """(fmt, frames, argv) for command: argv puts its files in "{dir}",
     and the test adds --input, --width and --height."""
     fmt, cu_size, frames = draw(clips())
     argv = [command, "--output", "{dir}/out"]
@@ -63,7 +62,6 @@ def cli_cases(draw, command):
     argv += optional(draw, "--skip", [skip], 0)
     if draw(st.booleans()):
         argv += ["--frames", str(draw(st.integers(1, len(frames) - skip)))]
-    frames_b = None
     if command != "dump-activity":
         argv += ["--qp", str(draw(st.integers(0, 51)))]
         argv += optional(draw, "--qp-range", [draw(st.integers(0, 51))], 6)
@@ -73,10 +71,7 @@ def cli_cases(draw, command):
             argv += ["--dump-activity", "{dir}/act.csv"]
     elif command == "compare":
         argv += rule_flags(draw, "-a") + rule_flags(draw, "-b")
-        if draw(st.booleans()):
-            frames_b = textured_frames(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), fmt, len(frames))
-            argv += ["--input-b", "{dir}/b.yuv"]
-    return fmt, frames, frames_b, argv
+    return fmt, frames, argv
 
 
 @pytest.mark.parametrize("command", ["analyze", "compare", "dump-activity"])
@@ -84,19 +79,16 @@ def cli_cases(draw, command):
 @given(data=st.data())
 def test_cli_output_equals_the_oracle(command, data):
     """main() on a drawn case in a fresh directory: its stdout, stderr and files must be the oracle's."""
-    fmt, frames, frames_b, argv = data.draw(cli_cases(command))
+    fmt, frames, argv = data.draw(cli_cases(command))
     with tempfile.TemporaryDirectory() as scratch:
         write_clip(os.path.join(scratch, "a.yuv"), fmt, frames)
-        if frames_b is not None:
-            write_clip(os.path.join(scratch, "b.yuv"), fmt, frames_b)
         argv = [arg.format(dir=scratch) for arg in argv] + ["--input", os.path.join(scratch, "a.yuv")]
         argv += ["--width", str(fmt.width), "--height", str(fmt.height)]
         with redirect_stdout(StringIO()) as stdout, redirect_stderr(StringIO()) as stderr:
             code = main(argv)
         want_out, want_err, outputs = cli_oracle.run(argv)
         assert (code, stdout.getvalue(), stderr.getvalue()) == (EXIT_OK, want_out, want_err)
-        inputs = {"a.yuv"} | ({"b.yuv"} if frames_b is not None else set())
-        assert set(os.listdir(scratch)) == inputs | {os.path.basename(path) for path in outputs}
+        assert set(os.listdir(scratch)) == {"a.yuv"} | {os.path.basename(path) for path in outputs}
         for path, text in outputs.items():
             with open(path, "rb") as written:
                 assert written.read() == text.encode(), os.path.basename(path)

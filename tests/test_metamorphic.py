@@ -43,17 +43,12 @@ ADAPTIVE_RUNS = {
 DUMP_RUNS = {"dump": ["dump-activity", "--output", "{dir}/act.csv"]}
 
 
-def run_all(fmt, cu_size, frames, runs=RUNS, flags=(), frames_b=None):
-    """{output name: bytes} and {run: stdout} of every run in runs on one clip of frames.
-
-    frames_b, if given, is written to {dir}/b.yuv.
-    """
+def run_all(fmt, cu_size, frames, runs=RUNS, flags=()):
+    """{output name: bytes} and {run: stdout} of every run in runs on one clip of frames."""
     outputs, stdouts = {}, {}
     with tempfile.TemporaryDirectory() as scratch:
         clip = os.path.join(scratch, "clip.yuv")
         write_clip(clip, fmt, frames)
-        if frames_b is not None:
-            write_clip(os.path.join(scratch, "b.yuv"), fmt, frames_b)
         for name, argv in runs.items():
             geometry = ["--input", clip, "--width", str(fmt.width), "--height", str(fmt.height),
                         "--bit-depth", str(fmt.bit_depth), "--chroma", fmt.chroma_format.value,
@@ -212,17 +207,31 @@ def test_changing_one_cu_changes_no_other_cus_activity(clip, data):
 
 
 @RELATION
-@given(clips(), st.sampled_from(["adaptiveqp", "cbaq"]), st.integers(0, 2**32 - 1))
-def test_two_input_compare_holds_each_inputs_map(clip, mode, seed):
-    """compare --input A --input-b B with one rule on both sides gives analyze's QPs of A and of B."""
+@given(clips(), st.sampled_from(["adaptiveqp", "cbaq"]))
+def test_one_rule_compare_holds_analyzes_map(clip, mode):
+    """compare with one rule on both sides gives analyze's QPs in both qp columns, and delta 0 in every row."""
     fmt, cu_size, frames = clip
-    rng = np.random.default_rng(seed)
-    other = [[textured_plane(rng, *p.shape, fmt.max_sample) for p in f] for f in frames]
-    compare = {"compare": ["compare", "--qp", "32", "--mode-a", mode, "--mode-b", mode,
-                           "--input-b", "{dir}/b.yuv", "--output", "{dir}/cmp.csv"]}
-    analyze = {"analyze": ["analyze", "--qp", "32", "--mode", mode, "--output", "{dir}/map.csv"]}
-    compared = run_all(fmt, cu_size, frames, compare, frames_b=other)[0]["cmp.csv"]
-    rows = [line.split(",") for line in compared.decode().splitlines()[2:]]
-    for side, clip_frames in ((3, frames), (4, other)):
-        mapped = run_all(fmt, cu_size, clip_frames, analyze)[0]["map.csv"]
-        assert [",".join(row[:3] + row[side : side + 1]) for row in rows] == mapped.decode().splitlines()[2:]
+    runs = {"compare": ["compare", "--qp", "32", "--mode-a", mode, "--mode-b", mode, "--output", "{dir}/cmp.csv"],
+            "analyze": ["analyze", "--qp", "32", "--mode", mode, "--output", "{dir}/map.csv"]}
+    outputs, _ = run_all(fmt, cu_size, frames, runs)
+    rows = [line.split(",") for line in outputs["cmp.csv"].decode().splitlines()[2:]]
+    assert {row[5] for row in rows} == {"0"}
+    mapped = outputs["map.csv"].decode().splitlines()[2:]
+    for side in (3, 4):
+        assert [",".join(row[:3] + row[side : side + 1]) for row in rows] == mapped
+
+
+@RELATION
+@given(clips())
+def test_compare_columns_are_each_rules_analyze_map(clip):
+    """compare's qp_a and qp_b columns are analyze's QPs under rule a and rule b, and delta is qp_b - qp_a."""
+    fmt, cu_size, frames = clip
+    runs = {"compare": RUNS["compare"],
+            "a": ["analyze", "--qp", "37", "--mode", "adaptiveqp", "--output", "{dir}/map_a.csv"],
+            "b": ["analyze", "--qp", "37", "--mode", "cbaq", "--rounding", "ceiling", "--output", "{dir}/map_b.csv"]}
+    outputs, _ = run_all(fmt, cu_size, frames, runs)
+    rows = [line.split(",") for line in outputs["cmp.csv"].decode().splitlines()[2:]]
+    assert [int(row[5]) for row in rows] == [int(row[4]) - int(row[3]) for row in rows]
+    for side, name in ((3, "map_a.csv"), (4, "map_b.csv")):
+        mapped = outputs[name].decode().splitlines()[2:]
+        assert [",".join(row[:3] + row[side : side + 1]) for row in rows] == mapped
