@@ -11,7 +11,8 @@ perceptqp.cli and building its parser load only perceptqp.config, the
 numpy-free vocabulary of formats and QP rules; a clip command loads
 activity, qp and yuv, with numpy, when it runs. _SUBMODULE is the one
 list of public names; the submodules keep no __all__, and yuv and qp
-re-export the config names it lists as theirs.
+re-export the config names it lists as theirs. dir(perceptqp) lists
+every public name, and any other name raises AttributeError.
 """
 
 from importlib import import_module

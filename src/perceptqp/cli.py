@@ -2,7 +2,7 @@
 
 Subcommands:
   analyze        per-CU QP map for every frame of a clip
-  compare        per-CU QP difference between two runs
+  compare        per-CU QP difference between two rules on one clip
   bdrate         BD-Rate / BD-PSNR between two RD CSV files
   dump-activity  per-CU activity values without QP mapping
 """
@@ -536,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--dump-activity", type=Path, default=None, metavar="PATH")
     analyze.set_defaults(func=cmd_analyze)
 
-    compare = sub.add_parser("compare", help="diff the QP maps of two runs")
+    compare = sub.add_parser("compare", help="diff the QP maps of two rules on one clip")
     _add_clip_args(compare)
     compare.add_argument("--qp", type=int, required=True)
     compare.add_argument("--qp-range", type=int, default=QpConfig.qp_range)

@@ -47,7 +47,11 @@ def frame_bytes(fmt: VideoFormat) -> int:
 
 @dataclass(eq=False)
 class Plane:
-    """One channel of samples as a row-major (height, width) integer array."""
+    """One channel of samples as a row-major (height, width) integer array.
+
+    Float samples are refused: the activity pass and its per-CU
+    reference would treat them differently.
+    """
 
     data: np.ndarray
 

@@ -2,10 +2,11 @@
 
 Every run starts in the same fresh directory, which holds an existing
 output `old.csv` and a directory `dir`, with the corpus beside it in
-`../corpus`. tests/test_cli_matrix.py pins each argv once: a clip
-command that succeeds against tests/cli_oracle.py, any other by its row
-of OUTCOMES. The clip commands are the suite's only fixed clip cases,
-and between them they give every option and choice. `run` runs a
+`../corpus`, and must leave both as it found them.
+tests/test_cli_matrix.py pins each argv once: a clip command that
+succeeds against tests/cli_oracle.py, any other by its row of OUTCOMES.
+The clip commands are the suite's only fixed clip cases, and between
+them they give every option and choice. `run` runs a
 closed-stdout argv in a child, as `python -m perceptqp.cli` with this
 checkout's src first on PYTHONPATH, since a run in process cannot start
 with fd 1 closed.

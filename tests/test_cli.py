@@ -1,4 +1,12 @@
-"""End-to-end CLI behaviour: every subcommand through cli.main."""
+"""End-to-end CLI behaviour that an argv of tests/cli_matrix.py in its run directory cannot show.
+
+A stdout pipe with no reader or shared with stderr, a stdout redirected
+to a file or to /dev/full, a signal mid-clip, a FIFO, a monkeypatched
+function, a symlink loop, a stale partial file or the umask, tracemalloc
+peaks, fresh interpreters, and the exit-code fuzz. No clip's bytes are
+checked here against values of this file's own: tests/cli_oracle.py
+owns them.
+"""
 
 import ast
 import errno

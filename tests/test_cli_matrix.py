@@ -144,8 +144,8 @@ OUTCOMES = {
         "usage: perceptqp [-h] {analyze,compare,bdrate,dump-activity} ... Command-line front end: raw "
         "clips in, QP maps and RD metrics out. positional arguments: "
         "{analyze,compare,bdrate,dump-activity} analyze emit a per-CU QP map for each frame compare diff "
-        "the QP maps of two runs bdrate BD-Rate / BD-PSNR between two RD CSV files dump-activity emit "
-        "per-CU activity values options: -h, --help show this help message and exit"
+        "the QP maps of two rules on one clip bdrate BD-Rate / BD-PSNR between two RD CSV files "
+        "dump-activity emit per-CU activity values options: -h, --help show this help message and exit"
     ), ""),
     "help-analyze": (EXIT_OK, (
         "usage: perceptqp analyze [-h] --input INPUT --width WIDTH --height HEIGHT [--bit-depth {8,10}] "
